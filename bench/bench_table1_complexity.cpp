@@ -13,6 +13,12 @@
 // sweep (naive=0), which is Theta(P * S * w) to build plus Theta(matches)
 // to accumulate. Both produce bit-identical matrices (asserted in
 // tests/test_detectors.cpp); the ratio here is the speedup.
+//
+// BM_Multisection times the mapping step that consumes the matrix at
+// manycore scale, on the two shapes its swap search treats differently:
+// every pair nonzero (dense=1, where it scans all pairs) and a banded
+// matrix with ~10 partners per thread (dense=0, where it lists only the
+// pairs that can gain).
 #include <cstdio>
 #include <memory>
 #include <random>
@@ -22,6 +28,7 @@
 
 #include "core/report.hpp"
 #include "detect/hm_detector.hpp"
+#include "mapping/multisection.hpp"
 #include "npb/synthetic.hpp"
 #include "sim/machine.hpp"
 #include "sim/tlb.hpp"
@@ -149,6 +156,52 @@ void BM_HmDetectorSweep(benchmark::State& state) {
 BENCHMARK(BM_HmDetectorSweep)
     ->ArgsProduct({{8, 32, 64}, {0, 1}})
     ->ArgNames({"P", "naive"});
+
+// dense=1: every pair nonzero, N threads on MachineConfig::manycore().
+// dense=0: a +-1..3 neighbour band plus 2N random background pairs, on the
+// manycore tiles scaled to N/8 sockets on a 16-column mesh.
+void BM_Multisection(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const bool dense = state.range(1) != 0;
+  MachineConfig mc = MachineConfig::manycore();
+  if (!dense) {
+    mc.num_sockets = n / 8;
+    mc.socket_mesh_cols = 16;
+  }
+  const Topology topology(mc);
+  CommMatrix comm(n);
+  std::mt19937_64 rng(static_cast<std::uint64_t>(n) * 2 + (dense ? 1 : 0));
+  if (dense) {
+    for (ThreadId a = 0; a < n; ++a) {
+      for (ThreadId b = a + 1; b < n; ++b) comm.add(a, b, 1 + rng() % 1000);
+    }
+  } else {
+    for (ThreadId a = 0; a < n; ++a) {
+      for (int d = 1; d <= 3 && a + d < n; ++d) {
+        comm.add(a, a + d, (1024u >> (2 * (d - 1))) + rng() % 64);
+      }
+    }
+    for (int k = 0; k < 2 * n; ++k) {
+      const auto a = static_cast<ThreadId>(rng() % static_cast<unsigned>(n));
+      const auto b = static_cast<ThreadId>(rng() % static_cast<unsigned>(n));
+      comm.add(a, b, 1 + rng() % 16);
+    }
+  }
+  const MultisectionMapper mapper(topology);
+  for (auto _ : state) {
+    Mapping mapping = mapper.map(comm);
+    benchmark::DoNotOptimize(mapping.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetComplexityN(n);
+}
+BENCHMARK(BM_Multisection)
+    ->Args({256, 1})
+    ->Args({256, 0})
+    ->Args({1024, 0})
+    ->Args({4096, 0})
+    ->ArgNames({"N", "dense"})
+    ->Unit(benchmark::kMillisecond);
 
 void print_table1() {
   using tlbmap::TextTable;

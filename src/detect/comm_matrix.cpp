@@ -88,6 +88,13 @@ std::uint64_t CommMatrix::at(ThreadId a, ThreadId b) const {
   return cells_[index(a, b)];
 }
 
+std::span<const std::uint64_t> CommMatrix::row(ThreadId a) const {
+  if (a < 0 || a >= n_) {
+    throw std::out_of_range("CommMatrix::row: thread id out of range");
+  }
+  return {cells_.data() + index(a, 0), static_cast<std::size_t>(n_)};
+}
+
 std::uint64_t CommMatrix::total() const {
   // Saturating sum — see CommMatrixShard::total for the large-N rationale.
   std::uint64_t sum = 0;

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -94,6 +95,10 @@ class CommMatrix {
   void add(ThreadId a, ThreadId b, std::uint64_t amount = 1);
 
   std::uint64_t at(ThreadId a, ThreadId b) const;
+
+  /// Row `a` (cell (a, b) at index b): one bounds check per row instead of
+  /// one per cell, for callers that scan the whole matrix.
+  std::span<const std::uint64_t> row(ThreadId a) const;
 
   /// Sum over the upper triangle (each pair counted once).
   std::uint64_t total() const;

@@ -15,6 +15,7 @@ bool is_power_of_two(int x) { return x > 0 && (x & (x - 1)) == 0; }
 /// total communication between their members.
 WeightMatrix group_weights(const CommMatrix& comm,
                            const std::vector<std::vector<ThreadId>>& groups) {
+  const WeightClamp clamp(comm.size(), /*max_hops=*/1);
   const std::size_t g = groups.size();
   WeightMatrix w(g, std::vector<std::int64_t>(g, 0));
   for (std::size_t i = 0; i < g; ++i) {
@@ -23,7 +24,7 @@ WeightMatrix group_weights(const CommMatrix& comm,
       for (const ThreadId a : groups[i]) {
         for (const ThreadId b : groups[j]) {
           if (a >= 0 && b >= 0) {  // virtual padding threads are < 0
-            sum += static_cast<std::int64_t>(comm.at(a, b));
+            sum += clamp(comm.at(a, b));
           }
         }
       }

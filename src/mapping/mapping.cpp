@@ -1,6 +1,7 @@
 #include "mapping/mapping.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <sstream>
@@ -64,6 +65,17 @@ double mapping_cost(const CommMatrix& comm, const Mapping& mapping,
     }
   }
   return cost;
+}
+
+WeightClamp::WeightClamp(int num_threads, int max_hops) {
+  const auto n = static_cast<std::uint64_t>(std::max(num_threads, 1));
+  const auto hops = static_cast<std::uint64_t>(std::max(max_hops, 1));
+  // Nested floor divisions equal floor(max / (2 n^2 hops)) without forming
+  // the (possibly overflowing) product.
+  const std::uint64_t limit =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) /
+      2 / n / n / hops;
+  ceiling_ = static_cast<std::int64_t>(std::max<std::uint64_t>(limit, 1));
 }
 
 std::string to_string(const Mapping& mapping) {

@@ -38,6 +38,31 @@ Mapping round_robin_mapping(const Topology& topology, int num_threads);
 double mapping_cost(const CommMatrix& comm, const Mapping& mapping,
                     const Topology& topology);
 
+/// Order-preserving conversion of CommMatrix counts into the signed weights
+/// the mappers sum. A count above the ceiling (a saturated kCounterMax cell
+/// among them) becomes the ceiling, so it still ranks first instead of
+/// wrapping negative; counts at or below it pass through unchanged. Every
+/// sum a mapper forms over a matrix of n threads — a row or affinity sum, a
+/// group-to-group sum, Edmonds' total — adds at most n^2 weights, and the
+/// socket placement cost multiplies such a sum by at most `max_hops`; the
+/// ceiling INT64_MAX / (2 * n^2 * max_hops) keeps all of them, and the
+/// differences and doublings the mappers take of them, inside int64.
+class WeightClamp {
+ public:
+  WeightClamp(int num_threads, int max_hops);
+
+  std::int64_t ceiling() const { return ceiling_; }
+
+  std::int64_t operator()(std::uint64_t count) const {
+    return count > static_cast<std::uint64_t>(ceiling_)
+               ? ceiling_
+               : static_cast<std::int64_t>(count);
+  }
+
+ private:
+  std::int64_t ceiling_;
+};
+
 /// Human-readable "t0->c3 t1->c5 ..." string for reports.
 std::string to_string(const Mapping& mapping);
 

@@ -3,73 +3,155 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace tlbmap {
 
 namespace {
 
-/// One k-way partition subproblem over a subset of threads. Weights are
-/// copied into a dense local matrix once (indices 0..n-1), so the greedy
-/// seed and the local search never touch CommMatrix again.
-class Partitioner {
- public:
-  Partitioner(const CommMatrix& comm, const std::vector<ThreadId>& items,
-              const std::vector<int>& capacity)
-      : n_(static_cast<int>(items.size())),
-        k_(static_cast<int>(capacity.size())),
-        items_(items),
-        rem_(capacity),
-        w_(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_), 0),
-        aff_(static_cast<std::size_t>(n_) * static_cast<std::size_t>(k_), 0),
-        part_of_(static_cast<std::size_t>(n_), -1) {
-    for (int i = 0; i < n_; ++i) {
-      for (int j = i + 1; j < n_; ++j) {
-        const auto c =
-            static_cast<std::int64_t>(comm.at(items_[static_cast<std::size_t>(
-                                                  i)],
-                                              items_[static_cast<std::size_t>(
-                                                  j)]));
-        w(i, j) = c;
-        w(j, i) = c;
-      }
+/// Max full local-search sweeps per partition call; the search stops early
+/// at the first sweep with no improvement.
+constexpr int kRefineRounds = 8;
+
+/// Host cost of visiting one neighbour while listing swap candidates, in
+/// units of one pair evaluated by the plain scan (measured on banded and
+/// dense matrices at 256-4096 threads).
+constexpr std::int64_t kListedCost = 4;
+
+/// Nonzero communication partners of items 0..n-1 in compressed-row form:
+/// row i lists i's partners in ascending id with their clamped weights.
+struct Neighbours {
+  std::vector<std::size_t> begin;  ///< row i is [begin[i], begin[i + 1])
+  std::vector<int> id;
+  std::vector<std::int64_t> weight;
+
+  std::size_t row_begin(int i) const {
+    return begin[static_cast<std::size_t>(i)];
+  }
+  std::size_t row_end(int i) const {
+    return begin[static_cast<std::size_t>(i) + 1];
+  }
+  std::int64_t degree(int i) const {
+    return static_cast<std::int64_t>(row_end(i) - row_begin(i));
+  }
+};
+
+/// The nonzero cells among `items` (item i is thread items[i]), from two
+/// scans of that block's upper triangle: one counts, one fills.
+Neighbours neighbours_of(const CommMatrix& comm, const WeightClamp& clamp,
+                         const std::vector<ThreadId>& items) {
+  const std::size_t n = items.size();
+  Neighbours g;
+  g.begin.assign(n + 1, 0);
+  for (std::size_t a = 0; a < n; ++a) {
+    const auto row = comm.row(items[a]);
+    std::size_t above = 0;
+    for (std::size_t b = a + 1; b < n; ++b) {
+      if (row[static_cast<std::size_t>(items[b])] == 0) continue;
+      ++above;
+      ++g.begin[b + 1];
+    }
+    g.begin[a + 1] += above;
+  }
+  std::partial_sum(g.begin.begin(), g.begin.end(), g.begin.begin());
+  g.id.resize(g.begin.back());
+  g.weight.resize(g.begin.back());
+  // Row x receives its partners below x (while scanning their rows) before
+  // those above it (while scanning its own), each ascending: rows come out
+  // sorted.
+  std::vector<std::size_t> next(g.begin.begin(), g.begin.end() - 1);
+  for (std::size_t a = 0; a < n; ++a) {
+    const auto row = comm.row(items[a]);
+    for (std::size_t b = a + 1; b < n; ++b) {
+      const std::uint64_t c = row[static_cast<std::size_t>(items[b])];
+      if (c == 0) continue;
+      const std::int64_t w = clamp(c);
+      g.id[next[a]] = static_cast<int>(b);
+      g.weight[next[a]++] = w;
+      g.id[next[b]] = static_cast<int>(a);
+      g.weight[next[b]++] = w;
     }
   }
+  return g;
+}
 
-  std::vector<std::vector<ThreadId>> run(int refine_rounds) {
+/// One k-way partition of a subset of threads into parts of equal capacity.
+/// The greedy seed and the local search update the affinity table through
+/// neighbour lists and find swap partners through part member lists, so
+/// their work follows the nonzeros rather than n^2; every decision is the
+/// one a dense scan in ascending order would make.
+class Partitioner {
+ public:
+  Partitioner(const CommMatrix& comm, const WeightClamp& clamp,
+              const std::vector<ThreadId>& items, int parts, int capacity)
+      : comm_(comm),
+        clamp_(clamp),
+        items_(items),
+        g_(neighbours_of(comm, clamp, items)),
+        n_(static_cast<int>(items.size())),
+        k_(parts),
+        capacity_(capacity),
+        rem_(static_cast<std::size_t>(parts), capacity),
+        aff_(static_cast<std::size_t>(n_) * static_cast<std::size_t>(k_), 0),
+        part_of_(static_cast<std::size_t>(n_), -1),
+        slot_(static_cast<std::size_t>(n_), 0),
+        members_(static_cast<std::size_t>(parts) *
+                     static_cast<std::size_t>(capacity),
+                 -1),
+        part_degree_(static_cast<std::size_t>(parts), 0),
+        seen_(static_cast<std::size_t>(n_), 0),
+        part_seen_(static_cast<std::size_t>(parts), 0) {}
+
+  const Neighbours& neighbours() const { return g_; }
+
+  /// Part of every item, after seeding and local search.
+  std::vector<int> run() {
     seed();
-    refine(refine_rounds);
-    std::vector<std::vector<ThreadId>> groups(static_cast<std::size_t>(k_));
-    for (int i = 0; i < n_; ++i) {  // ascending i keeps groups deterministic
-      groups[static_cast<std::size_t>(part_of_[static_cast<std::size_t>(i)])]
-          .push_back(items_[static_cast<std::size_t>(i)]);
+    const bool spare = static_cast<std::int64_t>(k_) * capacity_ > n_;
+    for (int round = 0; round < kRefineRounds; ++round) {
+      const bool moved = spare && move_pass();
+      if (!swap_pass() && !moved) break;
     }
-    return groups;
+    return part_of_;
   }
 
  private:
-  std::int64_t& w(int i, int j) {
-    return w_[static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) +
-              static_cast<std::size_t>(j)];
-  }
   std::int64_t& aff(int i, int p) {
     return aff_[static_cast<std::size_t>(i) * static_cast<std::size_t>(k_) +
                 static_cast<std::size_t>(p)];
+  }
+  int part(int i) const { return part_of_[static_cast<std::size_t>(i)]; }
+  int& rem(int p) { return rem_[static_cast<std::size_t>(p)]; }
+  /// Members of p occupy slots [p * capacity, p * capacity + size).
+  int* members(int p) {
+    return members_.data() +
+           static_cast<std::size_t>(p) * static_cast<std::size_t>(capacity_);
+  }
+  int part_size(int p) { return capacity_ - rem(p); }
+  /// Row of item i in the matrix, for weight(row(i), j) = w(i, j).
+  std::span<const std::uint64_t> row(int i) const {
+    return comm_.row(items_[static_cast<std::size_t>(i)]);
+  }
+  std::int64_t weight(std::span<const std::uint64_t> row, int j) const {
+    return clamp_(row[static_cast<std::size_t>(
+        items_[static_cast<std::size_t>(j)])]);
   }
 
   /// Greedy seed: heaviest communicators placed first, each into the part
   /// it already talks to most among those with spare capacity (lowest part
   /// index on ties — all deterministic).
   void seed() {
-    std::vector<int> order(static_cast<std::size_t>(n_));
-    std::iota(order.begin(), order.end(), 0);
     std::vector<std::int64_t> row_sum(static_cast<std::size_t>(n_), 0);
     for (int i = 0; i < n_; ++i) {
-      for (int j = 0; j < n_; ++j) {
-        row_sum[static_cast<std::size_t>(i)] += w(i, j);
+      for (std::size_t e = g_.row_begin(i); e < g_.row_end(i); ++e) {
+        row_sum[static_cast<std::size_t>(i)] += g_.weight[e];
       }
     }
+    std::vector<int> order(static_cast<std::size_t>(n_));
+    std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
       return row_sum[static_cast<std::size_t>(a)] >
              row_sum[static_cast<std::size_t>(b)];
@@ -77,133 +159,229 @@ class Partitioner {
     for (const int i : order) {
       int best = -1;
       for (int p = 0; p < k_; ++p) {
-        if (rem_[static_cast<std::size_t>(p)] <= 0) continue;
+        if (rem(p) <= 0) continue;
         if (best == -1 || aff(i, p) > aff(i, best)) best = p;
       }
       place(i, best);
     }
   }
 
-  void place(int i, int p) {
-    part_of_[static_cast<std::size_t>(i)] = p;
-    --rem_[static_cast<std::size_t>(p)];
-    for (int j = 0; j < n_; ++j) aff(j, p) += w(i, j);
+  /// Moves each item to the lowest-index part with spare capacity that it
+  /// talks to more than to its own. Gaining parts hold a partner of i.
+  bool move_pass() {
+    bool improved = false;
+    for (int i = 0; i < n_; ++i) {
+      const std::int64_t own = aff(i, part(i));
+      int to = -1;
+      for (std::size_t e = g_.row_begin(i); e < g_.row_end(i); ++e) {
+        const int p = part(g_.id[e]);
+        if (rem(p) > 0 && aff(i, p) > own && (to < 0 || p < to)) to = p;
+      }
+      if (to >= 0) {
+        move(i, to);
+        improved = true;
+      }
+    }
+    return improved;
   }
 
-  /// First-improvement local search: each sweep tries every single move to
-  /// a part with spare capacity and every cross-part pair swap, applying
-  /// profitable ones immediately (the affinity table makes the gain O(1)
-  /// to evaluate and O(n) to commit). Stops at the first quiet sweep.
-  void refine(int rounds) {
-    for (int round = 0; round < rounds; ++round) {
-      bool improved = false;
-      for (int i = 0; i < n_; ++i) {
-        const int pi = part_of_[static_cast<std::size_t>(i)];
-        for (int p = 0; p < k_; ++p) {
-          if (p == pi || rem_[static_cast<std::size_t>(p)] <= 0) continue;
-          if (aff(i, p) - aff(i, pi) > 0) {
-            move(i, p);
-            improved = true;
-            break;
-          }
-        }
+  /// First-improvement swap sweep: pairs (i, j) in ascending order, each
+  /// profitable swap applied at once.
+  bool swap_pass() {
+    bool improved = false;
+    for (int i = 0; i < n_; ++i) {
+      for (int j = next_swap(i, i); j >= 0; j = next_swap(i, j)) {
+        swap_items(i, j);
+        improved = true;
       }
-      for (int i = 0; i < n_; ++i) {
-        for (int j = i + 1; j < n_; ++j) {
-          const int pi = part_of_[static_cast<std::size_t>(i)];
-          const int pj = part_of_[static_cast<std::size_t>(j)];
-          if (pi == pj) continue;
-          const std::int64_t gain = (aff(i, pj) - aff(i, pi)) +
-                                    (aff(j, pi) - aff(j, pj)) - 2 * w(i, j);
-          if (gain > 0) {
-            swap_items(i, j);
-            improved = true;
-          }
-        }
-      }
-      if (!improved) break;
     }
+    return improved;
+  }
+
+  /// The first j > after, ascending, whose swap with i gains, or -1.
+  /// gain = (aff(i,pj) - aff(i,pi)) + (aff(j,pi) - aff(j,pj)) - 2 w(i,j) with
+  /// w >= 0, so a pair gains only if (A) i talks more to pj than to pi —
+  /// then j shares a part with a partner of i — or (B) j talks more to pi
+  /// than to pj — then j is a partner of a member of pi. Listing those
+  /// candidates visits about deg(i) + (sum of degrees in pi) neighbours,
+  /// each costing about kListedCost scanned pairs (its part and affinity
+  /// reads land on scattered rows); where that is more than the pairs
+  /// left, scan them all instead.
+  int next_swap(int i, int after) {
+    const std::int64_t listing =
+        g_.degree(i) + part_degree_[static_cast<std::size_t>(part(i))];
+    if (kListedCost * listing < n_ - 1 - after) {
+      return first_listed_swap(i, after);
+    }
+    return first_scanned_swap(i, after);
+  }
+
+  int first_scanned_swap(int i, int after) {
+    const int pi = part(i);
+    const auto wi = row(i);
+    for (int j = after + 1; j < n_; ++j) {
+      const int pj = part(j);
+      if (pj == pi) continue;
+      const std::int64_t gain = (aff(i, pj) - aff(i, pi)) +
+                                (aff(j, pi) - aff(j, pj)) - 2 * weight(wi, j);
+      if (gain > 0) return j;
+    }
+    return -1;
+  }
+
+  int first_listed_swap(int i, int after) {
+    const int pi = part(i);
+    const std::int64_t own = aff(i, pi);
+    ++stamp_;
+    candidates_.clear();
+    // (A) every member of a part that i talks to more than to its own.
+    for (std::size_t e = g_.row_begin(i); e < g_.row_end(i); ++e) {
+      const int p = part(g_.id[e]);
+      if (p == pi || part_seen_[static_cast<std::size_t>(p)] == stamp_) {
+        continue;
+      }
+      part_seen_[static_cast<std::size_t>(p)] = stamp_;
+      if (aff(i, p) <= own) continue;
+      const int* m = members(p);
+      for (int s = 0; s < part_size(p); ++s) {
+        seen_[static_cast<std::size_t>(m[s])] = stamp_;
+        if (m[s] > after) candidates_.push_back(m[s]);
+      }
+    }
+    // (B) partners of pi's members that talk more to pi than to their own.
+    const int* m = members(pi);
+    for (int s = 0; s < part_size(pi); ++s) {
+      for (std::size_t e = g_.row_begin(m[s]); e < g_.row_end(m[s]); ++e) {
+        const int z = g_.id[e];
+        if (z <= after || seen_[static_cast<std::size_t>(z)] == stamp_) {
+          continue;
+        }
+        seen_[static_cast<std::size_t>(z)] = stamp_;
+        const int pz = part(z);
+        if (pz != pi && aff(z, pi) > aff(z, pz)) candidates_.push_back(z);
+      }
+    }
+    std::sort(candidates_.begin(), candidates_.end());
+    const auto wi = row(i);
+    for (const int j : candidates_) {
+      const int pj = part(j);
+      const std::int64_t delta = (aff(i, pj) - own) + (aff(j, pi) - aff(j, pj));
+      if (delta > 0 && delta - 2 * weight(wi, j) > 0) return j;
+    }
+    return -1;
+  }
+
+  void add_affinity(int i, int p, int sign) {
+    for (std::size_t e = g_.row_begin(i); e < g_.row_end(i); ++e) {
+      aff(g_.id[e], p) += sign * g_.weight[e];
+    }
+  }
+
+  void place(int i, int p) {
+    part_of_[static_cast<std::size_t>(i)] = p;
+    slot_[static_cast<std::size_t>(i)] = part_size(p);
+    members(p)[part_size(p)] = i;
+    --rem(p);
+    part_degree_[static_cast<std::size_t>(p)] += g_.degree(i);
+    add_affinity(i, p, +1);
   }
 
   void move(int i, int to) {
-    const int from = part_of_[static_cast<std::size_t>(i)];
-    part_of_[static_cast<std::size_t>(i)] = to;
-    ++rem_[static_cast<std::size_t>(from)];
-    --rem_[static_cast<std::size_t>(to)];
-    for (int j = 0; j < n_; ++j) {
-      aff(j, from) -= w(i, j);
-      aff(j, to) += w(i, j);
-    }
+    const int from = part(i);
+    // Fill i's slot with from's last member, then append i to `to`.
+    const int last = members(from)[part_size(from) - 1];
+    members(from)[slot_[static_cast<std::size_t>(i)]] = last;
+    slot_[static_cast<std::size_t>(last)] = slot_[static_cast<std::size_t>(i)];
+    ++rem(from);
+    part_degree_[static_cast<std::size_t>(from)] -= g_.degree(i);
+    add_affinity(i, from, -1);
+    place(i, to);
   }
 
+  /// aff(z, pi) += w(z, j) - w(z, i) and aff(z, pj) -= the same, in one
+  /// merge walk over the two sorted neighbour rows.
   void swap_items(int i, int j) {
-    const int pi = part_of_[static_cast<std::size_t>(i)];
-    const int pj = part_of_[static_cast<std::size_t>(j)];
+    const int pi = part(i);
+    const int pj = part(j);
+    members(pi)[slot_[static_cast<std::size_t>(i)]] = j;
+    members(pj)[slot_[static_cast<std::size_t>(j)]] = i;
+    std::swap(slot_[static_cast<std::size_t>(i)],
+              slot_[static_cast<std::size_t>(j)]);
     part_of_[static_cast<std::size_t>(i)] = pj;
     part_of_[static_cast<std::size_t>(j)] = pi;
-    for (int z = 0; z < n_; ++z) {
-      const std::int64_t delta = w(z, j) - w(z, i);
+    const std::int64_t shift = g_.degree(j) - g_.degree(i);
+    part_degree_[static_cast<std::size_t>(pi)] += shift;
+    part_degree_[static_cast<std::size_t>(pj)] -= shift;
+    std::size_t a = g_.row_begin(i);
+    std::size_t b = g_.row_begin(j);
+    const std::size_t a_end = g_.row_end(i);
+    const std::size_t b_end = g_.row_end(j);
+    while (a < a_end || b < b_end) {
+      const int za = a < a_end ? g_.id[a] : n_;
+      const int zb = b < b_end ? g_.id[b] : n_;
+      const int z = std::min(za, zb);
+      std::int64_t delta = 0;
+      if (zb == z) delta += g_.weight[b++];
+      if (za == z) delta -= g_.weight[a++];
       aff(z, pi) += delta;
       aff(z, pj) -= delta;
     }
   }
 
+  const CommMatrix& comm_;
+  const WeightClamp& clamp_;
+  const std::vector<ThreadId>& items_;
+  Neighbours g_;
   int n_;
   int k_;
-  const std::vector<ThreadId>& items_;
-  std::vector<int> rem_;  ///< spare capacity per part
-  std::vector<std::int64_t> w_;
+  int capacity_;
+  std::vector<int> rem_;           ///< spare capacity per part
   std::vector<std::int64_t> aff_;  ///< aff[i][p] = sum of w(i, j in p)
   std::vector<int> part_of_;
+  std::vector<int> slot_;     ///< position of each item in its part's slots
+  std::vector<int> members_;  ///< capacity slots per part, filled first
+  std::vector<std::int64_t> part_degree_;  ///< sum of members' degrees
+  // Scratch for first_listed_swap: an item or part is marked when its
+  // stamp equals stamp_.
+  std::uint64_t stamp_ = 0;
+  std::vector<std::uint64_t> seen_;
+  std::vector<std::uint64_t> part_seen_;
+  std::vector<int> candidates_;
 };
-
-std::vector<std::vector<ThreadId>> partition(const CommMatrix& comm,
-                                             const std::vector<ThreadId>& items,
-                                             int parts, int capacity,
-                                             int refine_rounds) {
-  Partitioner p(comm, items,
-                std::vector<int>(static_cast<std::size_t>(parts), capacity));
-  return p.run(refine_rounds);
-}
-
-/// Total communication between two groups of threads.
-std::int64_t group_edge(const CommMatrix& comm,
-                        const std::vector<ThreadId>& a,
-                        const std::vector<ThreadId>& b) {
-  std::int64_t sum = 0;
-  for (const ThreadId x : a) {
-    for (const ThreadId y : b) {
-      sum += static_cast<std::int64_t>(comm.at(x, y));
-    }
-  }
-  return sum;
-}
 
 /// Greedy placement of socket groups onto mesh sockets: groups in
 /// descending order of external traffic, each onto the free socket with
 /// the cheapest hop-weighted cost to the groups already placed (lowest
-/// socket id on ties). On fully-connected machines every placement costs
-/// the same, so the identity placement is returned unchanged.
-std::vector<int> place_groups(const CommMatrix& comm, const Topology& topology,
-                              const std::vector<std::vector<ThreadId>>& groups) {
+/// socket id on ties). Only placed groups sharing an edge with the group
+/// add to its cost. On fully-connected machines every placement costs the
+/// same, so the identity placement is returned unchanged.
+std::vector<int> place_groups(const Neighbours& g,
+                              const std::vector<int>& group_of,
+                              const std::vector<std::vector<ThreadId>>& groups,
+                              const Topology& topology) {
   const int k = static_cast<int>(groups.size());
   std::vector<int> socket_of_group(static_cast<std::size_t>(k));
   std::iota(socket_of_group.begin(), socket_of_group.end(), 0);
   if (topology.socket_mesh_cols() == 0 || k <= 1) return socket_of_group;
 
-  std::vector<std::vector<std::int64_t>> edge(
-      static_cast<std::size_t>(k),
-      std::vector<std::int64_t>(static_cast<std::size_t>(k), 0));
+  // Group graph: edges[a] lists (b, total communication between a and b).
+  std::vector<std::vector<std::pair<int, std::int64_t>>> edges(
+      static_cast<std::size_t>(k));
   std::vector<std::int64_t> external(static_cast<std::size_t>(k), 0);
+  std::vector<std::int64_t> sum(static_cast<std::size_t>(k), 0);
   for (int a = 0; a < k; ++a) {
-    for (int b = a + 1; b < k; ++b) {
-      const std::int64_t e =
-          group_edge(comm, groups[static_cast<std::size_t>(a)],
-                     groups[static_cast<std::size_t>(b)]);
-      edge[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] = e;
-      edge[static_cast<std::size_t>(b)][static_cast<std::size_t>(a)] = e;
-      external[static_cast<std::size_t>(a)] += e;
-      external[static_cast<std::size_t>(b)] += e;
+    for (const int x : groups[static_cast<std::size_t>(a)]) {
+      for (std::size_t e = g.row_begin(x); e < g.row_end(x); ++e) {
+        sum[static_cast<std::size_t>(group_of[static_cast<std::size_t>(
+            g.id[e])])] += g.weight[e];
+      }
+    }
+    sum[static_cast<std::size_t>(a)] = 0;
+    for (int b = 0; b < k; ++b) {
+      const std::int64_t w = std::exchange(sum[static_cast<std::size_t>(b)], 0);
+      if (w == 0) continue;
+      edges[static_cast<std::size_t>(a)].emplace_back(b, w);
+      external[static_cast<std::size_t>(a)] += w;
     }
   }
 
@@ -214,41 +392,35 @@ std::vector<int> place_groups(const CommMatrix& comm, const Topology& topology,
            external[static_cast<std::size_t>(b)];
   });
 
+  std::fill(socket_of_group.begin(), socket_of_group.end(), -1);
   std::vector<bool> socket_used(static_cast<std::size_t>(k), false);
-  std::vector<int> placed;  // group ids already on the mesh
-  for (const int g : order) {
+  std::vector<std::pair<int, std::int64_t>> placed;  // (socket, edge weight)
+  for (const int grp : order) {
+    placed.clear();
+    for (const auto& [b, w] : edges[static_cast<std::size_t>(grp)]) {
+      const int s = socket_of_group[static_cast<std::size_t>(b)];
+      if (s >= 0) placed.emplace_back(s, w);
+    }
     int best_socket = -1;
     std::int64_t best_cost = 0;
     for (int s = 0; s < k; ++s) {
       if (socket_used[static_cast<std::size_t>(s)]) continue;
       std::int64_t cost = 0;
-      for (const int pg : placed) {
-        cost += edge[static_cast<std::size_t>(g)][static_cast<std::size_t>(
-                    pg)] *
-                topology.socket_hops(
-                    s, socket_of_group[static_cast<std::size_t>(pg)]);
+      for (const auto& [ps, w] : placed) {
+        cost += w * topology.socket_hops(s, ps);
       }
       if (best_socket == -1 || cost < best_cost) {
         best_socket = s;
         best_cost = cost;
       }
     }
-    socket_of_group[static_cast<std::size_t>(g)] = best_socket;
+    socket_of_group[static_cast<std::size_t>(grp)] = best_socket;
     socket_used[static_cast<std::size_t>(best_socket)] = true;
-    placed.push_back(g);
   }
   return socket_of_group;
 }
 
 }  // namespace
-
-MultisectionMapper::MultisectionMapper(const Topology& topology,
-                                       MultisectionConfig config)
-    : topology_(&topology), config_(config) {
-  if (config_.refine_rounds < 0) {
-    throw std::invalid_argument("MultisectionMapper: negative refine_rounds");
-  }
-}
 
 Mapping MultisectionMapper::map(const CommMatrix& comm) const {
   const int num_threads = comm.size();
@@ -258,33 +430,42 @@ Mapping MultisectionMapper::map(const CommMatrix& comm) const {
   Mapping mapping(static_cast<std::size_t>(num_threads), kNoCore);
   if (num_threads == 0) return mapping;
 
+  const WeightClamp clamp(num_threads, topology_->max_socket_hops());
   std::vector<ThreadId> all(static_cast<std::size_t>(num_threads));
   std::iota(all.begin(), all.end(), 0);
 
   // Top level: threads -> socket groups, then groups -> mesh positions.
-  const auto socket_groups =
-      partition(comm, all, topology_->num_sockets(),
-                topology_->cores_per_socket(), config_.refine_rounds);
-  const auto socket_of_group = place_groups(comm, *topology_, socket_groups);
+  Partitioner top(comm, clamp, all, topology_->num_sockets(),
+                  topology_->cores_per_socket());
+  const std::vector<int> group_of = top.run();
+  std::vector<std::vector<ThreadId>> socket_groups(
+      static_cast<std::size_t>(topology_->num_sockets()));
+  for (ThreadId t = 0; t < num_threads; ++t) {  // ascending: members sorted
+    const int g = group_of[static_cast<std::size_t>(t)];
+    socket_groups[static_cast<std::size_t>(g)].push_back(t);
+  }
+  const auto socket_of_group =
+      place_groups(top.neighbours(), group_of, socket_groups, *topology_);
 
   for (std::size_t g = 0; g < socket_groups.size(); ++g) {
     const auto& members = socket_groups[g];
     if (members.empty()) continue;
     const int socket = socket_of_group[g];
     // Middle level: this socket's threads -> L2 groups.
-    const auto l2_groups = partition(comm, members, topology_->l2s_per_socket(),
-                                     topology_->cores_per_l2(),
-                                     config_.refine_rounds);
-    for (std::size_t l = 0; l < l2_groups.size(); ++l) {
-      // Leaf level: members of one L2 group onto its cores, in order (all
-      // cores under one L2 are equidistant, so order is free).
-      const CoreId base =
+    const std::vector<int> l2_of =
+        Partitioner(comm, clamp, members, topology_->l2s_per_socket(),
+                    topology_->cores_per_l2())
+            .run();
+    // Leaf level: members of one L2 group onto its cores, in ascending
+    // order (all cores under one L2 are equidistant, so order is free).
+    std::vector<int> filled(
+        static_cast<std::size_t>(topology_->l2s_per_socket()), 0);
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const int l = l2_of[i];
+      mapping[static_cast<std::size_t>(members[i])] =
           static_cast<CoreId>(socket) * topology_->cores_per_socket() +
-          static_cast<CoreId>(l) * topology_->cores_per_l2();
-      for (std::size_t i = 0; i < l2_groups[l].size(); ++i) {
-        mapping[static_cast<std::size_t>(l2_groups[l][i])] =
-            base + static_cast<CoreId>(i);
-      }
+          static_cast<CoreId>(l) * topology_->cores_per_l2() +
+          static_cast<CoreId>(filled[static_cast<std::size_t>(l)]++);
     }
   }
   return mapping;

@@ -8,10 +8,23 @@
 // cores. Every partition is a deterministic greedy seed (heaviest
 // communicators first, each landing in the part it talks to most) followed
 // by a swap/move local search over an incrementally maintained
-// item-to-part affinity table, so one call costs O(N^2 * rounds) — at
-// N >= 128 this beats Edmonds wall-clock by orders of magnitude while
-// staying within a few percent of its mapping_cost (the differential tests
-// in test_hierarchical pin both claims).
+// item-to-part affinity table.
+//
+// Detected matrices are sparse at manycore scale (a handful of partners
+// per thread), so the mapper works on per-thread neighbour lists, never on
+// an N x N copy. One call reads the matrix for its nonzeros (O(N^2): two
+// passes over the upper triangle), then, per local-search round, does work
+// proportional to the nonzeros times the part capacity: the swap search
+// evaluates only the pairs that can gain (one of the two has a partner in
+// the other's part) and falls back to a plain ascending scan where a
+// thread's neighbourhood is so dense that listing those pairs would cost
+// more. A banded
+// 4096-thread matrix maps in ~0.11 s (BM_Multisection, 4-CPU host,
+// RelWithDebInfo); the dense reference partitioner in test_hierarchical,
+// which visits every pair over an N x N copy, takes ~3.6 s for the same
+// mapping. At N >= 128 it beats Edmonds wall-clock while staying within a
+// few percent of its mapping_cost; test_hierarchical pins both claims and
+// compares every mapping with the reference.
 //
 // On socket-mesh machines (Topology::socket_mesh_cols > 0) the socket
 // groups are additionally placed onto the mesh greedily, heaviest-talking
@@ -28,17 +41,10 @@
 
 namespace tlbmap {
 
-struct MultisectionConfig {
-  /// Max full local-search sweeps per partition call. Each sweep visits
-  /// every item pair once and applies profitable swaps/moves immediately;
-  /// the search stops early at the first sweep with no improvement.
-  int refine_rounds = 8;
-};
-
 class MultisectionMapper {
  public:
-  explicit MultisectionMapper(const Topology& topology,
-                              MultisectionConfig config = {});
+  explicit MultisectionMapper(const Topology& topology)
+      : topology_(&topology) {}
 
   /// Maps comm.size() threads onto distinct cores. Requires
   /// comm.size() <= topology.num_cores(). Deterministic.
@@ -46,7 +52,6 @@ class MultisectionMapper {
 
  private:
   const Topology* topology_;
-  MultisectionConfig config_;
 };
 
 }  // namespace tlbmap

@@ -24,6 +24,13 @@ int Topology::socket_hops(SocketId a, SocketId b) const {
   return std::abs(ar - br) + std::abs(ac - bc);
 }
 
+int Topology::max_socket_hops() const {
+  if (num_sockets_ <= 1) return 0;
+  if (socket_mesh_cols_ == 0) return 1;
+  // validate() rejects ragged meshes: every row is full.
+  return (num_sockets_ / socket_mesh_cols_ - 1) + (socket_mesh_cols_ - 1);
+}
+
 std::vector<CoreId> Topology::cores_of_l2(L2Id l2) const {
   std::vector<CoreId> cores;
   cores.reserve(static_cast<std::size_t>(cores_per_l2_));

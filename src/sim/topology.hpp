@@ -49,6 +49,10 @@ class Topology {
   /// socket mesh. This is the non-binary far dimension of the cost model.
   int socket_hops(SocketId a, SocketId b) const;
 
+  /// Largest socket_hops() over all socket pairs: 0 with one socket, 1 when
+  /// fully connected, else between opposite corners of the mesh.
+  int max_socket_hops() const;
+
   /// Hop distance between cores: 0 same core, 1 same L2, 2 same socket,
   /// 2 + socket_hops across sockets — which is the historical 3 on
   /// fully-connected machines and grows with mesh distance otherwise.

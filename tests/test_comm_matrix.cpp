@@ -37,6 +37,10 @@ TEST(CommMatrix, AddAccumulates) {
   m.add(0, 1);
   m.add(1, 0, 2);
   EXPECT_EQ(m.at(0, 1), 3u);
+  const auto row = m.row(1);
+  ASSERT_EQ(row.size(), 4u);
+  EXPECT_EQ(row[0], 3u);
+  EXPECT_EQ(row[1], 0u);
 }
 
 TEST(CommMatrix, BoundsChecked) {
@@ -44,6 +48,8 @@ TEST(CommMatrix, BoundsChecked) {
   EXPECT_THROW(m.add(0, 4), std::out_of_range);
   EXPECT_THROW(m.add(-1, 2), std::out_of_range);
   EXPECT_THROW(m.at(4, 0), std::out_of_range);
+  EXPECT_THROW(m.row(4), std::out_of_range);
+  EXPECT_THROW(m.row(-1), std::out_of_range);
   EXPECT_THROW(CommMatrix(0), std::invalid_argument);
 }
 

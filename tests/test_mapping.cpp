@@ -1,4 +1,5 @@
 // Tests for the Mapping type, baseline generators and the cost metric.
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -83,6 +84,22 @@ TEST(Mapping, CostCountsWeightedDistance) {
 TEST(Mapping, CostZeroForNoCommunication) {
   CommMatrix comm(4);
   EXPECT_DOUBLE_EQ(mapping_cost(comm, {0, 2, 4, 6}, harpertown()), 0.0);
+}
+
+TEST(Mapping, WeightClampKeepsOrderAndFitsSums) {
+  const WeightClamp clamp(4096, 46);
+  const std::int64_t ceiling = clamp.ceiling();
+  // n^2 weights times the hop count stay within half of int64.
+  EXPECT_LE(static_cast<double>(ceiling) * 2 * 4096.0 * 4096.0 * 46,
+            static_cast<double>(std::numeric_limits<std::int64_t>::max()));
+  EXPECT_EQ(clamp(0), 0);
+  EXPECT_EQ(clamp(12345), 12345);
+  EXPECT_EQ(clamp(static_cast<std::uint64_t>(ceiling)), ceiling);
+  EXPECT_EQ(clamp(static_cast<std::uint64_t>(ceiling) + 1), ceiling);
+  EXPECT_EQ(clamp(CommMatrix::kCounterMax), ceiling);
+  // Degenerate sizes still pass small counts through.
+  EXPECT_EQ(WeightClamp(0, 0)(7), 7);
+  EXPECT_GE(WeightClamp(std::numeric_limits<int>::max(), 1000).ceiling(), 1);
 }
 
 TEST(Mapping, ToStringFormat) {

@@ -92,6 +92,8 @@ TEST(TopologyMesh, FullyConnectedSocketsAreOneHop) {
   EXPECT_EQ(t.socket_hops(0, 0), 0);
   EXPECT_EQ(t.socket_hops(0, 1), 1);
   EXPECT_EQ(t.socket_hops(1, 0), 1);
+  EXPECT_EQ(t.max_socket_hops(), 1);
+  EXPECT_EQ(Topology(MachineConfig::tiny()).max_socket_hops(), 0);
 }
 
 TEST(TopologyMesh, ManhattanHopsOnTheGrid) {
@@ -109,6 +111,7 @@ TEST(TopologyMesh, ManhattanHopsOnTheGrid) {
   EXPECT_EQ(t.socket_hops(0, 5), 2);  // diagonal
   EXPECT_EQ(t.socket_hops(0, 7), 4);  // corner to corner: 1 + 3
   EXPECT_EQ(t.socket_hops(7, 0), 4);  // symmetric
+  EXPECT_EQ(t.max_socket_hops(), 4);
 }
 
 TEST(TopologyMesh, DistanceDeepensWithHops) {
@@ -148,6 +151,7 @@ TEST(TopologyMesh, ManycorePresetIsWellFormed) {
   EXPECT_EQ(t.socket_mesh_cols(), 8);
   // Sockets 0=(0,0) and 31=(3,7): 3 + 7 = 10 hops.
   EXPECT_EQ(t.socket_hops(0, 31), 10);
+  EXPECT_EQ(t.max_socket_hops(), 10);
 }
 
 TEST(Topology, TinyMachine) {
