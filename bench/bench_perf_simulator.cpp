@@ -163,46 +163,6 @@ BENCHMARK(BM_CoherenceBoundScaling)
     ->ArgNames({"cores", "broadcast"})
     ->Unit(benchmark::kMillisecond);
 
-// Tentpole A/B: the epoch-parallel engine against the serial per-event
-// loop, on the same coherence-bound all-to-all workload as
-// BM_CoherenceBoundScaling (directory on). workers=0 is the legacy serial
-// loop, workers=1 the epoch engine run single-threaded (epoch-semantics
-// overhead), workers=8 the sharded engine. Statistics are bit-identical
-// across worker counts (test_parallel_machine), so the accesses/s ratio at
-// a given core count is pure wall-clock speedup.
-void BM_ParallelMachineScaling(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const int workers = static_cast<int>(state.range(1));
-  SyntheticSpec spec;
-  spec.pattern = SyntheticSpec::Pattern::kAllToAll;
-  spec.num_threads = threads;
-  spec.shared_pages = 32;
-  spec.private_pages = 2;
-  spec.shared_accesses = 1024;
-  spec.private_accesses = 256;
-  spec.iterations = 1;
-  std::uint64_t accesses = 0;
-  for (auto _ : state) {
-    const auto workload = make_synthetic(spec);
-    MachineConfig config = machine_for_threads(threads);
-    config.cores_per_l2 = 1;  // one shard per core: full fan-out
-    Machine machine(config);
-    std::vector<std::unique_ptr<ThreadStream>> streams;
-    for (ThreadId t = 0; t < threads; ++t) {
-      streams.push_back(workload->stream(t, 1));
-    }
-    Machine::RunConfig cfg;
-    for (int t = 0; t < threads; ++t) cfg.thread_to_core.push_back(t);
-    cfg.machine_workers = workers;
-    accesses += machine.run(std::move(streams), cfg).accesses;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
-}
-BENCHMARK(BM_ParallelMachineScaling)
-    ->ArgsProduct({{64, 128, 256}, {0, 1, 8}})
-    ->ArgNames({"cores", "workers"})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_SimulatorWithOracle(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   std::uint64_t accesses = 0;

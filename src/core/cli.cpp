@@ -93,13 +93,6 @@ std::string cli_usage() {
       "  --coherence-broadcast  resolve coherence probes by walking every\n"
       "                       L2 instead of the line-occupancy directory\n"
       "                       (same results; for A/B benchmarking)\n"
-      "  --machine-workers N  shard observer-free runs (evaluate/replay)\n"
-      "                       across N worker threads via the epoch engine\n"
-      "                       (same statistics for every N; default 0 =\n"
-      "                       serial per-event loop)\n"
-      "  --epoch-events N     events each shard issues per epoch between\n"
-      "                       cross-domain reductions (default 2048; needs\n"
-      "                       --machine-workers)\n"
       "  --scalar-scan        use the reference scalar TLB/cache set walks\n"
       "                       instead of the SIMD tag-scan kernels (same\n"
       "                       results; for A/B benchmarking)\n"
@@ -304,10 +297,6 @@ CliOptions parse_cli(int argc, const char* const* argv) {
         if (const char* v = next_value()) opt.fault.matrix_zero_rate = to_double(v);
       } else if (arg == "--watchdog-events") {
         if (const char* v = next_value()) opt.watchdog_events = to_u64(v);
-      } else if (arg == "--machine-workers") {
-        if (const char* v = next_value()) opt.machine_workers = to_int(v);
-      } else if (arg == "--epoch-events") {
-        if (const char* v = next_value()) opt.epoch_events = to_u64(v);
       } else if (arg == "--scalar-scan") {
         opt.scalar_scan = true;
       } else if (arg == "--checkpoint-dir") {
@@ -430,10 +419,6 @@ CliOptions parse_cli(int argc, const char* const* argv) {
   }
   if (opt.threads < 1) opt.error = "threads must be positive";
   if (opt.reps < 1) opt.error = "reps must be positive";
-  if (opt.machine_workers < 0) {
-    opt.error = "machine-workers must be non-negative";
-  }
-  if (opt.epoch_events == 0) opt.error = "epoch-events must be positive";
   if (opt.sockets < 0 || opt.cores_per_socket < 0 || opt.cores_per_l2 < 0 ||
       opt.mesh_cols < 0) {
     opt.error = "topology overrides must be non-negative";
@@ -555,8 +540,6 @@ Pipeline make_pipeline(const CliOptions& opt, obs::ObsContext* obs) {
   pipe.mapping_config() = mapping_for(opt);
   pipe.set_observability(obs);
   pipe.set_metrics_interval_events(opt.metrics_interval_events);
-  pipe.set_machine_workers(opt.machine_workers);
-  pipe.set_epoch_events(opt.epoch_events);
   return pipe;
 }
 

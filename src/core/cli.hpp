@@ -62,15 +62,6 @@ struct CliOptions {
   /// --watchdog-events: abort a run with a structured error after this many
   /// issued trace events (0 = off).
   std::uint64_t watchdog_events = 0;
-  /// --machine-workers: shard observer-free runs (evaluate/replay) across
-  /// this many worker threads via the epoch engine (DESIGN.md Sec. 15).
-  /// Statistics are identical for every worker count; 0 (default) keeps the
-  /// serial per-event loop. Detection and dynamic runs carry an observer
-  /// and always run serially.
-  int machine_workers = 0;
-  /// --epoch-events: events each shard issues per epoch between
-  /// cross-domain reductions. Only meaningful with --machine-workers.
-  std::uint64_t epoch_events = 2048;
   /// --scalar-scan: run TLB/cache set lookups and the HM sweep with the
   /// reference scalar walks instead of the SIMD tag-scan kernels. Same
   /// contract as --hm-naive-sweep: bit-identical results, kept for A/B

@@ -137,13 +137,6 @@ Cycles OnlineMapper::on_access(ThreadId thread, CoreId core, VirtAddr addr,
   return detector_.on_access(thread, core, addr, page, type, tlb_miss, now);
 }
 
-std::vector<CoreId> OnlineMapper::on_barrier(int barrier_index, Cycles now) {
-  // Legacy entry without machine counters: cost windows stay empty, so
-  // canary transactions never open and decisions reduce to the historical
-  // hysteresis + cooldown behaviour.
-  return on_barrier(barrier_index, now, MachineStats{});
-}
-
 std::vector<CoreId> OnlineMapper::close_canary(int barrier_index,
                                                std::uint64_t cum_cost,
                                                std::uint64_t cum_accesses) {

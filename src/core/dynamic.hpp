@@ -142,10 +142,7 @@ class OnlineMapper final : public MachineObserver, public MigrationPolicy {
                    Cycles now) override;
   Cycles on_tick(Cycles /*now*/) override { return 0; }
 
-  // MigrationPolicy. The serial event loop calls the stats-carrying form;
-  // without stats (legacy callers, epoch engine) the canary machinery sees
-  // empty cost windows and stays inert, leaving the pre-PR-10 behaviour.
-  std::vector<CoreId> on_barrier(int barrier_index, Cycles now) override;
+  // MigrationPolicy: `stats` prices the canary windows.
   std::vector<CoreId> on_barrier(int barrier_index, Cycles now,
                                  const MachineStats& stats) override;
 

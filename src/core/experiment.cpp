@@ -386,9 +386,8 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
           ? config.parallel_workers
           : std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   // One persistent pool for the whole suite: both fan-out phases (detect,
-  // evaluate) and, when intra-run sharding is enabled, the epoch-parallel
-  // machine inside each evaluation run all draw from these same threads
-  // instead of spawning fresh ones per phase or per run.
+  // evaluate) draw from these same threads instead of spawning fresh ones
+  // per phase.
   WorkerPool pool(worker_budget);
 
   // Crash safety (DESIGN.md Sec. 12). Tasks are the checkpoint granularity:

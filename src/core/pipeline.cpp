@@ -166,8 +166,6 @@ MachineStats Pipeline::evaluate(const Workload& workload,
   run.thread_to_core = mapping;
   run.obs = obs_;
   run.metrics_interval_events = metrics_interval_events_;
-  run.machine_workers = machine_workers_;
-  run.epoch_events = epoch_events_;
   obs::TraceSpan span(obs::tracer_at(obs_, obs::ObsLevel::kPhases),
                       "pipeline.evaluate", "phase");
   const MachineStats stats = machine.run(make_streams(workload, seed), run);

@@ -105,19 +105,6 @@ class Pipeline {
   void set_observability(obs::ObsContext* obs) { obs_ = obs; }
   obs::ObsContext* observability() const { return obs_; }
 
-  /// Intra-run parallelism (DESIGN.md Sec. 15): worker threads for the
-  /// sharded epoch engine, forwarded to Machine::RunConfig by evaluate().
-  /// Detection and dynamic runs carry an observer and always use the
-  /// serial per-event loop, whatever this is set to. 0 (default) = serial.
-  void set_machine_workers(int workers) { machine_workers_ = workers; }
-  int machine_workers() const { return machine_workers_; }
-
-  /// Epoch budget for the sharded engine (events each shard may issue per
-  /// epoch before the cross-domain reduction). Only meaningful when
-  /// machine_workers() > 0.
-  void set_epoch_events(std::uint64_t n) { epoch_events_ = n; }
-  std::uint64_t epoch_events() const { return epoch_events_; }
-
   /// Epoch-bucketed telemetry (DESIGN.md Sec. 13): forwarded to
   /// Machine::RunConfig as the interval between "interval" series samples,
   /// and when nonzero every phase boundary also captures a "phase:<name>"
@@ -146,8 +133,6 @@ class Pipeline {
   MappingConfig mapping_config_{};
   obs::ObsContext* obs_ = nullptr;
   std::uint64_t metrics_interval_events_ = 0;
-  int machine_workers_ = 0;
-  std::uint64_t epoch_events_ = 2048;
 };
 
 }  // namespace tlbmap

@@ -1,8 +1,6 @@
-// A persistent pool of worker threads shared by every fan-out in the
-// library: the suite's detect/evaluate phases and the epoch-parallel
-// machine's shard loop (DESIGN.md Sec. 15). Threads are spawned once and
-// parked on a condition variable between jobs, so repeated fine-grained
-// fan-outs (one per simulation epoch) cost a wakeup, not a thread spawn.
+// A persistent pool of worker threads for the suite's detect/evaluate
+// fan-outs. Threads are spawned once and parked on a condition variable
+// between jobs, so repeated fan-outs cost a wakeup, not a thread spawn.
 //
 // Model: one job at a time. `run(count, fn)` executes fn(idx) for every
 // idx in [0, count) across the pool's threads plus the calling thread,
@@ -12,8 +10,7 @@
 //
 // Work distribution is nondeterministic; callers that need deterministic
 // results must make each fn(idx) independent of execution order (the
-// suite preassigns result slots; the epoch engine reduces per-shard
-// buckets in shard order).
+// suite preassigns result slots).
 #pragma once
 
 #include <cstddef>

@@ -9,12 +9,12 @@ namespace tlbmap {
 namespace {
 
 /// Communication between a thread and a group (virtual threads weigh 0).
-std::int64_t affinity(const CommMatrix& comm, ThreadId t,
-                      const std::vector<ThreadId>& group) {
+std::int64_t affinity(const CommMatrix& comm, const WeightClamp& clamp,
+                      ThreadId t, const std::vector<ThreadId>& group) {
   if (t < 0) return 0;
   std::int64_t sum = 0;
   for (const ThreadId o : group) {
-    if (o >= 0 && o != t) sum += static_cast<std::int64_t>(comm.at(t, o));
+    if (o >= 0 && o != t) sum += clamp(comm.at(t, o));
   }
   return sum;
 }
@@ -28,6 +28,7 @@ std::pair<std::vector<ThreadId>, std::vector<ThreadId>> bisect_min_cut(
     throw std::invalid_argument("bisect_min_cut: odd group size");
   }
   const std::size_t half = n / 2;
+  const WeightClamp clamp(comm.size(), /*max_hops=*/1);
 
   // Greedy seed: grow side A from the heaviest pair's first endpoint,
   // repeatedly pulling the member with the highest affinity to A.
@@ -39,7 +40,7 @@ std::pair<std::vector<ThreadId>, std::vector<ThreadId>> bisect_min_cut(
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       if (pool[i] < 0 || pool[j] < 0) continue;
-      const auto w = static_cast<std::int64_t>(comm.at(pool[i], pool[j]));
+      const std::int64_t w = clamp(comm.at(pool[i], pool[j]));
       if (w > best_w) {
         best_w = w;
         seed = i;
@@ -52,7 +53,7 @@ std::pair<std::vector<ThreadId>, std::vector<ThreadId>> bisect_min_cut(
     std::size_t best = 0;
     std::int64_t best_aff = std::numeric_limits<std::int64_t>::min();
     for (std::size_t i = 0; i < pool.size(); ++i) {
-      const std::int64_t aff = affinity(comm, pool[i], a);
+      const std::int64_t aff = affinity(comm, clamp, pool[i], a);
       if (aff > best_aff) {
         best_aff = aff;
         best = i;
@@ -70,11 +71,11 @@ std::pair<std::vector<ThreadId>, std::vector<ThreadId>> bisect_min_cut(
     // members of opposite sides except the direct (a[i], b[j]) edge, which
     // stays external; count it twice to be exact.
     const ThreadId x = a[i], y = b[j];
-    const std::int64_t direct =
-        (x >= 0 && y >= 0) ? static_cast<std::int64_t>(comm.at(x, y)) : 0;
-    const std::int64_t gain = (affinity(comm, x, b) - affinity(comm, x, a)) +
-                              (affinity(comm, y, a) - affinity(comm, y, b)) -
-                              2 * direct;
+    const std::int64_t direct = (x >= 0 && y >= 0) ? clamp(comm.at(x, y)) : 0;
+    const std::int64_t gain =
+        (affinity(comm, clamp, x, b) - affinity(comm, clamp, x, a)) +
+        (affinity(comm, clamp, y, a) - affinity(comm, clamp, y, b)) -
+        2 * direct;
     return gain;
   };
   bool improved = true;

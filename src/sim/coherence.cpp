@@ -244,16 +244,6 @@ void CoherenceDomain::flush() {
   directory_.clear();
 }
 
-void CoherenceDomain::rebuild_directory() {
-  if (!directory_enabled_) return;
-  directory_.clear();
-  for (std::size_t id = 0; id < l2s_.size(); ++id) {
-    l2s_[id].for_each_line([&](const CacheLine& cl) {
-      directory_[cl.addr].set(static_cast<int>(id));
-    });
-  }
-}
-
 bool CoherenceDomain::directory_consistent() const {
   if (!directory_enabled_) return true;
   // Every valid cached line must be tracked with its holder bit set...

@@ -96,23 +96,6 @@ class CoherenceDomain {
   /// broadcast mode. Test/debug aid; O(total cache capacity).
   bool directory_consistent() const;
 
-  /// Rebuilds the directory from the current cache contents. The
-  /// epoch-parallel engine bypasses the live directory (it keeps its own
-  /// frozen per-epoch view) and calls this once at end of run so a
-  /// subsequent serial run — and directory_consistent() — see a directory
-  /// matching the caches it left behind. O(total cache capacity); no-op in
-  /// broadcast mode.
-  void rebuild_directory();
-
-  /// Folds externally accumulated directory bookkeeping into this domain's
-  /// counters (the epoch engine counts probes/visits in per-shard buckets
-  /// and deposits the sum here at end of run).
-  void add_directory_stats(const DirectoryStats& delta) {
-    dir_stats_.probes += delta.probes;
-    dir_stats_.holder_hits += delta.holder_hits;
-    dir_stats_.holder_visits += delta.holder_visits;
-  }
-
  private:
   /// Index of the holder nearest to `me`, or -1 when no other L2 holds the
   /// line. Also records one probe message per remote L2 (broadcast snoop).

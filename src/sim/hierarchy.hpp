@@ -58,15 +58,6 @@ class MemoryHierarchy {
   /// kept, since physical placement would survive on a real machine too.
   void flush_caches();
 
-  /// Drops every core's translation memo without touching caches. The
-  /// epoch-parallel engine keeps its own memos and mutates the TLBs
-  /// directly, which silently breaks the "nothing touched this core's TLB
-  /// since its last access" premise of the memos here — it calls this at
-  /// end of run so a subsequent serial run re-derives them.
-  void invalidate_memos() {
-    for (TranslationMemo& memo : memos_) memo.valid = false;
-  }
-
  private:
   /// Memo of a core's most recent translation. Between two consecutive
   /// accesses by the same core nothing touches that core's TLB, so a

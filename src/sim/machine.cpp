@@ -75,13 +75,6 @@ Expected<MachineStats> Machine::try_run(
   }
   if (config.flush_first) hierarchy_.flush_caches();
 
-  // Intra-run parallelism: hand the validated placement to the
-  // epoch-parallel engine (parallel_machine.cpp). machine_workers == 0
-  // keeps the serial reference loop below.
-  if (config.machine_workers > 0) {
-    return try_run_epoch(streams, config);
-  }
-
   obs::TraceSpan run_span(obs::tracer_at(config.obs, obs::ObsLevel::kPhases),
                           "machine.run", "sim");
 

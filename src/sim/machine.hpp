@@ -22,9 +22,6 @@
 
 namespace tlbmap {
 
-class WorkerPool;
-class EpochEngine;
-
 /// Decides thread migrations at barrier boundaries (dynamic mapping — the
 /// paper's future work). Barriers are the natural migration points: every
 /// thread is stopped anyway, so no in-flight accesses are disturbed.
@@ -34,19 +31,11 @@ class MigrationPolicy {
 
   /// Called after each barrier release. Return a full new thread->core
   /// mapping to migrate, or an empty vector to keep the current placement.
-  virtual std::vector<CoreId> on_barrier(int barrier_index, Cycles now) = 0;
-
-  /// Richer form used by the serial event loop: `stats` is the run's live
-  /// cumulative counter block at the barrier, so a policy can price the
-  /// realized cost of its own past migrations (the OnlineMapper's canary
-  /// windows, DESIGN.md Sec. 17). Default forwards to the two-argument
-  /// overload, so existing policies are unaffected. The epoch-parallel
-  /// engine calls the two-argument form (its counters are only merged at
-  /// the end of the run).
+  /// `stats` is the run's live cumulative counter block at the barrier, so
+  /// a policy can price the realized cost of its own past migrations (the
+  /// OnlineMapper's canary windows, DESIGN.md Sec. 17).
   virtual std::vector<CoreId> on_barrier(int barrier_index, Cycles now,
-                                         const MachineStats& /*stats*/) {
-    return on_barrier(barrier_index, now);
-  }
+                                         const MachineStats& stats) = 0;
 };
 
 /// Hook interface implemented by the communication detectors.
@@ -110,33 +99,6 @@ class Machine {
     /// current placement, counts machine.rejected_migrations and carries
     /// on: the graceful-degradation mode the OnlineMapper runs under.
     bool strict_migrations = true;
-    /// Intra-run parallelism (DESIGN.md Sec. 15). 0 (default) runs the
-    /// serial reference event loop above. >= 1 selects the epoch-parallel
-    /// engine: the event loop is sharded by L2 domain, shards advance in
-    /// bounded epochs of `epoch_events` issued events against a frozen
-    /// epoch-start view of remote caches, and cross-domain coherence
-    /// traffic is queued and applied at the epoch commit in canonical
-    /// order. Results are a pure function of the workload and epoch_events
-    /// — every worker count (1, 2, 8, ...) produces bit-identical
-    /// MachineStats. Observers are not supported in this mode
-    /// (kInvalidArgument): detection runs use the serial loop.
-    int machine_workers = 0;
-    /// Per-shard event budget of one epoch (parallel engine only; must be
-    /// >= 1 there). Part of the simulated semantics: smaller epochs
-    /// tighten cross-domain staleness and change results; the worker
-    /// count never does.
-    std::uint64_t epoch_events = 2048;
-    /// Deterministic reduction mode (default). When false, first-touch
-    /// page claims are granted immediately under a lock instead of at the
-    /// epoch commit in canonical (clock, thread-id) order: faster on
-    /// fault-heavy phases, but frame assignment — and therefore cache-set
-    /// conflict counters — depends on worker scheduling. Safe only when
-    /// run-to-run bit-identity does not matter (throughput studies).
-    bool deterministic = true;
-    /// Optional shared worker pool for the epoch engine (the suite lends
-    /// its phase pool). Null = the run spawns a private pool of
-    /// machine_workers threads.
-    WorkerPool* pool = nullptr;
   };
 
   /// Runs every stream to completion and returns the collected counters.
@@ -171,15 +133,6 @@ class Machine {
   }
 
  private:
-  friend class EpochEngine;
-
-  /// Epoch-parallel path of try_run (machine_workers >= 1), defined in
-  /// parallel_machine.cpp. Entered with placement validated and applied
-  /// and flush_first already honoured.
-  Expected<MachineStats> try_run_epoch(
-      std::vector<std::unique_ptr<ThreadStream>>& streams,
-      const RunConfig& config);
-
   MemoryHierarchy hierarchy_;
   std::vector<ThreadId> thread_on_core_;
 };

@@ -52,16 +52,6 @@ class PageTable {
   /// True if the page has been touched already (no allocation).
   bool mapped(PageNum page) const { return frames_.contains(page); }
 
-  /// Entry of a mapped page, or nullptr if never touched. Never allocates
-  /// and never mutates the table, so concurrent readers are safe as long
-  /// as no allocation runs — the epoch-parallel engine's contract: shards
-  /// only read during an epoch, first-touch claims commit serially between
-  /// epochs.
-  const Entry* find(PageNum page) const {
-    const auto it = frames_.find(page);
-    return it == frames_.end() ? nullptr : &it->second;
-  }
-
   std::size_t mapped_pages() const { return frames_.size(); }
   int page_shift() const { return page_shift_; }
 

@@ -103,6 +103,26 @@ TEST(BipartitionMapper, QuadsLandOnSockets) {
   }
 }
 
+TEST(Bipartition, SaturatedPairSharesL2) {
+  // Two 4-thread cliques plus one cross pair heavier than either. A pinned
+  // (kCounterMax) pair must rank first like any very heavy pair, not wrap
+  // negative and get split across sockets.
+  for (const std::uint64_t heavy : {std::uint64_t{1'000'000},
+                                    CommMatrix::kCounterMax}) {
+    CommMatrix comm(8);
+    for (int a = 0; a < 8; ++a) {
+      for (int b = a + 1; b < 8; ++b) {
+        if (a / 4 == b / 4) comm.add(a, b, 100);
+      }
+    }
+    comm.add(2, 5, heavy);
+    const Mapping m = BipartitionMapper(harpertown()).map(comm);
+    EXPECT_TRUE(is_valid_mapping(m, 8)) << heavy;
+    EXPECT_TRUE(harpertown().share_l2(m[2], m[5]))
+        << heavy << ": t2->c" << m[2] << " t5->c" << m[5];
+  }
+}
+
 TEST(BipartitionMapper, FewerThreadsThanCores) {
   BipartitionMapper mapper(harpertown());
   CommMatrix comm(6);

@@ -334,24 +334,20 @@ TEST(Cli, TopologyAndStrategyFlagsValidated) {
   }
 }
 
-TEST(Cli, ParallelAndScanFlagsParsed) {
-  const CliOptions opt = parse({"evaluate", "--machine-workers", "4",
-                                "--epoch-events", "512", "--scalar-scan"});
+TEST(Cli, ScalarScanFlagParsed) {
+  const CliOptions opt = parse({"evaluate", "--scalar-scan"});
   ASSERT_TRUE(opt.ok()) << opt.error;
-  EXPECT_EQ(opt.machine_workers, 4);
-  EXPECT_EQ(opt.epoch_events, 512u);
   EXPECT_TRUE(opt.scalar_scan);
   const CliOptions defaults = parse({"evaluate"});
-  EXPECT_EQ(defaults.machine_workers, 0);
-  EXPECT_EQ(defaults.epoch_events, 2048u);
   EXPECT_FALSE(defaults.scalar_scan);
 }
 
-TEST(Cli, ParallelFlagsValidated) {
-  EXPECT_FALSE(parse({"evaluate", "--machine-workers", "-1"}).ok());
-  EXPECT_FALSE(parse({"evaluate", "--machine-workers", "2x"}).ok());
-  EXPECT_FALSE(parse({"evaluate", "--epoch-events", "0"}).ok());
-  EXPECT_FALSE(parse({"evaluate", "--epoch-events", "-4"}).ok());
+TEST(Cli, RemovedMachineWorkersFlagRejected) {
+  // A stale script asking for the removed epoch engine must get a usage
+  // error, not a quiet serial run.
+  const CliOptions opt = parse({"evaluate", "--machine-workers", "4"});
+  EXPECT_FALSE(opt.ok());
+  EXPECT_NE(opt.error.find("--machine-workers"), std::string::npos);
 }
 
 TEST(CliRun, InconsistentTopologyOverrideFailsStructurally) {
@@ -432,16 +428,7 @@ TEST(CliRun, DetectMapEvaluateSmoke) {
   EXPECT_EQ(run_cli(eval), 0);
 }
 
-TEST(CliRun, EvaluateRunsShardedAndScalarPaths) {
-  // Epoch engine on the evaluate command; worker count is invisible in the
-  // printed stats (asserted bit-exactly by test_parallel_machine — this is
-  // the end-to-end flag plumbing check).
-  CliOptions sharded =
-      parse({"evaluate", "--app", "EP", "--iter-scale", "0.2", "--reps", "1",
-             "--mapping", "0,1,2,3,4,5,6,7", "--machine-workers", "2",
-             "--epoch-events", "256"});
-  ASSERT_TRUE(sharded.ok()) << sharded.error;
-  EXPECT_EQ(run_cli(sharded), 0);
+TEST(CliRun, EvaluateRunsScalarAndSimdPaths) {
   CliOptions scalar =
       parse({"evaluate", "--app", "EP", "--iter-scale", "0.2", "--reps", "1",
              "--mapping", "0,1,2,3,4,5,6,7", "--scalar-scan"});

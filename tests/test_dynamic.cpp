@@ -43,7 +43,7 @@ TraceEvent read_at(VirtAddr addr) {
 /// Swaps the two threads at every barrier.
 class SwapPolicy final : public MigrationPolicy {
  public:
-  std::vector<CoreId> on_barrier(int, Cycles) override {
+  std::vector<CoreId> on_barrier(int, Cycles, const MachineStats&) override {
     swapped_ = !swapped_;
     ++calls_;
     return swapped_ ? std::vector<CoreId>{1, 0} : std::vector<CoreId>{0, 1};
@@ -74,6 +74,47 @@ TEST(Migration, PolicyConsultedAtEachBarrier) {
   EXPECT_EQ(m.thread_on(1), 1);
 }
 
+/// Records the live access counter the event loop hands over at each
+/// barrier release; never migrates.
+class RecordingPolicy final : public MigrationPolicy {
+ public:
+  std::vector<CoreId> on_barrier(int, Cycles,
+                                 const MachineStats& stats) override {
+    seen_.push_back(stats.accesses);
+    return {};
+  }
+  const std::vector<std::uint64_t>& seen() const { return seen_; }
+
+ private:
+  std::vector<std::uint64_t> seen_;
+};
+
+TEST(Migration, PolicySeesLiveStatsAtBarriers) {
+  Machine m(MachineConfig::tiny());
+  RecordingPolicy policy;
+  Machine::RunConfig run;
+  run.thread_to_core = {0, 1};
+  run.migration = &policy;
+  const MachineStats final_stats = m.run(
+      streams_of({
+          {read_at(0), read_at(64), TraceEvent::make_barrier(), read_at(128),
+           TraceEvent::make_barrier(), read_at(192), read_at(256),
+           TraceEvent::make_barrier(), read_at(320)},
+          {read_at(4096), TraceEvent::make_barrier(), read_at(8192),
+           read_at(8256), TraceEvent::make_barrier(),
+           TraceEvent::make_barrier(), read_at(8320)},
+      }),
+      run);
+  const std::vector<std::uint64_t>& seen = policy.seen();
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_GT(seen.front(), 0u);
+  for (std::size_t i = 1; i < seen.size(); ++i) {
+    EXPECT_GE(seen[i], seen[i - 1]) << "barrier " << i;
+  }
+  // Accesses issued after the last barrier are not yet counted there.
+  EXPECT_LT(seen.back(), final_stats.accesses);
+}
+
 TEST(Migration, MigrationCostCharged) {
   Machine m(MachineConfig::tiny());
   SwapPolicy policy;
@@ -99,7 +140,9 @@ TEST(Migration, MigrationCostCharged) {
 TEST(Migration, InvalidPolicyMappingThrows) {
   Machine m(MachineConfig::tiny());
   class BadPolicy final : public MigrationPolicy {
-    std::vector<CoreId> on_barrier(int, Cycles) override { return {0, 0}; }
+    std::vector<CoreId> on_barrier(int, Cycles, const MachineStats&) override {
+      return {0, 0};
+    }
   } bad;
   Machine::RunConfig run;
   run.thread_to_core = {0, 1};
@@ -115,7 +158,9 @@ TEST(Migration, InvalidPolicyMappingThrows) {
 TEST(Migration, EmptyReturnKeepsPlacement) {
   Machine m(MachineConfig::tiny());
   class KeepPolicy final : public MigrationPolicy {
-    std::vector<CoreId> on_barrier(int, Cycles) override { return {}; }
+    std::vector<CoreId> on_barrier(int, Cycles, const MachineStats&) override {
+      return {};
+    }
   } keep;
   Machine::RunConfig run;
   run.thread_to_core = {1, 0};

@@ -376,38 +376,6 @@ TEST(CoherenceDirectoryInvariant, MasksMatchCacheContentsAfterRuns) {
   }
 }
 
-// The epoch-parallel engine composes with every engine fast path tested
-// above: on the coherence-bound 256-core manycore preset, workers=8 with
-// the full fast-path stack (directory + memo + heap scheduler) must equal
-// workers=1 bit for bit — the acceptance contract of the parallel core
-// (test_parallel_machine.cpp holds the rest of it).
-TEST(ManycoreDifferential, EpochEngineWorkers8MatchWorkers1At256Cores) {
-  WorkloadParams params = small_params(64);
-  params.size_scale = 0.25;
-  params.iter_scale = 0.1;
-  const auto workload = make_npb_workload("SP", params);
-  const MachineConfig config = MachineConfig::manycore();
-  ASSERT_EQ(config.num_cores(), 256);
-  const Mapping mapping = random_mapping(workload->num_threads(),
-                                         config.num_cores(), /*seed=*/71);
-
-  auto run_parallel = [&](int workers) {
-    Machine machine(config);
-    Machine::RunConfig run;
-    run.thread_to_core = mapping;
-    run.machine_workers = workers;
-    return machine.run(streams_of(*workload, /*seed=*/23), run);
-  };
-  const MachineStats reference = run_parallel(1);
-  const MachineStats parallel = run_parallel(8);
-  EXPECT_GT(reference.snoop_transactions, 0u);
-  EXPECT_TRUE(parallel == reference)
-      << "epoch engine: workers=8 diverged from workers=1 (cycles "
-      << parallel.execution_cycles << " vs " << reference.execution_cycles
-      << ", invalidations " << parallel.invalidations << " vs "
-      << reference.invalidations << ")";
-}
-
 // Opting out via MachineConfig::coherence_broadcast leaves the directory
 // dark: no entries, no stats, consistency trivially true.
 TEST(CoherenceDirectoryInvariant, BroadcastModeKeepsDirectoryEmpty) {
