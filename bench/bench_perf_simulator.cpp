@@ -12,7 +12,9 @@
 #include "detect/hm_detector.hpp"
 #include "detect/oracle_detector.hpp"
 #include "detect/sm_detector.hpp"
+#include "mapping/mapping.hpp"
 #include "npb/synthetic.hpp"
+#include "npb/workload.hpp"
 #include "sim/machine.hpp"
 
 namespace {
@@ -154,14 +156,43 @@ void BM_CoherenceBoundScaling(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
 }
-// 128 and 256 cores cross the old directory's 64-L2 cliff: before the
-// multi-word HolderSet these points silently ran the broadcast walk in
-// both columns, so the A/B ratio collapsed to 1x exactly where the
+// 128 and 256 cores cross the old single-word directory's 64-L2 cliff:
+// before multi-word holder rows these points silently ran the broadcast
+// walk in both columns, so the A/B ratio collapsed to 1x exactly where the
 // directory matters most.
 BENCHMARK(BM_CoherenceBoundScaling)
     ->ArgsProduct({{16, 32, 64, 128, 256}, {0, 1}})
     ->ArgNames({"cores", "broadcast"})
     ->Unit(benchmark::kMillisecond);
+
+// The manycore regime end to end: NPB SP at 256 threads on
+// MachineConfig::manycore() (256 single-core L2s, NUMA, 8-column mesh,
+// small caches), under a random placement. Eviction-heavy, so nearly every
+// L2 miss inserts and erases directory entries, and the scheduler picks
+// among 256 clocks at every event.
+void BM_Manycore256Sp(benchmark::State& state) {
+  WorkloadParams params;
+  params.num_threads = 256;
+  params.size_scale = 0.25;
+  params.iter_scale = 0.1;
+  const auto workload = make_npb_workload("SP", params);
+  const MachineConfig config = MachineConfig::manycore();
+  const Mapping placement =
+      random_mapping(params.num_threads, config.num_cores(), /*seed=*/71);
+  std::uint64_t accesses = 0;
+  for (auto _ : state) {
+    Machine machine(config);
+    std::vector<std::unique_ptr<ThreadStream>> streams;
+    for (ThreadId t = 0; t < params.num_threads; ++t) {
+      streams.push_back(workload->stream(t, 1));
+    }
+    Machine::RunConfig cfg;
+    cfg.thread_to_core = placement;
+    accesses += machine.run(std::move(streams), cfg).accesses;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
+}
+BENCHMARK(BM_Manycore256Sp)->Unit(benchmark::kMillisecond);
 
 void BM_SimulatorWithOracle(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));

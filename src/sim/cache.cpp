@@ -78,6 +78,11 @@ std::optional<MesiState> Cache::invalidate(LineAddr addr) {
 }
 
 void Cache::flush() {
+  // Every mutation either bumps clock_ (insert, a find hit) or needs a
+  // line inserted earlier (invalidate, a state change via peek_mutable),
+  // so clock_ == 0 means nothing changed since construction or the last
+  // flush.
+  if (clock_ == 0) return;
   std::fill(lines_.begin(), lines_.end(), CacheLine{});
   std::fill(tags_.begin(), tags_.end(), kInvalidTag);
   clock_ = 0;

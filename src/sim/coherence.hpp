@@ -9,36 +9,176 @@
 // it crosses the socket boundary — this is precisely the cost structure a
 // good thread mapping exploits.
 //
-// The simulator resolves the broadcast with a line-occupancy directory: a
-// LineAddr -> HolderSet (a small-size-optimised multi-word bitset over L2
-// ids) maintained incrementally by every insert/invalidate/eviction, so a
-// probe is one hash lookup plus a lowest-set-bit scan over the
-// socket-partitioned holder set and the invalidation loops visit only
-// actual holders — O(holders) instead of Theta(num_l2) cache-set walks per
-// miss. Machines with at most 64 L2s keep the whole set in one inline word
-// (the historical representation); larger machines grow per-line heap
-// words, so the directory now covers any topology instead of silently
-// degrading to the broadcast walk beyond 64 L2s. This changes no simulated
-// outcome: probe messages, snoop transactions, invalidations, latencies and
-// replacement state are identical bit for bit (the differential test suite
-// proves it, up to 256 L2 domains). The literal walked broadcast is kept
-// behind MachineConfig::coherence_broadcast for A/B benchmarking only.
+// The simulator resolves the broadcast with a line-occupancy directory:
+// an open-addressed LineAddr -> holder-row table (DirectoryTable, one bit
+// per L2 id in ceil(num_l2/64) words per row) maintained incrementally by
+// every insert/invalidate/eviction. A probe is one table lookup plus a
+// lowest-set-bit scan over the socket-partitioned holder row, and the
+// invalidation loops visit only actual holders: O(holders) instead of
+// Theta(num_l2) cache-set walks per miss. Rows have one width per machine,
+// so the directory covers any topology, and the table grows by doubling
+// and never shrinks, so an L2 miss allocates nothing. This changes no
+// simulated outcome: probe messages, snoop transactions, invalidations,
+// latencies and replacement state are identical bit for bit (the
+// differential test suite proves it, up to 256 L2 domains). The literal
+// walked broadcast is kept behind MachineConfig::coherence_broadcast as the
+// differential oracle.
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/cache.hpp"
 #include "sim/config.hpp"
-#include "sim/holder_set.hpp"
 #include "sim/interconnect.hpp"
 #include "sim/stats.hpp"
 #include "sim/topology.hpp"
 #include "sim/types.hpp"
 
 namespace tlbmap {
+
+/// One directory row: bit b (word b / 64) set when L2 b holds the line.
+/// Every row of a machine has the same width, ceil(num_l2 / 64) words.
+using HolderRow = std::span<const std::uint64_t>;
+
+/// Word index and in-word mask of holder bit `b`. b = -1 (exclude nothing)
+/// maps to a word index no row reaches.
+inline std::size_t holder_word(int b) {
+  return static_cast<std::size_t>(b) / 64;
+}
+inline std::uint64_t holder_mask(int b) {
+  return std::uint64_t{1} << (static_cast<unsigned>(b) % 64);
+}
+
+/// Checked narrowing from a holder bit index to an L2Id. Every conversion
+/// of a row bit into an L2 id routes through here, so a holder in word 1+
+/// (id >= 64) can never silently truncate or alias an id in word 0.
+/// `limit` is the machine's L2 count; an out-of-range index means directory
+/// corruption, reported loudly instead of as a wrong-holder probe result.
+inline L2Id checked_l2id(std::size_t bit, std::size_t limit) {
+  if (bit >= limit) {
+    throw std::logic_error("checked_l2id: holder bit beyond machine L2s");
+  }
+  return static_cast<L2Id>(bit);
+}
+
+/// Lowest bit set in `row` and in `mask` (rows of one width), other than
+/// `exclude`; -1 when there is none. With `mask` = the prober's socket this
+/// is the probe's "lowest-indexed holder on my socket" tie-break. Pass
+/// exclude = -1 to exclude nothing.
+inline int first_holder_in(HolderRow row, HolderRow mask, int exclude) {
+  const std::size_t xw = holder_word(exclude);
+  const std::uint64_t xbit = holder_mask(exclude);
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    std::uint64_t v = row[i] & mask[i];
+    if (i == xw) v &= ~xbit;
+    if (v != 0) return static_cast<int>(i * 64) + std::countr_zero(v);
+  }
+  return -1;
+}
+
+/// Lowest set bit other than `exclude`, or -1 (the multi-word
+/// `countr_zero`: the broadcast scan's lowest-index-first order).
+inline int first_holder(HolderRow row, int exclude) {
+  const std::size_t xw = holder_word(exclude);
+  const std::uint64_t xbit = holder_mask(exclude);
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    std::uint64_t v = row[i];
+    if (i == xw) v &= ~xbit;
+    if (v != 0) return static_cast<int>(i * 64) + std::countr_zero(v);
+  }
+  return -1;
+}
+
+/// Calls `fn(bit)` for every set bit other than `exclude`, ascending: the
+/// order the reference broadcast walks its peers, which keeps the
+/// directory's invalidation loops bit-identical to it.
+template <typename Fn>
+void for_each_holder(HolderRow row, int exclude, Fn&& fn) {
+  const std::size_t xw = holder_word(exclude);
+  const std::uint64_t xbit = holder_mask(exclude);
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    std::uint64_t v = row[i];
+    if (i == xw) v &= ~xbit;
+    for (; v != 0; v &= v - 1) {
+      fn(static_cast<int>(i * 64) + std::countr_zero(v));
+    }
+  }
+}
+
+/// The directory's storage: an open-addressed LineAddr -> holder-row table.
+/// Keys live in their own array, so a probe touches only keys; rows of
+/// `words_per_row` words sit at the same slot index in a parallel array.
+/// Linear probing starts at the high bits of a multiplicative hash; erase
+/// shifts the rest of the cluster back, so no tombstones build up. The
+/// table doubles at half load and never shrinks (clear() keeps the
+/// capacity), so a run in steady state allocates nothing. Empty slots
+/// always hold all-zero rows: a freshly inserted row starts empty.
+class DirectoryTable {
+ public:
+  static constexpr std::size_t kNotFound = ~std::size_t{0};
+
+  /// `min_capacity` is rounded up to a power of two (at least 2).
+  explicit DirectoryTable(std::size_t words_per_row,
+                          std::size_t min_capacity = 1024);
+
+  /// Slot holding `line`, or kNotFound.
+  std::size_t find(LineAddr line) const {
+    for (std::size_t i = home(line);; i = (i + 1) & mask_) {
+      if (keys_[i] == line) return i;
+      if (keys_[i] == kEmpty) return kNotFound;
+    }
+  }
+  /// Slot holding `line`, inserting it with an all-zero row if absent.
+  /// May grow the table, which moves every slot. `line` must not be
+  /// ~0 (the empty-slot key; line addresses never reach it).
+  std::size_t find_or_insert(LineAddr line);
+  /// Removes the entry at an occupied slot. Moves later entries of the
+  /// same cluster, so slot indices taken before the call are stale.
+  void erase(std::size_t slot);
+  /// Removes every entry; keeps the capacity.
+  void clear();
+
+  std::span<std::uint64_t> row(std::size_t slot) {
+    return {rows_.data() + slot * words_, words_};
+  }
+  HolderRow row(std::size_t slot) const {
+    return {rows_.data() + slot * words_, words_};
+  }
+  bool occupied(std::size_t slot) const { return keys_[slot] != kEmpty; }
+  LineAddr key(std::size_t slot) const { return keys_[slot]; }
+
+  std::size_t size() const { return live_; }
+  std::size_t capacity() const { return keys_.size(); }
+  /// First slot probed for `line`.
+  std::size_t home(LineAddr line) const {
+    return static_cast<std::size_t>((line * kHashMul) >> shift_);
+  }
+
+  /// Structural check: the live count equals the occupied slots, the load
+  /// stays at or under half, every key is reachable from its home slot and
+  /// every empty slot's row is zero. Test/debug aid; O(capacity).
+  bool consistent() const;
+
+ private:
+  static constexpr LineAddr kEmpty = ~LineAddr{0};
+  static constexpr std::uint64_t kHashMul = 0x9E3779B97F4A7C15ull;
+
+  void allocate(std::size_t capacity);
+  void grow();
+
+  std::size_t words_;
+  std::size_t mask_ = 0;  ///< capacity - 1
+  int shift_ = 0;         ///< 64 - log2(capacity)
+  std::size_t live_ = 0;
+  std::vector<LineAddr> keys_;       ///< kEmpty marks a free slot
+  std::vector<std::uint64_t> rows_;  ///< capacity * words_, slot-major
+};
 
 class CoherenceDomain {
  public:
@@ -91,8 +231,9 @@ class CoherenceDomain {
   /// Lines currently tracked by the directory (0 in broadcast mode).
   std::size_t directory_lines() const { return directory_.size(); }
 
-  /// Ground-truth check: every valid L2 line has its holder bit set and
-  /// every directory bit maps to a resident line. Trivially true in
+  /// Ground-truth check: the table is structurally sound
+  /// (DirectoryTable::consistent), every valid L2 line has its holder bit
+  /// set and every directory bit maps to a resident line. Trivially true in
   /// broadcast mode. Test/debug aid; O(total cache capacity).
   bool directory_consistent() const;
 
@@ -109,14 +250,21 @@ class CoherenceDomain {
 
   void drop(L2Id holder, LineAddr line);
 
-  /// Snapshots the holders of `line` other than `me`, ascending, into the
-  /// reused scratch vector. A snapshot because the upgrade/RFO loops clear
-  /// directory bits (possibly erasing the entry) while they walk; ascending
-  /// because that is the reference broadcast's visit order, which the
-  /// tie-breaks and stats depend on.
-  const std::vector<L2Id>& snapshot_remote_holders(L2Id me, LineAddr line);
+  /// Calls `fn(holder)` for every holder of `line` other than `me`,
+  /// ascending (the reference broadcast's visit order, which the tie-breaks
+  /// and stats depend on), then leaves `me` as the line's only holder: the
+  /// upgrade keeps its copy and the RFO inserts one right after. `fn` must
+  /// not touch the directory; it walks the row in place.
+  template <typename Fn>
+  void take_remote_holders(L2Id me, LineAddr line, Fn&& fn);
 
+  void directory_set(L2Id holder, LineAddr line);
   void directory_clear(L2Id holder, LineAddr line);
+
+  HolderRow socket_row(L2Id me) const {
+    return {socket_rows_.data() + static_cast<std::size_t>(me) * holder_words_,
+            holder_words_};
+  }
 
   Cycles l2_latency_;
   Interconnect* interconnect_;
@@ -124,11 +272,11 @@ class CoherenceDomain {
   LineDropFn on_line_drop_;
 
   bool directory_enabled_;
-  /// Holder set of each socket, indexed by L2 id (same_socket_mask_[me] =
-  /// the L2s on me's socket) — the nearest-holder partition.
-  std::vector<HolderSet> same_socket_mask_;
-  std::unordered_map<LineAddr, HolderSet> directory_;
-  std::vector<L2Id> holder_scratch_;  ///< reused by snapshot_remote_holders
+  std::size_t holder_words_;  ///< ceil(num_l2 / 64), the width of every row
+  /// One row per L2 id: row me = the L2s on me's socket, the
+  /// nearest-holder partition.
+  std::vector<std::uint64_t> socket_rows_;
+  DirectoryTable directory_;
   DirectoryStats dir_stats_;
 };
 

@@ -4,7 +4,6 @@
 #include <string>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -28,6 +27,81 @@ struct ThreadState {
   bool done = false;
 
   bool runnable() const { return !done && !at_barrier; }
+};
+
+/// Binary min-heap over (clock, thread id): the scheduler's ready queue.
+/// Entries go stale when a thread's clock moves or it blocks; the picker
+/// validates the top against live state and drops stale entries, so the
+/// only invariant is that every runnable thread has at least one entry
+/// carrying its current clock. Ordering by the (clock, id) pair gives the
+/// lowest-id tie-break.
+class ReadyHeap {
+ public:
+  struct Entry {
+    Cycles clock;
+    int thread;
+  };
+
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
+  const Entry& top() const { return heap_.front(); }
+
+  void push(Entry e) {
+    std::size_t i = heap_.size();
+    heap_.push_back(e);
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!before(e, heap_[parent])) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = e;
+  }
+
+  void pop() {
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down_from_top(last);
+  }
+
+  /// Gives the top entry a new clock and restores heap order with one
+  /// sift-down: the picked thread's entry after it issued an event.
+  void rekey_top(Cycles clock) {
+    sift_down_from_top(Entry{clock, heap_.front().thread});
+  }
+
+  /// Adds `delta` to every entry. A uniform shift keeps heap order, so a
+  /// global stall needs no re-heapify: each runnable thread's entry still
+  /// carries its (shifted) current clock, and stale entries stay stale.
+  void shift_all(Cycles delta) {
+    for (Entry& e : heap_) e.clock += delta;
+  }
+
+ private:
+  /// (clock, id) order, computed without branches: the heap's compares
+  /// are data-dependent, so a branch here mispredicts about half the time.
+  static bool before(const Entry& a, const Entry& b) {
+    return (a.clock < b.clock) |
+           ((a.clock == b.clock) & (a.thread < b.thread));
+  }
+
+  /// Places `e` at the root, then moves it down to its place.
+  void sift_down_from_top(Entry e) {
+    const std::size_t n = heap_.size();
+    std::size_t i = 0;
+    for (std::size_t child = 1; child < n; child = 2 * i + 1) {
+      if (child + 1 < n) {
+        child += static_cast<std::size_t>(
+            before(heap_[child + 1], heap_[child]));
+      }
+      if (!before(heap_[child], e)) break;
+      heap_[i] = heap_[child];
+      i = child;
+    }
+    heap_[i] = e;
+  }
+
+  std::vector<Entry> heap_;
 };
 
 }  // namespace
@@ -94,23 +168,12 @@ Expected<MachineStats> Machine::try_run(
   std::vector<CoreId> placement = config.thread_to_core;
   int barrier_count = 0;
 
-  // Lazy min-heap over (clock, thread id) for the scheduler, used at or
-  // above the threshold. Entries go stale when a clock moves or a thread
-  // blocks; they are validated against live state on pop, so duplicates are
-  // harmless — the invariant is only that every runnable thread has at
-  // least one entry carrying its current clock. Ordering by the (clock, id)
-  // pair reproduces the linear scan's lowest-id tie-break.
-  const bool use_heap = num_threads >= config.scheduler_heap_threshold;
-  using HeapEntry = std::pair<Cycles, int>;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                      std::greater<HeapEntry>>
-      ready;
+  ReadyHeap ready;
   auto push_ready = [&](int t) {
     const ThreadState& ts = threads[static_cast<std::size_t>(t)];
-    if (ts.runnable()) ready.emplace(ts.clock, t);
+    if (ts.runnable()) ready.push({ts.clock, t});
   };
   auto push_all_ready = [&] {
-    if (!use_heap) return;
     for (int t = 0; t < num_threads; ++t) push_ready(t);
   };
 
@@ -271,29 +334,16 @@ Expected<MachineStats> Machine::try_run(
       return Error{ErrorCode::kWatchdogTimeout, msg.str()};
     }
     // Pick the runnable thread with the smallest clock (lowest id on ties).
+    // Its entry stays on top while the event runs and is re-keyed after.
     int next = -1;
-    if (use_heap) {
-      while (!ready.empty()) {
-        const auto [clk, t] = ready.top();
-        const ThreadState& ts = threads[static_cast<std::size_t>(t)];
-        if (!ts.runnable() || ts.clock != clk) {
-          ready.pop();  // stale: clock moved or thread blocked since push
-          continue;
-        }
-        ready.pop();
-        next = t;
+    while (!ready.empty()) {
+      const ReadyHeap::Entry top = ready.top();
+      const ThreadState& ts = threads[static_cast<std::size_t>(top.thread)];
+      if (ts.runnable() && ts.clock == top.clock) {
+        next = top.thread;
         break;
       }
-    } else {
-      // Thread counts this small (paper: 8) scan faster than heap churn.
-      for (int t = 0; t < num_threads; ++t) {
-        const ThreadState& ts = threads[static_cast<std::size_t>(t)];
-        if (!ts.runnable()) continue;
-        if (next == -1 ||
-            ts.clock < threads[static_cast<std::size_t>(next)].clock) {
-          next = t;
-        }
-      }
+      ready.pop();  // stale: clock moved or thread blocked since push
     }
     if (next == -1) {
       // Everyone alive is at a barrier (can happen when the last runnable
@@ -303,6 +353,7 @@ Expected<MachineStats> Machine::try_run(
     }
 
     ThreadState& ts = threads[static_cast<std::size_t>(next)];
+    const std::size_t ready_before = ready.size();
     const TraceEvent ev = ts.stream->next();
     ++events_issued;
     switch (ev.kind) {
@@ -334,13 +385,7 @@ Expected<MachineStats> Machine::try_run(
               threads[o].clock += global;
               if (!threads[o].at_barrier) overhead[o] += global;
             }
-            if (use_heap) {
-              // Every runnable clock just moved; reseed (next is reseeded
-              // after the switch like any other issuing thread).
-              for (int t = 0; t < num_threads; ++t) {
-                if (t != next) push_ready(t);
-              }
-            }
+            ready.shift_all(global);
           }
         }
         break;
@@ -355,7 +400,15 @@ Expected<MachineStats> Machine::try_run(
         release_barrier_if_ready();
         break;
     }
-    if (use_heap) push_ready(next);
+    if (ready.size() != ready_before) {
+      // A barrier release pushed fresh entries, so the top may no longer
+      // be this thread's; give it its own entry instead.
+      push_ready(next);
+    } else if (ts.runnable()) {
+      ready.rekey_top(ts.clock);
+    } else {
+      ready.pop();  // blocked at a barrier or finished
+    }
     if (interval_metrics != nullptr &&
         events_issued % config.metrics_interval_events == 0) {
       publish_progress(ts.clock);

@@ -2,12 +2,14 @@
 // synchronisation, and hooks for communication detectors.
 //
 // Execution is event-driven: at each step the runnable thread with the
-// smallest clock issues its next trace event, so accesses from different
-// threads interleave in simulated-time order (this is what stands in for
-// Simics). Detectors observe two signals, matching the paper's two
-// mechanisms: per-access TLB-miss notifications (software-managed TLB trap)
-// and the advance of global time (the hardware-managed TLB's periodic
-// search).
+// smallest clock (lowest id on ties) issues its next trace event, so
+// accesses from different threads interleave in simulated-time order (this
+// is what stands in for Simics). One binary min-heap over (clock, id) picks
+// that thread at every thread count; after an event the picked thread's
+// entry is re-keyed in place with a single sift-down. Detectors observe
+// two signals, matching the paper's two mechanisms: per-access TLB-miss
+// notifications (software-managed TLB trap) and the advance of global time
+// (the hardware-managed TLB's periodic search).
 #pragma once
 
 #include <memory>
@@ -77,12 +79,6 @@ class Machine {
     /// Flush caches/TLBs before the run (cold start, default) — repetitions
     /// of an experiment should not leak state into each other.
     bool flush_first = true;
-    /// Min-clock thread picker: linear scan below this thread count (the
-    /// paper's 8 threads fit in a cache line; scanning beats heap churn),
-    /// lazy binary heap at or above it (O(log T) per event instead of
-    /// O(T)). Both pickers select the same thread at every step, including
-    /// the lowest-id tie-break, so results are identical.
-    int scheduler_heap_threshold = 16;
     /// Optional observability sink: the run records a "machine.run" span
     /// (kPhases) and per-barrier/migration instants (kFull). Null = off.
     obs::ObsContext* obs = nullptr;

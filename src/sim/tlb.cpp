@@ -68,6 +68,10 @@ bool Tlb::invalidate(PageNum page) {
 }
 
 void Tlb::flush() {
+  // Every mutation either bumps clock_ (insert, a lookup hit) or needs an
+  // entry inserted earlier (invalidate), so clock_ == 0 means nothing
+  // changed since construction or the last flush.
+  if (clock_ == 0) return;
   std::fill(entries_.begin(), entries_.end(), TlbEntry{});
   std::fill(tags_.begin(), tags_.end(), kInvalidTag);
   clock_ = 0;

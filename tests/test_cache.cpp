@@ -120,6 +120,31 @@ TEST(Cache, FlushEmptiesEverything) {
   for (LineAddr a = 0; a < 8; ++a) EXPECT_EQ(c.peek(a), nullptr);
 }
 
+// flush() skips the work on a cache untouched since construction or the
+// last flush; one whose only surviving trace is an invalidated way still
+// counts as touched and must come back exactly like a fresh cache.
+TEST(Cache, FlushAfterInvalidateClearsEverything) {
+  Cache c(small_config());
+  c.insert(0, MesiState::kModified);
+  c.insert(4, MesiState::kShared);  // same set (4 sets)
+  c.invalidate(0);
+  c.flush();
+  EXPECT_EQ(c.valid_lines(), 0u);
+  EXPECT_EQ(c.peek(4), nullptr);
+  // Replacement restarts from scratch, as in a never-used cache.
+  Cache fresh(small_config());
+  for (Cache* cache : {&c, &fresh}) {
+    cache->insert(8, MesiState::kShared);
+    cache->insert(12, MesiState::kShared);
+    const auto evicted = cache->insert(16, MesiState::kShared);
+    ASSERT_TRUE(evicted.has_value());
+    EXPECT_EQ(evicted->addr, 8u);
+  }
+  c.flush();
+  c.flush();  // a second flush finds nothing to do
+  EXPECT_EQ(c.valid_lines(), 0u);
+}
+
 TEST(Cache, ForEachLineVisitsAllValid) {
   Cache c(small_config());
   c.insert(1, MesiState::kShared);

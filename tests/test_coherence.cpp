@@ -1,7 +1,12 @@
 // Unit tests for the MESI coherence domain: state transitions, snoop and
 // invalidation counting, writebacks, inclusive line drops, and the
 // intra/inter-socket traffic split.
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
+#include <random>
+#include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -360,102 +365,243 @@ TEST_F(CoherenceTest, DirectoryBillsFullProbeBroadcast) {
   EXPECT_EQ(domain_.directory_stats().holder_hits, 0u);
 }
 
-// ---------------------------------------------------------------- HolderSet
+// ------------------------------------------------------------ holder rows
 
-TEST(HolderSetTest, StaysInlineUpTo64Bits) {
-  HolderSet s;
-  for (const int b : {0, 5, 63}) s.set(b);
-  EXPECT_TRUE(s.is_inline());
-  EXPECT_EQ(s.num_words(), 1u);
-  EXPECT_EQ(s.count(), 3);
-  EXPECT_TRUE(s.test(63));
-  EXPECT_FALSE(s.test(7));
-  EXPECT_EQ(s.first(), 0);
+/// A row of `words` words with the given bits set.
+std::vector<std::uint64_t> row_of(std::size_t words,
+                                  std::initializer_list<int> bits) {
+  std::vector<std::uint64_t> row(words, 0);
+  for (const int b : bits) row[holder_word(b)] |= holder_mask(b);
+  return row;
 }
 
-TEST(HolderSetTest, GrowsOnHighBitsAndKeepsLowOnes) {
-  HolderSet s;
-  s.set(3);
-  s.set(200);  // word 3
-  EXPECT_FALSE(s.is_inline());
-  EXPECT_EQ(s.num_words(), 4u);
-  EXPECT_TRUE(s.test(3));
-  EXPECT_TRUE(s.test(200));
-  EXPECT_FALSE(s.test(64));
-  EXPECT_EQ(s.count(), 2);
-  s.reset(3);
-  EXPECT_EQ(s.first(), 200);
-  s.reset(200);
-  EXPECT_TRUE(s.none());
-}
-
-TEST(HolderSetTest, ForEachVisitsAscendingAcrossWords) {
-  HolderSet s;
-  for (const int b : {191, 3, 64, 67}) s.set(b);
+TEST(HolderRowTest, ForEachVisitsAscendingAcrossWords) {
+  const auto row = row_of(3, {191, 3, 64, 67});
   std::vector<int> seen;
-  s.for_each([&](int b) { seen.push_back(b); });
+  for_each_holder(row, -1, [&](int b) { seen.push_back(b); });
   EXPECT_EQ(seen, (std::vector<int>{3, 64, 67, 191}));
   seen.clear();
-  s.for_each_excluding(67, [&](int b) { seen.push_back(b); });
+  for_each_holder(row, 67, [&](int b) { seen.push_back(b); });
   EXPECT_EQ(seen, (std::vector<int>{3, 64, 191}));
 }
 
-TEST(HolderSetTest, FirstExcludingScansPastExcludedWord) {
-  HolderSet s;
-  s.set(70);
-  s.set(130);
-  EXPECT_EQ(s.first_excluding(70), 130);
-  EXPECT_EQ(s.first_excluding(0), 70);
-  HolderSet lone;
-  lone.set(5);
-  EXPECT_EQ(lone.first_excluding(5), -1);
+TEST(HolderRowTest, FirstExcludingScansPastExcludedWord) {
+  const auto row = row_of(3, {70, 130});
+  EXPECT_EQ(first_holder(row, 70), 130);
+  EXPECT_EQ(first_holder(row, 0), 70);
+  EXPECT_EQ(first_holder(row_of(3, {5}), 5), -1);
+  EXPECT_EQ(first_holder(row_of(3, {}), -1), -1);
 }
 
-TEST(HolderSetTest, FirstAndExcludingIsTheSocketTieBreak) {
-  HolderSet holders;
-  holders.set(10);
-  holders.set(100);
-  holders.set(130);
-  HolderSet socket(192);  // mask for bits 96..191, say
-  for (int b = 96; b < 192; ++b) socket.set(b);
+TEST(HolderRowTest, FirstAndExcludingIsTheSocketTieBreak) {
+  const auto holders = row_of(3, {10, 100, 130});
+  std::vector<std::uint64_t> socket(3, 0);  // mask for bits 96..191, say
+  for (int b = 96; b < 192; ++b) socket[holder_word(b)] |= holder_mask(b);
   // Lowest holder on "my socket" wins over the lower global bit 10.
-  EXPECT_EQ(holders.first_and_excluding(socket, 130), 100);
-  EXPECT_EQ(holders.first_and_excluding(socket, 100), 130);
-  // Empty intersection: mask confined to a word the set never grew.
-  HolderSet small;
-  small.set(2);
-  EXPECT_EQ(small.first_and_excluding(socket, -1), -1);
+  EXPECT_EQ(first_holder_in(holders, socket, 130), 100);
+  EXPECT_EQ(first_holder_in(holders, socket, 100), 130);
+  // Empty intersection: every holder lies outside the mask's words.
+  EXPECT_EQ(first_holder_in(row_of(3, {2}), socket, -1), -1);
 }
 
-TEST(HolderSetTest, EqualityIgnoresCapacity) {
-  HolderSet a;  // inline
-  a.set(9);
-  HolderSet b(256);  // heap, zero-extended
-  b.set(9);
-  EXPECT_TRUE(a == b);
-  b.set(200);
-  EXPECT_FALSE(a == b);
-  b.reset(200);
-  EXPECT_TRUE(a == b);
-}
-
-TEST(HolderSetTest, CopyAndMovePreserveBits) {
-  HolderSet s;
-  s.set(1);
-  s.set(150);
-  HolderSet copy = s;
-  EXPECT_TRUE(copy == s);
-  copy.set(2);
-  EXPECT_FALSE(copy == s);  // deep copy, not aliased
-  HolderSet moved = std::move(s);
-  EXPECT_TRUE(moved.test(150));
-  EXPECT_TRUE(moved.test(1));
-}
-
-TEST(HolderSetTest, CheckedL2IdRejectsOutOfRangeBits) {
+TEST(HolderRowTest, CheckedL2IdRejectsOutOfRangeBits) {
   EXPECT_EQ(checked_l2id(63, 64), 63);
   EXPECT_THROW(checked_l2id(64, 64), std::logic_error);
   EXPECT_THROW(checked_l2id(1000, 256), std::logic_error);
+}
+
+// ---------------------------------------------------------- directory table
+
+/// Lines whose home slot in `table` is `slot`, found by search: forced
+/// collisions, independent of the hash constant.
+std::vector<LineAddr> lines_homed_at(const DirectoryTable& table,
+                                     std::size_t slot, std::size_t count,
+                                     LineAddr start = 1) {
+  std::vector<LineAddr> lines;
+  for (LineAddr line = start; lines.size() < count; ++line) {
+    if (table.home(line) == slot) lines.push_back(line);
+  }
+  return lines;
+}
+
+bool row_is_zero(HolderRow row) {
+  return std::all_of(row.begin(), row.end(),
+                     [](std::uint64_t w) { return w == 0; });
+}
+
+// Random set/clear/erase/clear-all against std::unordered_map, with rows
+// wide enough (3 words) that every op crosses word boundaries.
+TEST(DirectoryTableTest, MatchesUnorderedMapModel) {
+  constexpr std::size_t kWords = 3;
+  DirectoryTable table(kWords, /*min_capacity=*/4);
+  std::unordered_map<LineAddr, std::vector<std::uint64_t>> model;
+  std::mt19937_64 rng(0x5eed);
+  for (int op = 0; op < 40000; ++op) {
+    const LineAddr line = rng() % 300;  // small key pool: hits and misses
+    const int bit = static_cast<int>(rng() % (kWords * 64));
+    const std::size_t w = static_cast<std::size_t>(bit) / 64;
+    const std::uint64_t m = std::uint64_t{1} << (bit % 64);
+    const int kind = static_cast<int>(rng() % 100);
+    if (kind < 45) {  // set a holder bit
+      table.row(table.find_or_insert(line))[w] |= m;
+      model.try_emplace(line, kWords, 0).first->second[w] |= m;
+    } else if (kind < 90) {  // clear a bit, erase at an empty row
+      const std::size_t slot = table.find(line);
+      const auto it = model.find(line);
+      ASSERT_EQ(slot == DirectoryTable::kNotFound, it == model.end())
+          << "op " << op;
+      if (it == model.end()) continue;
+      table.row(slot)[w] &= ~m;
+      it->second[w] &= ~m;
+      if (row_is_zero(table.row(slot))) {
+        table.erase(slot);
+        model.erase(it);
+      }
+    } else if (kind < 99) {  // erase outright
+      const std::size_t slot = table.find(line);
+      if (slot != DirectoryTable::kNotFound) {
+        table.erase(slot);
+        model.erase(line);
+      }
+    } else {
+      table.clear();
+      model.clear();
+    }
+    if (op % 1000 == 0) {
+      ASSERT_TRUE(table.consistent()) << "op " << op;
+    }
+  }
+  ASSERT_TRUE(table.consistent());
+  ASSERT_EQ(table.size(), model.size());
+  for (const auto& [line, bits] : model) {
+    const std::size_t slot = table.find(line);
+    ASSERT_NE(slot, DirectoryTable::kNotFound) << line;
+    const HolderRow row = std::as_const(table).row(slot);
+    EXPECT_TRUE(std::equal(row.begin(), row.end(), bits.begin())) << line;
+  }
+}
+
+// A cluster homed at the last slot wraps past the table's end; erasing
+// from its head must shift the wrapped tail back without losing a key,
+// while a key already sitting at its own home stays put.
+TEST(DirectoryTableTest, BackwardShiftEraseAcrossTheWrap) {
+  DirectoryTable table(/*words_per_row=*/1, /*min_capacity=*/16);
+  ASSERT_EQ(table.capacity(), 16u);
+  const auto at_end = lines_homed_at(table, 15, 4);
+  const auto at_one = lines_homed_at(table, 1, 2);
+  const LineAddr at_five = lines_homed_at(table, 5, 1).front();
+  // The slot-15 keys fill 15, 0, 1, 2; the slot-1 keys collide with them
+  // and land at 3 and 4; the slot-5 key closes one cluster from 15 to 5.
+  for (const auto& group : {at_end, at_one, std::vector<LineAddr>{at_five}}) {
+    for (const LineAddr line : group) {
+      table.row(table.find_or_insert(line))[0] = line;
+    }
+  }
+  ASSERT_EQ(table.size(), 7u);
+  EXPECT_EQ(table.find(at_end[0]), 15u);
+  EXPECT_EQ(table.find(at_end[1]), 0u);
+  EXPECT_EQ(table.find(at_one[1]), 4u);
+  EXPECT_EQ(table.find(at_five), 5u);
+  ASSERT_TRUE(table.consistent());
+
+  table.erase(table.find(at_end[0]));  // head of the wrapped cluster
+  EXPECT_TRUE(table.consistent());
+  EXPECT_EQ(table.find(at_end[0]), DirectoryTable::kNotFound);
+  EXPECT_EQ(table.find(at_end[1]), 15u);  // shifted back across the wrap
+  EXPECT_EQ(table.find(at_one[1]), 3u);
+  EXPECT_EQ(table.find(at_five), 5u);     // at its home: not moved
+  EXPECT_FALSE(table.occupied(4));
+  table.erase(table.find(at_end[2]));
+  table.erase(table.find(at_one[0]));
+  EXPECT_TRUE(table.consistent());
+  for (const LineAddr line : {at_end[1], at_end[3], at_one[1], at_five}) {
+    const std::size_t slot = table.find(line);
+    ASSERT_NE(slot, DirectoryTable::kNotFound) << line;
+    EXPECT_EQ(std::as_const(table).row(slot)[0], line) << line;
+  }
+  EXPECT_EQ(table.size(), 4u);
+  for (const LineAddr line : {at_end[1], at_end[3], at_one[1], at_five}) {
+    table.erase(table.find(line));
+  }
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_TRUE(table.consistent());  // every freed row is zero again
+}
+
+// From 2 slots to 8192: each doubling rehashes every key with its row.
+TEST(DirectoryTableTest, GrowsAcrossDoublingsAndKeepsRows) {
+  DirectoryTable table(/*words_per_row=*/2, /*min_capacity=*/2);
+  ASSERT_EQ(table.capacity(), 2u);
+  for (LineAddr line = 0; line < 4000; ++line) {
+    const std::span<std::uint64_t> row = table.row(table.find_or_insert(line));
+    row[0] = line;
+    row[1] = ~line;
+    EXPECT_LE(2 * table.size(), table.capacity());
+  }
+  EXPECT_EQ(table.capacity(), 8192u);
+  EXPECT_TRUE(table.consistent());
+  for (LineAddr line = 0; line < 4000; ++line) {
+    const std::size_t slot = table.find(line);
+    ASSERT_NE(slot, DirectoryTable::kNotFound) << line;
+    EXPECT_EQ(std::as_const(table).row(slot)[0], line);
+    EXPECT_EQ(std::as_const(table).row(slot)[1], ~line);
+  }
+  // clear() empties the table but keeps its capacity.
+  table.clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.capacity(), 8192u);
+  EXPECT_TRUE(table.consistent());
+  EXPECT_EQ(table.find(17), DirectoryTable::kNotFound);
+}
+
+// Real coherence traffic at L2 counts on both sides of each 64-bit row
+// word boundary: the holder rows, the socket rows and the table must stay
+// consistent with the caches, and identical to the broadcast walk.
+TEST(DirectoryTableTest, ConsistentAcrossWordBoundaries) {
+  for (const int num_l2 : {63, 64, 65, 128, 256}) {
+    MachineConfig cfg;
+    cfg.num_sockets = num_l2;
+    cfg.cores_per_socket = 1;
+    cfg.cores_per_l2 = 1;
+    if (num_l2 % 8 == 0) {  // group L2s into sockets where they divide
+      cfg.num_sockets = num_l2 / 8;
+      cfg.cores_per_socket = 8;
+    }
+    cfg.l1 = CacheConfig{512, 64, 2, 2};
+    cfg.l2 = CacheConfig{4096, 64, 4, 8};
+    MachineConfig bc_cfg = cfg;
+    bc_cfg.coherence_broadcast = true;
+    Topology topo(cfg), bc_topo(bc_cfg);
+    ASSERT_EQ(topo.num_l2(), num_l2);
+    Interconnect ic(topo, cfg.interconnect);
+    Interconnect bc_ic(bc_topo, bc_cfg.interconnect);
+    CoherenceDomain dir(cfg, topo, ic), bc(bc_cfg, bc_topo, bc_ic);
+
+    MachineStats dir_stats, bc_stats;
+    std::mt19937_64 rng(static_cast<std::uint64_t>(num_l2));
+    for (int op = 0; op < 6000; ++op) {
+      // Bias toward the top L2 ids, where the last word starts.
+      const L2Id me = static_cast<L2Id>(
+          rng() % 2 == 0 ? rng() % static_cast<std::uint64_t>(num_l2)
+                         : num_l2 - 1 - static_cast<int>(rng() % 3));
+      const LineAddr line = rng() % 211;
+      if (rng() % 3 == 0) {
+        ASSERT_EQ(dir.write(me, line, dir_stats), bc.write(me, line, bc_stats))
+            << num_l2 << " L2s, op " << op;
+      } else {
+        ASSERT_EQ(dir.read(me, line, dir_stats), bc.read(me, line, bc_stats))
+            << num_l2 << " L2s, op " << op;
+      }
+      if (op % 1000 == 0) {
+        ASSERT_TRUE(dir.directory_consistent()) << num_l2 << " op " << op;
+      }
+    }
+    EXPECT_TRUE(dir.directory_consistent()) << num_l2;
+    EXPECT_EQ(dir_stats, bc_stats) << num_l2;
+    EXPECT_GT(dir.directory_stats().holder_hits, 0u) << num_l2;
+    dir.flush();
+    EXPECT_EQ(dir.directory_lines(), 0u) << num_l2;
+    EXPECT_TRUE(dir.directory_consistent()) << num_l2;
+  }
 }
 
 // --------------------------------------- beyond 64 L2s (multi-word holders)

@@ -1,12 +1,14 @@
 // Differential tests for the simulator's engine fast paths. Each fast path
 // (the coherence line-occupancy directory, the per-core translation memo +
-// sibling-shootdown presence check, the heap thread scheduler) claims to be
-// a pure acceleration: the simulated outcome — every MachineStats counter —
-// must be bit-identical to the reference path. These tests run real NPB
+// sibling-shootdown presence check, the SIMD tag scans) claims to be a pure
+// acceleration: the simulated outcome — every MachineStats counter — must
+// be bit-identical to the reference path. These tests run real NPB
 // workloads under both paths and compare the full counter structs, across
 // UMA and both NUMA policies, static and migrating (dynamic) runs. They
 // also hold the directory to its ground truth: after arbitrary runs, every
-// directory bit must agree with the actual L2 contents.
+// directory bit must agree with the actual L2 contents. The heap
+// scheduler, which has no second picker left to compare against, is held
+// to pinned MachineStats instead.
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
+#include "detect/hm_detector.hpp"
 #include "mapping/mapping.hpp"
 #include "npb/workload.hpp"
 #include "sim/machine.hpp"
@@ -49,13 +52,11 @@ MachineConfig machine_variant(const std::string& variant) {
 /// One full run at the Machine level with every engine knob exposed.
 MachineStats run_app(const MachineConfig& machine_config,
                      const Workload& workload, const Mapping& mapping,
-                     bool fast_hierarchy, int heap_threshold,
-                     std::uint64_t seed) {
+                     bool fast_hierarchy, std::uint64_t seed) {
   Machine machine(machine_config);
   machine.hierarchy().set_fast_path_enabled(fast_hierarchy);
   Machine::RunConfig run;
   run.thread_to_core = mapping;
-  run.scheduler_heap_threshold = heap_threshold;
   return machine.run(streams_of(workload, seed), run);
 }
 
@@ -87,10 +88,10 @@ TEST_P(CoherenceDirectoryDifferential, BitIdenticalStatsToBroadcast) {
   for (const Mapping& mapping : mappings) {
     const MachineStats with_directory =
         run_app(directory_config, *workload, mapping,
-                /*fast_hierarchy=*/true, /*heap_threshold=*/16, /*seed=*/5);
+                /*fast_hierarchy=*/true, /*seed=*/5);
     const MachineStats with_broadcast =
         run_app(broadcast_config, *workload, mapping,
-                /*fast_hierarchy=*/true, /*heap_threshold=*/16, /*seed=*/5);
+                /*fast_hierarchy=*/true, /*seed=*/5);
     EXPECT_TRUE(with_directory == with_broadcast)
         << app << "/" << variant << ": directory and broadcast stats differ "
         << "(cycles " << with_directory.execution_cycles << " vs "
@@ -113,11 +114,9 @@ TEST_P(CoherenceDirectoryDifferential, HierarchyFastPathIsInvisible) {
   const Mapping mapping = random_mapping(workload->num_threads(),
                                          config.num_cores(), /*seed=*/31);
   const MachineStats fast = run_app(config, *workload, mapping,
-                                    /*fast_hierarchy=*/true,
-                                    /*heap_threshold=*/16, /*seed=*/7);
+                                    /*fast_hierarchy=*/true, /*seed=*/7);
   const MachineStats slow = run_app(config, *workload, mapping,
-                                    /*fast_hierarchy=*/false,
-                                    /*heap_threshold=*/16, /*seed=*/7);
+                                    /*fast_hierarchy=*/false, /*seed=*/7);
   EXPECT_TRUE(fast == slow)
       << app << "/" << variant << ": hierarchy fast path changed stats "
       << "(tlb " << fast.tlb_hits << "/" << fast.tlb_misses << " vs "
@@ -184,14 +183,12 @@ TEST(ScanKernelDifferential, SimdAndScalarScansProduceIdenticalRuns) {
                                            config.num_cores(), /*seed=*/53);
     ASSERT_TRUE(simd_scan_enabled());  // default on
     const MachineStats simd = run_app(config, *workload, mapping,
-                                      /*fast_hierarchy=*/true,
-                                      /*heap_threshold=*/16, /*seed=*/7);
+                                      /*fast_hierarchy=*/true, /*seed=*/7);
     MachineStats scalar;
     {
       ScopedScalarScan scoped;
       scalar = run_app(config, *workload, mapping,
-                       /*fast_hierarchy=*/true, /*heap_threshold=*/16,
-                       /*seed=*/7);
+                       /*fast_hierarchy=*/true, /*seed=*/7);
     }
     EXPECT_TRUE(simd == scalar)
         << variant << ": SoA tag scan changed simulated results (tlb "
@@ -225,51 +222,169 @@ TEST(ScanKernelDifferential, HmSweepMatchesScalarOnDynamicRuns) {
   EXPECT_EQ(simd.final_mapping, scalar.final_mapping);
 }
 
-// The heap and linear min-clock pickers must choose the same thread at
-// every step (including the lowest-id tie-break), so whole runs agree.
-TEST(SchedulerDifferential, HeapAndLinearPickersProduceIdenticalRuns) {
-  for (const char* app : {"SP", "CG", "IS"}) {
-    const auto workload = make_npb_workload(app, small_params());
+// The scheduler is one (clock, id) min-heap at every thread count, with no
+// second picker to compare against. These runs pin its picks instead:
+// each expected MachineStats was recorded with the earlier pickers (a
+// linear scan at 8 threads, a pop-and-push heap at 256), and every
+// counter, execution_cycles included, depends on the exact interleaving
+// the picker chose.
+TEST(SchedulerPinned, RandomMappingRunsMatchRecordedStats) {
+  struct Case {
+    const char* app;
+    MachineStats expected;
+  };
+  const Case cases[] = {
+      {"SP",
+       MachineStats{.accesses = 190464u, .reads = 141312u, .writes = 49152u,
+                    .tlb_hits = 190180u, .tlb_misses = 284u, .l1_hits = 86784u,
+                    .l1_misses = 103680u, .l2_accesses = 152832u,
+                    .l2_hits = 132608u, .l2_misses = 20224u,
+                    .invalidations = 3840u, .snoop_transactions = 3840u,
+                    .writebacks = 2560u, .memory_fetches = 16384u,
+                    .memory_fetches_local = 16384u,
+                    .memory_fetches_remote = 0u,
+                    .intra_socket_messages = 23296u,
+                    .inter_socket_messages = 45056u,
+                    .execution_cycles = 548521u,
+                    .detection_overhead_cycles = 0u, .detector_searches = 0u}},
+      {"CG",
+       MachineStats{.accesses = 94208u, .reads = 65536u, .writes = 28672u,
+                    .tlb_hits = 93994u, .tlb_misses = 214u, .l1_hits = 45795u,
+                    .l1_misses = 48413u, .l2_accesses = 71063u,
+                    .l2_hits = 54249u, .l2_misses = 16814u,
+                    .invalidations = 4417u, .snoop_transactions = 4462u,
+                    .writebacks = 3679u, .memory_fetches = 12352u,
+                    .memory_fetches_local = 12352u,
+                    .memory_fetches_remote = 0u,
+                    .intra_socket_messages = 20017u,
+                    .inter_socket_messages = 39027u,
+                    .execution_cycles = 368664u,
+                    .detection_overhead_cycles = 0u, .detector_searches = 0u}},
+      {"IS",
+       MachineStats{.accesses = 126976u, .reads = 98304u, .writes = 28672u,
+                    .tlb_hits = 126436u, .tlb_misses = 540u, .l1_hits = 45230u,
+                    .l1_misses = 81746u, .l2_accesses = 85842u,
+                    .l2_hits = 54040u, .l2_misses = 31802u,
+                    .invalidations = 2446u, .snoop_transactions = 3982u,
+                    .writebacks = 2958u, .memory_fetches = 27820u,
+                    .memory_fetches_local = 27820u,
+                    .memory_fetches_remote = 0u,
+                    .intra_socket_messages = 33803u,
+                    .inter_socket_messages = 65585u,
+                    .execution_cycles = 663165u,
+                    .detection_overhead_cycles = 0u, .detector_searches = 0u}},
+  };
+  for (const Case& c : cases) {
+    const auto workload = make_npb_workload(c.app, small_params());
     const MachineConfig config = MachineConfig::harpertown();
     const Mapping mapping = random_mapping(workload->num_threads(),
                                            config.num_cores(), /*seed=*/17);
-    const MachineStats heap = run_app(config, *workload, mapping,
-                                      /*fast_hierarchy=*/true,
-                                      /*heap_threshold=*/1, /*seed=*/3);
-    const MachineStats linear = run_app(config, *workload, mapping,
-                                        /*fast_hierarchy=*/true,
-                                        /*heap_threshold=*/1 << 20,
-                                        /*seed=*/3);
-    EXPECT_TRUE(heap == linear)
-        << app << ": heap scheduler diverged from linear scan (cycles "
-        << heap.execution_cycles << " vs " << linear.execution_cycles << ")";
+    const MachineStats got = run_app(config, *workload, mapping,
+                                     /*fast_hierarchy=*/true, /*seed=*/3);
+    EXPECT_EQ(got, c.expected) << c.app;
   }
 }
 
-// A migrating run under the forced heap scheduler: barrier releases and
-// migrations rebuild the heap, and the run must still match the linear scan.
-TEST(SchedulerDifferential, HeapSurvivesBarriersAndMigrations) {
+// Barrier releases re-seed the heap and a migration moves clocks by the
+// migration cost; this BT run starts from a placement that splits partners
+// across sockets, so the OnlineMapper migrates once mid-run.
+TEST(SchedulerPinned, MigratingRunMatchesRecordedStats) {
   const auto workload = make_npb_workload("BT", small_params());
   const MachineConfig config = MachineConfig::harpertown();
-  const Mapping initial = identity_mapping(workload->num_threads());
+  const Mapping initial = {0, 4, 1, 5, 2, 6, 3, 7};
   OnlineMapperConfig online;
   online.remap_every_barriers = 2;
+  online.detector.sample_threshold = 1;
+  online.migration_cooldown = 0;
 
-  auto run_dynamic = [&](int heap_threshold) {
-    // evaluate_dynamic drives Machine::run internally with the default
-    // threshold; replicate it at the Machine level to force the picker.
-    Machine machine(config);
-    OnlineMapper mapper(machine, workload->num_threads(), initial, online);
-    Machine::RunConfig run;
-    run.thread_to_core = initial;
-    run.observer = &mapper;
-    run.migration = &mapper;
-    run.scheduler_heap_threshold = heap_threshold;
-    return machine.run(streams_of(*workload, /*seed=*/11), run);
-  };
-  const MachineStats heap = run_dynamic(1);
-  const MachineStats linear = run_dynamic(1 << 20);
-  EXPECT_TRUE(heap == linear);
+  Machine machine(config);
+  OnlineMapper mapper(machine, workload->num_threads(), initial, online);
+  Machine::RunConfig run;
+  run.thread_to_core = initial;
+  run.observer = &mapper;
+  run.migration = &mapper;
+  const MachineStats got =
+      machine.run(streams_of(*workload, /*seed=*/11), run);
+
+  const MachineStats expected =
+      MachineStats{.accesses = 137216u, .reads = 88064u, .writes = 49152u,
+                   .tlb_hits = 136036u, .tlb_misses = 1180u, .l1_hits = 61824u,
+                   .l1_misses = 75392u, .l2_accesses = 124544u,
+                   .l2_hits = 73600u, .l2_misses = 50944u,
+                   .invalidations = 1792u, .snoop_transactions = 1792u,
+                   .writebacks = 0u, .memory_fetches = 49152u,
+                   .memory_fetches_local = 49152u, .memory_fetches_remote = 0u,
+                   .intra_socket_messages = 50944u,
+                   .inter_socket_messages = 105472u,
+                   .execution_cycles = 1111534u,
+                   .detection_overhead_cycles = 34188u,
+                   .detector_searches = 0u};
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(mapper.migrations(), 1);
+  EXPECT_EQ(mapper.remap_decisions(), 1);
+  EXPECT_EQ(mapper.current_mapping(), identity_mapping(8));
+}
+
+// HM sweeps stall every thread by the same amount; the heap shifts all its
+// entries instead of re-seeding. 20 sweeps land in this run.
+TEST(SchedulerPinned, HmSweepStallsMatchRecordedStats) {
+  const auto workload = make_npb_workload("CG", small_params());
+  const MachineConfig config = MachineConfig::harpertown();
+  Machine machine(config);
+  HmDetectorConfig hm;
+  hm.interval = 20'000;
+  hm.search_cost = 2'000;
+  HmDetector detector(machine, workload->num_threads(), hm);
+  Machine::RunConfig run;
+  run.thread_to_core = random_mapping(workload->num_threads(),
+                                      config.num_cores(), /*seed=*/37);
+  run.observer = &detector;
+  const MachineStats got = machine.run(streams_of(*workload, /*seed=*/5), run);
+
+  const MachineStats expected =
+      MachineStats{.accesses = 94208u, .reads = 65536u, .writes = 28672u,
+                   .tlb_hits = 93994u, .tlb_misses = 214u, .l1_hits = 47672u,
+                   .l1_misses = 46536u, .l2_accesses = 69778u,
+                   .l2_hits = 52627u, .l2_misses = 17151u,
+                   .invalidations = 4740u, .snoop_transactions = 4799u,
+                   .writebacks = 3891u, .memory_fetches = 12352u,
+                   .memory_fetches_local = 12352u, .memory_fetches_remote = 0u,
+                   .intra_socket_messages = 20885u,
+                   .inter_socket_messages = 39838u,
+                   .execution_cycles = 416907u,
+                   .detection_overhead_cycles = 40000u,
+                   .detector_searches = 0u};
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(detector.matrix().total(), 330u);
+}
+
+// 256 threads on the manycore preset: the heap holds hundreds of entries
+// and every pick is a real sift, the regime the single heap was built for.
+TEST(SchedulerPinned, ManycoreSp256MatchesRecordedStats) {
+  WorkloadParams params = small_params(256);
+  params.size_scale = 0.25;
+  params.iter_scale = 0.1;
+  const auto workload = make_npb_workload("SP", params);
+  const MachineConfig config = MachineConfig::manycore();
+  const Mapping mapping =
+      random_mapping(256, config.num_cores(), /*seed=*/71);
+  const MachineStats got = run_app(config, *workload, mapping,
+                                   /*fast_hierarchy=*/true, /*seed=*/23);
+
+  const MachineStats expected =
+      MachineStats{.accesses = 1047552u, .reads = 785408u, .writes = 262144u,
+                   .tlb_hits = 1041926u, .tlb_misses = 5626u,
+                   .l1_hits = 490624u, .l1_misses = 556928u,
+                   .l2_accesses = 819072u, .l2_hits = 262144u,
+                   .l2_misses = 556928u, .invalidations = 16037u,
+                   .snoop_transactions = 32401u, .writebacks = 229376u,
+                   .memory_fetches = 524527u, .memory_fetches_local = 508591u,
+                   .memory_fetches_remote = 15936u,
+                   .intra_socket_messages = 3899648u,
+                   .inter_socket_messages = 138165430u,
+                   .execution_cycles = 395787u,
+                   .detection_overhead_cycles = 0u, .detector_searches = 0u};
+  EXPECT_EQ(got, expected);
 }
 
 // Manycore parity: the same contract far past the 64-L2 inline holder word.
@@ -305,10 +420,10 @@ TEST(ManycoreDifferential, DirectoryMatchesBroadcastPast64L2s) {
 
     const MachineStats with_directory =
         run_app(directory_config, *workload, mapping,
-                /*fast_hierarchy=*/true, /*heap_threshold=*/16, /*seed=*/23);
+                /*fast_hierarchy=*/true, /*seed=*/23);
     const MachineStats with_broadcast =
         run_app(broadcast_config, *workload, mapping,
-                /*fast_hierarchy=*/true, /*heap_threshold=*/16, /*seed=*/23);
+                /*fast_hierarchy=*/true, /*seed=*/23);
     EXPECT_TRUE(with_directory == with_broadcast)
         << c.name << ": directory and broadcast stats differ (cycles "
         << with_directory.execution_cycles << " vs "

@@ -94,6 +94,21 @@ TEST(Tlb, FlushClearsAll) {
   EXPECT_EQ(t.valid_entries(), 0u);
 }
 
+// flush() skips the work on an untouched TLB; an invalidated entry still
+// marks it touched, so the flush must clear the rest of the set too.
+TEST(Tlb, FlushAfterInvalidateClearsEverything) {
+  Tlb t(small_config());
+  t.insert(1);
+  t.insert(5);  // same set
+  EXPECT_TRUE(t.invalidate(1));
+  t.flush();
+  EXPECT_EQ(t.valid_entries(), 0u);
+  EXPECT_FALSE(t.contains(5));
+  for (const std::uint64_t tag : t.tags()) EXPECT_EQ(tag, kInvalidTag);
+  t.flush();  // a second flush finds nothing to do
+  EXPECT_EQ(t.valid_entries(), 0u);
+}
+
 TEST(Tlb, SetEntriesExposesWays) {
   Tlb t(small_config());
   t.insert(1);  // set 1
