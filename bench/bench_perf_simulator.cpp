@@ -99,6 +99,9 @@ void BM_SimulatorWithHmDetector(benchmark::State& state) {
     Machine machine(machine_for_threads(threads));
     HmDetectorConfig hm;
     hm.interval = 20'000;
+    // The paper's cost-to-interval ratio (84,297 per 10M cycles), as in
+    // bench_ablation_sampling: the default cost exceeds this interval.
+    hm.search_cost = hm.interval * 84'297 / 10'000'000;
     hm.naive_sweep = naive;
     HmDetector det(machine, threads, hm);
     std::vector<std::unique_ptr<ThreadStream>> streams;

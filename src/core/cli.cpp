@@ -16,7 +16,6 @@
 #include "core/shutdown.hpp"
 #include "npb/workload.hpp"
 #include "obs/obs.hpp"
-#include "sim/scan.hpp"
 #include "sim/trace_file.hpp"
 #include "svc/serve.hpp"
 
@@ -87,15 +86,6 @@ std::string cli_usage() {
       "  --mapping-strategy S auto | edmonds | greedy | multisection\n"
       "                       (default auto: Edmonds below 128 threads,\n"
       "                       multisection at manycore scale)\n"
-      "  --hm-naive-sweep     use the reference pairwise HM sweep instead\n"
-      "                       of the inverted page index (same results;\n"
-      "                       for A/B benchmarking)\n"
-      "  --coherence-broadcast  resolve coherence probes by walking every\n"
-      "                       L2 instead of the line-occupancy directory\n"
-      "                       (same results; for A/B benchmarking)\n"
-      "  --scalar-scan        use the reference scalar TLB/cache set walks\n"
-      "                       instead of the SIMD tag-scan kernels (same\n"
-      "                       results; for A/B benchmarking)\n"
       "  --apps A,B,...       suite: restrict the application set\n"
       "  --mapping 0,1,...    evaluate/replay: explicit thread->core list\n"
       "  --out DIR / --in DIR record/replay trace directory\n"
@@ -249,10 +239,6 @@ CliOptions parse_cli(int argc, const char* const* argv) {
         opt.help = true;
       } else if (arg == "--numa") {
         opt.numa = true;
-      } else if (arg == "--hm-naive-sweep") {
-        opt.hm_naive_sweep = true;
-      } else if (arg == "--coherence-broadcast") {
-        opt.coherence_broadcast = true;
       } else if (arg == "--app") {
         if (const char* v = next_value()) opt.app = v;
       } else if (arg == "--mechanism") {
@@ -297,8 +283,6 @@ CliOptions parse_cli(int argc, const char* const* argv) {
         if (const char* v = next_value()) opt.fault.matrix_zero_rate = to_double(v);
       } else if (arg == "--watchdog-events") {
         if (const char* v = next_value()) opt.watchdog_events = to_u64(v);
-      } else if (arg == "--scalar-scan") {
-        opt.scalar_scan = true;
       } else if (arg == "--checkpoint-dir") {
         if (const char* v = next_value()) opt.checkpoint_dir = v;
       } else if (arg == "--checkpoint-every-events") {
@@ -500,7 +484,6 @@ MachineConfig machine_for(const CliOptions& opt) {
   if (opt.cores_per_socket > 0) machine.cores_per_socket = opt.cores_per_socket;
   if (opt.cores_per_l2 > 0) machine.cores_per_l2 = opt.cores_per_l2;
   machine.socket_mesh_cols = opt.mesh_cols;
-  machine.coherence_broadcast = opt.coherence_broadcast;
   machine.fault = opt.fault;
   machine.watchdog_max_events = opt.watchdog_events;
   // Surface inconsistent overrides (indivisible geometry, mesh shape) as a
@@ -536,7 +519,6 @@ Pipeline make_pipeline(const CliOptions& opt, obs::ObsContext* obs) {
   const SuiteConfig defaults;  // trace-scaled detector knobs
   pipe.sm_config() = defaults.sm;
   pipe.hm_config() = defaults.hm;
-  pipe.hm_config().naive_sweep = opt.hm_naive_sweep;
   pipe.mapping_config() = mapping_for(opt);
   pipe.set_observability(obs);
   pipe.set_metrics_interval_events(opt.metrics_interval_events);
@@ -628,8 +610,6 @@ int cmd_suite(const CliOptions& opt, obs::ObsContext* obs) {
   config.mapping = mapping_for(opt);
   config.repetitions = opt.reps;
   config.base_seed = opt.seed;
-  // Bit-identical to the indexed sweep, so the cache key ignores it.
-  config.hm.naive_sweep = opt.hm_naive_sweep;
   if (!opt.apps.empty()) config.apps = opt.apps;
   config.checkpoint_dir = opt.checkpoint_dir;
   config.checkpoint_every_events = opt.checkpoint_every_events;
@@ -850,9 +830,6 @@ int run_cli(const CliOptions& options) {
                 cli_usage().c_str());
     return 2;
   }
-  // Process-wide A/B switch: every Tlb/Cache lookup and HM sweep from here
-  // on uses the scalar reference walks when requested.
-  set_simd_scan_enabled(!options.scalar_scan);
   const obs::SelfProfiler profiler;
   obs::ObsContext ctx;
   ctx.level =

@@ -45,16 +45,6 @@ struct CliOptions {
   int mesh_cols = 0;
   /// --mapping-strategy: auto | edmonds | greedy | multisection.
   std::string mapping_strategy = "auto";
-  /// Run the HM detector's sweep with the reference O(P^2) pairwise walk
-  /// instead of the inverted page index. Both produce bit-identical
-  /// matrices; the naive path exists for A/B benchmarking and as a
-  /// cross-check of the fast path.
-  bool hm_naive_sweep = false;
-  /// Resolve coherence probes with the reference walked broadcast instead
-  /// of the line-occupancy directory. Same contract as --hm-naive-sweep:
-  /// bit-identical statistics, kept for A/B benchmarking and as a
-  /// cross-check of the fast path.
-  bool coherence_broadcast = false;
   /// Seeded fault-injection plan assembled from the --fault-* flags
   /// (DESIGN.md Sec. 11). Default-disabled: without any --fault-* flag the
   /// pipeline is bit-identical to a faultless build.
@@ -62,11 +52,6 @@ struct CliOptions {
   /// --watchdog-events: abort a run with a structured error after this many
   /// issued trace events (0 = off).
   std::uint64_t watchdog_events = 0;
-  /// --scalar-scan: run TLB/cache set lookups and the HM sweep with the
-  /// reference scalar walks instead of the SIMD tag-scan kernels. Same
-  /// contract as --hm-naive-sweep: bit-identical results, kept for A/B
-  /// benchmarking and as a cross-check of the fast path.
-  bool scalar_scan = false;
   std::vector<std::string> apps;  ///< suite only; empty = all nine
   Mapping mapping;                ///< evaluate/replay; empty = detect+map
   std::string dir;                ///< record --out / replay --in

@@ -624,8 +624,7 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
   }
 
   // Phase 1: all detection runs (3 mechanisms per app) in one pool. Each
-  // accumulates its own CommMatrix (the HM sweep can additionally shard its
-  // accumulation via hm.sweep_workers).
+  // accumulates its own CommMatrix.
   {
     obs::TraceSpan span(obs::tracer_at(obs, obs::ObsLevel::kPhases),
                         "suite.detect", "suite");

@@ -56,8 +56,7 @@ struct SuiteConfig {
   /// this size (suite-wide, not per app: a short app's tail overlaps a long
   /// app's head). 0 = one per hardware core. Results are bit-identical
   /// regardless of the worker count — each run simulates its own Machine
-  /// and writes its own preassigned slot. (The HM sweep itself can shard
-  /// its matrix accumulation further via HmDetectorConfig::sweep_workers.)
+  /// and writes its own preassigned slot.
   int parallel_workers = 0;
   /// Retries per failed suite task (DESIGN.md Sec. 11). A worker never lets
   /// an exception escape: a task that throws is retried this many times,

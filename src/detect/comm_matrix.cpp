@@ -22,46 +22,6 @@ std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
 
 }  // namespace
 
-CommMatrixShard::CommMatrixShard(int num_threads) : n_(num_threads) {
-  if (num_threads <= 0) {
-    throw std::invalid_argument("CommMatrixShard: non-positive thread count");
-  }
-  const std::size_t un = static_cast<std::size_t>(n_);
-  cells_.resize(un * (un - 1) / 2, 0);
-}
-
-void CommMatrixShard::add(ThreadId a, ThreadId b, std::uint64_t amount) {
-  if (a == b) return;
-  if (a < 0 || b < 0 || a >= n_ || b >= n_) {
-    throw std::out_of_range("CommMatrixShard::add: thread id out of range");
-  }
-  if (a > b) std::swap(a, b);
-  std::uint64_t& cell = cells_[tri(a, b)];
-  cell = sat_add(cell, amount);
-}
-
-std::uint64_t CommMatrixShard::at(ThreadId a, ThreadId b) const {
-  if (a == b) return 0;
-  if (a < 0 || b < 0 || a >= n_ || b >= n_) {
-    throw std::out_of_range("CommMatrixShard::at: thread id out of range");
-  }
-  if (a > b) std::swap(a, b);
-  return cells_[tri(a, b)];
-}
-
-std::uint64_t CommMatrixShard::total() const {
-  // Saturating like every cell mutator: at N >= 256 threads a busy suite
-  // holds n*(n-1)/2 > 32k cells, and a plain sum of hot cells can wrap —
-  // inverting "enormous total" into "tiny total" for health checks.
-  std::uint64_t sum = 0;
-  for (const std::uint64_t c : cells_) sum = sat_add(sum, c);
-  return sum;
-}
-
-void CommMatrixShard::clear() {
-  std::fill(cells_.begin(), cells_.end(), 0);
-}
-
 CommMatrix::CommMatrix(int num_threads) : n_(num_threads) {
   if (num_threads <= 0) {
     throw std::invalid_argument("CommMatrix: non-positive thread count");
@@ -96,7 +56,9 @@ std::span<const std::uint64_t> CommMatrix::row(ThreadId a) const {
 }
 
 std::uint64_t CommMatrix::total() const {
-  // Saturating sum — see CommMatrixShard::total for the large-N rationale.
+  // Saturating like every cell mutator: at N >= 256 threads a busy suite
+  // holds n*(n-1)/2 > 32k cells, and a plain sum of hot cells can wrap —
+  // inverting "enormous total" into "tiny total" for health checks.
   std::uint64_t sum = 0;
   for (ThreadId a = 0; a < n_; ++a) {
     for (ThreadId b = a + 1; b < n_; ++b) {
@@ -135,25 +97,6 @@ CommMatrix& CommMatrix::operator+=(const CommMatrix& other) {
   }
   max_ = m;
   return *this;
-}
-
-void CommMatrix::merge(const std::vector<CommMatrixShard>& shards) {
-  for (const CommMatrixShard& shard : shards) {
-    if (shard.n_ != n_) {
-      throw std::invalid_argument("CommMatrix::merge: shard size mismatch");
-    }
-    std::size_t i = 0;
-    for (ThreadId a = 0; a < n_; ++a) {
-      for (ThreadId b = a + 1; b < n_; ++b, ++i) {
-        const std::uint64_t amount = shard.cells_[i];
-        if (amount == 0) continue;
-        const std::uint64_t next = sat_add(cells_[index(a, b)], amount);
-        cells_[index(a, b)] = next;
-        cells_[index(b, a)] = next;
-        max_ = std::max(max_, next);
-      }
-    }
-  }
 }
 
 void CommMatrix::decay(double factor) {

@@ -3,12 +3,6 @@
 // mapping algorithms. Cell (i, j) counts detected sharing events between
 // threads i and j; the matrix is symmetric with a zero diagonal.
 //
-// For parallel producers, CommMatrixShard is a lock-free-by-construction
-// private accumulator: each worker adds into its own shard and the owner
-// folds them back with CommMatrix::merge() at an epoch boundary. Counts are
-// unsigned sums, so the merged matrix is identical for any worker count or
-// merge order.
-//
 // Also provides the presentation and accuracy tooling used by the benches:
 // ASCII heatmaps (Figures 4/5) and similarity metrics against a ground-truth
 // matrix (our quantitative extension of the paper's visual comparison).
@@ -25,43 +19,6 @@
 namespace tlbmap {
 
 class FaultInjector;
-
-/// Per-worker accumulator for one CommMatrix: upper triangle only, no
-/// derived state, bounds enforced at construction sites rather than per add
-/// (the hot path of a parallel sweep). Merge shards back with
-/// CommMatrix::merge().
-class CommMatrixShard {
- public:
-  explicit CommMatrixShard(int num_threads);
-
-  int size() const { return n_; }
-
-  /// Records `amount` units between two distinct threads (either order).
-  /// Self-communication is ignored, matching CommMatrix::add.
-  void add(ThreadId a, ThreadId b, std::uint64_t amount = 1);
-
-  std::uint64_t at(ThreadId a, ThreadId b) const;
-
-  /// Sum over all pairs.
-  std::uint64_t total() const;
-
-  /// Zeroes every cell (shards are reused across epochs).
-  void clear();
-
- private:
-  friend class CommMatrix;
-
-  /// Index into the packed upper triangle; requires a < b.
-  std::size_t tri(ThreadId a, ThreadId b) const {
-    const std::size_t ua = static_cast<std::size_t>(a);
-    const std::size_t ub = static_cast<std::size_t>(b);
-    const std::size_t un = static_cast<std::size_t>(n_);
-    return ua * (2 * un - ua - 1) / 2 + (ub - ua - 1);
-  }
-
-  int n_;
-  std::vector<std::uint64_t> cells_;  ///< n*(n-1)/2 cells, row-major a<b
-};
 
 class CommMatrix {
  public:
@@ -117,12 +74,6 @@ class CommMatrix {
   /// round-trip tests lean on this the way the fast-path differentials lean
   /// on MachineStats::operator==.
   bool operator==(const CommMatrix&) const = default;
-
-  /// Folds per-worker shards into this matrix, in shard order. Every shard
-  /// must have the same size as the matrix. The result is independent of how
-  /// the adds were distributed over shards (unsigned sums commute), so a
-  /// sharded producer is bit-identical to a serial one.
-  void merge(const std::vector<CommMatrixShard>& shards);
 
   /// Multiplies every cell by `factor` (ageing for dynamic re-detection),
   /// rounding to nearest so repeated decay does not silently truncate

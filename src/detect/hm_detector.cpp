@@ -4,15 +4,25 @@
 #include <bit>
 #include <chrono>
 #include <stdexcept>
-#include <thread>
 
 #include "sim/scan.hpp"
 
 namespace tlbmap {
 
+void HmDetectorConfig::validate() const {
+  if (interval == 0) {
+    throw std::invalid_argument("HmDetector: interval must be >= 1");
+  }
+  if (search_cost >= interval) {
+    throw std::invalid_argument(
+        "HmDetector: search_cost must be below interval");
+  }
+}
+
 HmDetector::HmDetector(Machine& machine, int num_threads,
                        HmDetectorConfig config)
     : Detector(num_threads), machine_(&machine), config_(config) {
+  config_.validate();
   if (machine.config().fault.enabled()) {
     fault_.emplace(machine.config().fault, FaultInjector::kHmSalt);
   }
@@ -188,20 +198,6 @@ void HmDetector::sweep_naive() {
   if (match_counter_ != nullptr) match_counter_->add(matches);
 }
 
-template <typename Sink>
-void HmDetector::accumulate_groups(std::size_t begin, std::size_t end,
-                                   Sink& sink) const {
-  for (std::size_t g = begin; g < end; ++g) {
-    const std::size_t lo = group_offsets_[g];
-    const std::size_t hi = group_offsets_[g + 1];
-    for (std::size_t i = lo; i < hi; ++i) {
-      for (std::size_t j = i + 1; j < hi; ++j) {
-        sink.add(group_threads_[i], group_threads_[j]);
-      }
-    }
-  }
-}
-
 void HmDetector::sweep_indexed() {
   const Topology& topo = machine_->topology();
   const MemoryHierarchy& hier = machine_->hierarchy();
@@ -314,41 +310,16 @@ void HmDetector::sweep_indexed() {
     match_counter_->add(matches);
   }
 
-  // Accumulate pair counts: inline for one worker, else into per-worker
-  // shards merged in worker order. Unsigned sums commute, so any worker
-  // count yields the identical matrix.
-  int workers = config_.sweep_workers;
-  if (workers <= 0) {
-    workers = static_cast<int>(std::thread::hardware_concurrency());
+  // C(k, 2) pair counts per k-sharer group, straight into the matrix.
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    const std::size_t lo = group_offsets_[g];
+    const std::size_t hi = group_offsets_[g + 1];
+    for (std::size_t i = lo; i < hi; ++i) {
+      for (std::size_t j = i + 1; j < hi; ++j) {
+        matrix_.add(group_threads_[i], group_threads_[j]);
+      }
+    }
   }
-  workers = std::max(1, std::min(workers, static_cast<int>(num_groups)));
-  if (workers == 1) {
-    accumulate_groups(0, num_groups, matrix_);
-    return;
-  }
-  if (shards_.size() != static_cast<std::size_t>(workers) ||
-      shards_.front().size() != matrix_.size()) {
-    shards_.clear();
-    shards_.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) shards_.emplace_back(matrix_.size());
-  } else {
-    for (CommMatrixShard& shard : shards_) shard.clear();
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers) - 1);
-  for (int w = 1; w < workers; ++w) {
-    const std::size_t begin =
-        num_groups * static_cast<std::size_t>(w) / workers;
-    const std::size_t end =
-        num_groups * (static_cast<std::size_t>(w) + 1) / workers;
-    pool.emplace_back([this, w, begin, end] {
-      accumulate_groups(begin, end, shards_[static_cast<std::size_t>(w)]);
-    });
-  }
-  accumulate_groups(0, num_groups / static_cast<std::size_t>(workers),
-                    shards_.front());
-  for (std::thread& t : pool) t.join();
-  matrix_.merge(shards_);
 }
 
 }  // namespace tlbmap

@@ -13,10 +13,10 @@
 // Theta(P * S * w) and accumulates pair counts only for pages that are
 // actually shared, which produces a bit-identical matrix: a TLB holds a page
 // at most once, so the naive per-pair count is exactly the size of the two
-// TLBs' page-set intersection. The naive walk stays available behind
-// `naive_sweep` for A/B benchmarking, and `sweep_workers` fans the
-// accumulation out over per-worker CommMatrixShards with a deterministic
-// merge.
+// TLBs' page-set intersection. The indexed sweep adds every match straight
+// into the detector's matrix. The naive walk stays available behind
+// `naive_sweep` as the reference that differential tests and benches
+// compare against.
 #pragma once
 
 #include <cstdint>
@@ -43,10 +43,12 @@ struct HmDetectorConfig {
   /// page index. Both paths produce bit-identical matrices; this exists so
   /// benches can measure the speedup rather than assert it.
   bool naive_sweep = false;
-  /// Worker threads accumulating the indexed sweep's pair counts into
-  /// per-worker CommMatrixShards (merged deterministically afterwards).
-  /// <= 1 accumulates inline; more only pays off from ~32 occupied cores.
-  int sweep_workers = 1;
+
+  /// Throws std::invalid_argument when `interval` is 0 or a sweep costs at
+  /// least one interval: the machine would then stall for longer than it
+  /// runs between sweeps, and the detector would sweep on almost every
+  /// access.
+  void validate() const;
 };
 
 /// Serializable mid-run snapshot of an HmDetector (DESIGN.md Sec. 12): the
@@ -111,9 +113,6 @@ class HmDetector final : public Detector {
   Cycles on_tick_faulty(Cycles now);
   void sweep_naive();
   void sweep_indexed();
-  /// Adds C(k, 2) pair counts for the shared-page groups [begin, end).
-  template <typename Sink>
-  void accumulate_groups(std::size_t begin, std::size_t end, Sink& sink) const;
 
   Machine* machine_;
   HmDetectorConfig config_;
@@ -138,7 +137,6 @@ class HmDetector final : public Detector {
   std::vector<std::pair<PageNum, ThreadId>> page_entries_;
   std::vector<ThreadId> group_threads_;
   std::vector<std::size_t> group_offsets_;
-  std::vector<CommMatrixShard> shards_;
 
   // Observability sinks resolved once per context (null = off).
   obs::Counter* index_pages_counter_ = nullptr;

@@ -13,9 +13,6 @@ void StreamDetectorConfig::validate() const {
   if (sweep_every == 0) {
     throw std::invalid_argument("StreamDetector: sweep_every must be >= 1");
   }
-  if (sweep_shards < 1) {
-    throw std::invalid_argument("StreamDetector: sweep_shards must be >= 1");
-  }
 }
 
 StreamDetector::StreamDetector(int num_threads, StreamDetectorConfig config)
@@ -28,8 +25,6 @@ StreamDetector::StreamDetector(int num_threads, StreamDetectorConfig config)
   for (auto& w : windows_) {
     w.reserve(static_cast<std::size_t>(config_.window_pages));
   }
-  shards_.assign(static_cast<std::size_t>(config_.sweep_shards),
-                 CommMatrixShard(num_threads));
 }
 
 void StreamDetector::feed(ThreadId thread, PageNum page) {
@@ -62,8 +57,6 @@ void StreamDetector::sweep() {
   // size is exactly the sharer count (same argument as the HM sweep's
   // inverted index).
   std::sort(page_entries_.begin(), page_entries_.end());
-  for (auto& shard : shards_) shard.clear();
-  std::size_t group = 0;
   std::size_t begin = 0;
   while (begin < page_entries_.size()) {
     std::size_t end = begin + 1;
@@ -71,26 +64,19 @@ void StreamDetector::sweep() {
            page_entries_[end].first == page_entries_[begin].first) {
       ++end;
     }
-    if (end - begin >= 2) {
-      CommMatrixShard& shard = shards_[group % shards_.size()];
-      for (std::size_t i = begin; i < end; ++i) {
-        for (std::size_t j = i + 1; j < end; ++j) {
-          shard.add(page_entries_[i].second, page_entries_[j].second);
-        }
+    for (std::size_t i = begin; i < end; ++i) {
+      for (std::size_t j = i + 1; j < end; ++j) {
+        matrix_.add(page_entries_[i].second, page_entries_[j].second);
       }
-      ++group;
     }
     begin = end;
   }
-  matrix_.merge(shards_);
   ++sweeps_;
 }
 
 std::size_t StreamDetector::memory_bytes() const {
   const std::size_t n = static_cast<std::size_t>(matrix_.size());
-  const std::size_t tri = n * (n - 1) / 2;
   std::size_t bytes = n * n * sizeof(std::uint64_t);  // full matrix cells
-  bytes += shards_.size() * tri * sizeof(std::uint64_t);
   for (const auto& w : windows_) bytes += w.capacity() * sizeof(PageNum);
   bytes += page_entries_.capacity() * sizeof(page_entries_[0]);
   return bytes;

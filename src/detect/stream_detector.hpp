@@ -7,9 +7,7 @@
 // touched pages (its TLB stand-in), and every `sweep_every` fed accesses a
 // sweep intersects the windows exactly like HmDetector::sweep_indexed —
 // sort-grouped (page, thread) pairs, C(k, 2) pair counts for every page
-// resident in >= 2 windows, accumulated through CommMatrixShards and
-// folded with CommMatrix::merge so the result is deterministic for any
-// shard count.
+// resident in >= 2 windows, added straight into the matrix.
 //
 // Everything is bounded by construction: windows are fixed-size, the
 // matrix is O(threads^2), and scratch is reused across sweeps — the
@@ -33,13 +31,9 @@ struct StreamDetectorConfig {
   /// Fed access events between sweeps (the streaming analogue of the HM
   /// detector's cycle interval).
   std::uint64_t sweep_every = 4096;
-  /// CommMatrixShards the sweep accumulates into before the deterministic
-  /// merge; >1 exists for parity with the HM sweep's sharding, the result
-  /// is bit-identical for any value.
-  int sweep_shards = 1;
 
-  /// Throws std::invalid_argument on a non-positive window, cadence or
-  /// shard count (matching the config validate() style of the repo).
+  /// Throws std::invalid_argument on a non-positive window or cadence
+  /// (matching the config validate() style of the repo).
   void validate() const;
 };
 
@@ -75,8 +69,8 @@ class StreamDetector {
   std::uint64_t events() const { return events_; }
   std::uint64_t sweeps() const { return sweeps_; }
 
-  /// Deterministic estimate of resident bytes (matrix + windows + shards +
-  /// sweep scratch) for the service's per-tenant budget accounting.
+  /// Deterministic estimate of resident bytes (matrix + windows + sweep
+  /// scratch) for the service's per-tenant budget accounting.
   std::size_t memory_bytes() const;
 
   /// Copies out / restores matrix, cursors and windows.
@@ -94,7 +88,6 @@ class StreamDetector {
 
   // Sweep scratch, reused so steady-state sweeps allocate nothing.
   std::vector<std::pair<PageNum, ThreadId>> page_entries_;
-  std::vector<CommMatrixShard> shards_;
 };
 
 }  // namespace tlbmap

@@ -119,8 +119,9 @@ struct MachineConfig {
   /// paths produce bit-identical statistics — the simulated protocol *is* a
   /// broadcast either way, and the probe/invalidation message counts are
   /// accounted identically; the directory is purely an acceleration
-  /// structure (O(holders) instead of Theta(num_l2) per miss). Kept for A/B
-  /// benchmarking and differential testing, mirroring --hm-naive-sweep.
+  /// structure (O(holders) instead of Theta(num_l2) per miss). Kept as the
+  /// reference for differential tests and benches, mirroring
+  /// HmDetectorConfig::naive_sweep.
   bool coherence_broadcast = false;
 
   CacheConfig l1{/*size_bytes=*/32 * 1024, /*line_size=*/64, /*ways=*/4,

@@ -442,7 +442,7 @@ Expected<MachineStats> Machine::try_run(
                static_cast<double>(wall_us));
     }
     const CoherenceDomain& coherence = hierarchy_.coherence();
-    // 1 only in explicit broadcast mode (--coherence-broadcast): the probe
+    // 1 only in explicit broadcast mode (coherence_broadcast): the probe
     // traffic is still exact, but the engine pays Theta(num_l2) per miss.
     metrics->gauge("coherence.directory_disabled")
         .set(coherence.directory_enabled() ? 0.0 : 1.0);

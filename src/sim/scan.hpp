@@ -32,7 +32,8 @@ inline std::atomic<bool> g_simd_scan{true};
 }  // namespace detail
 
 /// Runtime toggle for the SoA scan kernels (default on). Scalar mode keeps
-/// the historical reference walks for A/B benchmarking and bisection.
+/// the historical reference walks that the differential tests compare
+/// against; no production path turns it off.
 inline bool simd_scan_enabled() {
   return detail::g_simd_scan.load(std::memory_order_relaxed);
 }

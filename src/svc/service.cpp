@@ -189,7 +189,6 @@ std::uint64_t service_config_hash(const ServiceConfig& config) {
   h = fnv1a(h, config.total_budget_bytes);
   h = fnv1a(h, static_cast<std::uint64_t>(config.detector.window_pages));
   h = fnv1a(h, config.detector.sweep_every);
-  h = fnv1a(h, static_cast<std::uint64_t>(config.detector.sweep_shards));
   h = fnv1a(h, static_cast<std::uint64_t>(config.cache.drift_threshold *
                                           1000000.0));
   h = fnv1a(h, static_cast<std::uint64_t>(config.retry.max_attempts));

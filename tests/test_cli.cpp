@@ -334,20 +334,19 @@ TEST(Cli, TopologyAndStrategyFlagsValidated) {
   }
 }
 
-TEST(Cli, ScalarScanFlagParsed) {
-  const CliOptions opt = parse({"evaluate", "--scalar-scan"});
-  ASSERT_TRUE(opt.ok()) << opt.error;
-  EXPECT_TRUE(opt.scalar_scan);
-  const CliOptions defaults = parse({"evaluate"});
-  EXPECT_FALSE(defaults.scalar_scan);
-}
-
 TEST(Cli, RemovedMachineWorkersFlagRejected) {
-  // A stale script asking for the removed epoch engine must get a usage
-  // error, not a quiet serial run.
+  // A stale script asking for the removed epoch engine, or for a reference
+  // walk that is now library-only, must get a usage error, not a quiet run
+  // on the default path.
   const CliOptions opt = parse({"evaluate", "--machine-workers", "4"});
   EXPECT_FALSE(opt.ok());
   EXPECT_NE(opt.error.find("--machine-workers"), std::string::npos);
+  for (const char* flag :
+       {"--hm-naive-sweep", "--coherence-broadcast", "--scalar-scan"}) {
+    const CliOptions stale = parse({"evaluate", flag});
+    EXPECT_FALSE(stale.ok()) << flag;
+    EXPECT_NE(stale.error.find(flag), std::string::npos) << stale.error;
+  }
 }
 
 TEST(CliRun, InconsistentTopologyOverrideFailsStructurally) {
@@ -426,19 +425,6 @@ TEST(CliRun, DetectMapEvaluateSmoke) {
   CliOptions eval = parse({"evaluate", "--app", "EP", "--iter-scale", "0.2",
                            "--reps", "1", "--mapping", "0,1,2,3,4,5,6,7"});
   EXPECT_EQ(run_cli(eval), 0);
-}
-
-TEST(CliRun, EvaluateRunsScalarAndSimdPaths) {
-  CliOptions scalar =
-      parse({"evaluate", "--app", "EP", "--iter-scale", "0.2", "--reps", "1",
-             "--mapping", "0,1,2,3,4,5,6,7", "--scalar-scan"});
-  ASSERT_TRUE(scalar.ok()) << scalar.error;
-  EXPECT_EQ(run_cli(scalar), 0);
-  // run_cli sets the process-wide scan mode from its options each call;
-  // re-run without the flag so later tests see the default SIMD path.
-  CliOptions simd = parse({"evaluate", "--app", "EP", "--iter-scale", "0.2",
-                           "--reps", "1", "--mapping", "0,1,2,3,4,5,6,7"});
-  EXPECT_EQ(run_cli(simd), 0);
 }
 
 TEST(CliRun, EvaluateRejectsBadMappingAtRuntime) {

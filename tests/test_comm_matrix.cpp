@@ -138,20 +138,6 @@ TEST(CommMatrix, CounterSaturatesAtMax) {
   EXPECT_LT(m.at(0, 1), CommMatrix::kCounterMax);
 }
 
-TEST(CommMatrix, ShardedAddSaturates) {
-  std::vector<CommMatrixShard> shards(1, CommMatrixShard(3));
-  shards[0].add(0, 1, CommMatrix::kCounterMax - 1);
-  shards[0].add(0, 1, 50);
-  CommMatrix m(3);
-  m.merge(shards);
-  EXPECT_EQ(m.at(0, 1), CommMatrix::kCounterMax);
-  // Merging a saturated shard into a nonzero matrix saturates again.
-  std::vector<CommMatrixShard> more(1, CommMatrixShard(3));
-  more[0].add(0, 1, 3);
-  m.merge(more);
-  EXPECT_EQ(m.at(0, 1), CommMatrix::kCounterMax);
-}
-
 TEST(CommMatrix, DecayRejectsNonFiniteFactor) {
   CommMatrix m(3);
   m.add(0, 1, 100);
@@ -206,91 +192,6 @@ TEST(CommMatrix, MaxTracksAllMutations) {
   other.add(1, 2, 20);
   m += other;
   EXPECT_EQ(m.max(), 21u);
-  std::vector<CommMatrixShard> shards;
-  shards.emplace_back(3);
-  shards.back().add(0, 2, 50);
-  m.merge(shards);
-  EXPECT_EQ(m.max(), 50u);
-  EXPECT_DOUBLE_EQ(m.normalized(0, 2), 1.0);
-}
-
-// ------------------------------------------------------------------ shards
-
-TEST(CommMatrixShard, AddAtAndClear) {
-  CommMatrixShard s(4);
-  s.add(1, 3, 5);
-  s.add(3, 1, 2);  // either order hits the same cell
-  s.add(2, 2, 9);  // self-communication ignored
-  EXPECT_EQ(s.at(1, 3), 7u);
-  EXPECT_EQ(s.at(3, 1), 7u);
-  EXPECT_EQ(s.at(2, 2), 0u);
-  EXPECT_EQ(s.total(), 7u);
-  s.clear();
-  EXPECT_EQ(s.total(), 0u);
-}
-
-TEST(CommMatrixShard, BoundsChecked) {
-  CommMatrixShard s(4);
-  EXPECT_THROW(s.add(0, 4), std::out_of_range);
-  EXPECT_THROW(s.at(-1, 2), std::out_of_range);
-  EXPECT_THROW(CommMatrixShard(0), std::invalid_argument);
-}
-
-TEST(CommMatrix, MergeFoldsShardsSymmetrically) {
-  CommMatrix m(4);
-  m.add(0, 1, 1);
-  std::vector<CommMatrixShard> shards;
-  shards.emplace_back(4);
-  shards.emplace_back(4);
-  shards[0].add(0, 1, 2);
-  shards[0].add(2, 3, 4);
-  shards[1].add(1, 0, 3);
-  m.merge(shards);
-  EXPECT_EQ(m.at(0, 1), 6u);
-  EXPECT_EQ(m.at(1, 0), 6u);
-  EXPECT_EQ(m.at(2, 3), 4u);
-  EXPECT_EQ(m.total(), 10u);
-  std::vector<CommMatrixShard> wrong;
-  wrong.emplace_back(5);
-  EXPECT_THROW(m.merge(wrong), std::invalid_argument);
-}
-
-TEST(CommMatrix, MergeIsIndependentOfShardDistribution) {
-  // The same adds dealt across 1, 2 or 5 shards in different orders must
-  // produce the identical matrix — this is what lets a sharded producer
-  // claim bit-identity with a serial one.
-  struct Add {
-    ThreadId a, b;
-    std::uint64_t amount;
-  };
-  const std::vector<Add> adds = {{0, 1, 3}, {2, 5, 7}, {1, 0, 2}, {4, 5, 1},
-                                 {3, 2, 9}, {0, 5, 4}, {1, 2, 6}, {5, 2, 8}};
-  auto merged_with = [&](int num_shards, bool reverse) {
-    CommMatrix m(6);
-    std::vector<CommMatrixShard> shards;
-    for (int s = 0; s < num_shards; ++s) shards.emplace_back(6);
-    for (std::size_t i = 0; i < adds.size(); ++i) {
-      const Add& add = reverse ? adds[adds.size() - 1 - i] : adds[i];
-      shards[i % static_cast<std::size_t>(num_shards)].add(add.a, add.b,
-                                                           add.amount);
-    }
-    m.merge(shards);
-    return m;
-  };
-  const CommMatrix reference = merged_with(1, false);
-  for (const int num_shards : {2, 5}) {
-    for (const bool reverse : {false, true}) {
-      const CommMatrix other = merged_with(num_shards, reverse);
-      for (ThreadId a = 0; a < 6; ++a) {
-        for (ThreadId b = 0; b < 6; ++b) {
-          ASSERT_EQ(other.at(a, b), reference.at(a, b))
-              << num_shards << " shards, reverse=" << reverse << ", cell "
-              << a << "," << b;
-        }
-      }
-      EXPECT_EQ(other.max(), reference.max());
-    }
-  }
 }
 
 TEST(CommMatrix, PairsByWeightOrdered) {
@@ -384,7 +285,7 @@ TEST(CommMatrix, SizeMismatchThrows) {
 // total() sums ~N^2/2 of them — at 256 threads, 32640 near-max cells would
 // wrap a naive u64 sum ~16k times and could land anywhere, including on a
 // tiny value that misreports a white-hot matrix as idle. total() must
-// saturate instead, in both the merged matrix and the per-thread shards.
+// saturate instead.
 TEST(CommMatrix, TotalSaturatesAtManycoreScale) {
   const int n = 256;
   CommMatrix m(n);
@@ -395,14 +296,6 @@ TEST(CommMatrix, TotalSaturatesAtManycoreScale) {
   }
   EXPECT_EQ(m.total(), CommMatrix::kCounterMax);
   EXPECT_EQ(m.max(), CommMatrix::kCounterMax - 3);
-
-  CommMatrixShard shard(n);
-  for (int a = 0; a < n; ++a) {
-    for (int b = a + 1; b < n; ++b) {
-      shard.add(a, b, CommMatrix::kCounterMax - 3);
-    }
-  }
-  EXPECT_EQ(shard.total(), CommMatrix::kCounterMax);
 }
 
 // Below the saturation point the sum stays exact — saturation is a ceiling,

@@ -2,6 +2,7 @@
 // (sampled miss search), hardware-managed TLB (periodic all-pairs sweep)
 // and the full-trace oracle.
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -216,6 +217,20 @@ TEST(HmDetector, Name) {
   EXPECT_EQ(hm.config().interval, 10'000'000u);  // paper default
 }
 
+TEST(HmDetector, ValidateRejectsSweepStorm) {
+  Machine m(MachineConfig::tiny());
+  // A zero interval, or a sweep costing a whole interval or more, would
+  // stall the machine on almost every access.
+  EXPECT_THROW(HmDetector(m, 2, HmDetectorConfig{/*interval=*/0, /*cost=*/0}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      HmDetector(m, 2, HmDetectorConfig{/*interval=*/100, /*cost=*/100}),
+      std::invalid_argument);
+  EXPECT_NO_THROW(
+      HmDetector(m, 2, HmDetectorConfig{/*interval=*/100, /*cost=*/99}));
+  EXPECT_NO_THROW(HmDetectorConfig{}.validate());  // the paper's 10M / 84,297
+}
+
 TEST(HmDetector, SweepCadenceDoesNotDrift) {
   Machine m(MachineConfig::tiny());
   HmDetector hm(m, 2, HmDetectorConfig{/*interval=*/100, /*cost=*/7});
@@ -269,7 +284,10 @@ TEST(HmDetector, IndexedSweepMatchesNaiveBitForBit) {
     naive_cfg.naive_sweep = true;
     HmDetector naive(m, threads, naive_cfg);
     HmDetector indexed(m, threads, HmDetectorConfig{});
+    // Two sweeps each: the second adds onto a non-empty matrix.
     naive.sweep();
+    naive.sweep();
+    indexed.sweep();
     indexed.sweep();
     ASSERT_GT(naive.matrix().total(), 0u) << "P=" << threads;
     for (ThreadId a = 0; a < threads; ++a) {
@@ -280,30 +298,6 @@ TEST(HmDetector, IndexedSweepMatchesNaiveBitForBit) {
     }
     EXPECT_EQ(indexed.matrix().max(), naive.matrix().max()) << "P=" << threads;
   }
-}
-
-TEST(HmDetector, ShardedSweepMatchesSerial) {
-  const int threads = 36;
-  Machine m(config_for_cores(threads));
-  prime_ring(m, threads);
-  HmDetector serial(m, threads, HmDetectorConfig{});
-  HmDetectorConfig sharded_cfg;
-  sharded_cfg.sweep_workers = 3;
-  HmDetector sharded(m, threads, sharded_cfg);
-  // Two sweeps each: the second exercises shard reuse (clear between
-  // epochs) and accumulation on top of a non-empty matrix.
-  serial.sweep();
-  serial.sweep();
-  sharded.sweep();
-  sharded.sweep();
-  ASSERT_GT(serial.matrix().total(), 0u);
-  for (ThreadId a = 0; a < threads; ++a) {
-    for (ThreadId b = 0; b < threads; ++b) {
-      ASSERT_EQ(sharded.matrix().at(a, b), serial.matrix().at(a, b))
-          << "cell " << a << "," << b;
-    }
-  }
-  EXPECT_EQ(sharded.matrix().max(), serial.matrix().max());
 }
 
 TEST(HmDetector, PublishesIndexMetrics) {

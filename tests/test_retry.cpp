@@ -122,6 +122,7 @@ TEST(RetryPolicy, HmSweepPolicyMatchesLegacySchedule) {
   Machine m(MachineConfig::tiny());
   HmDetectorConfig config;
   config.interval = 80000;
+  config.search_cost = 0;
   HmDetector detector(m, /*num_threads=*/2, config);
   const RetryPolicy policy = detector.sweep_retry_policy();
   EXPECT_EQ(policy.max_attempts, 4);
@@ -135,6 +136,7 @@ TEST(RetryPolicy, HmSweepPolicyMatchesLegacySchedule) {
   // Tiny intervals clamp the base up to one cycle rather than zero.
   HmDetectorConfig small;
   small.interval = 4;
+  small.search_cost = 0;
   HmDetector tight(m, /*num_threads=*/2, small);
   EXPECT_GE(tight.sweep_retry_policy().delay(1), 1u);
 }

@@ -42,9 +42,6 @@ TEST(StreamDetector, ValidateRejectsBadShapes) {
   bad = {};
   bad.sweep_every = 0;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = {};
-  bad.sweep_shards = 0;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
 }
 
 // A fixed synthetic stream: threads 0/1 share pages 0..7, threads 2/3
@@ -67,30 +64,16 @@ TEST(StreamDetector, SweepFindsSharedWindows) {
   StreamDetector detector(4, config);
   feed_paired_pattern(detector, 8);
   detector.sweep();
-  EXPECT_GT(detector.matrix().at(0, 1), 0u);
-  EXPECT_GT(detector.matrix().at(2, 3), 0u);
-  EXPECT_EQ(detector.matrix().at(0, 2), 0u);
-  EXPECT_EQ(detector.matrix().at(1, 3), 0u);
-  EXPECT_GT(detector.sweeps(), 0u);
+  // Four cadence sweeps (events 64..256) plus the forced one, each seeing
+  // the pair's 8 shared pages.
+  EXPECT_EQ(detector.sweeps(), 5u);
   EXPECT_EQ(detector.events(), 8u * 8u * 4u);
-}
-
-TEST(StreamDetector, ShardCountNeverChangesTheMatrix) {
-  CommMatrix reference{1};
-  for (int shards : {1, 2, 4, 7}) {
-    StreamDetectorConfig config;
-    config.window_pages = 16;
-    config.sweep_every = 64;
-    config.sweep_shards = shards;
-    StreamDetector detector(4, config);
-    feed_paired_pattern(detector, 8);
-    detector.sweep();
-    if (shards == 1) {
-      reference = detector.matrix();
-    } else {
-      EXPECT_EQ(detector.matrix(), reference) << "shards=" << shards;
-    }
+  for (const auto& [a, b] : {std::pair{0, 1}, std::pair{2, 3}}) {
+    EXPECT_EQ(detector.matrix().at(a, b), 40u) << a << "," << b;
+    EXPECT_EQ(detector.matrix().at(b, a), 40u) << b << "," << a;
   }
+  EXPECT_EQ(detector.matrix().total(), 80u);  // nothing crosses the pairs
+  EXPECT_EQ(detector.matrix().max(), 40u);
 }
 
 TEST(StreamDetector, StateRestoreResumesBitIdentically) {
