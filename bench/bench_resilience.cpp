@@ -120,8 +120,9 @@ void BM_DynamicDegradedDecisions(benchmark::State& state) {
 }
 BENCHMARK(BM_DynamicDegradedDecisions);
 
-/// Comm-matrix health check alone: O(n^2) invariant scan, priced so the
-/// per-decision cost of the online gate is visible in isolation.
+/// Comm-matrix health check alone: a scan of the allocated tiles (every
+/// pair is set here, so O(n^2)), priced so the per-decision cost of the
+/// online gate is visible in isolation.
 void BM_MatrixHealthCheck(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   CommMatrix m(n);

@@ -19,9 +19,15 @@
 // every pair nonzero (dense=1, where it scans all pairs) and a banded
 // matrix with ~10 partners per thread (dense=0, where it lists only the
 // pairs that can gain).
+//
+// BM_CommMatrixAdd times one CommMatrix::add, the detectors' per-match
+// cost, in detector order (random=0: one thread against every other in
+// turn, as the SM and oracle detectors add) and on uniformly random pairs
+// (random=1).
 #include <cstdio>
 #include <memory>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -202,6 +208,41 @@ BENCHMARK(BM_Multisection)
     ->Args({4096, 0})
     ->ArgNames({"N", "dense"})
     ->Unit(benchmark::kMillisecond);
+
+void BM_CommMatrixAdd(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const bool random = state.range(1) != 0;
+  std::vector<std::pair<ThreadId, ThreadId>> pairs;
+  if (random) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(n));
+    pairs.resize(std::size_t{1} << 16);
+    for (auto& [a, b] : pairs) {
+      a = static_cast<ThreadId>(rng() % static_cast<unsigned>(n));
+      b = static_cast<ThreadId>(rng() % static_cast<unsigned>(n));
+    }
+  } else {
+    for (ThreadId a = 0; a < n; ++a) {
+      for (ThreadId b = 0; b < n; ++b) {
+        if (b != a) pairs.emplace_back(a, b);
+      }
+    }
+  }
+  CommMatrix comm(n);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    comm.add(pairs[i].first, pairs[i].second);
+    benchmark::ClobberMemory();
+    if (++i == pairs.size()) i = 0;
+  }
+  benchmark::DoNotOptimize(comm.max());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CommMatrixAdd)
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Args({256, 0})
+    ->Args({256, 1})
+    ->ArgNames({"N", "random"});
 
 void print_table1() {
   using tlbmap::TextTable;

@@ -324,7 +324,7 @@ std::vector<CoreId> OnlineMapper::on_barrier(int barrier_index, Cycles now,
     obs_->metrics.snapshot_matrix(
         "comm_matrix.online",
         static_cast<std::uint64_t>(remap_decisions_),
-        detector_.matrix().rows());
+        detector_.matrix().upper_rows());
   }
   // Age the matrix so the next decision window reflects fresh behaviour.
   detector_.decay_matrix(config_.decay);

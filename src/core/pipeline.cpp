@@ -134,7 +134,8 @@ DetectionResult Pipeline::detect(const Workload& workload,
       // End-of-detection heatmap snapshot, tagged with the search count so
       // kFull's periodic snapshots and this final one share an epoch axis.
       metrics->snapshot_matrix("comm_matrix." + result.mechanism,
-                               result.searches, result.matrix.rows());
+                               result.searches,
+                               result.matrix.upper_rows());
     }
     record_phase("detect", span.elapsed_us(), result.stats.accesses);
   }
@@ -222,7 +223,7 @@ Pipeline::DynamicRunResult Pipeline::evaluate_dynamic(
     publish_stats(*metrics, result.stats, {{"phase", "dynamic"}});
     metrics->snapshot_matrix("comm_matrix.online",
                              static_cast<std::uint64_t>(result.remap_decisions),
-                             online.matrix().rows());
+                             online.matrix().upper_rows());
   }
   record_phase("dynamic", span.elapsed_us(), result.stats.accesses);
   return result;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -26,44 +27,110 @@ CommMatrix::CommMatrix(int num_threads) : n_(num_threads) {
   if (num_threads <= 0) {
     throw std::invalid_argument("CommMatrix: non-positive thread count");
   }
-  cells_.resize(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_),
-                0);
+  side_ = tiles_per_side(num_threads);
+  // Every slot, the zero tile included, must fit the 32-bit index.
+  if (side_ * (side_ + 1) / 2 >= std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("CommMatrix: thread count too large");
+  }
+  tile_of_.assign(side_ * side_, 0);
+  tiles_.assign(kTileCells, 0);
+}
+
+std::size_t CommMatrix::worst_case_bytes(int num_threads) {
+  const std::size_t side = tiles_per_side(std::max(num_threads, 0));
+  const std::size_t slots = side * (side + 1) / 2 + 1;
+  return side * side * sizeof(std::uint32_t) +
+         slots * kTileCells * sizeof(std::uint64_t);
+}
+
+std::size_t CommMatrix::memory_bytes() const {
+  return tile_of_.capacity() * sizeof(std::uint32_t) +
+         tiles_.capacity() * sizeof(std::uint64_t);
+}
+
+std::uint32_t CommMatrix::allocate_tile(std::size_t pos) {
+  // Grow geometrically but never past every tile allocated, so
+  // memory_bytes() stays within worst_case_bytes().
+  const std::size_t limit = (side_ * (side_ + 1) / 2 + 1) * kTileCells;
+  if (tiles_.size() == tiles_.capacity()) {
+    tiles_.reserve(std::min(2 * tiles_.capacity(), limit));
+  }
+  const auto slot = static_cast<std::uint32_t>(tiles_.size() / kTileCells);
+  tiles_.resize(tiles_.size() + kTileCells, 0);
+  tile_of_[pos] = slot;
+  return slot;
+}
+
+[[gnu::noinline]] void CommMatrix::add_to_new_tile(std::size_t pos,
+                                                   std::size_t cell,
+                                                   std::uint64_t amount) {
+  if (amount == 0) return;  // a zero add leaves the tile unallocated
+  const std::uint32_t slot = allocate_tile(pos);
+  tiles_[static_cast<std::size_t>(slot) * kTileCells + cell] = amount;
+  max_ = std::max(max_, amount);
 }
 
 void CommMatrix::add(ThreadId a, ThreadId b, std::uint64_t amount) {
-  if (a == b) return;
-  if (a < 0 || b < 0 || a >= n_ || b >= n_) {
+  ThreadId lo, hi;
+  order(a, b, lo, hi);
+  if (lo == hi) return;
+  if (lo < 0 || hi >= n_) {
     throw std::out_of_range("CommMatrix::add: thread id out of range");
   }
-  const std::uint64_t next = sat_add(cells_[index(a, b)], amount);
-  cells_[index(a, b)] = next;
-  cells_[index(b, a)] = next;
-  max_ = std::max(max_, next);
+  const std::size_t pos = tile_pos(lo, hi);
+  const std::uint32_t slot = tile_of_[pos];
+  if (slot == 0) [[unlikely]] {
+    return add_to_new_tile(pos, cell_pos(lo, hi), amount);
+  }
+  std::uint64_t& cell =
+      tiles_[static_cast<std::size_t>(slot) * kTileCells + cell_pos(lo, hi)];
+  cell = sat_add(cell, amount);
+  max_ = std::max(max_, cell);
 }
 
 std::uint64_t CommMatrix::at(ThreadId a, ThreadId b) const {
-  if (a < 0 || b < 0 || a >= n_ || b >= n_) {
+  ThreadId lo, hi;
+  order(a, b, lo, hi);
+  if (lo < 0 || hi >= n_) {
     throw std::out_of_range("CommMatrix::at: thread id out of range");
   }
-  return cells_[index(a, b)];
+  return tile(tile_of_[tile_pos(lo, hi)])[cell_pos(lo, hi)];
 }
 
-std::span<const std::uint64_t> CommMatrix::row(ThreadId a) const {
-  if (a < 0 || a >= n_) {
-    throw std::out_of_range("CommMatrix::row: thread id out of range");
-  }
-  return {cells_.data() + index(a, 0), static_cast<std::size_t>(n_)};
+UpperRows CommMatrix::upper_rows() const {
+  UpperRows v;
+  v.n = n_;
+  v.begin.assign(static_cast<std::size_t>(n_) + 1, 0);
+  for_each_nonzero([&](ThreadId a, ThreadId b, std::uint64_t count) {
+    ++v.begin[static_cast<std::size_t>(a) + 1];
+    v.col.push_back(b);
+    v.count.push_back(count);
+  });
+  std::partial_sum(v.begin.begin(), v.begin.end(), v.begin.begin());
+  return v;
+}
+
+std::vector<std::uint64_t> CommMatrix::packed_upper() const {
+  const std::size_t un = static_cast<std::size_t>(n_);
+  std::vector<std::uint64_t> tri(un * (un - 1) / 2, 0);
+  for_each_nonzero([&](ThreadId a, ThreadId b, std::uint64_t count) {
+    // Rows a' < a hold n - 1 - a' pairs each; (a, b) is b - a - 1 into row a.
+    const auto ua = static_cast<std::size_t>(a);
+    tri[ua * (2 * un - ua - 1) / 2 + static_cast<std::size_t>(b - a - 1)] =
+        count;
+  });
+  return tri;
 }
 
 std::uint64_t CommMatrix::total() const {
   // Saturating like every cell mutator: at N >= 256 threads a busy suite
   // holds n*(n-1)/2 > 32k cells, and a plain sum of hot cells can wrap —
-  // inverting "enormous total" into "tiny total" for health checks.
+  // inverting "enormous total" into "tiny total" for health checks. A
+  // saturating sum of non-negative terms is order-free, so the tiles are
+  // summed in slot order.
   std::uint64_t sum = 0;
-  for (ThreadId a = 0; a < n_; ++a) {
-    for (ThreadId b = a + 1; b < n_; ++b) {
-      sum = sat_add(sum, cells_[index(a, b)]);
-    }
+  for (std::size_t i = kTileCells; i < tiles_.size(); ++i) {
+    sum = sat_add(sum, tiles_[i]);
   }
   return sum;
 }
@@ -73,30 +140,39 @@ double CommMatrix::normalized(ThreadId a, ThreadId b) const {
   return static_cast<double>(at(a, b)) / static_cast<double>(max_);
 }
 
-std::vector<std::vector<std::uint64_t>> CommMatrix::rows() const {
-  std::vector<std::vector<std::uint64_t>> out(
-      static_cast<std::size_t>(n_),
-      std::vector<std::uint64_t>(static_cast<std::size_t>(n_), 0));
-  for (ThreadId a = 0; a < n_; ++a) {
-    for (ThreadId b = 0; b < n_; ++b) {
-      out[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] =
-          cells_[index(a, b)];
-    }
-  }
-  return out;
-}
-
 CommMatrix& CommMatrix::operator+=(const CommMatrix& other) {
   if (other.n_ != n_) {
     throw std::invalid_argument("CommMatrix::operator+=: size mismatch");
   }
-  std::uint64_t m = 0;
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    cells_[i] = sat_add(cells_[i], other.cells_[i]);
-    m = std::max(m, cells_[i]);
+  for (std::size_t pos = 0; pos < tile_of_.size(); ++pos) {
+    const std::uint32_t from = other.tile_of_[pos];
+    if (from == 0) continue;
+    const std::uint64_t* src = other.tile(from);
+    if (std::all_of(src, src + kTileCells,
+                    [](std::uint64_t c) { return c == 0; })) {
+      continue;
+    }
+    std::uint32_t slot = tile_of_[pos];
+    if (slot == 0) slot = allocate_tile(pos);
+    std::uint64_t* dst =
+        tiles_.data() + static_cast<std::size_t>(slot) * kTileCells;
+    for (std::size_t c = 0; c < kTileCells; ++c) {
+      dst[c] = sat_add(dst[c], src[c]);
+      max_ = std::max(max_, dst[c]);
+    }
   }
-  max_ = m;
   return *this;
+}
+
+bool CommMatrix::operator==(const CommMatrix& other) const {
+  if (n_ != other.n_) return false;
+  for (std::size_t pos = 0; pos < tile_of_.size(); ++pos) {
+    const std::uint64_t* x = tile(tile_of_[pos]);
+    if (!std::equal(x, x + kTileCells, other.tile(other.tile_of_[pos]))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void CommMatrix::decay(double factor) {
@@ -105,7 +181,9 @@ void CommMatrix::decay(double factor) {
   // the conservative ageing for a corrupted parameter.
   if (!std::isfinite(factor) || factor < 0.0) factor = 0.0;
   std::uint64_t m = 0;
-  for (std::uint64_t& c : cells_) {
+  // Zero cells stay zero, so only allocated tiles need visiting.
+  for (std::size_t i = kTileCells; i < tiles_.size(); ++i) {
+    std::uint64_t& c = tiles_[i];
     // Round to nearest, ties toward zero: ceil(x - 0.5). Plain truncation
     // biases every cell down by ~0.5 per epoch and erases small-but-real
     // edges; ties rounding *up* would make odd cells immortal at the
@@ -130,16 +208,19 @@ const char* CommMatrix::Health::describe() const {
 
 CommMatrix::Health CommMatrix::health() const {
   Health h;
+  const std::size_t un = static_cast<std::size_t>(n_);
+  const std::size_t pairs = un * (un - 1) / 2;
+  std::size_t nonzero = 0;
   std::uint64_t lo = kCounterMax;
   std::uint64_t hi = 0;
-  std::size_t pairs = 0;
-  for (ThreadId a = 0; a < n_; ++a) {
-    for (ThreadId b = a + 1; b < n_; ++b, ++pairs) {
-      const std::uint64_t c = cells_[index(a, b)];
-      lo = std::min(lo, c);
-      hi = std::max(hi, c);
-    }
+  for (std::size_t i = kTileCells; i < tiles_.size(); ++i) {
+    const std::uint64_t c = tiles_[i];
+    if (c == 0) continue;
+    ++nonzero;
+    lo = std::min(lo, c);
+    hi = std::max(hi, c);
   }
+  if (nonzero < pairs) lo = 0;  // some pair was never touched
   h.empty = pairs == 0 || hi == 0;
   h.uniform = !h.empty && pairs > 1 && lo == hi;
   h.saturated = hi == kCounterMax;
@@ -150,29 +231,21 @@ void CommMatrix::apply_faults(FaultInjector& injector) {
   const std::size_t un = static_cast<std::size_t>(n_);
   const std::size_t npairs = un * (un - 1) / 2;
   if (npairs == 0) return;
-  // Work on the packed upper triangle, then mirror back so symmetry and
-  // the cached max() survive arbitrary corruption.
-  std::vector<std::uint64_t> tri;
-  tri.reserve(npairs);
-  for (ThreadId a = 0; a < n_; ++a) {
-    for (ThreadId b = a + 1; b < n_; ++b) tri.push_back(cells_[index(a, b)]);
-  }
+  // Work on the packed upper triangle, then rebuild so the tiles follow
+  // wherever the faults moved the nonzeros and max() is recomputed.
+  std::vector<std::uint64_t> tri = packed_upper();
   for (std::size_t i = 0; i < npairs; ++i) {
     if (injector.flip_cell()) {
       std::swap(tri[i], tri[injector.draw_index(npairs)]);
     }
     if (injector.zero_cell()) tri[i] = 0;
   }
+  CommMatrix rebuilt(n_);
   std::size_t i = 0;
-  std::uint64_t m = 0;
   for (ThreadId a = 0; a < n_; ++a) {
-    for (ThreadId b = a + 1; b < n_; ++b, ++i) {
-      cells_[index(a, b)] = tri[i];
-      cells_[index(b, a)] = tri[i];
-      m = std::max(m, tri[i]);
-    }
+    for (ThreadId b = a + 1; b < n_; ++b, ++i) rebuilt.add(a, b, tri[i]);
   }
-  max_ = m;
+  *this = std::move(rebuilt);
 }
 
 std::vector<std::pair<ThreadId, ThreadId>> CommMatrix::pairs_by_weight()
@@ -214,31 +287,24 @@ std::string CommMatrix::heatmap() const {
   return out.str();
 }
 
-std::vector<double> CommMatrix::upper_triangle() const {
-  std::vector<double> v;
-  v.reserve(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_ - 1) /
-            2);
-  for (ThreadId a = 0; a < n_; ++a) {
-    for (ThreadId b = a + 1; b < n_; ++b) {
-      v.push_back(static_cast<double>(at(a, b)));
-    }
-  }
-  return v;
-}
-
 double CommMatrix::cosine_similarity(const CommMatrix& a,
                                      const CommMatrix& b) {
   if (a.n_ != b.n_) {
     throw std::invalid_argument("cosine_similarity: size mismatch");
   }
-  const std::vector<double> va = a.upper_triangle();
-  const std::vector<double> vb = b.upper_triangle();
+  // Each sum runs over its nonzero terms in ascending (row, column) order:
+  // a skipped zero term adds +0.0, so the result is the dense
+  // upper-triangle sum bit for bit.
   double dot = 0.0, na = 0.0, nb = 0.0;
-  for (std::size_t i = 0; i < va.size(); ++i) {
-    dot += va[i] * vb[i];
-    na += va[i] * va[i];
-    nb += vb[i] * vb[i];
-  }
+  a.for_each_nonzero([&](ThreadId r, ThreadId c, std::uint64_t count) {
+    const double x = static_cast<double>(count);
+    dot += x * static_cast<double>(b.at(r, c));
+    na += x * x;
+  });
+  b.for_each_nonzero([&](ThreadId, ThreadId, std::uint64_t count) {
+    const double y = static_cast<double>(count);
+    nb += y * y;
+  });
   if (na == 0.0 || nb == 0.0) return 0.0;
   return dot / (std::sqrt(na) * std::sqrt(nb));
 }
@@ -295,7 +361,12 @@ double CommMatrix::rank_correlation(const CommMatrix& a,
   if (a.n_ != b.n_) {
     throw std::invalid_argument("rank_correlation: size mismatch");
   }
-  return pearson(ranks_of(a.upper_triangle()), ranks_of(b.upper_triangle()));
+  // Every pair ranks, zeros included (they tie), so this one stays dense.
+  const auto as_doubles = [](const std::vector<std::uint64_t>& v) {
+    return std::vector<double>(v.begin(), v.end());
+  };
+  return pearson(ranks_of(as_doubles(a.packed_upper())),
+                 ranks_of(as_doubles(b.packed_upper())));
 }
 
 }  // namespace tlbmap

@@ -3,17 +3,26 @@
 // mapping algorithms. Cell (i, j) counts detected sharing events between
 // threads i and j; the matrix is symmetric with a zero diagonal.
 //
+// Storage follows the signal, not n^2: the upper triangle is cut into 8x8
+// tiles of counters, a ceil(n/8)^2 index points to them, and a tile is
+// allocated on its first nonzero. Detected matrices at manycore scale hold a
+// handful of partners per thread, so a 4096-thread band touches ~1k tiles
+// instead of 16M cells. add() and at() stay O(1) with one extra load;
+// readers that want every nonzero take the sorted for_each_nonzero() view.
+//
 // Also provides the presentation and accuracy tooling used by the benches:
 // ASCII heatmaps (Figures 4/5) and similarity metrics against a ground-truth
 // matrix (our quantitative extension of the paper's visual comparison).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "detect/upper_rows.hpp"
 #include "sim/types.hpp"
 
 namespace tlbmap {
@@ -46,6 +55,14 @@ class CommMatrix {
 
   int size() const { return n_; }
 
+  /// Bytes a matrix of `num_threads` holds with every tile allocated: an
+  /// upper bound on memory_bytes() whatever is added, for pessimistic
+  /// admission accounting.
+  static std::size_t worst_case_bytes(int num_threads);
+
+  /// Bytes held now: the tile index plus the allocated tiles.
+  std::size_t memory_bytes() const;
+
   /// Records `amount` units of communication between two distinct threads.
   /// Self-communication is meaningless and ignored. Saturates at
   /// kCounterMax (never wraps).
@@ -53,9 +70,15 @@ class CommMatrix {
 
   std::uint64_t at(ThreadId a, ThreadId b) const;
 
-  /// Row `a` (cell (a, b) at index b): one bounds check per row instead of
-  /// one per cell, for callers that scan the whole matrix.
-  std::span<const std::uint64_t> row(ThreadId a) const;
+  /// The matrix's sorted view: calls f(a, b, count) for every nonzero cell
+  /// with a < b, in ascending (a, b) order. O(nonzeros + (n/8)^2) and
+  /// allocation-light: the way to read a sparse matrix whole.
+  template <typename F>
+  void for_each_nonzero(F&& f) const;
+
+  /// for_each_nonzero's cells stored as compressed upper rows: the snapshot
+  /// format of the observability layer, and random access to rows.
+  UpperRows upper_rows() const;
 
   /// Sum over the upper triangle (each pair counted once).
   std::uint64_t total() const;
@@ -70,10 +93,10 @@ class CommMatrix {
 
   CommMatrix& operator+=(const CommMatrix& other);
 
-  /// Cell-exact equality (same size, same counts). The checkpoint layer's
-  /// round-trip tests lean on this the way the fast-path differentials lean
-  /// on MachineStats::operator==.
-  bool operator==(const CommMatrix&) const = default;
+  /// Cell-exact equality (same size, same counts), whatever order the tiles
+  /// were allocated in. The checkpoint layer's round-trip tests lean on this
+  /// the way the fast-path differentials lean on MachineStats::operator==.
+  bool operator==(const CommMatrix& other) const;
 
   /// Multiplies every cell by `factor` (ageing for dynamic re-detection),
   /// rounding to nearest so repeated decay does not silently truncate
@@ -82,7 +105,7 @@ class CommMatrix {
   void decay(double factor);
 
   /// Evaluates the structural invariants (empty / uniform / saturated).
-  /// O(n^2); called once per mapping decision, not per add.
+  /// O(allocated tiles); called once per mapping decision, not per add.
   Health health() const;
 
   /// Applies the injector's matrix faults to the upper triangle: each cell
@@ -93,10 +116,6 @@ class CommMatrix {
 
   /// All pairs (a < b) ordered by decreasing communication.
   std::vector<std::pair<ThreadId, ThreadId>> pairs_by_weight() const;
-
-  /// Full (symmetric) matrix as rows of counts — the observability layer's
-  /// snapshot format for heatmap dumps.
-  std::vector<std::vector<std::uint64_t>> rows() const;
 
   /// ASCII heatmap in the style of the paper's Figures 4 and 5: darker
   /// glyphs mean more communication.
@@ -111,15 +130,89 @@ class CommMatrix {
   static double rank_correlation(const CommMatrix& a, const CommMatrix& b);
 
  private:
-  std::size_t index(ThreadId a, ThreadId b) const {
-    return static_cast<std::size_t>(a) * static_cast<std::size_t>(n_) +
-           static_cast<std::size_t>(b);
+  static constexpr int kTileShift = 3;
+  static constexpr int kTileMask = (1 << kTileShift) - 1;
+  static constexpr std::size_t kTileCells = std::size_t{1} << (2 * kTileShift);
+
+  /// Tiles per side of the index: ceil(n / 8).
+  static std::size_t tiles_per_side(int num_threads) {
+    return (static_cast<std::size_t>(num_threads) + kTileMask) >> kTileShift;
   }
-  std::vector<double> upper_triangle() const;
+  /// Index entry of the tile holding cell (lo, hi), 0 <= lo <= hi.
+  std::size_t tile_pos(ThreadId lo, ThreadId hi) const {
+    return static_cast<std::size_t>(static_cast<unsigned>(lo) >> kTileShift) *
+               side_ +
+           (static_cast<unsigned>(hi) >> kTileShift);
+  }
+  /// Offset of cell (lo, hi) inside its tile.
+  static std::size_t cell_pos(ThreadId lo, ThreadId hi) {
+    return static_cast<std::size_t>(lo & kTileMask) << kTileShift |
+           static_cast<std::size_t>(hi & kTileMask);
+  }
+  const std::uint64_t* tile(std::uint32_t slot) const {
+    return tiles_.data() + static_cast<std::size_t>(slot) * kTileCells;
+  }
+  /// Orders a pair: lo = min(a, b), hi = max(a, b). Both picks hang on one
+  /// comparison, which compilers turn into conditional moves, not a branch
+  /// that random-order adds would mispredict.
+  static void order(ThreadId a, ThreadId b, ThreadId& lo, ThreadId& hi) {
+    const bool swap = a > b;
+    lo = swap ? b : a;
+    hi = swap ? a : b;
+  }
+  /// Allocates a zeroed tile for index entry `pos`.
+  std::uint32_t allocate_tile(std::size_t pos);
+  /// add() into a tile not allocated yet, out of line so add()'s hot path
+  /// stays a load, an add and a store.
+  void add_to_new_tile(std::size_t pos, std::size_t cell,
+                       std::uint64_t amount);
+  /// The upper triangle packed row by row: (a, b) for b > a, ascending.
+  std::vector<std::uint64_t> packed_upper() const;
 
   int n_;
-  std::vector<std::uint64_t> cells_;
-  std::uint64_t max_ = 0;  ///< invariant: max over cells_
+  std::size_t side_;  ///< tiles per side of the index
+  /// Slot of the tile at each (row tile, column tile), or 0 while none is
+  /// allocated. Slot 0 is a tile of zeros, so a read never branches; only
+  /// entries with row tile <= column tile are ever set.
+  std::vector<std::uint32_t> tile_of_;
+  /// kTileCells counters per slot, cell (lo, hi) at
+  /// slot * kTileCells + cell_pos(lo, hi). Only cells with lo < hi < n are
+  /// ever nonzero: the lower half of diagonal tiles and columns past n
+  /// stay 0, so readers may sum or compare whole tiles.
+  std::vector<std::uint64_t> tiles_;
+  std::uint64_t max_ = 0;  ///< invariant: max over tiles_
 };
+
+template <typename F>
+void CommMatrix::for_each_nonzero(F&& f) const {
+  // (first column, cells) of each allocated tile in the current tile row.
+  std::vector<std::pair<ThreadId, const std::uint64_t*>> row_tiles;
+  for (std::size_t ti = 0; ti < side_; ++ti) {
+    row_tiles.clear();
+    for (std::size_t tj = ti; tj < side_; ++tj) {
+      const std::uint32_t slot = tile_of_[ti * side_ + tj];
+      if (slot != 0) {
+        row_tiles.emplace_back(static_cast<ThreadId>(tj << kTileShift),
+                               tile(slot));
+      }
+    }
+    if (row_tiles.empty()) continue;
+    const auto first = static_cast<ThreadId>(ti << kTileShift);
+    const ThreadId last = std::min(n_, first + kTileMask + 1);
+    for (ThreadId a = first; a < last; ++a) {
+      const std::size_t offset = static_cast<std::size_t>(a & kTileMask)
+                                 << kTileShift;
+      for (const auto& [column, cells] : row_tiles) {
+        // In the diagonal tile only the cells right of a can be nonzero.
+        for (ThreadId c = column == first ? (a & kTileMask) + 1 : 0;
+             c <= kTileMask; ++c) {
+          const std::uint64_t count =
+              cells[offset + static_cast<std::size_t>(c)];
+          if (count != 0) f(a, column + c, count);
+        }
+      }
+    }
+  }
+}
 
 }  // namespace tlbmap

@@ -73,7 +73,7 @@ class Detector : public MachineObserver {
                                   args.str());
       if (searches_ % kMatrixSnapshotEvery == 0) {
         obs_->metrics.snapshot_matrix("comm_matrix." + name(), searches_,
-                                      matrix_.rows());
+                                      matrix_.upper_rows());
       }
     }
   }

@@ -75,8 +75,9 @@ void StreamDetector::sweep() {
 }
 
 std::size_t StreamDetector::memory_bytes() const {
-  const std::size_t n = static_cast<std::size_t>(matrix_.size());
-  std::size_t bytes = n * n * sizeof(std::uint64_t);  // full matrix cells
+  // Every tile, not the tiles allocated so far: admission charges this
+  // before the first event, so it must bound what the matrix can grow to.
+  std::size_t bytes = CommMatrix::worst_case_bytes(matrix_.size());
   for (const auto& w : windows_) bytes += w.capacity() * sizeof(PageNum);
   bytes += page_entries_.capacity() * sizeof(page_entries_[0]);
   return bytes;

@@ -10,9 +10,9 @@
 // resident in >= 2 windows, added straight into the matrix.
 //
 // Everything is bounded by construction: windows are fixed-size, the
-// matrix is O(threads^2), and scratch is reused across sweeps — the
-// service's per-tenant memory accounting leans on memory_bytes() being an
-// honest, deterministic estimate.
+// matrix never exceeds CommMatrix::worst_case_bytes(threads), and scratch
+// is reused across sweeps — the service's per-tenant memory accounting
+// leans on memory_bytes() being an honest, deterministic upper bound.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +70,9 @@ class StreamDetector {
   std::uint64_t sweeps() const { return sweeps_; }
 
   /// Deterministic estimate of resident bytes (matrix + windows + sweep
-  /// scratch) for the service's per-tenant budget accounting.
+  /// scratch) for the service's per-tenant budget accounting. The matrix
+  /// is charged at CommMatrix::worst_case_bytes, so the estimate is an
+  /// upper bound however the matrix fills.
   std::size_t memory_bytes() const;
 
   /// Copies out / restores matrix, cursors and windows.

@@ -63,8 +63,8 @@ Expected<MappingDecision> DecisionCache::decide(
 }
 
 std::size_t DecisionCache::memory_bytes() const {
-  const std::size_t n = static_cast<std::size_t>(matched_.size());
-  return n * n * sizeof(std::uint64_t) + mapping_.capacity() * sizeof(CoreId);
+  return CommMatrix::worst_case_bytes(matched_.size()) +
+         mapping_.capacity() * sizeof(CoreId);
 }
 
 DecisionCacheState DecisionCache::state() const {

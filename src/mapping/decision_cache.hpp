@@ -86,8 +86,9 @@ class DecisionCache {
   std::uint64_t rematches() const { return rematches_; }
   std::uint64_t degraded_serves() const { return degraded_serves_; }
 
-  /// Deterministic estimate of resident bytes (the retained matrix copy
-  /// dominates) for the service's budget accounting.
+  /// Deterministic estimate of resident bytes (the retained matrix copy,
+  /// charged at CommMatrix::worst_case_bytes, dominates) for the service's
+  /// budget accounting.
   std::size_t memory_bytes() const;
 
   DecisionCacheState state() const;

@@ -54,16 +54,14 @@ Mapping round_robin_mapping(const Topology& topology, int num_threads) {
 
 double mapping_cost(const CommMatrix& comm, const Mapping& mapping,
                     const Topology& topology) {
+  // Ascending (a, b) over the nonzero cells: a zero cell adds +0.0, so the
+  // sum matches the all-pairs sum bit for bit.
   double cost = 0.0;
-  const int n = comm.size();
-  for (ThreadId a = 0; a < n; ++a) {
-    for (ThreadId b = a + 1; b < n; ++b) {
-      const int dist =
-          topology.distance(mapping[static_cast<std::size_t>(a)],
-                            mapping[static_cast<std::size_t>(b)]);
-      cost += static_cast<double>(comm.at(a, b)) * static_cast<double>(dist);
-    }
-  }
+  comm.for_each_nonzero([&](ThreadId a, ThreadId b, std::uint64_t count) {
+    const int dist = topology.distance(mapping[static_cast<std::size_t>(a)],
+                                       mapping[static_cast<std::size_t>(b)]);
+    cost += static_cast<double>(count) * static_cast<double>(dist);
+  });
   return cost;
 }
 

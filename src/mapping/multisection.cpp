@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
-#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -21,10 +20,16 @@ constexpr int kRefineRounds = 8;
 /// dense matrices at 256-4096 threads).
 constexpr std::int64_t kListedCost = 4;
 
+/// Host cost of one CommMatrix::at lookup while reading a block's cells, in
+/// units of one neighbour-list entry filtered.
+constexpr std::size_t kLookupCost = 4;
+
 /// Nonzero communication partners of items 0..n-1 in compressed-row form:
-/// row i lists i's partners in ascending id with their clamped weights.
+/// row i lists i's partners in ascending id with their clamped weights,
+/// those below i first and, from above(i) on, those above it.
 struct Neighbours {
   std::vector<std::size_t> begin;  ///< row i is [begin[i], begin[i + 1])
+  std::vector<std::size_t> upper;  ///< above(i) for each row
   std::vector<int> id;
   std::vector<std::int64_t> weight;
 
@@ -34,47 +39,94 @@ struct Neighbours {
   std::size_t row_end(int i) const {
     return begin[static_cast<std::size_t>(i) + 1];
   }
+  std::size_t above(int i) const { return upper[static_cast<std::size_t>(i)]; }
   std::int64_t degree(int i) const {
     return static_cast<std::int64_t>(row_end(i) - row_begin(i));
   }
 };
 
-/// The nonzero cells among `items` (item i is thread items[i]), from two
-/// scans of that block's upper triangle: one counts, one fills.
-Neighbours neighbours_of(const CommMatrix& comm, const WeightClamp& clamp,
-                         const std::vector<ThreadId>& items) {
-  const std::size_t n = items.size();
+/// Neighbour lists of n items from their cells: visit(f) calls f(a, b, w)
+/// for every cell a < b with clamped weight w, in ascending (a, b) order.
+/// It runs twice, once to count and once to fill. Row x receives its
+/// partners below x (with their cells) before those above it (with its
+/// own), each ascending: rows come out sorted.
+template <typename Visit>
+Neighbours build_neighbours(std::size_t n, const Visit& visit) {
   Neighbours g;
   g.begin.assign(n + 1, 0);
-  for (std::size_t a = 0; a < n; ++a) {
-    const auto row = comm.row(items[a]);
-    std::size_t above = 0;
-    for (std::size_t b = a + 1; b < n; ++b) {
-      if (row[static_cast<std::size_t>(items[b])] == 0) continue;
-      ++above;
-      ++g.begin[b + 1];
+  g.upper.assign(n, 0);  // partners above each item, until the fill below
+  std::size_t row = 0;
+  std::size_t above = 0;  // row's cells so far, kept out of memory
+  visit([&](std::size_t a, std::size_t b, std::int64_t) {
+    if (a != row) {
+      g.upper[row] = above;
+      row = a;
+      above = 0;
     }
-    g.begin[a + 1] += above;
-  }
+    ++above;
+    ++g.begin[b + 1];
+  });
+  if (n != 0) g.upper[row] = above;
+  for (std::size_t a = 0; a < n; ++a) g.begin[a + 1] += g.upper[a];
   std::partial_sum(g.begin.begin(), g.begin.end(), g.begin.begin());
+  for (std::size_t a = 0; a < n; ++a) g.upper[a] = g.begin[a + 1] - g.upper[a];
   g.id.resize(g.begin.back());
   g.weight.resize(g.begin.back());
-  // Row x receives its partners below x (while scanning their rows) before
-  // those above it (while scanning its own), each ascending: rows come out
-  // sorted.
   std::vector<std::size_t> next(g.begin.begin(), g.begin.end() - 1);
-  for (std::size_t a = 0; a < n; ++a) {
-    const auto row = comm.row(items[a]);
-    for (std::size_t b = a + 1; b < n; ++b) {
-      const std::uint64_t c = row[static_cast<std::size_t>(items[b])];
-      if (c == 0) continue;
-      const std::int64_t w = clamp(c);
-      g.id[next[a]] = static_cast<int>(b);
-      g.weight[next[a]++] = w;
-      g.id[next[b]] = static_cast<int>(a);
-      g.weight[next[b]++] = w;
-    }
+  visit([&](std::size_t a, std::size_t b, std::int64_t w) {
+    g.id[next[a]] = static_cast<int>(b);
+    g.weight[next[a]++] = w;
+    g.id[next[b]] = static_cast<int>(a);
+    g.weight[next[b]++] = w;
+  });
+  return g;
+}
+
+/// Every thread's partners, from the matrix's sorted view in
+/// O(nonzeros + (n/8)^2).
+Neighbours all_neighbours(const CommMatrix& comm, const WeightClamp& clamp) {
+  return build_neighbours(
+      static_cast<std::size_t>(comm.size()), [&](const auto& f) {
+        comm.for_each_nonzero([&](ThreadId a, ThreadId b, std::uint64_t c) {
+          f(static_cast<std::size_t>(a), static_cast<std::size_t>(b),
+            clamp(c));
+        });
+      });
+}
+
+/// The partners among `items` (item i is thread items[i], ids ascending),
+/// from every thread's lists `all` in at most O(the items' degrees),
+/// whatever the matrix size. `local` maps every thread to -1 on entry and
+/// on return. In between it maps the items to their index, which follows
+/// thread ids, and item a's partners above it are filtered through it; or,
+/// when they far outnumber the items left above a (a dense row against a
+/// small block), each of those items is looked up in the matrix instead.
+Neighbours neighbours_within(const CommMatrix& comm, const WeightClamp& clamp,
+                             const Neighbours& all,
+                             const std::vector<ThreadId>& items,
+                             std::vector<int>& local) {
+  const std::size_t n = items.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    local[static_cast<std::size_t>(items[i])] = static_cast<int>(i);
   }
+  Neighbours g = build_neighbours(n, [&](const auto& f) {
+    for (std::size_t a = 0; a < n; ++a) {
+      const std::size_t first = all.above(items[a]);
+      const std::size_t last = all.row_end(items[a]);
+      if (kLookupCost * (n - a - 1) < last - first) {
+        for (std::size_t b = a + 1; b < n; ++b) {
+          const std::uint64_t count = comm.at(items[a], items[b]);
+          if (count != 0) f(a, b, clamp(count));
+        }
+      } else {
+        for (std::size_t e = first; e < last; ++e) {
+          const int b = local[static_cast<std::size_t>(all.id[e])];
+          if (b >= 0) f(a, static_cast<std::size_t>(b), all.weight[e]);
+        }
+      }
+    }
+  });
+  for (const ThreadId t : items) local[static_cast<std::size_t>(t)] = -1;
   return g;
 }
 
@@ -85,13 +137,9 @@ Neighbours neighbours_of(const CommMatrix& comm, const WeightClamp& clamp,
 /// one a dense scan in ascending order would make.
 class Partitioner {
  public:
-  Partitioner(const CommMatrix& comm, const WeightClamp& clamp,
-              const std::vector<ThreadId>& items, int parts, int capacity)
-      : comm_(comm),
-        clamp_(clamp),
-        items_(items),
-        g_(neighbours_of(comm, clamp, items)),
-        n_(static_cast<int>(items.size())),
+  Partitioner(const Neighbours& g, int parts, int capacity)
+      : g_(g),
+        n_(static_cast<int>(g_.begin.size()) - 1),
         k_(parts),
         capacity_(capacity),
         rem_(static_cast<std::size_t>(parts), capacity),
@@ -104,8 +152,6 @@ class Partitioner {
         part_degree_(static_cast<std::size_t>(parts), 0),
         seen_(static_cast<std::size_t>(n_), 0),
         part_seen_(static_cast<std::size_t>(parts), 0) {}
-
-  const Neighbours& neighbours() const { return g_; }
 
   /// Part of every item, after seeding and local search.
   std::vector<int> run() {
@@ -131,13 +177,18 @@ class Partitioner {
            static_cast<std::size_t>(p) * static_cast<std::size_t>(capacity_);
   }
   int part_size(int p) { return capacity_ - rem(p); }
-  /// Row of item i in the matrix, for weight(row(i), j) = w(i, j).
-  std::span<const std::uint64_t> row(int i) const {
-    return comm_.row(items_[static_cast<std::size_t>(i)]);
+  /// Moves cursor_ along i's row past the partners at or below `after`.
+  /// The swap sweep asks for ascending j only, so the cursor walks each
+  /// row once per sweep.
+  void skip_partners_to(int i, int after) {
+    const std::size_t end = g_.row_end(i);
+    while (cursor_ < end && g_.id[cursor_] <= after) ++cursor_;
   }
-  std::int64_t weight(std::span<const std::uint64_t> row, int j) const {
-    return clamp_(row[static_cast<std::size_t>(
-        items_[static_cast<std::size_t>(j)])]);
+  /// w(i, j) for j not below the cursor's partner, advancing the cursor.
+  std::int64_t weight(int i, int j) {
+    const std::size_t end = g_.row_end(i);
+    while (cursor_ < end && g_.id[cursor_] < j) ++cursor_;
+    return cursor_ < end && g_.id[cursor_] == j ? g_.weight[cursor_] : 0;
   }
 
   /// Greedy seed: heaviest communicators placed first, each into the part
@@ -190,6 +241,7 @@ class Partitioner {
   bool swap_pass() {
     bool improved = false;
     for (int i = 0; i < n_; ++i) {
+      cursor_ = g_.above(i);
       for (int j = next_swap(i, i); j >= 0; j = next_swap(i, j)) {
         swap_items(i, j);
         improved = true;
@@ -218,15 +270,27 @@ class Partitioner {
 
   int first_scanned_swap(int i, int after) {
     const int pi = part(i);
-    const auto wi = row(i);
+    // The cursor walks i's row in step with j, passing each partner as j
+    // reaches it.
+    skip_partners_to(i, after);
+    const std::size_t end = g_.row_end(i);
+    std::size_t cursor = cursor_;
+    int found = -1;
     for (int j = after + 1; j < n_; ++j) {
+      const bool partner = cursor < end && g_.id[cursor] == j;
+      const std::int64_t w = partner ? g_.weight[cursor] : 0;
+      cursor += partner;
       const int pj = part(j);
       if (pj == pi) continue;
-      const std::int64_t gain = (aff(i, pj) - aff(i, pi)) +
-                                (aff(j, pi) - aff(j, pj)) - 2 * weight(wi, j);
-      if (gain > 0) return j;
+      const std::int64_t gain =
+          (aff(i, pj) - aff(i, pi)) + (aff(j, pi) - aff(j, pj)) - 2 * w;
+      if (gain > 0) {
+        found = j;
+        break;
+      }
     }
-    return -1;
+    cursor_ = cursor;
+    return found;
   }
 
   int first_listed_swap(int i, int after) {
@@ -262,11 +326,11 @@ class Partitioner {
       }
     }
     std::sort(candidates_.begin(), candidates_.end());
-    const auto wi = row(i);
+    skip_partners_to(i, after);
     for (const int j : candidates_) {
       const int pj = part(j);
       const std::int64_t delta = (aff(i, pj) - own) + (aff(j, pi) - aff(j, pj));
-      if (delta > 0 && delta - 2 * weight(wi, j) > 0) return j;
+      if (delta > 0 && delta - 2 * weight(i, j) > 0) return j;
     }
     return -1;
   }
@@ -328,10 +392,7 @@ class Partitioner {
     }
   }
 
-  const CommMatrix& comm_;
-  const WeightClamp& clamp_;
-  const std::vector<ThreadId>& items_;
-  Neighbours g_;
+  const Neighbours& g_;
   int n_;
   int k_;
   int capacity_;
@@ -341,6 +402,9 @@ class Partitioner {
   std::vector<int> slot_;     ///< position of each item in its part's slots
   std::vector<int> members_;  ///< capacity slots per part, filled first
   std::vector<std::int64_t> part_degree_;  ///< sum of members' degrees
+  /// Position in the swap sweep's current row i: every partner of i at or
+  /// below the last j tried lies before it.
+  std::size_t cursor_ = 0;
   // Scratch for first_listed_swap: an item or part is marked when its
   // stamp equals stamp_.
   std::uint64_t stamp_ = 0;
@@ -431,13 +495,12 @@ Mapping MultisectionMapper::map(const CommMatrix& comm) const {
   if (num_threads == 0) return mapping;
 
   const WeightClamp clamp(num_threads, topology_->max_socket_hops());
-  std::vector<ThreadId> all(static_cast<std::size_t>(num_threads));
-  std::iota(all.begin(), all.end(), 0);
+  const Neighbours all = all_neighbours(comm, clamp);
 
   // Top level: threads -> socket groups, then groups -> mesh positions.
-  Partitioner top(comm, clamp, all, topology_->num_sockets(),
-                  topology_->cores_per_socket());
-  const std::vector<int> group_of = top.run();
+  const std::vector<int> group_of =
+      Partitioner(all, topology_->num_sockets(), topology_->cores_per_socket())
+          .run();
   std::vector<std::vector<ThreadId>> socket_groups(
       static_cast<std::size_t>(topology_->num_sockets()));
   for (ThreadId t = 0; t < num_threads; ++t) {  // ascending: members sorted
@@ -445,15 +508,18 @@ Mapping MultisectionMapper::map(const CommMatrix& comm) const {
     socket_groups[static_cast<std::size_t>(g)].push_back(t);
   }
   const auto socket_of_group =
-      place_groups(top.neighbours(), group_of, socket_groups, *topology_);
+      place_groups(all, group_of, socket_groups, *topology_);
 
+  std::vector<int> local(static_cast<std::size_t>(num_threads), -1);
   for (std::size_t g = 0; g < socket_groups.size(); ++g) {
     const auto& members = socket_groups[g];
     if (members.empty()) continue;
     const int socket = socket_of_group[g];
     // Middle level: this socket's threads -> L2 groups.
+    const Neighbours within =
+        neighbours_within(comm, clamp, all, members, local);
     const std::vector<int> l2_of =
-        Partitioner(comm, clamp, members, topology_->l2s_per_socket(),
+        Partitioner(within, topology_->l2s_per_socket(),
                     topology_->cores_per_l2())
             .run();
     // Leaf level: members of one L2 group onto its cores, in ascending

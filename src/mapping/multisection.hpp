@@ -12,19 +12,20 @@
 //
 // Detected matrices are sparse at manycore scale (a handful of partners
 // per thread), so the mapper works on per-thread neighbour lists, never on
-// an N x N copy. One call reads the matrix for its nonzeros (O(N^2): two
-// passes over the upper triangle), then, per local-search round, does work
-// proportional to the nonzeros times the part capacity: the swap search
-// evaluates only the pairs that can gain (one of the two has a partner in
-// the other's part) and falls back to a plain ascending scan where a
-// thread's neighbourhood is so dense that listing those pairs would cost
-// more. A banded
-// 4096-thread matrix maps in ~0.11 s (BM_Multisection, 4-CPU host,
-// RelWithDebInfo); the dense reference partitioner in test_hierarchical,
-// which visits every pair over an N x N copy, takes ~3.6 s for the same
-// mapping. At N >= 128 it beats Edmonds wall-clock while staying within a
-// few percent of its mapping_cost; test_hierarchical pins both claims and
-// compares every mapping with the reference.
+// an N x N copy. One call reads the matrix's sorted nonzeros once
+// (CommMatrix::for_each_nonzero, O(nonzeros + (N/8)^2)) into every
+// thread's lists and filters each block's lists from those, then, per
+// local-search round, does work proportional to the nonzeros times the
+// part capacity: the swap search evaluates only the pairs that can gain
+// (one of the two has a partner in the other's part) and falls back to a
+// plain ascending scan where a thread's neighbourhood is so dense that
+// listing those pairs would cost more. A banded 4096-thread matrix maps in
+// ~67 ms (BM_Multisection median, 4-CPU host, RelWithDebInfo); the dense
+// reference partitioner in test_hierarchical, which visits every pair over
+// an N x N copy, takes ~3.6 s for the same mapping. At N >= 128 it beats
+// Edmonds wall-clock while staying within a few percent of its
+// mapping_cost; test_hierarchical pins both claims and compares every
+// mapping with the reference.
 //
 // On socket-mesh machines (Topology::socket_mesh_cols > 0) the socket
 // groups are additionally placed onto the mesh greedily, heaviest-talking

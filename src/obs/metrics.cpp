@@ -149,11 +149,10 @@ Histogram& MetricsRegistry::wallclock_histogram(const std::string& name,
   return h;
 }
 
-void MetricsRegistry::snapshot_matrix(
-    std::string name, std::uint64_t epoch,
-    std::vector<std::vector<std::uint64_t>> rows) {
+void MetricsRegistry::snapshot_matrix(std::string name, std::uint64_t epoch,
+                                      UpperRows matrix) {
   std::lock_guard<std::mutex> lock(mu_);
-  matrices_.push_back({std::move(name), epoch, std::move(rows)});
+  matrices_.push_back({std::move(name), epoch, std::move(matrix)});
 }
 
 std::vector<MatrixSnapshot> MetricsRegistry::matrix_snapshots() const {
@@ -241,6 +240,30 @@ void write_header(std::ostream& out, const char* type,
   out << '}';
 }
 
+/// The full symmetric matrix as comma-separated "[...]" rows. Row r's cells
+/// left of the diagonal are the (c, r) cells of the rows above it; each of
+/// those rows is consumed in ascending r, so one cursor per row finds them
+/// without a transpose.
+void write_dense_rows(std::ostream& out, const UpperRows& m) {
+  std::vector<std::size_t> below(m.begin.begin(), m.begin.end() - 1);
+  for (int r = 0; r < m.n; ++r) {
+    if (r != 0) out << ',';
+    out << '[';
+    for (int c = 0; c < r; ++c) {
+      std::size_t& e = below[static_cast<std::size_t>(c)];
+      const bool hit = e < m.row_end(c) && m.col[e] == r;
+      out << (hit ? m.count[e++] : 0) << ',';
+    }
+    out << 0;  // the diagonal
+    std::size_t e = m.row_begin(r);
+    for (int c = r + 1; c < m.n; ++c) {
+      const bool hit = e < m.row_end(r) && m.col[e] == c;
+      out << ',' << (hit ? m.count[e++] : 0);
+    }
+    out << ']';
+  }
+}
+
 }  // namespace
 
 void MetricsRegistry::export_jsonl(std::ostream& out) const {
@@ -266,15 +289,7 @@ void MetricsRegistry::export_jsonl(std::ostream& out) const {
   for (const MatrixSnapshot& m : matrices_) {
     out << "{\"type\":\"matrix\",\"name\":\"" << json_escape(m.name)
         << "\",\"epoch\":" << m.epoch << ",\"rows\":[";
-    for (std::size_t r = 0; r < m.rows.size(); ++r) {
-      if (r != 0) out << ',';
-      out << '[';
-      for (std::size_t c = 0; c < m.rows[r].size(); ++c) {
-        if (c != 0) out << ',';
-        out << m.rows[r][c];
-      }
-      out << ']';
-    }
+    write_dense_rows(out, m.matrix);
     out << "]}\n";
   }
   series_.export_jsonl(out);

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "detect/upper_rows.hpp"
 #include "obs/timeseries.hpp"
 
 namespace tlbmap::obs {
@@ -85,13 +86,14 @@ class Histogram {
   std::array<std::uint64_t, kBuckets> buckets_{};
 };
 
-/// One captured communication matrix (or any square count matrix), tagged
-/// with the epoch that produced it (detector sweep index, remap decision,
-/// end-of-run, ...).
+/// One captured communication matrix (or any symmetric count matrix with a
+/// zero diagonal), tagged with the epoch that produced it (detector sweep
+/// index, remap decision, end-of-run, ...). Held as compressed upper rows;
+/// the JSONL export expands it to dense rows.
 struct MatrixSnapshot {
   std::string name;
   std::uint64_t epoch = 0;
-  std::vector<std::vector<std::uint64_t>> rows;
+  UpperRows matrix;
 };
 
 class MetricsRegistry {
@@ -111,7 +113,7 @@ class MetricsRegistry {
                                  const Labels& labels = {});
 
   void snapshot_matrix(std::string name, std::uint64_t epoch,
-                       std::vector<std::vector<std::uint64_t>> rows);
+                       UpperRows matrix);
   std::vector<MatrixSnapshot> matrix_snapshots() const;
 
   /// Reads a previously registered counter's value; 0 if absent (lets tests

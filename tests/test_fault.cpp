@@ -121,7 +121,7 @@ TEST(FaultDifferential, ZeroRatePlanIsBitIdentical) {
     const DetectionResult db = b.detect(*workload, mechanism, /*seed=*/3);
     EXPECT_TRUE(da.stats == db.stats);
     EXPECT_EQ(da.searches, db.searches);
-    EXPECT_EQ(da.matrix.rows(), db.matrix.rows());
+    EXPECT_EQ(da.matrix, db.matrix);
     const Mapping ma = a.map(da.matrix);
     const Mapping mb = b.map(db.matrix);
     EXPECT_EQ(ma, mb);
@@ -142,7 +142,7 @@ TEST(FaultDifferential, FaultsOnIsDeterministicPerSeed) {
     const DetectionResult da = a.detect(*workload, mechanism, 3);
     const DetectionResult db = b.detect(*workload, mechanism, 3);
     EXPECT_TRUE(da.stats == db.stats);
-    EXPECT_EQ(da.matrix.rows(), db.matrix.rows());
+    EXPECT_EQ(da.matrix, db.matrix);
     EXPECT_EQ(a.map(da.matrix), b.map(db.matrix));
   }
 
@@ -155,7 +155,7 @@ TEST(FaultDifferential, FaultsOnIsDeterministicPerSeed) {
   scale_detectors(c);
   const auto ra = a.detect(*workload, Pipeline::Mechanism::kSoftwareManaged, 3);
   const auto rc = c.detect(*workload, Pipeline::Mechanism::kSoftwareManaged, 3);
-  EXPECT_NE(ra.matrix.rows(), rc.matrix.rows());
+  EXPECT_NE(ra.matrix, rc.matrix);
 }
 
 TEST(FaultDifferential, AggressiveFaultsNeverThrow) {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "detect/comm_matrix.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/selfprof.hpp"
@@ -198,19 +199,26 @@ TEST(Metrics, HistogramStats) {
 
 TEST(Metrics, MatrixSnapshots) {
   MetricsRegistry registry;
-  registry.snapshot_matrix("comm", 3, {{0, 2}, {2, 0}});
+  CommMatrix comm(2);
+  comm.add(0, 1, 2);
+  registry.snapshot_matrix("comm", 3, comm.upper_rows());
   const auto snaps = registry.matrix_snapshots();
   ASSERT_EQ(snaps.size(), 1u);
   EXPECT_EQ(snaps[0].name, "comm");
   EXPECT_EQ(snaps[0].epoch, 3u);
-  EXPECT_EQ(snaps[0].rows[0][1], 2u);
+  EXPECT_EQ(snaps[0].matrix.n, 2);
+  ASSERT_EQ(snaps[0].matrix.nonzeros(), 1u);
+  EXPECT_EQ(snaps[0].matrix.col[0], 1);
+  EXPECT_EQ(snaps[0].matrix.count[0], 2u);
 }
 
 TEST(Metrics, JsonlExportGolden) {
   MetricsRegistry registry;
   registry.counter("hits", {{"phase", "detect"}}).add(7);
   registry.gauge("speed").set(2.0);
-  registry.snapshot_matrix("comm", 1, {{0, 1}, {1, 0}});
+  CommMatrix comm(2);
+  comm.add(0, 1);
+  registry.snapshot_matrix("comm", 1, comm.upper_rows());
   std::ostringstream out;
   registry.export_jsonl(out);
   const std::string expected =
@@ -219,6 +227,34 @@ TEST(Metrics, JsonlExportGolden) {
       "{\"type\":\"gauge\",\"name\":\"speed\",\"labels\":{},\"value\":2}\n"
       "{\"type\":\"matrix\",\"name\":\"comm\",\"epoch\":1,"
       "\"rows\":[[0,1],[1,0]]}\n";
+  EXPECT_EQ(out.str(), expected);
+}
+
+// The export expands the sorted snapshot to dense symmetric rows, byte for
+// byte what a dense n x n dump printed, across tile edges and empty rows.
+TEST(Metrics, JsonlMatrixRowsMatchDenseCells) {
+  const int n = 11;
+  CommMatrix comm(n);
+  comm.add(0, 10, 7);
+  comm.add(9, 2, 3);
+  comm.add(3, 4, 1);
+  comm.add(7, 8, 12345678901234ull);
+  comm.add(8, 0, 2);
+  MetricsRegistry registry;
+  registry.snapshot_matrix("m", 5, comm.upper_rows());
+  std::ostringstream out;
+  registry.export_jsonl(out);
+  std::string expected = "{\"type\":\"matrix\",\"name\":\"m\",\"epoch\":5,"
+                         "\"rows\":[";
+  for (int r = 0; r < n; ++r) {
+    expected += r == 0 ? "[" : ",[";
+    for (int c = 0; c < n; ++c) {
+      if (c != 0) expected += ',';
+      expected += std::to_string(comm.at(r, c));
+    }
+    expected += ']';
+  }
+  expected += "]}\n";
   EXPECT_EQ(out.str(), expected);
 }
 

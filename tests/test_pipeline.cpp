@@ -184,8 +184,8 @@ TEST(PipelineObs, PhasesLevelRecordsSpansMetricsAndSnapshot) {
   const auto snaps = ctx.metrics.matrix_snapshots();
   ASSERT_FALSE(snaps.empty());
   EXPECT_EQ(snaps[0].name, "comm_matrix.SM");
-  EXPECT_EQ(snaps[0].rows.size(),
-            static_cast<std::size_t>(det.matrix.size()));
+  EXPECT_EQ(snaps[0].matrix.n, det.matrix.size());
+  EXPECT_EQ(snaps[0].matrix.nonzeros(), det.matrix.upper_rows().nonzeros());
 }
 
 TEST(PipelineObs, OffLevelRecordsNothing) {
