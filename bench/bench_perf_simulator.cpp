@@ -87,7 +87,7 @@ BENCHMARK(BM_SimulatorWithSmDetector)->Arg(8)
 
 // End-to-end cost of the HM mechanism inside the simulation, with the
 // sweep interval cranked down so sweeps dominate. naive=1 is the
-// paper-literal pairwise walk, naive=0 the inverted-index fast path — the
+// paper-literal pairwise walk, naive=0 the sorted page grouping — the
 // accesses/s ratio at 32 threads is the sweep speedup as the simulator
 // actually experiences it.
 void BM_SimulatorWithHmDetector(benchmark::State& state) {

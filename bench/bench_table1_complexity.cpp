@@ -9,9 +9,9 @@
 // should be visible in the timings.
 //
 // BM_HmDetectorSweep additionally A/Bs the production HmDetector: the
-// paper-literal pairwise walk (naive=1) against the inverted-page-index
-// sweep (naive=0), which is Theta(P * S * w) to build plus Theta(matches)
-// to accumulate. Both produce bit-identical matrices (asserted in
+// paper-literal pairwise walk (naive=1) against the sorted page grouping
+// (naive=0), which is Theta(P * S * w log(P * S * w)) to gather and sort
+// plus Theta(matches) to accumulate. Both produce bit-identical matrices (asserted in
 // tests/test_detectors.cpp); the ratio here is the speedup.
 //
 // BM_Multisection times the mapping step that consumes the matrix at
@@ -125,7 +125,7 @@ BENCHMARK(BM_HmSweep)
     ->ArgNames({"P", "S"});  // linear in S
 
 // Production HmDetector::sweep on a primed machine: naive pairwise walk vs
-// inverted page index, same TLB contents, same resulting matrix.
+// sorted page grouping, same TLB contents, same resulting matrix.
 void BM_HmDetectorSweep(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const bool naive = state.range(1) != 0;
@@ -160,7 +160,7 @@ void BM_HmDetectorSweep(benchmark::State& state) {
   state.SetComplexityN(threads);
 }
 BENCHMARK(BM_HmDetectorSweep)
-    ->ArgsProduct({{8, 32, 64}, {0, 1}})
+    ->ArgsProduct({{8, 32, 64, 128}, {0, 1}})
     ->ArgNames({"P", "naive"});
 
 // dense=1: every pair nonzero, N threads on MachineConfig::manycore().

@@ -83,7 +83,7 @@ std::string cli_usage() {
       "  --mesh-cols N        arrange the sockets as an N-column 2D mesh\n"
       "                       (cross-socket cost grows with Manhattan\n"
       "                       hops; default 0 = fully connected)\n"
-      "  --mapping-strategy S auto | edmonds | greedy | multisection\n"
+      "  --mapping-strategy S auto | edmonds | multisection\n"
       "                       (default auto: Edmonds below 128 threads,\n"
       "                       multisection at manycore scale)\n"
       "  --apps A,B,...       suite: restrict the application set\n"

@@ -43,7 +43,7 @@ struct CliOptions {
   int cores_per_l2 = 0;      ///< --cores-per-l2
   /// --mesh-cols: socket-mesh columns (0 = fully connected sockets).
   int mesh_cols = 0;
-  /// --mapping-strategy: auto | edmonds | greedy | multisection.
+  /// --mapping-strategy: auto | edmonds | multisection.
   std::string mapping_strategy = "auto";
   /// Seeded fault-injection plan assembled from the --fault-* flags
   /// (DESIGN.md Sec. 11). Default-disabled: without any --fault-* flag the

@@ -164,8 +164,7 @@ std::string suite_key_string(const SuiteConfig& c) {
       << c.machine.socket_mesh_cols << ','
       << (c.machine.numa ? 1 : 0) << ','
       << static_cast<int>(c.machine.numa_policy) << '|'
-      << static_cast<int>(c.mapping.strategy) << ','
-      << c.mapping.auto_threshold << '|'
+      << static_cast<int>(c.mapping.strategy) << '|'
       // Fault plan + watchdog: a faulty suite must never collide with a
       // faultless one (or with a differently seeded/shaped fault plan).
       << c.machine.fault.seed << ',' << c.machine.fault.drop_sample_rate

@@ -1,10 +1,10 @@
 #include "detect/hm_detector.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <stdexcept>
 
+#include "detect/shared_pages.hpp"
 #include "sim/scan.hpp"
 
 namespace tlbmap {
@@ -207,91 +207,30 @@ void HmDetector::sweep_indexed() {
     build_start = std::chrono::steady_clock::now();
   }
 
-  occupied_.clear();
+  // Gather every occupied TLB's (page, thread) entries and sort them by
+  // page. A TLB holds a page at most once (one set, unique within the set),
+  // so each pair appears at most once and add_shared_pages reproduces the
+  // naive per-pair intersection counts bit for bit.
+  page_entries_.clear();
   for (CoreId c = 0; c < topo.num_cores(); ++c) {
-    const ThreadId t = machine_->thread_on(c);
-    if (t != kNoThread) occupied_.emplace_back(c, t);
-  }
-
-  // Build the shared-page groups: every page resident in >= 2 occupied
-  // TLBs, with its sharer threads. A TLB holds a page at most once (one
-  // set, unique within the set), so the naive per-pair match count equals
-  // the pairwise intersection size — accumulating C(k, 2) pair counts per
-  // k-sharer group reproduces the naive matrix bit for bit.
-  group_threads_.clear();
-  group_offsets_.clear();
-  std::uint64_t entries = 0;
-  if (occupied_.size() >= 2 && occupied_.size() <= 64) {
-    // Inverted index as page -> one-word bitmask over occupied-core slots.
-    page_mask_.clear();
-    for (std::size_t slot = 0; slot < occupied_.size(); ++slot) {
-      const Tlb& tlb = hier.tlb(occupied_[slot].first);
-      if (simd_scan_enabled()) {
-        // One dense pass over the whole TLB's tag mirror (set-major, the
-        // same enumeration order as the per-set walk below).
-        for (const std::uint64_t tag : tlb.tags()) {
-          if (tag != kInvalidTag) {
-            page_mask_[tag] |= std::uint64_t{1} << slot;
-            ++entries;
-          }
-        }
-      } else {
-        for (std::size_t set = 0; set < tlb.num_sets(); ++set) {
-          for (const TlbEntry& e : tlb.set_entries(set)) {
-            if (e.valid) {
-              page_mask_[e.page] |= std::uint64_t{1} << slot;
-              ++entries;
-            }
-          }
+    const ThreadId thread = machine_->thread_on(c);
+    if (thread == kNoThread) continue;
+    const Tlb& tlb = hier.tlb(c);
+    if (simd_scan_enabled()) {
+      // One dense pass over the whole TLB's tag mirror (set-major, the
+      // same enumeration order as the per-set walk below).
+      for (const std::uint64_t tag : tlb.tags()) {
+        if (tag != kInvalidTag) page_entries_.emplace_back(tag, thread);
+      }
+    } else {
+      for (std::size_t set = 0; set < tlb.num_sets(); ++set) {
+        for (const TlbEntry& e : tlb.set_entries(set)) {
+          if (e.valid) page_entries_.emplace_back(e.page, thread);
         }
       }
-    }
-    for (const auto& [page, mask] : page_mask_) {
-      if ((mask & (mask - 1)) == 0) continue;  // fewer than two sharers
-      group_offsets_.push_back(group_threads_.size());
-      for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-        const auto slot = static_cast<std::size_t>(std::countr_zero(m));
-        group_threads_.push_back(occupied_[slot].second);
-      }
-    }
-  } else if (occupied_.size() > 64) {
-    // Beyond one mask word: gather (page, thread) pairs and group by
-    // sorting — same groups, same matrix, still linear space.
-    page_entries_.clear();
-    for (const auto& [core, thread] : occupied_) {
-      const Tlb& tlb = hier.tlb(core);
-      if (simd_scan_enabled()) {
-        for (const std::uint64_t tag : tlb.tags()) {
-          if (tag != kInvalidTag) page_entries_.emplace_back(tag, thread);
-        }
-      } else {
-        for (std::size_t set = 0; set < tlb.num_sets(); ++set) {
-          for (const TlbEntry& e : tlb.set_entries(set)) {
-            if (e.valid) page_entries_.emplace_back(e.page, thread);
-          }
-        }
-      }
-    }
-    entries = page_entries_.size();
-    std::sort(page_entries_.begin(), page_entries_.end());
-    std::size_t i = 0;
-    while (i < page_entries_.size()) {
-      std::size_t j = i + 1;
-      while (j < page_entries_.size() &&
-             page_entries_[j].first == page_entries_[i].first) {
-        ++j;
-      }
-      if (j - i >= 2) {
-        group_offsets_.push_back(group_threads_.size());
-        for (std::size_t k = i; k < j; ++k) {
-          group_threads_.push_back(page_entries_[k].second);
-        }
-      }
-      i = j;
     }
   }
-  const std::size_t num_groups = group_offsets_.size();
-  group_offsets_.push_back(group_threads_.size());  // end sentinel
+  std::sort(page_entries_.begin(), page_entries_.end());
 
   if (index_build_us_ != nullptr) {
     index_build_us_->observe(
@@ -299,26 +238,11 @@ void HmDetector::sweep_indexed() {
             std::chrono::steady_clock::now() - build_start)
             .count());
   }
+  const SharedPageCounts counts = add_shared_pages(page_entries_, matrix_);
   if (index_pages_counter_ != nullptr) {
-    std::uint64_t matches = 0;
-    for (std::size_t g = 0; g < num_groups; ++g) {
-      const std::uint64_t k = group_offsets_[g + 1] - group_offsets_[g];
-      matches += k * (k - 1) / 2;
-    }
-    index_pages_counter_->add(num_groups);
-    index_entries_counter_->add(entries);
-    match_counter_->add(matches);
-  }
-
-  // C(k, 2) pair counts per k-sharer group, straight into the matrix.
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    const std::size_t lo = group_offsets_[g];
-    const std::size_t hi = group_offsets_[g + 1];
-    for (std::size_t i = lo; i < hi; ++i) {
-      for (std::size_t j = i + 1; j < hi; ++j) {
-        matrix_.add(group_threads_[i], group_threads_[j]);
-      }
-    }
+    index_pages_counter_->add(counts.pages);
+    index_entries_counter_->add(page_entries_.size());
+    match_counter_->add(counts.matches);
   }
 }
 

@@ -8,20 +8,18 @@
 //
 // The paper's literal sweep walks every pair of TLBs set by set —
 // Theta(P^2 * S * w^2) per sweep — and dominates simulator wall-clock on
-// large topologies. The default implementation here instead builds a
-// transient inverted page index (page -> bitmask of occupied cores) in
-// Theta(P * S * w) and accumulates pair counts only for pages that are
-// actually shared, which produces a bit-identical matrix: a TLB holds a page
-// at most once, so the naive per-pair count is exactly the size of the two
-// TLBs' page-set intersection. The indexed sweep adds every match straight
-// into the detector's matrix. The naive walk stays available behind
-// `naive_sweep` as the reference that differential tests and benches
-// compare against.
+// large topologies. The default implementation here instead gathers every
+// occupied TLB's (page, thread) entries in Theta(P * S * w), sorts them by
+// page and accumulates pair counts only for pages that are actually shared
+// (detect/shared_pages.hpp, the grouping the StreamDetector uses too). That
+// produces a bit-identical matrix: a TLB holds a page at most once, so the
+// naive per-pair count is exactly the size of the two TLBs' page-set
+// intersection. The naive walk stays available behind `naive_sweep` as the
+// reference that differential tests and benches compare against.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,8 +37,8 @@ struct HmDetectorConfig {
   /// machine stalls every thread for this long, modelling the kernel-wide
   /// interruption.
   Cycles search_cost = 84'297;
-  /// Use the paper's literal all-pairs set walk instead of the inverted
-  /// page index. Both paths produce bit-identical matrices; this exists so
+  /// Use the paper's literal all-pairs set walk instead of the sorted page
+  /// grouping. Both paths produce bit-identical matrices; this exists so
   /// benches can measure the speedup rather than assert it.
   bool naive_sweep = false;
 
@@ -128,15 +126,9 @@ class HmDetector final : public Detector {
   int retry_count_ = 0;       ///< outstanding retries of a failed sweep
   Cycles retry_at_ = 0;       ///< earliest time the next retry may run
 
-  // Scratch reused across sweeps so the hot path stays allocation-free
-  // after warm-up. `group_threads_` holds the sharer threads of every page
-  // seen in >= 2 TLBs, as runs delimited by `group_offsets_` (with an end
-  // sentinel).
-  std::vector<std::pair<CoreId, ThreadId>> occupied_;
-  std::unordered_map<PageNum, std::uint64_t> page_mask_;
+  // Sweep scratch, reused so the hot path stays allocation-free after
+  // warm-up: every occupied TLB's (page, thread) entries.
   std::vector<std::pair<PageNum, ThreadId>> page_entries_;
-  std::vector<ThreadId> group_threads_;
-  std::vector<std::size_t> group_offsets_;
 
   // Observability sinks resolved once per context (null = off).
   obs::Counter* index_pages_counter_ = nullptr;

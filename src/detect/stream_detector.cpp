@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "detect/shared_pages.hpp"
+
 namespace tlbmap {
 
 void StreamDetectorConfig::validate() const {
@@ -53,24 +55,10 @@ void StreamDetector::sweep() {
       page_entries_.emplace_back(page, t);
     }
   }
-  // Sort-group by page; a window never holds a page twice, so the group
-  // size is exactly the sharer count (same argument as the HM sweep's
-  // inverted index).
+  // A window never holds a page twice (feed() and restore() keep it so),
+  // which add_shared_pages needs for its C(k, 2) count.
   std::sort(page_entries_.begin(), page_entries_.end());
-  std::size_t begin = 0;
-  while (begin < page_entries_.size()) {
-    std::size_t end = begin + 1;
-    while (end < page_entries_.size() &&
-           page_entries_[end].first == page_entries_[begin].first) {
-      ++end;
-    }
-    for (std::size_t i = begin; i < end; ++i) {
-      for (std::size_t j = i + 1; j < end; ++j) {
-        matrix_.add(page_entries_[i].second, page_entries_[j].second);
-      }
-    }
-    begin = end;
-  }
+  add_shared_pages(page_entries_, matrix_);
   ++sweeps_;
 }
 
@@ -105,6 +93,13 @@ void StreamDetector::restore(const StreamDetectorState& state) {
     if (w.size() > static_cast<std::size_t>(config_.window_pages)) {
       throw std::invalid_argument(
           "StreamDetector::restore: window exceeds configured size");
+    }
+    // A repeated page would count as two sharers in every sweep.
+    std::vector<PageNum> sorted = w;
+    std::sort(sorted.begin(), sorted.end());
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+      throw std::invalid_argument(
+          "StreamDetector::restore: window holds a page twice");
     }
   }
   matrix_ = state.matrix;

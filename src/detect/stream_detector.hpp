@@ -5,9 +5,9 @@
 // in fragments. The StreamDetector reconstructs the paper's HM view from
 // the stream alone: each thread keeps a small LRU window of recently
 // touched pages (its TLB stand-in), and every `sweep_every` fed accesses a
-// sweep intersects the windows exactly like HmDetector::sweep_indexed —
-// sort-grouped (page, thread) pairs, C(k, 2) pair counts for every page
-// resident in >= 2 windows, added straight into the matrix.
+// sweep intersects the windows with the HM sweep's grouping
+// (add_shared_pages in detect/shared_pages.hpp): C(k, 2) pair counts for
+// every page resident in >= 2 windows, added straight into the matrix.
 //
 // Everything is bounded by construction: windows are fixed-size, the
 // matrix never exceeds CommMatrix::worst_case_bytes(threads), and scratch
@@ -78,7 +78,8 @@ class StreamDetector {
   /// Copies out / restores matrix, cursors and windows.
   StreamDetectorState state() const;
   /// Throws std::invalid_argument when the snapshot's shape (matrix size,
-  /// window count or length) does not fit this detector.
+  /// window count or length) does not fit this detector, or when a window
+  /// holds a page twice.
   void restore(const StreamDetectorState& state);
 
  private:

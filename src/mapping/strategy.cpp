@@ -7,6 +7,9 @@ namespace tlbmap {
 
 namespace {
 
+/// Thread count at (and above) which kAuto abandons Edmonds matching.
+constexpr int kAutoMultisectionThreads = 128;
+
 bool is_power_of_two(int x) { return x > 0 && (x & (x - 1)) == 0; }
 
 bool edmonds_can_tile(const Topology& topology) {
@@ -21,7 +24,6 @@ bool edmonds_can_tile(const Topology& topology) {
 std::optional<MappingStrategy> parse_mapping_strategy(std::string_view text) {
   if (text == "auto") return MappingStrategy::kAuto;
   if (text == "edmonds") return MappingStrategy::kEdmonds;
-  if (text == "greedy") return MappingStrategy::kGreedy;
   if (text == "multisection") return MappingStrategy::kMultisection;
   return std::nullopt;
 }
@@ -32,8 +34,6 @@ const char* to_string(MappingStrategy strategy) {
       return "auto";
     case MappingStrategy::kEdmonds:
       return "edmonds";
-    case MappingStrategy::kGreedy:
-      return "greedy";
     case MappingStrategy::kMultisection:
       return "multisection";
   }
@@ -44,7 +44,7 @@ MappingStrategy resolve_strategy(const MappingConfig& config,
                                  const CommMatrix& comm,
                                  const Topology& topology) {
   if (config.strategy != MappingStrategy::kAuto) return config.strategy;
-  if (comm.size() >= config.auto_threshold) {
+  if (comm.size() >= kAutoMultisectionThreads) {
     return MappingStrategy::kMultisection;
   }
   if (!edmonds_can_tile(topology)) return MappingStrategy::kMultisection;
@@ -56,11 +56,6 @@ Mapping map_threads(const CommMatrix& comm, const Topology& topology,
   switch (resolve_strategy(config, comm, topology)) {
     case MappingStrategy::kEdmonds:
       return HierarchicalMapper(topology).map(comm);
-    case MappingStrategy::kGreedy: {
-      HierarchicalMapperConfig greedy;
-      greedy.matcher = HierarchicalMapperConfig::Matcher::kGreedy;
-      return HierarchicalMapper(topology, greedy).map(comm);
-    }
     case MappingStrategy::kMultisection:
       return MultisectionMapper(topology).map(comm);
     case MappingStrategy::kAuto:

@@ -6,8 +6,8 @@
 // for: the paper's exact Edmonds matching (O(N^3) per merge level) is the
 // reference up to small machines, but at manycore thread counts recursive
 // multisection delivers near-identical mapping_cost orders of magnitude
-// faster (arXiv:2504.01726), so kAuto switches to it at auto_threshold
-// threads — and whenever the topology's arities are not powers of two,
+// faster (arXiv:2504.01726), so kAuto switches to it at 128 threads — and
+// whenever the topology's arities are not powers of two,
 // which the matching-based mapper cannot tile at all.
 #pragma once
 
@@ -22,20 +22,17 @@
 namespace tlbmap {
 
 enum class MappingStrategy {
-  kAuto,          ///< Edmonds below auto_threshold threads, else multisection
+  kAuto,          ///< Edmonds below 128 threads, else multisection
   kEdmonds,       ///< hierarchical exact-matching mapper (paper Sec. V-A)
-  kGreedy,        ///< hierarchical greedy-matching mapper (ablation)
   kMultisection,  ///< recursive multisection + local search
 };
 
-/// "auto" / "edmonds" / "greedy" / "multisection"; nullopt on anything else.
+/// "auto" / "edmonds" / "multisection"; nullopt on anything else.
 std::optional<MappingStrategy> parse_mapping_strategy(std::string_view text);
 const char* to_string(MappingStrategy strategy);
 
 struct MappingConfig {
   MappingStrategy strategy = MappingStrategy::kAuto;
-  /// Thread count at (and above) which kAuto abandons Edmonds matching.
-  int auto_threshold = 128;
 };
 
 /// The concrete algorithm `config` selects for this input — resolves kAuto

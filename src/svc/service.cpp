@@ -197,7 +197,6 @@ std::uint64_t service_config_hash(const ServiceConfig& config) {
   h = fnv1a(h, static_cast<std::uint64_t>(config.retry.jitter * 1000000.0));
   h = fnv1a(h, config.retry.seed);
   h = fnv1a(h, std::string(to_string(config.mapping.strategy)));
-  h = fnv1a(h, static_cast<std::uint64_t>(config.mapping.auto_threshold));
   return h;
 }
 

@@ -3,12 +3,14 @@
 // and the full-trace oracle.
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "detect/hm_detector.hpp"
 #include "detect/oracle_detector.hpp"
+#include "detect/shared_pages.hpp"
 #include "detect/sm_detector.hpp"
 #include "npb/synthetic.hpp"
 #include "sim/machine.hpp"
@@ -274,9 +276,8 @@ void prime_ring(Machine& m, int threads) {
 }
 
 TEST(HmDetector, IndexedSweepMatchesNaiveBitForBit) {
-  // 6: partially occupied topology (cores 6, 7 empty); 8: full Harpertown
-  // (bitmask index); 36: multi-socket bitmask index; 68: beyond one mask
-  // word, exercising the sort-based grouping.
+  // 6: partially occupied topology (cores 6, 7 empty); 8: full Harpertown;
+  // 36: multi-socket; 68: more than 64 occupied cores.
   for (const int threads : {6, 8, 36, 68}) {
     Machine m(config_for_cores(threads));
     prime_ring(m, threads);
@@ -318,6 +319,22 @@ TEST(HmDetector, PublishesIndexMetrics) {
             hm.matrix().total());
   EXPECT_EQ(ctx.metrics.histogram("detector.index_build_us", labels).count(),
             1u);
+}
+
+TEST(SharedPages, AddsOnePairCountPerSharerPair) {
+  // Page 10: one holder; page 20: two; page 30: four — 0, 1 and 6 adds.
+  const std::vector<std::pair<PageNum, ThreadId>> entries = {
+      {10, 0}, {20, 1}, {20, 3}, {30, 0}, {30, 1}, {30, 2}, {30, 3}};
+  CommMatrix matrix(4);
+  const SharedPageCounts counts = add_shared_pages(entries, matrix);
+  EXPECT_EQ(counts.pages, 2u);
+  EXPECT_EQ(counts.matches, 7u);
+  EXPECT_EQ(matrix.total(), counts.matches);
+  EXPECT_EQ(matrix.at(1, 3), 2u);  // pages 20 and 30
+  for (const auto& [a, b] : {std::pair{0, 1}, {0, 2}, {0, 3}, {1, 2}, {2, 3}}) {
+    EXPECT_EQ(matrix.at(a, b), 1u) << a << "," << b;  // page 30 only
+  }
+  EXPECT_EQ(add_shared_pages({}, matrix).matches, 0u);
 }
 
 // ------------------------------------------------------------------ oracle

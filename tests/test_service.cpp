@@ -105,6 +105,20 @@ TEST(StreamDetector, RestoreRejectsShapeMismatch) {
   EXPECT_GT(four.memory_bytes(), 0u);
 }
 
+TEST(StreamDetector, RestoreRejectsRepeatedPage) {
+  // A window holding page 7 twice would make every sweep count thread 0 as
+  // two sharers of it: cell (0, 1) would gain 2 per sweep instead of 1.
+  StreamDetector detector(2);
+  StreamDetectorState state = detector.state();
+  state.windows = {{7, 7}, {7}};
+  EXPECT_THROW(detector.restore(state), std::invalid_argument);
+  EXPECT_EQ(detector.state(), StreamDetector(2).state());  // left untouched
+  state.windows = {{7, 8}, {7}};
+  detector.restore(state);
+  detector.sweep();
+  EXPECT_EQ(detector.matrix().at(0, 1), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // DecisionCache.
 
