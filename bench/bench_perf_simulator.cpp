@@ -15,6 +15,7 @@
 #include "mapping/mapping.hpp"
 #include "npb/synthetic.hpp"
 #include "npb/workload.hpp"
+#include "sim/cache.hpp"
 #include "sim/machine.hpp"
 
 namespace {
@@ -207,6 +208,48 @@ void BM_SimulatorWithOracle(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
 }
 BENCHMARK(BM_SimulatorWithOracle)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// Fixed cost of building a machine: every TLB, L1 and L2 is allocated and
+// cleared. The suite and the service build one per evaluated run, so this
+// sits on every run's path. 0 = Harpertown, 1 = manycore().
+void BM_MachineConstruct(benchmark::State& state) {
+  const MachineConfig config = state.range(0) == 0
+                                   ? MachineConfig::harpertown()
+                                   : MachineConfig::manycore();
+  for (auto _ : state) {
+    Machine machine(config);
+    benchmark::DoNotOptimize(&machine);
+  }
+}
+BENCHMARK(BM_MachineConstruct)->Arg(0)->Arg(1)->ArgNames({"manycore"});
+
+// One lookup in the paper's L2 geometry (6 MB, 8-way, 12,288 sets, not a
+// power of two). miss=0: find() on resident lines, spread over every set.
+// miss=1: a cyclic stream over four times the capacity, disjoint from the
+// lines filled up front, so every find() misses and the insert() after it
+// evicts the set's LRU line.
+void BM_CacheAccess(benchmark::State& state) {
+  const bool miss = state.range(0) != 0;
+  Cache cache(MachineConfig::harpertown().l2);
+  const LineAddr capacity = cache.num_sets() * cache.ways();
+  const LineAddr range = miss ? 4 * capacity : capacity;
+  const LineAddr filled = miss ? range : 0;
+  for (LineAddr a = filled; a < filled + capacity; ++a) {
+    cache.insert(a, MesiState::kExclusive);
+  }
+  // A prime stride, coprime with the range: visits every line of it.
+  const LineAddr stride = 7'919;
+  LineAddr line = 0;
+  for (auto _ : state) {
+    line += stride;
+    if (line >= range) line -= range;
+    if (cache.find(line) == nullptr) {
+      benchmark::DoNotOptimize(cache.insert(line, MesiState::kExclusive));
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheAccess)->Arg(0)->Arg(1)->ArgNames({"miss"});
 
 }  // namespace
 

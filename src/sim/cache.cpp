@@ -1,97 +1,101 @@
 #include "sim/cache.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace tlbmap {
 
-Cache::Cache(const CacheConfig& config) : config_(config) {
-  // Validate before deriving geometry: num_sets() divides by the fields
-  // being checked.
-  config_.validate();
-  num_sets_ = config_.num_sets();
-  ways_ = config_.ways;
-  lines_.resize(num_sets_ * ways_);
-  tags_.assign(num_sets_ * ways_, kInvalidTag);
-}
+Cache::Cache(const CacheConfig& config)
+    : config_(validated(config)),
+      ways_(config_.ways),
+      set_of_(config_.num_sets()),
+      tags_(config_.num_lines(), kInvalidTag),
+      stamps_(config_.num_lines(), 0),
+      states_(config_.num_lines(), MesiState::kInvalid) {}
 
-CacheLine* Cache::find_in_set(std::size_t set, LineAddr addr) {
-  CacheLine* base = lines_.data() + set * ways_;
+std::size_t Cache::find_way(std::size_t base, LineAddr addr) const {
   if (simd_scan_enabled()) {
-    const int w = scan_tags(tags_.data() + set * ways_, ways_, addr);
-    return w < 0 ? nullptr : &base[w];
+    const int w = scan_tags(tags_.data() + base, ways_, addr);
+    return w < 0 ? kNoWay : base + static_cast<std::size_t>(w);
   }
-  for (std::size_t w = 0; w < ways_; ++w) {
-    if (base[w].valid() && base[w].addr == addr) return &base[w];
+  for (std::size_t i = base; i < base + ways_; ++i) {
+    if (states_[i] != MesiState::kInvalid && tags_[i] == addr) return i;
   }
-  return nullptr;
+  return kNoWay;
 }
 
-CacheLine* Cache::find(LineAddr addr) {
-  CacheLine* line = find_in_set(set_index(addr), addr);
-  if (line != nullptr) line->lru_stamp = ++clock_;
-  return line;
+MesiState* Cache::find(LineAddr addr) {
+  const std::size_t i = find_way(set_index(addr) * ways_, addr);
+  if (i == kNoWay) return nullptr;
+  stamps_[i] = ++clock_;
+  return &states_[i];
 }
 
-const CacheLine* Cache::peek(LineAddr addr) const {
-  return const_cast<Cache*>(this)->find_in_set(set_index(addr), addr);
+const MesiState* Cache::peek(LineAddr addr) const {
+  const std::size_t i = find_way(set_index(addr) * ways_, addr);
+  return i == kNoWay ? nullptr : &states_[i];
 }
 
-CacheLine* Cache::peek_mutable(LineAddr addr) {
-  return find_in_set(set_index(addr), addr);
+MesiState* Cache::peek_mutable(LineAddr addr) {
+  return const_cast<MesiState*>(std::as_const(*this).peek(addr));
 }
 
 std::optional<Cache::Eviction> Cache::insert(LineAddr addr, MesiState state) {
-  const std::size_t set = set_index(addr);
-  if (CacheLine* present = find_in_set(set, addr)) {
-    present->state = state;
-    present->lru_stamp = ++clock_;
-    return std::nullopt;
-  }
-  CacheLine* base = lines_.data() + set * ways_;
-  CacheLine* victim = base;
-  for (std::size_t w = 0; w < ways_; ++w) {
-    if (!base[w].valid()) {
-      victim = &base[w];
-      break;
+  // One pass: the line itself if present, else the first invalid way, else
+  // the valid way with the smallest stamp (stamps of valid ways are
+  // distinct, so that is the LRU line).
+  const std::size_t base = set_index(addr) * ways_;
+  std::size_t free_way = kNoWay;
+  std::size_t lru_way = base;
+  for (std::size_t i = base; i < base + ways_; ++i) {
+    if (tags_[i] == addr) {
+      states_[i] = state;
+      stamps_[i] = ++clock_;
+      return std::nullopt;
     }
-    if (base[w].lru_stamp < victim->lru_stamp) victim = &base[w];
+    if (tags_[i] == kInvalidTag) {
+      if (free_way == kNoWay) free_way = i;
+    } else if (stamps_[i] < stamps_[lru_way]) {
+      lru_way = i;
+    }
   }
   std::optional<Eviction> evicted;
-  if (victim->valid()) {
-    evicted = Eviction{victim->addr, victim->state};
+  std::size_t victim = free_way;
+  if (victim == kNoWay) {
+    victim = lru_way;
+    evicted = Eviction{tags_[victim], states_[victim]};
   }
-  victim->addr = addr;
-  victim->state = state;
-  victim->lru_stamp = ++clock_;
-  tags_[static_cast<std::size_t>(victim - lines_.data())] = addr;
+  tags_[victim] = addr;
+  stamps_[victim] = ++clock_;
+  states_[victim] = state;
   return evicted;
 }
 
 std::optional<MesiState> Cache::invalidate(LineAddr addr) {
-  if (CacheLine* line = find_in_set(set_index(addr), addr)) {
-    const MesiState old = line->state;
-    line->state = MesiState::kInvalid;
-    tags_[static_cast<std::size_t>(line - lines_.data())] = kInvalidTag;
-    return old;
-  }
-  return std::nullopt;
+  const std::size_t i = find_way(set_index(addr) * ways_, addr);
+  if (i == kNoWay) return std::nullopt;
+  const MesiState old = states_[i];
+  tags_[i] = kInvalidTag;
+  states_[i] = MesiState::kInvalid;
+  return old;
 }
 
 void Cache::flush() {
   // Every mutation either bumps clock_ (insert, a find hit) or needs a
   // line inserted earlier (invalidate, a state change via peek_mutable),
   // so clock_ == 0 means nothing changed since construction or the last
-  // flush.
+  // flush. Stamps stay: insert reads the stamp of valid ways only, and
+  // every way becomes valid through insert, which stamps it.
   if (clock_ == 0) return;
-  std::fill(lines_.begin(), lines_.end(), CacheLine{});
   std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+  std::fill(states_.begin(), states_.end(), MesiState::kInvalid);
   clock_ = 0;
 }
 
 std::size_t Cache::valid_lines() const {
   return static_cast<std::size_t>(
-      std::count_if(lines_.begin(), lines_.end(),
-                    [](const CacheLine& l) { return l.valid(); }));
+      std::count_if(tags_.begin(), tags_.end(),
+                    [](std::uint64_t t) { return t != kInvalidTag; }));
 }
 
 }  // namespace tlbmap

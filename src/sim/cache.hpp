@@ -5,6 +5,12 @@
 // snoop-bus coherence protocol in coherence.cpp). Timing and statistics are
 // kept outside, in MemoryHierarchy, so the container stays a pure data
 // structure that is easy to test exhaustively.
+//
+// Storage is struct-of-arrays: each way of each set is one tag, one LRU
+// stamp and one MESI state in three parallel arrays, so a set scan reads
+// eight dense tags instead of striding through line structs. The set index
+// is a divide-free reduction (fast_mod.hpp), because the paper's L2 has a
+// set count that is not a power of two.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +18,7 @@
 #include <vector>
 
 #include "sim/config.hpp"
+#include "sim/fast_mod.hpp"
 #include "sim/scan.hpp"
 #include "sim/types.hpp"
 
@@ -35,13 +42,10 @@ inline const char* to_string(MesiState s) {
   return "?";
 }
 
-/// One way of one set.
+/// One valid line as for_each_line reports it (a value, not storage).
 struct CacheLine {
   LineAddr addr = 0;
   MesiState state = MesiState::kInvalid;
-  std::uint64_t lru_stamp = 0;  ///< larger == more recently used
-
-  bool valid() const { return state != MesiState::kInvalid; }
 };
 
 /// Generic set-associative cache keyed by line address.
@@ -56,13 +60,16 @@ class Cache {
     MesiState state = MesiState::kInvalid;
   };
 
-  /// Looks a line up and refreshes its LRU stamp. Returns nullptr on miss.
-  CacheLine* find(LineAddr addr);
+  /// Looks a line up and refreshes its LRU stamp. Returns the line's state,
+  /// or nullptr on miss.
+  MesiState* find(LineAddr addr);
 
   /// Looks a line up without touching LRU state (used by snoops, which must
-  /// not perturb the owner's replacement order).
-  const CacheLine* peek(LineAddr addr) const;
-  CacheLine* peek_mutable(LineAddr addr);
+  /// not perturb the owner's replacement order). A line is dropped only
+  /// through invalidate(): writing kInvalid through peek_mutable() would
+  /// leave its tag behind.
+  const MesiState* peek(LineAddr addr) const;
+  MesiState* peek_mutable(LineAddr addr);
 
   /// Inserts a line in the given state, evicting the set's LRU victim when
   /// every way is valid. Inserting an already-present line just updates its
@@ -75,8 +82,8 @@ class Cache {
   /// Empties the whole cache.
   void flush();
 
-  std::size_t set_index(LineAddr addr) const { return addr % num_sets_; }
-  std::size_t num_sets() const { return num_sets_; }
+  std::size_t set_index(LineAddr addr) const { return set_of_(addr); }
+  std::size_t num_sets() const { return set_of_.divisor(); }
   std::size_t ways() const { return ways_; }
   const CacheConfig& config() const { return config_; }
 
@@ -88,23 +95,27 @@ class Cache {
   /// consistency check walks entire caches with it.
   template <typename Fn>
   void for_each_line(Fn&& fn) const {
-    for (const CacheLine& line : lines_) {
-      if (line.valid()) fn(line);
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+      if (tags_[i] != kInvalidTag) fn(CacheLine{tags_[i], states_[i]});
     }
   }
 
  private:
-  CacheLine* find_in_set(std::size_t set, LineAddr addr);
+  static constexpr std::size_t kNoWay = ~std::size_t{0};
+
+  /// Flat index of `addr`'s way in the set starting at `base`, or kNoWay.
+  std::size_t find_way(std::size_t base, LineAddr addr) const;
 
   CacheConfig config_;
-  std::size_t num_sets_ = 0;
   std::size_t ways_ = 0;
+  FastMod set_of_;
   std::uint64_t clock_ = 0;
-  std::vector<CacheLine> lines_;  ///< num_sets_ * ways_, set-major
-  /// SoA mirror of lines_[i].addr (kInvalidTag when invalid), maintained by
-  /// insert/invalidate/flush so the hot set scan reads one dense uint64
-  /// span instead of striding through 24-byte structs (scan.hpp).
-  std::vector<std::uint64_t> tags_;
+  // Struct-of-arrays storage, num_sets() * ways_ entries each, set-major.
+  // A way is valid iff its tag is not kInvalidTag iff its state is not
+  // kInvalid; the set scan reads one dense uint64 span (scan.hpp).
+  std::vector<std::uint64_t> tags_;    ///< line address, the only copy
+  std::vector<std::uint64_t> stamps_;  ///< LRU stamp, larger == more recent
+  std::vector<MesiState> states_;
 };
 
 }  // namespace tlbmap

@@ -225,9 +225,9 @@ Cycles CoherenceDomain::read(L2Id me, LineAddr line, Cycles memory_latency,
   if (holder != -1) {
     // Cache-to-cache transfer: the paper's snoop transaction.
     Cache& theirs = l2s_[static_cast<std::size_t>(holder)];
-    CacheLine* held = theirs.peek_mutable(line);
-    if (held->state == MesiState::kModified) ++stats.writebacks;
-    held->state = MesiState::kShared;
+    MesiState* held = theirs.peek_mutable(line);
+    if (*held == MesiState::kModified) ++stats.writebacks;
+    *held = MesiState::kShared;
     ++stats.snoop_transactions;
     latency += interconnect_->transfer(holder, me, stats);
     insert_line(me, line, MesiState::kShared, stats);
@@ -243,13 +243,13 @@ Cycles CoherenceDomain::write(L2Id me, LineAddr line, Cycles memory_latency,
                               MachineStats& stats) {
   ++stats.l2_accesses;
   Cache& mine = l2s_[static_cast<std::size_t>(me)];
-  if (CacheLine* held = mine.find(line)) {
+  if (MesiState* held = mine.find(line)) {
     ++stats.l2_hits;
-    switch (held->state) {
+    switch (*held) {
       case MesiState::kModified:
         return 1;  // store-buffered; ownership already held
       case MesiState::kExclusive:
-        held->state = MesiState::kModified;
+        *held = MesiState::kModified;
         return 1;
       case MesiState::kShared: {
         // Ownership upgrade: invalidate every remote copy. Messages go out
@@ -276,7 +276,7 @@ Cycles CoherenceDomain::write(L2Id me, LineAddr line, Cycles memory_latency,
             }
           }
         }
-        held->state = MesiState::kModified;
+        *held = MesiState::kModified;
         return 1 + worst;
       }
       case MesiState::kInvalid:

@@ -15,6 +15,15 @@
 
 namespace tlbmap {
 
+/// Validates `config` and passes it through, so that a constructor's
+/// initialiser list can check a config before deriving fields from it
+/// (e.g. a set count or an L2 count that divides by a checked field).
+template <typename Config>
+const Config& validated(const Config& config) {
+  config.validate();
+  return config;
+}
+
 /// Geometry and access latency of one set-associative cache.
 struct CacheConfig {
   std::size_t size_bytes = 0;

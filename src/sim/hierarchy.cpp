@@ -128,11 +128,17 @@ MemoryHierarchy::AccessInfo MemoryHierarchy::access(CoreId core,
   } else {
     ++stats.l1_misses;
   }
+  const std::uint64_t fetches_before = stats.memory_fetches;
+  const std::uint64_t l2_hits_before = stats.l2_hits;
+  info.latency += coherence_.write(l2, line, memory_latency, stats);
+  count_fetch_locality(fetches_before);
   // Cores behind the same L2 do not appear on the snoop bus, so their L1
   // copies must be shot down locally or they would keep serving stale hits.
-  // The L1s are inclusive in the L2, so when the L2 itself does not hold
-  // the line no sibling L1 can either and the shootdown is a no-op.
-  if (!fast_path_ || coherence_.l2(l2).peek(line) != nullptr) {
+  // The L1s are inclusive in the L2, so after a write miss no sibling L1
+  // can hold the line and the shootdown is a no-op. The write itself never
+  // touches a sibling L1's copy of the line, and invalidate() leaves LRU
+  // alone, so it does not matter that the shootdown follows the write.
+  if (!fast_path_ || stats.l2_hits > l2_hits_before) {
     const CoreId first = l2 * topology_.cores_per_l2();
     for (CoreId sibling = first; sibling < first + topology_.cores_per_l2();
          ++sibling) {
@@ -141,9 +147,6 @@ MemoryHierarchy::AccessInfo MemoryHierarchy::access(CoreId core,
       }
     }
   }
-  const std::uint64_t fetches_before = stats.memory_fetches;
-  info.latency += coherence_.write(l2, line, memory_latency, stats);
-  count_fetch_locality(fetches_before);
   return info;
 }
 

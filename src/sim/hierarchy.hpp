@@ -37,9 +37,10 @@ class MemoryHierarchy {
   AccessInfo access(CoreId core, VirtAddr addr, AccessType type,
                     MachineStats& stats);
 
-  /// Engine fast paths (same-page translation memo, L2 presence check before
-  /// the sibling-L1 shootdown). Outcomes and statistics are bit-identical
-  /// either way; the switch exists so the differential tests can prove it.
+  /// Engine fast paths (same-page translation memo; the sibling-L1
+  /// shootdown after a store runs only when the store hit in the L2).
+  /// Outcomes and statistics are bit-identical either way; the switch exists
+  /// so the differential tests can prove it.
   void set_fast_path_enabled(bool enabled) { fast_path_ = enabled; }
   bool fast_path_enabled() const { return fast_path_; }
 

@@ -1,18 +1,18 @@
 // Portable SIMD-style scan kernel shared by the TLB, cache and HM-detector
 // sweep hot loops.
 //
-// The associative containers (Tlb, Cache) are stored array-of-structs for
-// clarity, which makes their inner scan — "which way of this set holds tag
-// X?" — a strided, branchy walk: 24-byte stride, a valid-bit test and an
-// early-exit compare per way. This header provides the structure-of-arrays
-// alternative: each container mirrors its tags into one dense uint64 array
-// (kInvalidTag marks invalid ways), and scan_tags() runs a branch-free
-// XOR/compare over four 64-bit lanes per step — exactly the shape compilers
-// map onto 256-bit vector compares, with no per-lane branches to mispredict.
-// The mirror is maintained on insert/invalidate/flush (cold paths); lookup
-// order, LRU decisions and every simulated outcome are bit-identical to the
-// reference walk (test_fastpath_differential proves it), so the toggle below
-// is a pure engine switch, never semantics.
+// The hot question for an associative container is "which way of this set
+// holds tag X?". Asked of array-of-structs storage it is a strided, branchy
+// walk: a valid-bit test and an early-exit compare per way. scan_tags()
+// answers it over one dense uint64 tag array instead (kInvalidTag marks
+// invalid ways) with a branch-free XOR/compare over four 64-bit lanes per
+// step — exactly the shape compilers map onto 256-bit vector compares, with
+// no per-lane branches to mispredict. Cache keeps its tags only in such an
+// array (struct-of-arrays storage); Tlb keeps TlbEntry structs for the HM
+// detector's reference walk and mirrors their pages into one, maintained on
+// insert/invalidate/flush. Lookup order, LRU decisions and every simulated
+// outcome are bit-identical to the scalar walks (test_fastpath_differential
+// proves it), so the toggle below is a pure engine switch, never semantics.
 #pragma once
 
 #include <atomic>
@@ -21,7 +21,7 @@
 
 namespace tlbmap {
 
-/// Tag of an invalid way in the SoA mirrors. Real tags cannot collide with
+/// Tag of an invalid way in the tag arrays. Real tags cannot collide with
 /// it: line addresses are physical >> line_shift with frames allocated
 /// sequentially from zero, and page numbers are virtual >> page_shift of
 /// user-space addresses — both far below 2^64 - 1.

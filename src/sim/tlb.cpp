@@ -4,20 +4,18 @@
 
 namespace tlbmap {
 
-Tlb::Tlb(const TlbConfig& config) : config_(config) {
-  // Validate before deriving geometry: num_sets() divides by `ways`.
-  config_.validate();
-  num_sets_ = config_.num_sets();
-  ways_ = config_.ways;
-  entries_.resize(num_sets_ * ways_);
-  tags_.assign(num_sets_ * ways_, kInvalidTag);
-}
+Tlb::Tlb(const TlbConfig& config)
+    : config_(validated(config)),
+      ways_(config_.ways),
+      set_of_(config_.num_sets()),
+      entries_(config_.entries),
+      tags_(config_.entries, kInvalidTag) {}
 
 TlbEntry* Tlb::find(PageNum page) {
-  TlbEntry* base = entries_.data() + set_index(page) * ways_;
+  const std::size_t first = set_index(page) * ways_;
+  TlbEntry* base = entries_.data() + first;
   if (simd_scan_enabled()) {
-    const int w =
-        scan_tags(tags_.data() + set_index(page) * ways_, ways_, page);
+    const int w = scan_tags(tags_.data() + first, ways_, page);
     return w < 0 ? nullptr : &base[w];
   }
   for (std::size_t w = 0; w < ways_; ++w) {

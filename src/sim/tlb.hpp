@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "sim/config.hpp"
+#include "sim/fast_mod.hpp"
 #include "sim/scan.hpp"
 #include "sim/types.hpp"
 
@@ -48,10 +49,10 @@ class Tlb {
   /// Drops everything (context switch on architectures without ASIDs).
   void flush();
 
-  std::size_t set_index(PageNum page) const { return page % num_sets_; }
-  std::size_t num_sets() const { return num_sets_; }
+  std::size_t set_index(PageNum page) const { return set_of_(page); }
+  std::size_t num_sets() const { return set_of_.divisor(); }
   std::size_t ways() const { return ways_; }
-  std::size_t capacity() const { return num_sets_ * ways_; }
+  std::size_t capacity() const { return num_sets() * ways_; }
   const TlbConfig& config() const { return config_; }
 
   /// All ways of one set, valid or not (the HM detector walks sets of two
@@ -85,10 +86,10 @@ class Tlb {
   TlbEntry* find(PageNum page);
 
   TlbConfig config_;
-  std::size_t num_sets_ = 0;
   std::size_t ways_ = 0;
+  FastMod set_of_;
   std::uint64_t clock_ = 0;
-  std::vector<TlbEntry> entries_;  ///< num_sets_ * ways_, set-major
+  std::vector<TlbEntry> entries_;  ///< num_sets() * ways_, set-major
   /// SoA mirror of entries_[i].page (kInvalidTag when invalid), maintained
   /// by insert/invalidate/flush; backs the hot lookup scan and the HM
   /// detector's sweep (scan.hpp).

@@ -4,15 +4,14 @@
 
 namespace tlbmap {
 
+// Validates first: num_l2() divides by cores_per_l2.
 Topology::Topology(const MachineConfig& config)
-    : num_cores_(config.num_cores()),
+    : num_cores_(validated(config).num_cores()),
       num_l2_(config.num_l2()),
       num_sockets_(config.num_sockets),
       cores_per_l2_(config.cores_per_l2),
       cores_per_socket_(config.cores_per_socket),
-      socket_mesh_cols_(config.socket_mesh_cols) {
-  config.validate();
-}
+      socket_mesh_cols_(config.socket_mesh_cols) {}
 
 int Topology::socket_hops(SocketId a, SocketId b) const {
   if (a == b) return 0;

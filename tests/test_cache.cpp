@@ -1,10 +1,13 @@
 // Unit tests for the set-associative cache model.
+#include <cstdint>
+#include <random>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/cache.hpp"
+#include "sim/fast_mod.hpp"
 
 namespace tlbmap {
 namespace {
@@ -31,10 +34,9 @@ TEST(Cache, GeometryDerived) {
 TEST(Cache, InsertThenFind) {
   Cache c(small_config());
   EXPECT_FALSE(c.insert(17, MesiState::kExclusive).has_value());
-  CacheLine* line = c.find(17);
-  ASSERT_NE(line, nullptr);
-  EXPECT_EQ(line->addr, 17u);
-  EXPECT_EQ(line->state, MesiState::kExclusive);
+  MesiState* state = c.find(17);
+  ASSERT_NE(state, nullptr);
+  EXPECT_EQ(*state, MesiState::kExclusive);
 }
 
 TEST(Cache, PeekDoesNotTouchLru) {
@@ -74,7 +76,7 @@ TEST(Cache, InsertExistingUpdatesState) {
   Cache c(small_config());
   c.insert(5, MesiState::kShared);
   EXPECT_FALSE(c.insert(5, MesiState::kModified).has_value());
-  EXPECT_EQ(c.peek(5)->state, MesiState::kModified);
+  EXPECT_EQ(*c.peek(5), MesiState::kModified);
   EXPECT_EQ(c.valid_lines(), 1u);
 }
 
@@ -166,10 +168,10 @@ TEST(Cache, RejectsBadGeometry) {
 TEST(Cache, PeekMutableAllowsStateChange) {
   Cache c(small_config());
   c.insert(7, MesiState::kModified);
-  CacheLine* line = c.peek_mutable(7);
-  ASSERT_NE(line, nullptr);
-  line->state = MesiState::kShared;
-  EXPECT_EQ(c.peek(7)->state, MesiState::kShared);
+  MesiState* state = c.peek_mutable(7);
+  ASSERT_NE(state, nullptr);
+  *state = MesiState::kShared;
+  EXPECT_EQ(*c.peek(7), MesiState::kShared);
 }
 
 TEST(Cache, MesiStateNames) {
@@ -177,6 +179,24 @@ TEST(Cache, MesiStateNames) {
   EXPECT_STREQ(to_string(MesiState::kShared), "S");
   EXPECT_STREQ(to_string(MesiState::kExclusive), "E");
   EXPECT_STREQ(to_string(MesiState::kModified), "M");
+}
+
+TEST(FastMod, EqualsModuloOnEdgeAndRandomKeys) {
+  const std::uint64_t max = ~std::uint64_t{0};
+  std::mt19937_64 rng(42);
+  for (const std::uint64_t d : {std::uint64_t{1}, std::uint64_t{2},
+                                std::uint64_t{3}, std::uint64_t{12},
+                                std::uint64_t{12'288},
+                                (std::uint64_t{1} << 32) + 1}) {
+    const FastMod mod(d);
+    EXPECT_EQ(mod.divisor(), d);
+    std::vector<std::uint64_t> keys = {0, d - 1, d, max - 1, max};
+    for (int i = 0; i < 1000; ++i) keys.push_back(rng());
+    for (const std::uint64_t x : keys) {
+      ASSERT_EQ(mod(x), x % d) << "x=" << x << " d=" << d;
+    }
+  }
+  EXPECT_THROW(FastMod{0}, std::invalid_argument);
 }
 
 // Property sweep over geometries: filling a cache with exactly `capacity`

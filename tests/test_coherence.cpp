@@ -37,8 +37,8 @@ class CoherenceTest : public ::testing::Test {
         domain_(config_, topology_, interconnect_) {}
 
   MesiState state_in(L2Id l2, LineAddr line) {
-    const CacheLine* cl = domain_.l2(l2).peek(line);
-    return cl == nullptr ? MesiState::kInvalid : cl->state;
+    const MesiState* held = domain_.l2(l2).peek(line);
+    return held == nullptr ? MesiState::kInvalid : *held;
   }
 
   MachineConfig config_;
@@ -322,9 +322,9 @@ TEST_F(CoherenceTest, MultiHolderRfoAccountingMatchesBroadcast) {
     // stall is bounded by the slowest cross-socket invalidation.
     EXPECT_EQ(lat, 1 + cfg.interconnect.invalidate_inter_socket)
         << "broadcast=" << use_broadcast;
-    const CacheLine* line = domain.l2(3).peek(10);
-    ASSERT_NE(line, nullptr);
-    EXPECT_EQ(line->state, MesiState::kModified);
+    const MesiState* held = domain.l2(3).peek(10);
+    ASSERT_NE(held, nullptr);
+    EXPECT_EQ(*held, MesiState::kModified);
     for (L2Id other : {0, 1, 2}) {
       EXPECT_EQ(domain.l2(other).peek(10), nullptr)
           << "L2 " << other << " broadcast=" << use_broadcast;
@@ -716,11 +716,11 @@ TEST(ManycoreCoherenceTest, DirectoryMatchesBroadcastBitForBitAt128L2s) {
   // Cache contents identical, line by line, on every L2.
   for (L2Id id = 0; id < 128; ++id) {
     for (LineAddr line = 0; line < 97; ++line) {
-      const CacheLine* a = dir.l2(id).peek(line);
-      const CacheLine* b = bc.l2(id).peek(line);
+      const MesiState* a = dir.l2(id).peek(line);
+      const MesiState* b = bc.l2(id).peek(line);
       ASSERT_EQ(a == nullptr, b == nullptr) << "L2 " << id << " line " << line;
       if (a != nullptr) {
-        ASSERT_EQ(a->state, b->state) << "L2 " << id << " line " << line;
+        ASSERT_EQ(*a, *b) << "L2 " << id << " line " << line;
       }
     }
   }

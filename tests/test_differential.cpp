@@ -2,6 +2,8 @@
 // against brute-force reference implementations on long random operation
 // sequences, and randomly generated access programs are checked against
 // their declared totals and bounds.
+#include <algorithm>
+#include <cstdint>
 #include <list>
 #include <map>
 #include <optional>
@@ -38,7 +40,22 @@ class ReferenceCache {
     return false;
   }
 
+  bool contains(LineAddr addr) const {  // no LRU refresh, like Tlb::contains
+    for (const auto& [a, state] : lru_[addr % sets_]) {
+      if (a == addr) return true;
+    }
+    return false;
+  }
+
   std::optional<LineAddr> insert(LineAddr addr, MesiState state) {
+    const auto victim = insert_evicting(addr, state);
+    if (!victim.has_value()) return std::nullopt;
+    return victim->addr;
+  }
+
+  /// insert() that also reports the victim's state.
+  std::optional<Cache::Eviction> insert_evicting(LineAddr addr,
+                                                 MesiState state) {
     auto& set = lru_[addr % sets_];
     for (auto it = set.begin(); it != set.end(); ++it) {
       if (it->first == addr) {
@@ -47,30 +64,63 @@ class ReferenceCache {
         return std::nullopt;
       }
     }
-    std::optional<LineAddr> victim;
+    std::optional<Cache::Eviction> victim;
     if (set.size() == ways_) {
-      victim = set.back().first;
+      victim = Cache::Eviction{set.back().first, set.back().second};
       set.pop_back();
     }
     set.emplace_front(addr, state);
     return victim;
   }
 
-  bool invalidate(LineAddr addr) {
+  bool invalidate(LineAddr addr) { return invalidate_state(addr).has_value(); }
+
+  /// invalidate() that reports the state the line held.
+  std::optional<MesiState> invalidate_state(LineAddr addr) {
     auto& set = lru_[addr % sets_];
     for (auto it = set.begin(); it != set.end(); ++it) {
       if (it->first == addr) {
+        const MesiState old = it->second;
         set.erase(it);
-        return true;
+        return old;
       }
     }
-    return false;
+    return std::nullopt;
   }
 
  private:
   std::size_t sets_, ways_;
   std::vector<std::list<std::pair<LineAddr, MesiState>>> lru_;
 };
+
+/// Keys drawn from the full 64-bit range (kInvalidTag excluded) yet
+/// crowded into at most four sets so that they collide and evict: each is
+/// q * sets + s for a random quotient q below 2^63 / sets, plus the largest
+/// valid key and a few raw 64-bit draws. A wrong set reduction sends some
+/// key to a different set than `key % sets` and shows up as a mismatch.
+std::vector<std::uint64_t> wide_keys(std::size_t sets, std::size_t ways,
+                                     std::mt19937_64& rng) {
+  const std::size_t hot_sets = std::min<std::size_t>(sets, 4);
+  std::vector<std::uint64_t> keys;
+  for (std::size_t i = 0; i < hot_sets * ways * 3; ++i) {
+    const std::uint64_t set = (i % hot_sets) * (sets / hot_sets);
+    keys.push_back(((rng() >> 1) / sets) * sets + set);
+  }
+  keys.push_back(kInvalidTag - 1);
+  while (keys.size() < hot_sets * ways * 3 + 9) {
+    const std::uint64_t raw = rng();
+    if (raw != kInvalidTag) keys.push_back(raw);
+  }
+  return keys;
+}
+
+MesiState random_state(std::mt19937_64& rng) {
+  switch (rng() % 3) {
+    case 0: return MesiState::kShared;
+    case 1: return MesiState::kExclusive;
+    default: return MesiState::kModified;
+  }
+}
 
 struct CacheFuzzParam {
   std::size_t size_bytes;
@@ -118,12 +168,51 @@ TEST_P(CacheDifferential, MatchesReferenceOnRandomOps) {
   }
 }
 
+// Full-range keys, and the victim's and invalidated line's states as well
+// as their addresses.
+TEST_P(CacheDifferential, MatchesReferenceOnWideKeys) {
+  const auto [size, ways, seed] = GetParam();
+  Cache cache(CacheConfig{size, 64, ways, 1});
+  ReferenceCache ref(cache.num_sets(), cache.ways());
+  std::mt19937_64 rng(seed + 100);
+  const std::vector<std::uint64_t> keys =
+      wide_keys(cache.num_sets(), cache.ways(), rng);
+
+  for (int op = 0; op < 20'000; ++op) {
+    const LineAddr addr = keys[rng() % keys.size()];
+    switch (rng() % 3) {
+      case 0:
+        ASSERT_EQ(cache.find(addr) != nullptr, ref.find(addr)) << "op " << op;
+        break;
+      case 1: {
+        const MesiState state = random_state(rng);
+        const auto got = cache.insert(addr, state);
+        const auto want = ref.insert_evicting(addr, state);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
+        if (got.has_value()) {
+          ASSERT_EQ(got->addr, want->addr) << "victim mismatch at op " << op;
+          ASSERT_EQ(got->state, want->state) << "victim state at op " << op;
+        }
+        break;
+      }
+      case 2:
+        ASSERT_EQ(cache.invalidate(addr), ref.invalidate_state(addr))
+            << "op " << op;
+        break;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheDifferential,
     ::testing::Values(CacheFuzzParam{512, 1, 1}, CacheFuzzParam{512, 2, 2},
                       CacheFuzzParam{512, 8, 3}, CacheFuzzParam{4096, 4, 4},
                       CacheFuzzParam{2048, 16, 5},
-                      CacheFuzzParam{1024, 2, 6}),
+                      CacheFuzzParam{1024, 2, 6},
+                      // 3 sets, and the paper's L2 with 12,288 sets: set
+                      // counts that are not powers of two.
+                      CacheFuzzParam{768, 4, 7},
+                      CacheFuzzParam{6 * 1024 * 1024, 8, 8}),
     [](const ::testing::TestParamInfo<CacheFuzzParam>& info) {
       return "b" + std::to_string(info.param.size_bytes) + "_w" +
              std::to_string(info.param.ways) + "_s" +
@@ -182,11 +271,40 @@ TEST_P(TlbDifferential, MatchesReferenceOnRandomOps) {
   }
 }
 
+TEST_P(TlbDifferential, MatchesReferenceOnWideKeys) {
+  const auto [entries, ways, seed] = GetParam();
+  Tlb tlb(TlbConfig{entries, ways});
+  ReferenceCache ref(tlb.num_sets(), tlb.ways());
+  std::mt19937_64 rng(seed + 100);
+  const std::vector<std::uint64_t> keys =
+      wide_keys(tlb.num_sets(), tlb.ways(), rng);
+
+  for (int op = 0; op < 20'000; ++op) {
+    const PageNum page = keys[rng() % keys.size()];
+    switch (rng() % 4) {
+      case 0:
+        ASSERT_EQ(tlb.lookup(page), ref.find(page)) << "op " << op;
+        break;
+      case 1:
+        tlb.insert(page);
+        ref.insert(page, MesiState::kShared);
+        break;
+      case 2:
+        ASSERT_EQ(tlb.contains(page), ref.contains(page)) << "op " << op;
+        break;
+      case 3:
+        ASSERT_EQ(tlb.invalidate(page), ref.invalidate(page)) << "op " << op;
+        break;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, TlbDifferential,
     ::testing::Values(TlbFuzzParam{8, 2, 10}, TlbFuzzParam{64, 4, 11},
                       TlbFuzzParam{64, 64, 12}, TlbFuzzParam{256, 8, 13},
-                      TlbFuzzParam{16, 1, 14}),
+                      TlbFuzzParam{16, 1, 14},
+                      TlbFuzzParam{48, 4, 15}),  // 12 sets
     [](const ::testing::TestParamInfo<TlbFuzzParam>& info) {
       return "e" + std::to_string(info.param.entries) + "_w" +
              std::to_string(info.param.ways) + "_s" +

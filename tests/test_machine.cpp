@@ -152,6 +152,12 @@ TEST(Machine, RejectsOutOfRangeCore) {
   EXPECT_THROW(m.run(streams_of({{}, {}}), run), std::invalid_argument);
 }
 
+TEST(Machine, RejectsZeroCoresPerL2) {
+  MachineConfig c;
+  c.cores_per_l2 = 0;
+  EXPECT_THROW(Machine{c}, std::invalid_argument);
+}
+
 TEST(Machine, ThreadOnReflectsMapping) {
   Machine m(MachineConfig::tiny());
   Machine::RunConfig run;

@@ -82,6 +82,9 @@ TEST(Topology, RejectsInvalidConfig) {
   c.cores_per_socket = 3;
   c.cores_per_l2 = 2;  // 3 % 2 != 0
   EXPECT_THROW(Topology{c}, std::invalid_argument);
+  MachineConfig zero;
+  zero.cores_per_l2 = 0;  // num_l2() would divide by zero
+  EXPECT_THROW(Topology{zero}, std::invalid_argument);
 }
 
 // ---------------------------------------------------------- socket mesh
