@@ -1,9 +1,7 @@
 #include "core/checkpoint.hpp"
 
 #include <cstddef>
-#include <optional>
 #include <sstream>
-#include <utility>
 
 #include "core/codec.hpp"
 #include "core/io.hpp"
@@ -29,8 +27,8 @@ std::string hex(std::uint64_t v) {
 
 }  // namespace
 
-// ---- field encoders (shared by the suite, detector-state and service
-// session formats; declared in checkpoint.hpp) ----
+// ---- field encoders (shared by the suite and service session formats;
+// declared in checkpoint.hpp) ----
 
 void write_stats(BinWriter& w, const MachineStats& s) {
   w.u64(s.accesses);
@@ -145,76 +143,6 @@ DetectionResult read_detection(BinReader& r) {
   return d;
 }
 
-void write_sm(BinWriter& w, const SmDetectorState& s) {
-  write_matrix(w, s.matrix);
-  w.u64(s.searches);
-  w.u64(s.misses_seen);
-  w.u32(s.miss_counter);
-}
-
-SmDetectorState read_sm(BinReader& r) {
-  SmDetectorState s;
-  s.matrix = read_matrix(r);
-  s.searches = r.u64();
-  s.misses_seen = r.u64();
-  s.miss_counter = r.u32();
-  return s;
-}
-
-void write_u64_vec(BinWriter& w, const std::vector<std::uint64_t>& v) {
-  w.u64(v.size());
-  for (const std::uint64_t x : v) w.u64(x);
-}
-
-std::vector<std::uint64_t> read_u64_vec(BinReader& r) {
-  const std::uint64_t n = r.u64();
-  if (!r.ok()) return {};
-  if (n > kMaxThreads) {
-    r.fail("counter vector length " + std::to_string(n) + " out of range");
-    return {};
-  }
-  std::vector<std::uint64_t> v;
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.u64());
-  return v;
-}
-
-void write_phase(BinWriter& w, const PhaseDetectorState& s) {
-  w.u64(s.epoch);
-  w.boolean(s.has_reference);
-  write_matrix(w, s.reference);
-  write_u64_vec(w, s.ref_accesses);
-  write_u64_vec(w, s.ref_misses);
-  write_u64_vec(w, s.window_accesses);
-  write_u64_vec(w, s.window_misses);
-}
-
-PhaseDetectorState read_phase(BinReader& r) {
-  PhaseDetectorState s;
-  s.epoch = r.u64();
-  s.has_reference = r.boolean();
-  s.reference = read_matrix(r);
-  s.ref_accesses = read_u64_vec(r);
-  s.ref_misses = read_u64_vec(r);
-  s.window_accesses = read_u64_vec(r);
-  s.window_misses = read_u64_vec(r);
-  return s;
-}
-
-/// Runs a payload-level parse: decode via `body`, then require a clean
-/// reader with no trailing bytes.
-template <typename T, typename Body>
-Expected<T> parse_payload(std::string_view payload, Body body) {
-  BinReader r(payload);
-  T value = body(r);
-  if (!r.ok()) return r.error();
-  if (!r.at_end()) {
-    r.fail(std::to_string(payload.size() - r.pos()) + " trailing bytes");
-    return r.error();
-  }
-  return value;
-}
-
 }  // namespace
 
 std::string seal_checkpoint(std::string_view payload,
@@ -302,49 +230,49 @@ Expected<SuiteCheckpoint> parse_checkpoint(std::string_view bytes,
                                            std::uint64_t expected_hash) {
   Expected<std::string> payload = unseal_checkpoint(bytes, expected_hash);
   if (!payload) return payload.error();
-  return parse_payload<SuiteCheckpoint>(
-      *payload, [expected_hash](BinReader& r) {
-        SuiteCheckpoint ckpt;
-        ckpt.config_hash = expected_hash;
-        ckpt.detect_tasks = r.u64();
-        ckpt.eval_tasks = r.u64();
-        const std::uint64_t detect_count = r.u64();
-        if (r.ok() && detect_count > kMaxCount) {
-          r.fail("detect-task count " + std::to_string(detect_count) +
-                 " out of range");
-        }
-        for (std::uint64_t i = 0; r.ok() && i < detect_count; ++i) {
-          const std::uint64_t idx = r.u64();
-          ckpt.detect_done.emplace(idx, read_detection(r));
-        }
-        ckpt.map_done = r.boolean();
-        const std::uint64_t sm_count = r.u64();
-        if (r.ok() && sm_count > kMaxCount) {
-          r.fail("SM mapping count " + std::to_string(sm_count) +
-                 " out of range");
-        }
-        for (std::uint64_t i = 0; r.ok() && i < sm_count; ++i) {
-          ckpt.sm_mappings.push_back(read_mapping(r));
-        }
-        const std::uint64_t hm_count = r.u64();
-        if (r.ok() && hm_count > kMaxCount) {
-          r.fail("HM mapping count " + std::to_string(hm_count) +
-                 " out of range");
-        }
-        for (std::uint64_t i = 0; r.ok() && i < hm_count; ++i) {
-          ckpt.hm_mappings.push_back(read_mapping(r));
-        }
-        const std::uint64_t eval_count = r.u64();
-        if (r.ok() && eval_count > kMaxCount) {
-          r.fail("eval-task count " + std::to_string(eval_count) +
-                 " out of range");
-        }
-        for (std::uint64_t i = 0; r.ok() && i < eval_count; ++i) {
-          const std::uint64_t idx = r.u64();
-          ckpt.eval_done.emplace(idx, read_stats(r));
-        }
-        return ckpt;
-      });
+  BinReader r(*payload);
+  SuiteCheckpoint ckpt;
+  ckpt.config_hash = expected_hash;
+  ckpt.detect_tasks = r.u64();
+  ckpt.eval_tasks = r.u64();
+  const std::uint64_t detect_count = r.u64();
+  if (r.ok() && detect_count > kMaxCount) {
+    r.fail("detect-task count " + std::to_string(detect_count) +
+           " out of range");
+  }
+  for (std::uint64_t i = 0; r.ok() && i < detect_count; ++i) {
+    const std::uint64_t idx = r.u64();
+    ckpt.detect_done.emplace(idx, read_detection(r));
+  }
+  ckpt.map_done = r.boolean();
+  const std::uint64_t sm_count = r.u64();
+  if (r.ok() && sm_count > kMaxCount) {
+    r.fail("SM mapping count " + std::to_string(sm_count) + " out of range");
+  }
+  for (std::uint64_t i = 0; r.ok() && i < sm_count; ++i) {
+    ckpt.sm_mappings.push_back(read_mapping(r));
+  }
+  const std::uint64_t hm_count = r.u64();
+  if (r.ok() && hm_count > kMaxCount) {
+    r.fail("HM mapping count " + std::to_string(hm_count) + " out of range");
+  }
+  for (std::uint64_t i = 0; r.ok() && i < hm_count; ++i) {
+    ckpt.hm_mappings.push_back(read_mapping(r));
+  }
+  const std::uint64_t eval_count = r.u64();
+  if (r.ok() && eval_count > kMaxCount) {
+    r.fail("eval-task count " + std::to_string(eval_count) + " out of range");
+  }
+  for (std::uint64_t i = 0; r.ok() && i < eval_count; ++i) {
+    const std::uint64_t idx = r.u64();
+    ckpt.eval_done.emplace(idx, read_stats(r));
+  }
+  if (!r.ok()) return r.error();
+  if (!r.at_end()) {
+    r.fail(std::to_string(payload->size() - r.pos()) + " trailing bytes");
+    return r.error();
+  }
+  return ckpt;
 }
 
 Expected<void> save_checkpoint(const std::filesystem::path& path,
@@ -357,116 +285,6 @@ Expected<SuiteCheckpoint> load_checkpoint(const std::filesystem::path& path,
   Expected<std::string> bytes = read_file(path);
   if (!bytes) return bytes.error();
   return parse_checkpoint(*bytes, expected_hash);
-}
-
-std::string serialize_sm_state(const SmDetectorState& state) {
-  BinWriter w;
-  write_sm(w, state);
-  return w.take();
-}
-
-Expected<SmDetectorState> parse_sm_state(std::string_view payload) {
-  return parse_payload<SmDetectorState>(
-      payload, [](BinReader& r) { return read_sm(r); });
-}
-
-std::string serialize_hm_state(const HmDetectorState& state) {
-  BinWriter w;
-  write_matrix(w, state.matrix);
-  w.u64(state.searches);
-  w.u64(state.misses_seen);
-  w.u64(state.last_sweep);
-  w.u64(state.pending_delay);
-  w.i32(state.retry_count);
-  w.u64(state.retry_at);
-  return w.take();
-}
-
-Expected<HmDetectorState> parse_hm_state(std::string_view payload) {
-  return parse_payload<HmDetectorState>(payload, [](BinReader& r) {
-    HmDetectorState s;
-    s.matrix = read_matrix(r);
-    s.searches = r.u64();
-    s.misses_seen = r.u64();
-    s.last_sweep = r.u64();
-    s.pending_delay = r.u64();
-    s.retry_count = r.i32();
-    s.retry_at = r.u64();
-    return s;
-  });
-}
-
-std::string serialize_mapper_state(const OnlineMapperState& state) {
-  BinWriter w;
-  write_sm(w, state.detector);
-  write_mapping(w, state.mapping);
-  w.i32(state.migrations);
-  w.i32(state.remap_decisions);
-  w.i32(state.degraded_decisions);
-  w.i32(state.cooldown_left);
-  // Self-stabilization trail (format version 2, DESIGN.md Sec. 17).
-  w.i32(state.rollbacks);
-  w.i32(state.canary_commits);
-  w.i32(state.backoff_skips);
-  w.i32(state.canary_left);
-  w.i32(state.backoff_left);
-  w.i32(state.phase_rollbacks);
-  write_mapping(w, state.canary_prev);
-  w.u64(state.canary_cost);
-  w.u64(state.canary_accesses);
-  w.u64(state.baseline_cost);
-  w.u64(state.baseline_accesses);
-  w.u64(state.decision_cost);
-  w.u64(state.decision_accesses);
-  w.u64(state.phase_cost);
-  w.u64(state.phase_accesses);
-  write_phase(w, state.phase);
-  return w.take();
-}
-
-Expected<OnlineMapperState> parse_mapper_state(std::string_view payload) {
-  return parse_payload<OnlineMapperState>(payload, [](BinReader& r) {
-    OnlineMapperState s;
-    s.detector = read_sm(r);
-    s.mapping = read_mapping(r);
-    s.migrations = r.i32();
-    s.remap_decisions = r.i32();
-    s.degraded_decisions = r.i32();
-    s.cooldown_left = r.i32();
-    s.rollbacks = r.i32();
-    s.canary_commits = r.i32();
-    s.backoff_skips = r.i32();
-    s.canary_left = r.i32();
-    s.backoff_left = r.i32();
-    s.phase_rollbacks = r.i32();
-    s.canary_prev = read_mapping(r);
-    s.canary_cost = r.u64();
-    s.canary_accesses = r.u64();
-    s.baseline_cost = r.u64();
-    s.baseline_accesses = r.u64();
-    s.decision_cost = r.u64();
-    s.decision_accesses = r.u64();
-    s.phase_cost = r.u64();
-    s.phase_accesses = r.u64();
-    s.phase = read_phase(r);
-    return s;
-  });
-}
-
-Expected<void> save_mapper_checkpoint(const std::filesystem::path& path,
-                                      const OnlineMapperState& state,
-                                      std::uint64_t tag) {
-  return atomic_write_file(path,
-                           seal_checkpoint(serialize_mapper_state(state), tag));
-}
-
-Expected<OnlineMapperState> load_mapper_checkpoint(
-    const std::filesystem::path& path, std::uint64_t tag) {
-  Expected<std::string> bytes = read_file(path);
-  if (!bytes) return bytes.error();
-  Expected<std::string> payload = unseal_checkpoint(*bytes, tag);
-  if (!payload) return payload.error();
-  return parse_mapper_state(*payload);
 }
 
 }  // namespace tlbmap

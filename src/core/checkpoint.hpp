@@ -36,23 +36,26 @@
 #include <vector>
 
 #include "core/codec.hpp"
-#include "core/dynamic.hpp"
 #include "core/expected.hpp"
 #include "core/pipeline.hpp"
-#include "detect/hm_detector.hpp"
 
 namespace tlbmap {
 
 /// Current checkpoint format version (envelope field at offset 4).
-/// Version history: 1 = PR 5 seed formats; 2 = PR 10, OnlineMapperState
-/// grew the self-stabilization trail (canary transaction, phase detector,
-/// rollback damping), so older mapper snapshots no longer parse.
+/// Version history: 1 = first suite, detector and mapper formats; 2 = the
+/// online-mapper snapshot grew its self-stabilization trail. That snapshot
+/// and the detector snapshots have since lost their file codecs (their
+/// state is in-memory only); the suite and service payloads are unchanged
+/// since version 2, so existing suite.ckpt / service.ckpt files still
+/// parse. Whether a parsed snapshot is used is up to its config hash.
 inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Progress snapshot of one run_suite invocation. Task indices are the
 /// suite's stable global indices: detect task i covers app i/3 with
 /// mechanism i%3 (SM, HM, oracle); eval task i covers app i/(3*reps),
-/// policy (i/reps)%3 (OS, SM, HM), repetition i%reps.
+/// repetition (i/3)%reps, policy i%3 (OS, SM, HM). A snapshot with every
+/// task filled in is a finished suite: that is what the results cache
+/// stores (DESIGN.md Sec. 12).
 struct SuiteCheckpoint {
   /// suite_config_hash() of the config that produced this snapshot.
   std::uint64_t config_hash = 0;
@@ -98,8 +101,8 @@ Expected<void> save_checkpoint(const std::filesystem::path& path,
 Expected<SuiteCheckpoint> load_checkpoint(const std::filesystem::path& path,
                                           std::uint64_t expected_hash);
 
-// Shared field codecs over core/codec.hpp, reused by every payload format
-// in this file and by the service session snapshots (src/svc/): fixed-width
+// Shared field codecs over core/codec.hpp, reused by the suite payload in
+// this file and by the service session snapshots (src/svc/): fixed-width
 // little-endian fields, length-prefixed containers, range-checked on read.
 void write_stats(BinWriter& w, const MachineStats& s);
 MachineStats read_stats(BinReader& r);
@@ -107,23 +110,5 @@ void write_matrix(BinWriter& w, const CommMatrix& m);
 CommMatrix read_matrix(BinReader& r);
 void write_mapping(BinWriter& w, const Mapping& m);
 Mapping read_mapping(BinReader& r);
-
-// Mid-run detector / online-mapper snapshots (payload-level encodings;
-// wrap in seal_checkpoint or the save/load helpers below for files).
-std::string serialize_sm_state(const SmDetectorState& state);
-Expected<SmDetectorState> parse_sm_state(std::string_view payload);
-std::string serialize_hm_state(const HmDetectorState& state);
-Expected<HmDetectorState> parse_hm_state(std::string_view payload);
-std::string serialize_mapper_state(const OnlineMapperState& state);
-Expected<OnlineMapperState> parse_mapper_state(std::string_view payload);
-
-/// OnlineMapper decision-state file helpers: the envelope's hash field
-/// carries `tag` (caller-chosen, e.g. a config hash), so a snapshot from
-/// one setup is rejected structurally when loaded into another.
-Expected<void> save_mapper_checkpoint(const std::filesystem::path& path,
-                                      const OnlineMapperState& state,
-                                      std::uint64_t tag);
-Expected<OnlineMapperState> load_mapper_checkpoint(
-    const std::filesystem::path& path, std::uint64_t tag);
 
 }  // namespace tlbmap

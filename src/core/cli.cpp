@@ -63,7 +63,10 @@ std::string cli_usage() {
       "  map       detect, then print the derived thread->core mapping\n"
       "  evaluate  run one app under a given or detected mapping\n"
       "  dynamic   run with online detection and barrier migration\n"
-      "  suite     run the full evaluation table across apps\n"
+      "  suite     run the full evaluation table across apps; a finished\n"
+      "            suite is cached as a completed checkpoint under\n"
+      "            $TLBMAP_CACHE_DIR (default <tmp>/tlbmap_cache) and a\n"
+      "            rerun replays it (TLBMAP_NO_CACHE=1 recomputes)\n"
       "  record    capture an app's trace to a directory\n"
       "  replay    run a captured trace\n"
       "  serve     host the mapping service for N synthetic tenants\n"
@@ -136,13 +139,11 @@ std::string cli_usage() {
       "                       reasons, counters)\n"
       "\n"
       "crash safety (suite and serve):\n"
-      "  --checkpoint-dir DIR checkpoint progress to DIR/suite.ckpt (suite)\n"
-      "                       or DIR/service.ckpt (serve) and handle\n"
-      "                       SIGINT/SIGTERM cleanly (the run stops at a\n"
-      "                       task/tick boundary and exits 130)\n"
-      "  --checkpoint-every-events N\n"
-      "                       simulated accesses between checkpoint writes\n"
-      "                       (suite; default 0 = write after every task)\n"
+      "  --checkpoint-dir DIR checkpoint progress to DIR/suite.ckpt after\n"
+      "                       every suite task, or to DIR/service.ckpt\n"
+      "                       (serve), and handle SIGINT/SIGTERM cleanly\n"
+      "                       (the run stops at a task/tick boundary and\n"
+      "                       exits 130)\n"
       "  --resume             continue from the checkpoint; a missing or\n"
       "                       invalid checkpoint falls back to a fresh run\n"
       "\n"
@@ -285,10 +286,6 @@ CliOptions parse_cli(int argc, const char* const* argv) {
         if (const char* v = next_value()) opt.watchdog_events = to_u64(v);
       } else if (arg == "--checkpoint-dir") {
         if (const char* v = next_value()) opt.checkpoint_dir = v;
-      } else if (arg == "--checkpoint-every-events") {
-        if (const char* v = next_value()) {
-          opt.checkpoint_every_events = to_u64(v);
-        }
       } else if (arg == "--resume") {
         opt.resume = true;
       } else if (arg == "--apps") {
@@ -423,8 +420,7 @@ CliOptions parse_cli(int argc, const char* const* argv) {
   }
   if (opt.error.empty() && opt.command != "suite" &&
       opt.command != "serve" &&
-      (!opt.checkpoint_dir.empty() || opt.checkpoint_every_events > 0 ||
-       opt.resume)) {
+      (!opt.checkpoint_dir.empty() || opt.resume)) {
     opt.error = "checkpoint/resume flags only apply to suite and serve";
   }
   if (opt.error.empty() && serve_flag_used && opt.command != "serve") {
@@ -453,9 +449,8 @@ CliOptions parse_cli(int argc, const char* const* argv) {
       opt.error = "drift-threshold must be in [0, 1]";
     }
   }
-  if (opt.error.empty() && opt.checkpoint_dir.empty() &&
-      (opt.resume || opt.checkpoint_every_events > 0)) {
-    opt.error = "--resume/--checkpoint-every-events need --checkpoint-dir";
+  if (opt.error.empty() && opt.checkpoint_dir.empty() && opt.resume) {
+    opt.error = "--resume needs --checkpoint-dir";
   }
   if (opt.error.empty()) {
     // Out-of-range fault rates are usage errors, reported through the same
@@ -612,7 +607,6 @@ int cmd_suite(const CliOptions& opt, obs::ObsContext* obs) {
   config.base_seed = opt.seed;
   if (!opt.apps.empty()) config.apps = opt.apps;
   config.checkpoint_dir = opt.checkpoint_dir;
-  config.checkpoint_every_events = opt.checkpoint_every_events;
   config.resume = opt.resume;
   config.metrics_interval_events = opt.metrics_interval_events;
   config.manifest_out = opt.manifest_out;

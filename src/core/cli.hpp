@@ -80,12 +80,12 @@ struct CliOptions {
   int window_pages = 64;          ///< --window-pages: stream detector LRU
   std::uint64_t sweep_every = 4096;  ///< --sweep-every: stream sweep cadence
   std::string serve_out;          ///< --serve-out: JSON report path
-  // Crash safety (suite only, DESIGN.md Sec. 12). With --checkpoint-dir
-  // set, SIGINT/SIGTERM handlers are installed, progress is checkpointed
-  // as tasks complete, and an interrupted suite exits with code 130;
+  // Crash safety (suite and serve, DESIGN.md Sec. 12). With
+  // --checkpoint-dir set, SIGINT/SIGTERM handlers are installed, progress
+  // is checkpointed after every completed task (suite) or at tick
+  // boundaries (serve), and an interrupted run exits with code 130;
   // --resume continues from the saved snapshot.
-  std::string checkpoint_dir;            ///< empty = checkpointing off
-  std::uint64_t checkpoint_every_events = 0;  ///< 0 = every completed task
+  std::string checkpoint_dir;  ///< empty = checkpointing off
   bool resume = false;
   // Observability (see src/obs/): "off" records nothing. Passing
   // --trace-out/--metrics-out/--manifest-out or a nonzero

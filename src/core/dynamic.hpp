@@ -89,8 +89,8 @@ struct OnlineMapperConfig {
   void validate() const;
 };
 
-/// Serializable decision state of an OnlineMapper (DESIGN.md Sec. 12/17):
-/// the embedded SM detector's snapshot, the current placement, the
+/// In-memory decision state of an OnlineMapper (DESIGN.md Sec. 17; no file
+/// codec): the embedded SM detector's snapshot, the current placement, the
 /// decision/hysteresis cursors, and the whole self-stabilization trail —
 /// open canary transaction, phase-anchored baseline, rollback/backoff
 /// damping and phase-detector snapshot. Restoring it into a fresh mapper
@@ -176,7 +176,7 @@ class OnlineMapper final : public MachineObserver, public MigrationPolicy {
     detector_.set_observability(obs);
   }
 
-  /// Copies out the decision state (checkpoint support).
+  /// Copies out the decision state.
   OnlineMapperState state() const;
   /// Overwrites the decision state from a snapshot. Throws
   /// std::invalid_argument when the snapshot's shape (matrix size, mapping

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -27,7 +26,7 @@ namespace {
 
 /// Bump when workload definitions or counter semantics change, so stale
 /// cache entries are never reused across library revisions.
-constexpr int kSchemaVersion = 12;
+constexpr int kSchemaVersion = 13;
 
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 1469598103934665603ull;
@@ -36,97 +35,6 @@ std::uint64_t fnv1a(const std::string& s) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-void write_stats(std::ostream& out, const MachineStats& s) {
-  out << s.accesses << ' ' << s.reads << ' ' << s.writes << ' ' << s.tlb_hits
-      << ' ' << s.tlb_misses << ' ' << s.l1_hits << ' ' << s.l1_misses << ' '
-      << s.l2_accesses << ' ' << s.l2_hits << ' ' << s.l2_misses << ' '
-      << s.invalidations << ' ' << s.snoop_transactions << ' '
-      << s.writebacks << ' ' << s.memory_fetches << ' '
-      << s.memory_fetches_local << ' ' << s.memory_fetches_remote << ' '
-      << s.intra_socket_messages << ' ' << s.inter_socket_messages << ' '
-      << s.execution_cycles << ' ' << s.detection_overhead_cycles << ' '
-      << s.detector_searches << '\n';
-}
-
-bool read_stats(std::istream& in, MachineStats& s) {
-  in >> s.accesses >> s.reads >> s.writes >> s.tlb_hits >> s.tlb_misses >>
-      s.l1_hits >> s.l1_misses >> s.l2_accesses >> s.l2_hits >> s.l2_misses >>
-      s.invalidations >> s.snoop_transactions >> s.writebacks >>
-      s.memory_fetches >> s.memory_fetches_local >> s.memory_fetches_remote >>
-      s.intra_socket_messages >>
-      s.inter_socket_messages >> s.execution_cycles >>
-      s.detection_overhead_cycles >> s.detector_searches;
-  return static_cast<bool>(in);
-}
-
-void write_matrix(std::ostream& out, const CommMatrix& m) {
-  out << m.size() << '\n';
-  for (ThreadId a = 0; a < m.size(); ++a) {
-    for (ThreadId b = 0; b < m.size(); ++b) {
-      out << m.at(a, b) << (b + 1 == m.size() ? '\n' : ' ');
-    }
-  }
-}
-
-bool read_matrix(std::istream& in, CommMatrix& m) {
-  int n = 0;
-  in >> n;
-  if (!in || n <= 0 || n > 4096) return false;
-  m = CommMatrix(n);
-  for (ThreadId a = 0; a < n; ++a) {
-    for (ThreadId b = 0; b < n; ++b) {
-      std::uint64_t v = 0;
-      in >> v;
-      if (!in) return false;
-      if (a < b) m.add(a, b, v);
-    }
-  }
-  return true;
-}
-
-void write_detection(std::ostream& out, const DetectionResult& d) {
-  out << d.mechanism << ' ' << d.searches << '\n';
-  write_stats(out, d.stats);
-  write_matrix(out, d.matrix);
-}
-
-bool read_detection(std::istream& in, DetectionResult& d) {
-  in >> d.mechanism >> d.searches;
-  if (!in) return false;
-  return read_stats(in, d.stats) && read_matrix(in, d.matrix);
-}
-
-void write_mapping(std::ostream& out, const Mapping& m) {
-  out << m.size();
-  for (const CoreId c : m) out << ' ' << c;
-  out << '\n';
-}
-
-bool read_mapping(std::istream& in, Mapping& m) {
-  std::size_t n = 0;
-  in >> n;
-  if (!in || n > 4096) return false;
-  m.resize(n);
-  for (CoreId& c : m) in >> c;
-  return static_cast<bool>(in);
-}
-
-void write_runs(std::ostream& out, const MappingRuns& r) {
-  out << r.label << ' ' << r.runs.size() << '\n';
-  for (const MachineStats& s : r.runs) write_stats(out, s);
-}
-
-bool read_runs(std::istream& in, MappingRuns& r) {
-  std::size_t n = 0;
-  in >> r.label >> n;
-  if (!in || n > 100000) return false;
-  r.runs.resize(n);
-  for (MachineStats& s : r.runs) {
-    if (!read_stats(in, s)) return false;
-  }
-  return true;
 }
 
 std::filesystem::path cache_dir() {
@@ -143,8 +51,8 @@ bool cache_disabled() {
 
 /// Everything that affects suite results, in one canonical string. Hashed
 /// for both the cache file name and the checkpoint config fingerprint.
-/// The crash-safety knobs (checkpoint_dir / checkpoint_every_events /
-/// resume) are deliberately absent: they change durability, not results.
+/// The crash-safety knobs (checkpoint_dir / resume) are deliberately
+/// absent: they change durability, not results.
 std::string suite_key_string(const SuiteConfig& c) {
   std::ostringstream key;
   key << "v" << kSchemaVersion << '|' << c.machine.num_sockets << ','
@@ -184,6 +92,53 @@ std::string suite_key_string(const SuiteConfig& c) {
       << c.detect_iter_scale << '|';
   for (const std::string& app : c.apps) key << app << ',';
   return key.str();
+}
+
+/// The empty snapshot of `c`: its config hash and task shape, no task done.
+SuiteCheckpoint blank_checkpoint(const SuiteConfig& c) {
+  SuiteCheckpoint ckpt;
+  ckpt.config_hash = suite_config_hash(c);
+  ckpt.detect_tasks = c.apps.size() * 3;
+  ckpt.eval_tasks = c.apps.size() * 3 *
+                    static_cast<std::uint64_t>(std::max(0, c.repetitions));
+  return ckpt;
+}
+
+/// load_checkpoint plus the shape check behind the config hash, shared by
+/// resume and the results cache. Every stored task index must lie inside
+/// `blank`'s shape and a finished map phase must hold one mapping per app;
+/// a snapshot that passes the CRC and the hash but not this can only be a
+/// colliding corruption or a buggy producer, so it is a mismatch. A cache
+/// entry (`require_complete`) must also have every task filled in.
+Expected<SuiteCheckpoint> load_suite_checkpoint(
+    const std::filesystem::path& file, const SuiteCheckpoint& blank,
+    bool require_complete) {
+  Expected<SuiteCheckpoint> loaded = load_checkpoint(file, blank.config_hash);
+  if (!loaded) return loaded;
+  const std::size_t num_apps = blank.detect_tasks / 3;
+  bool shape_ok = loaded->detect_tasks == blank.detect_tasks &&
+                  loaded->eval_tasks == blank.eval_tasks;
+  for (const auto& [idx, unused] : loaded->detect_done) {
+    shape_ok = shape_ok && idx < blank.detect_tasks;
+  }
+  for (const auto& [idx, unused] : loaded->eval_done) {
+    shape_ok = shape_ok && idx < blank.eval_tasks;
+  }
+  if (loaded->map_done) {
+    shape_ok = shape_ok && loaded->sm_mappings.size() == num_apps &&
+               loaded->hm_mappings.size() == num_apps;
+  }
+  if (!shape_ok) {
+    return Error{ErrorCode::kCheckpointMismatch,
+                 "checkpoint task shape does not match this config"};
+  }
+  if (require_complete &&
+      (!loaded->map_done || loaded->detect_done.size() != blank.detect_tasks ||
+       loaded->eval_done.size() != blank.eval_tasks)) {
+    return Error{ErrorCode::kCheckpointMismatch,
+                 "cache entry holds an unfinished suite"};
+  }
+  return loaded;
 }
 
 }  // namespace
@@ -226,59 +181,12 @@ double AppExperiment::normalized(const MappingRuns& runs,
 
 std::string suite_cache_key(const SuiteConfig& c) {
   std::ostringstream name;
-  name << "suite_" << std::hex << fnv1a(suite_key_string(c)) << ".txt";
+  name << "suite_" << std::hex << fnv1a(suite_key_string(c)) << ".ckpt";
   return name.str();
 }
 
 std::uint64_t suite_config_hash(const SuiteConfig& c) {
   return fnv1a(suite_key_string(c));
-}
-
-std::string serialize_suite(const SuiteResult& result) {
-  std::ostringstream out;
-  out << "tlbmap-suite " << kSchemaVersion << '\n';
-  out << result.apps.size() << '\n';
-  for (const AppExperiment& app : result.apps) {
-    out << app.app << '\n';
-    write_detection(out, app.sm_detection);
-    write_detection(out, app.hm_detection);
-    write_detection(out, app.oracle_detection);
-    write_mapping(out, app.sm_mapping);
-    write_mapping(out, app.hm_mapping);
-    write_runs(out, app.os_runs);
-    write_runs(out, app.sm_runs);
-    write_runs(out, app.hm_runs);
-  }
-  return out.str();
-}
-
-std::optional<SuiteResult> deserialize_suite(const std::string& text,
-                                             const SuiteConfig& config) {
-  std::istringstream in(text);
-  std::string magic;
-  int version = 0;
-  in >> magic >> version;
-  if (magic != "tlbmap-suite" || version != kSchemaVersion) {
-    return std::nullopt;
-  }
-  std::size_t count = 0;
-  in >> count;
-  if (!in || count > 1000) return std::nullopt;
-  SuiteResult result;
-  result.config = config;
-  result.apps.resize(count);
-  for (AppExperiment& app : result.apps) {
-    in >> app.app;
-    if (!read_detection(in, app.sm_detection) ||
-        !read_detection(in, app.hm_detection) ||
-        !read_detection(in, app.oracle_detection) ||
-        !read_mapping(in, app.sm_mapping) ||
-        !read_mapping(in, app.hm_mapping) || !read_runs(in, app.os_runs) ||
-        !read_runs(in, app.sm_runs) || !read_runs(in, app.hm_runs)) {
-      return std::nullopt;
-    }
-  }
-  return result;
 }
 
 SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
@@ -357,26 +265,6 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
     }
   };
 
-  const bool caching = config.use_cache && !cache_disabled();
-  const std::filesystem::path cache_file =
-      cache_dir() / suite_cache_key(config);
-  if (caching && std::filesystem::exists(cache_file)) {
-    obs::TraceSpan span(obs::tracer_at(obs, obs::ObsLevel::kPhases),
-                       "suite.cache_load", "suite");
-    std::ifstream in(cache_file);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    if (auto cached = deserialize_suite(buf.str(), config)) {
-      if (progress != nullptr) {
-        *progress << "[suite] loaded cached results from " << cache_file
-                  << "\n";
-      }
-      phase_wall.emplace_back("suite.cache_load", span.elapsed_us());
-      write_manifest(*cached, true);
-      return *cached;
-    }
-  }
-
   SuiteResult result;
   result.config = config;
   const int cores = config.machine.num_cores();
@@ -389,27 +277,26 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
   // per phase.
   WorkerPool pool(worker_budget);
 
-  // Crash safety (DESIGN.md Sec. 12). Tasks are the checkpoint granularity:
-  // each is independent with a preassigned seed and result slot, so a
-  // resumed suite replays exactly the missing tasks and lands on a
-  // bit-identical SuiteResult. The in-memory SuiteCheckpoint mirrors every
-  // completed task; `ckpt_mutex` guards it (workers commit concurrently)
-  // and saves go through atomic_write_file, so the on-disk file is always
-  // a complete, CRC-sealed snapshot.
+  // Crash safety and the results cache (DESIGN.md Sec. 12) share one
+  // format. Tasks are the checkpoint granularity: each is independent with
+  // a preassigned seed and result slot, so a resumed suite replays exactly
+  // the missing tasks and lands on a bit-identical SuiteResult, and a cache
+  // entry is simply a checkpoint with every task done. Whenever
+  // checkpointing or caching is on, the in-memory SuiteCheckpoint mirrors
+  // every completed task and is the single source of both files;
+  // `ckpt_mutex` guards it (workers commit concurrently) and saves go
+  // through atomic_write_file, so a file on disk is always a complete,
+  // CRC-sealed snapshot.
+  const bool caching = config.use_cache && !cache_disabled();
   const bool checkpointing = !config.checkpoint_dir.empty();
+  const bool mirroring = caching || checkpointing;
+  const std::filesystem::path cache_file =
+      cache_dir() / suite_cache_key(config);
   const std::filesystem::path ckpt_file =
       std::filesystem::path(config.checkpoint_dir) / "suite.ckpt";
-  const std::uint64_t config_hash = suite_config_hash(config);
-  const std::uint64_t expected_detect_tasks = config.apps.size() * 3;
-  const std::uint64_t expected_eval_tasks =
-      config.apps.size() * 3 *
-      static_cast<std::uint64_t>(std::max(0, config.repetitions));
-  SuiteCheckpoint ckpt;
-  ckpt.config_hash = config_hash;
-  ckpt.detect_tasks = expected_detect_tasks;
-  ckpt.eval_tasks = expected_eval_tasks;
+  const SuiteCheckpoint blank = blank_checkpoint(config);
+  SuiteCheckpoint ckpt = blank;
   std::mutex ckpt_mutex;
-  std::uint64_t events_since_save = 0;  // guarded by ckpt_mutex
 
   auto save_ckpt_locked = [&] {  // call with ckpt_mutex held
     const Expected<void> saved = save_checkpoint(ckpt_file, ckpt);
@@ -420,77 +307,76 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
       }
       return;
     }
-    events_since_save = 0;
     if (obs::MetricsRegistry* metrics =
             obs::metrics_at(obs, obs::ObsLevel::kPhases)) {
       metrics->counter("checkpoint.writes").add(1);
     }
   };
-  // Commit one completed task's simulated-access count and save when the
-  // write budget is spent (0 = every task) or a shutdown is pending.
-  auto commit_progress_locked = [&](std::uint64_t task_events) {
-    events_since_save += task_events;
-    if (config.checkpoint_every_events == 0 ||
-        events_since_save >= config.checkpoint_every_events ||
-        shutdown_requested()) {
-      save_ckpt_locked();
+  // Copies task `idx` out of `done` into `slot` when the checkpoint already
+  // holds it (resume or cache hit), so the task builds no Pipeline.
+  auto replay = [&](const auto& done, std::size_t idx, auto& slot) {
+    std::lock_guard<std::mutex> lock(ckpt_mutex);
+    const auto it = done.find(idx);
+    if (it == done.end()) return false;
+    slot = it->second;
+    if (obs::MetricsRegistry* metrics =
+            obs::metrics_at(obs, obs::ObsLevel::kPhases)) {
+      metrics->counter("checkpoint.resumed_tasks").add(1);
     }
+    return true;
   };
+  // Mirrors one completed task and, when checkpointing, saves at once.
+  auto commit = [&](auto& done, std::size_t idx, const auto& value) {
+    if (!mirroring) return;
+    std::lock_guard<std::mutex> lock(ckpt_mutex);
+    done.emplace(idx, value);
+    if (checkpointing) save_ckpt_locked();
+  };
+
+  bool cache_hit = false;
+  if (caching && std::filesystem::exists(cache_file)) {
+    Expected<SuiteCheckpoint> cached =
+        load_suite_checkpoint(cache_file, blank, /*require_complete=*/true);
+    if (cached) {
+      ckpt = std::move(*cached);
+      cache_hit = true;
+      if (progress != nullptr) {
+        *progress << "[suite] loaded cached results from " << cache_file
+                  << "\n";
+      }
+    } else if (progress != nullptr) {
+      *progress << "[suite] cache entry " << cache_file
+                << " rejected: " << cached.error().to_string()
+                << "; recomputing\n";
+    }
+  }
 
   if (checkpointing) {
     std::error_code ec;
     std::filesystem::create_directories(config.checkpoint_dir, ec);
-    if (config.resume) {
-      auto reject = [&](const Error& err) {
-        if (progress != nullptr) {
-          *progress << "[suite] checkpoint rejected: " << err.to_string()
-                    << "; starting fresh\n";
-        }
-        if (obs::MetricsRegistry* metrics =
-                obs::metrics_at(obs, obs::ObsLevel::kPhases)) {
-          metrics->counter("checkpoint.rejected").add(1);
-        }
-      };
+    if (config.resume && !cache_hit) {
       if (!std::filesystem::exists(ckpt_file)) {
         if (progress != nullptr) {
           *progress << "[suite] no checkpoint at " << ckpt_file
                     << "; starting fresh\n";
         }
+      } else if (Expected<SuiteCheckpoint> loaded = load_suite_checkpoint(
+                     ckpt_file, blank, /*require_complete=*/false)) {
+        ckpt = std::move(*loaded);
+        if (progress != nullptr) {
+          *progress << "[suite] resuming from " << ckpt_file << ": "
+                    << ckpt.detect_done.size() << "/" << blank.detect_tasks
+                    << " detect, " << ckpt.eval_done.size() << "/"
+                    << blank.eval_tasks << " eval tasks done\n";
+        }
       } else {
-        Expected<SuiteCheckpoint> loaded =
-            load_checkpoint(ckpt_file, config_hash);
-        if (!loaded) {
-          reject(loaded.error());
-        } else {
-          // Shape re-validation behind the hash (defence in depth): a
-          // snapshot whose task structure disagrees with this config can
-          // only be a colliding corruption — treat it as a mismatch.
-          bool shape_ok = loaded->detect_tasks == expected_detect_tasks &&
-                          loaded->eval_tasks == expected_eval_tasks;
-          for (const auto& [idx, unused] : loaded->detect_done) {
-            shape_ok = shape_ok && idx < expected_detect_tasks;
-          }
-          for (const auto& [idx, unused] : loaded->eval_done) {
-            shape_ok = shape_ok && idx < expected_eval_tasks;
-          }
-          if (loaded->map_done) {
-            shape_ok = shape_ok &&
-                       loaded->sm_mappings.size() == config.apps.size() &&
-                       loaded->hm_mappings.size() == config.apps.size();
-          }
-          if (!shape_ok) {
-            reject(Error{ErrorCode::kCheckpointMismatch,
-                         "checkpoint task shape does not match this config"});
-          } else {
-            ckpt = std::move(*loaded);
-            if (progress != nullptr) {
-              *progress << "[suite] resuming from " << ckpt_file << ": "
-                        << ckpt.detect_done.size() << "/"
-                        << expected_detect_tasks << " detect, "
-                        << ckpt.eval_done.size() << "/" << expected_eval_tasks
-                        << " eval tasks done\n";
-            }
-          }
+        if (progress != nullptr) {
+          *progress << "[suite] checkpoint rejected: "
+                    << loaded.error().to_string() << "; starting fresh\n";
+        }
+        if (obs::MetricsRegistry* metrics =
+                obs::metrics_at(obs, obs::ObsLevel::kPhases)) {
+          metrics->counter("checkpoint.rejected").add(1);
         }
       }
     }
@@ -647,18 +533,7 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
     }
     run_tasks("detect", tasks.size(), [&](std::size_t idx) {
       const DetectTask& task = tasks[idx];
-      if (checkpointing) {
-        std::lock_guard<std::mutex> lock(ckpt_mutex);
-        const auto done = ckpt.detect_done.find(idx);
-        if (done != ckpt.detect_done.end()) {
-          *task.slot = done->second;
-          if (obs::MetricsRegistry* metrics =
-                  obs::metrics_at(obs, obs::ObsLevel::kPhases)) {
-            metrics->counter("checkpoint.resumed_tasks").add(1);
-          }
-          return;
-        }
-      }
+      if (replay(ckpt.detect_done, idx, *task.slot)) return;
       Pipeline detect_pipe(config.machine);
       detect_pipe.sm_config() = config.sm;
       detect_pipe.hm_config() = config.hm;
@@ -667,11 +542,7 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
       detect_pipe.set_metrics_interval_events(config.metrics_interval_events);
       *task.slot = detect_pipe.detect(*detect_workloads[task.app],
                                       task.mechanism, config.base_seed);
-      if (checkpointing) {
-        std::lock_guard<std::mutex> lock(ckpt_mutex);
-        ckpt.detect_done.emplace(idx, *task.slot);
-        commit_progress_locked(task.slot->stats.accesses);
-      }
+      commit(ckpt.detect_done, idx, *task.slot);
     });
     phase_wall.emplace_back("suite.detect", span.elapsed_us());
   }
@@ -714,7 +585,7 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
                                    detection.matrix.size());
       }
     };
-    if (checkpointing && ckpt.map_done) {
+    if (ckpt.map_done) {
       // Mapping is deterministic given the detections, so replaying it
       // would land on the same placements; restoring keeps the checkpoint
       // the single source of truth (and skips any fallback re-reporting).
@@ -727,14 +598,14 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
         app.sm_mapping = map_or_fallback(app, app.sm_detection);
         app.hm_mapping = map_or_fallback(app, app.hm_detection);
       }
-      if (checkpointing) {
+      if (mirroring) {
         std::lock_guard<std::mutex> lock(ckpt_mutex);
         ckpt.map_done = true;
         for (const AppExperiment& app : result.apps) {
           ckpt.sm_mappings.push_back(app.sm_mapping);
           ckpt.hm_mappings.push_back(app.hm_mapping);
         }
-        save_ckpt_locked();
+        if (checkpointing) save_ckpt_locked();
       }
     }
     phase_wall.emplace_back("suite.map", span.elapsed_us());
@@ -789,18 +660,7 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
     }
     run_tasks("evaluate", tasks.size(), [&](std::size_t idx) {
       const EvalTask& task = tasks[idx];
-      if (checkpointing) {
-        std::lock_guard<std::mutex> lock(ckpt_mutex);
-        const auto done = ckpt.eval_done.find(idx);
-        if (done != ckpt.eval_done.end()) {
-          *task.slot = done->second;
-          if (obs::MetricsRegistry* metrics =
-                  obs::metrics_at(obs, obs::ObsLevel::kPhases)) {
-            metrics->counter("checkpoint.resumed_tasks").add(1);
-          }
-          return;
-        }
-      }
+      if (replay(ckpt.eval_done, idx, *task.slot)) return;
       Pipeline worker_pipe(config.machine);
       // The tracer and registry are thread-safe; evaluation spans from
       // parallel workers interleave in the ring like any other events.
@@ -808,11 +668,7 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
       worker_pipe.set_metrics_interval_events(config.metrics_interval_events);
       *task.slot = worker_pipe.evaluate(*eval_workloads[task.app],
                                         task.mapping, task.run_seed);
-      if (checkpointing) {
-        std::lock_guard<std::mutex> lock(ckpt_mutex);
-        ckpt.eval_done.emplace(idx, *task.slot);
-        commit_progress_locked(task.slot->accesses);
-      }
+      commit(ckpt.eval_done, idx, *task.slot);
     });
     phase_wall.emplace_back("suite.evaluate", span.elapsed_us());
   }
@@ -854,14 +710,14 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
     std::error_code ec;
     std::filesystem::remove(ckpt_file, ec);
   }
-  if (caching) {
+  if (caching && !cache_hit) {
     std::error_code ec;
     std::filesystem::create_directories(cache_dir(), ec);
     if (!ec) {
-      // atomic_write_file: a crash (or a concurrent reader) mid-cache-write
-      // must never leave a torn cache entry for the next suite to trip on.
-      const Expected<void> written =
-          atomic_write_file(cache_file, serialize_suite(result));
+      // The mirror now holds every task: save it as the cache entry
+      // (atomically, so a crash or a concurrent reader mid-write never
+      // sees a torn entry). A rejected entry is overwritten here.
+      const Expected<void> written = save_checkpoint(cache_file, ckpt);
       if (written) {
         if (progress != nullptr) {
           *progress << "[suite] cached results at " << cache_file << "\n";
@@ -872,7 +728,7 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
       }
     }
   }
-  write_manifest(result, false);
+  write_manifest(result, cache_hit);
   return result;
 }
 

@@ -8,14 +8,16 @@
 // scheduler), which is also what gives it the paper's high variance.
 //
 // Because several bench binaries consume the same suite (Figures 6-9,
-// Tables IV/V), results are cached on disk keyed by a config hash; set
-// TLBMAP_NO_CACHE=1 (or use_cache=false) to force recomputation, and
-// TLBMAP_CACHE_DIR to relocate the cache (default /tmp/tlbmap_cache).
+// Tables IV/V), results are cached on disk keyed by a config hash. A cache
+// entry is a completed suite checkpoint (`suite_<hash>.ckpt`, the TLBK
+// format of core/checkpoint.hpp), and a hit replays it through the same
+// detect/map/evaluate phases a resume uses. Set TLBMAP_NO_CACHE=1 (or
+// use_cache=false) to force recomputation, and TLBMAP_CACHE_DIR to relocate
+// the cache (default /tmp/tlbmap_cache).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,15 +70,11 @@ struct SuiteConfig {
   /// SIGINT/SIGTERM (with shutdown handlers installed) or a crash, a later
   /// run with `resume = true` skips every completed task and — because all
   /// seeds and result slots are preassigned — produces a SuiteResult
-  /// bit-identical to an uninterrupted run. The file is removed once the
-  /// suite completes. None of these three fields enters the cache key or
-  /// the config hash: they change durability, not results.
+  /// bit-identical to an uninterrupted run. The file is rewritten after
+  /// every completed task and removed once the suite completes. Neither
+  /// this field nor `resume` enters the cache key or the config hash: they
+  /// change durability, not results.
   std::string checkpoint_dir;
-  /// Accumulated simulated accesses of completed tasks between checkpoint
-  /// writes. 0 = write after every completed task; larger values trade
-  /// write traffic against re-simulated work after a crash. A shutdown
-  /// request always forces a final write regardless of this budget.
-  std::uint64_t checkpoint_every_events = 0;
   /// Load `<checkpoint_dir>/suite.ckpt` and continue from it. A missing,
   /// corrupt or config-mismatched checkpoint is reported (structured error
   /// in the progress stream, `checkpoint.rejected` metric) and the suite
@@ -106,6 +104,8 @@ struct SuiteConfig {
 struct MappingRuns {
   std::string label;  ///< "OS" / "SM" / "HM"
   std::vector<MachineStats> runs;
+
+  bool operator==(const MappingRuns&) const = default;
 };
 
 /// Which scalar a summary extracts from a run. Figures 7-9 normalise raw
@@ -135,6 +135,8 @@ struct AppExperiment {
   /// mean(metric under mapping) / mean(metric under OS) — the normalised
   /// bars of Figures 6-9.
   double normalized(const MappingRuns& runs, Metric metric) const;
+
+  bool operator==(const AppExperiment&) const = default;
 };
 
 struct SuiteResult {
@@ -152,11 +154,11 @@ struct SuiteResult {
   bool degraded() const { return !failures.empty(); }
 };
 
-/// Runs (or loads from cache) the whole evaluation. `progress`, when given,
-/// receives one line per phase. `obs`, when given, receives one span per
-/// phase (suite.detect / suite.map / suite.evaluate) plus everything the
-/// underlying Pipeline publishes (cached loads record a "suite.cache_load"
-/// span and nothing else).
+/// Runs (or replays from cache) the whole evaluation. `progress`, when
+/// given, receives one line per phase. `obs`, when given, receives one span
+/// per phase (suite.detect / suite.map / suite.evaluate) plus everything the
+/// underlying Pipeline publishes. A cache hit replays the stored tasks
+/// through the same three spans without simulating anything.
 SuiteResult run_suite(const SuiteConfig& config,
                       std::ostream* progress = nullptr,
                       obs::ObsContext* obs = nullptr);
@@ -228,12 +230,9 @@ ChurnScenarioResult run_churn_scenario(const ChurnScenarioConfig& config);
 std::string suite_cache_key(const SuiteConfig& config);
 /// Result-affecting fingerprint of a config (the cache key's hash): two
 /// configs share it iff they would produce identical results, so it is what
-/// a checkpoint's envelope carries and validates against on resume. The
-/// crash-safety knobs (checkpoint_dir / checkpoint_every_events / resume)
-/// are deliberately excluded.
+/// a checkpoint's envelope carries and validates against on resume and on
+/// a cache hit. The crash-safety knobs (checkpoint_dir / resume) are
+/// deliberately excluded.
 std::uint64_t suite_config_hash(const SuiteConfig& config);
-std::string serialize_suite(const SuiteResult& result);
-std::optional<SuiteResult> deserialize_suite(const std::string& text,
-                                             const SuiteConfig& config);
 
 }  // namespace tlbmap

@@ -36,6 +36,8 @@ struct DetectionResult {
   std::string mechanism;         ///< "SM" / "HM" / "oracle"
 
   DetectionResult() : matrix(1) {}
+
+  bool operator==(const DetectionResult&) const = default;
 };
 
 class Pipeline {

@@ -28,32 +28,6 @@ HmDetector::HmDetector(Machine& machine, int num_threads,
   }
 }
 
-HmDetectorState HmDetector::state() const {
-  HmDetectorState s;
-  s.matrix = matrix_;
-  s.searches = searches_;
-  s.misses_seen = misses_seen_;
-  s.last_sweep = last_sweep_;
-  s.pending_delay = pending_delay_;
-  s.retry_count = retry_count_;
-  s.retry_at = retry_at_;
-  return s;
-}
-
-void HmDetector::restore(const HmDetectorState& state) {
-  if (state.matrix.size() != matrix_.size()) {
-    throw std::invalid_argument(
-        "HmDetector::restore: snapshot thread count mismatch");
-  }
-  matrix_ = state.matrix;
-  searches_ = state.searches;
-  misses_seen_ = state.misses_seen;
-  last_sweep_ = state.last_sweep;
-  pending_delay_ = state.pending_delay;
-  retry_count_ = state.retry_count;
-  retry_at_ = state.retry_at;
-}
-
 Cycles HmDetector::on_access(ThreadId /*thread*/, CoreId /*core*/,
                              VirtAddr /*addr*/, PageNum /*page*/,
                              AccessType /*type*/, bool tlb_miss,

@@ -49,23 +49,6 @@ struct HmDetectorConfig {
   void validate() const;
 };
 
-/// Serializable mid-run snapshot of an HmDetector (DESIGN.md Sec. 12): the
-/// accumulated matrix plus the sweep cadence and retry cursors. Restoring
-/// it into a fresh detector of the same shape reproduces the original's
-/// future sweep schedule exactly (faultless plans; an injector's stream
-/// position is not part of the snapshot).
-struct HmDetectorState {
-  CommMatrix matrix{1};
-  std::uint64_t searches = 0;
-  std::uint64_t misses_seen = 0;
-  Cycles last_sweep = 0;     ///< interval-grid anchor of the next due sweep
-  Cycles pending_delay = 0;  ///< injected delay of the next due sweep
-  std::int32_t retry_count = 0;  ///< outstanding retries of a failed sweep
-  Cycles retry_at = 0;       ///< earliest time the next retry may run
-
-  bool operator==(const HmDetectorState&) const = default;
-};
-
 class HmDetector final : public Detector {
  public:
   HmDetector(Machine& machine, int num_threads, HmDetectorConfig config = {});
@@ -86,13 +69,6 @@ class HmDetector final : public Detector {
   /// Runs one sweep immediately (exposed for tests and for the dynamic
   /// migration example, which re-detects on demand).
   void sweep();
-
-  /// Copies out the matrix and cursors (checkpoint support).
-  HmDetectorState state() const;
-  /// Overwrites the matrix and cursors from a snapshot. Throws
-  /// std::invalid_argument when the snapshot's matrix size does not match
-  /// this detector's thread count.
-  void restore(const HmDetectorState& state);
 
   /// The sweep-retry schedule as the shared RetryPolicy (DESIGN.md
   /// Sec. 16): kMaxSweepRetries attempts, base interval/8, doubling, no

@@ -15,8 +15,8 @@
 // Either signal past its threshold starts a new phase: the epoch counter
 // bumps and the reference re-anchors to the current matrix/window. Epochs
 // are monotone and deterministic — a pure function of the observation
-// sequence — so OnlineMapper can seal them into its checkpoint state and
-// reproduce them bit-identically on resume.
+// sequence — so OnlineMapper can carry them in its state() snapshot and
+// reproduce them bit-identically after restore().
 #pragma once
 
 #include <cstdint>
@@ -45,7 +45,7 @@ struct PhaseDetectorConfig {
   void validate() const;
 };
 
-/// Serializable snapshot: the epoch cursor, the phase-reference matrix and
+/// In-memory snapshot: the epoch cursor, the phase-reference matrix and
 /// per-thread reference window, plus the in-flight accumulation window.
 struct PhaseDetectorState {
   std::uint64_t epoch = 0;

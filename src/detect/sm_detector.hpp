@@ -25,7 +25,7 @@ struct SmDetectorConfig {
   Cycles search_cost = 231;
 };
 
-/// Serializable mid-run snapshot of an SmDetector (DESIGN.md Sec. 12): the
+/// In-memory mid-run snapshot of an SmDetector (no file codec): the
 /// accumulated matrix plus the sampling cursor. Restoring it into a fresh
 /// detector of the same shape reproduces the original's future decisions
 /// exactly (faultless plans; an injector's stream position is not part of
@@ -58,7 +58,7 @@ class SmDetector final : public Detector {
 
   void set_observability(obs::ObsContext* obs) override;
 
-  /// Copies out the matrix and cursors (checkpoint support).
+  /// Copies out the matrix and cursors.
   SmDetectorState state() const;
   /// Overwrites the matrix and cursors from a snapshot. Throws
   /// std::invalid_argument when the snapshot's matrix size does not match

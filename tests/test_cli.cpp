@@ -218,17 +218,14 @@ TEST(Cli, OnlineMapperFlagsOnlyApplyToDynamic) {
 
 TEST(Cli, CheckpointFlagsParsed) {
   const CliOptions opt =
-      parse({"suite", "--checkpoint-dir", "/tmp/ckpt",
-             "--checkpoint-every-events", "250000", "--resume"});
+      parse({"suite", "--checkpoint-dir", "/tmp/ckpt", "--resume"});
   ASSERT_TRUE(opt.ok()) << opt.error;
   EXPECT_EQ(opt.checkpoint_dir, "/tmp/ckpt");
-  EXPECT_EQ(opt.checkpoint_every_events, 250000u);
   EXPECT_TRUE(opt.resume);
 
   const CliOptions defaults = parse({"suite"});
   ASSERT_TRUE(defaults.ok());
   EXPECT_TRUE(defaults.checkpoint_dir.empty());
-  EXPECT_EQ(defaults.checkpoint_every_events, 0u);
   EXPECT_FALSE(defaults.resume);
 }
 
@@ -236,13 +233,14 @@ TEST(Cli, CheckpointFlagsValidated) {
   // The crash-safety flags only make sense for the suite command...
   EXPECT_FALSE(parse({"detect", "--checkpoint-dir", "/tmp/ckpt"}).ok());
   EXPECT_FALSE(parse({"evaluate", "--resume"}).ok());
-  // ...and resume/cadence without a checkpoint directory is a usage error.
+  // ...and resume without a checkpoint directory is a usage error.
   EXPECT_FALSE(parse({"suite", "--resume"}).ok());
-  EXPECT_FALSE(parse({"suite", "--checkpoint-every-events", "1000"}).ok());
-  // The cadence value is numeric-validated like every other count.
-  EXPECT_FALSE(parse({"suite", "--checkpoint-dir", "/tmp/ckpt",
-                      "--checkpoint-every-events", "soon"})
-                   .ok());
+  // The suite checkpoints after every task; there is no write-cadence flag.
+  const CliOptions cadence = parse({"suite", "--checkpoint-dir", "/tmp/ckpt",
+                                    "--checkpoint-every-events", "1000"});
+  EXPECT_FALSE(cadence.ok());
+  EXPECT_NE(cadence.error.find("unknown option"), std::string::npos);
+  EXPECT_EQ(run_cli(cadence), 2);
 }
 
 TEST(Cli, ServeFlagsParsed) {

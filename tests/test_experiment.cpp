@@ -1,14 +1,20 @@
-// Tests for the experiment harness: metric extraction, summaries,
-// serialization round-trips and cache keys.
+// Tests for the experiment harness: metric extraction, summaries, cache
+// keys, and the results cache (a completed suite checkpoint).
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/checkpoint.hpp"
 #include "core/experiment.hpp"
+#include "core/io.hpp"
 #include "obs/obs.hpp"
 
 namespace tlbmap {
@@ -61,62 +67,6 @@ TEST(Experiment, NormalizedZeroBaselineSafe) {
   EXPECT_DOUBLE_EQ(app.normalized(app.sm_runs, Metric::kTimeSeconds), 1.0);
 }
 
-SuiteResult tiny_result() {
-  SuiteResult result;
-  AppExperiment app;
-  app.app = "BT";
-  app.sm_detection.mechanism = "SM";
-  app.sm_detection.searches = 42;
-  app.sm_detection.matrix = CommMatrix(4);
-  app.sm_detection.matrix.add(0, 1, 7);
-  app.sm_detection.stats.accesses = 1000;
-  app.sm_detection.stats.tlb_misses = 10;
-  app.hm_detection = app.sm_detection;
-  app.hm_detection.mechanism = "HM";
-  app.oracle_detection = app.sm_detection;
-  app.oracle_detection.mechanism = "oracle";
-  app.sm_mapping = {0, 1, 2, 3};
-  app.hm_mapping = {3, 2, 1, 0};
-  app.os_runs = runs_with_cycles({10, 20});
-  app.os_runs.label = "OS";
-  app.sm_runs = runs_with_cycles({5});
-  app.sm_runs.label = "SM";
-  app.hm_runs = runs_with_cycles({6});
-  app.hm_runs.label = "HM";
-  result.apps.push_back(app);
-  return result;
-}
-
-TEST(Experiment, SerializationRoundTrip) {
-  const SuiteResult original = tiny_result();
-  const std::string text = serialize_suite(original);
-  const auto restored = deserialize_suite(text, SuiteConfig{});
-  ASSERT_TRUE(restored.has_value());
-  ASSERT_EQ(restored->apps.size(), 1u);
-  const AppExperiment& app = restored->apps[0];
-  EXPECT_EQ(app.app, "BT");
-  EXPECT_EQ(app.sm_detection.searches, 42u);
-  EXPECT_EQ(app.sm_detection.matrix.at(0, 1), 7u);
-  EXPECT_EQ(app.sm_detection.stats.accesses, 1000u);
-  EXPECT_EQ(app.hm_mapping, (Mapping{3, 2, 1, 0}));
-  EXPECT_EQ(app.os_runs.runs.size(), 2u);
-  EXPECT_EQ(app.os_runs.label, "OS");
-  EXPECT_EQ(app.sm_runs.runs[0].execution_cycles, 5u);
-}
-
-TEST(Experiment, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(deserialize_suite("not a suite", SuiteConfig{}).has_value());
-  EXPECT_FALSE(deserialize_suite("", SuiteConfig{}).has_value());
-  EXPECT_FALSE(
-      deserialize_suite("tlbmap-suite 0\n1\n", SuiteConfig{}).has_value());
-}
-
-TEST(Experiment, DeserializeRejectsTruncated) {
-  std::string text = serialize_suite(tiny_result());
-  text.resize(text.size() / 2);
-  EXPECT_FALSE(deserialize_suite(text, SuiteConfig{}).has_value());
-}
-
 TEST(Experiment, CacheKeyStableAndSensitive) {
   const SuiteConfig a;
   SuiteConfig b;
@@ -132,6 +82,142 @@ TEST(Experiment, CacheKeyStableAndSensitive) {
   SuiteConfig e;
   e.machine.tlb.entries = 128;
   EXPECT_NE(suite_cache_key(a), suite_cache_key(e));
+}
+
+/// One-app suite small enough to run several times in a unit test.
+SuiteConfig tiny_suite() {
+  SuiteConfig config;
+  config.apps = {"EP"};
+  config.repetitions = 2;
+  config.workload.iter_scale = 0.2;
+  config.detect_iter_scale = 1.0;
+  return config;
+}
+
+/// Points the results cache at a fresh per-test directory, with any
+/// TLBMAP_NO_CACHE override lifted, for the guard's lifetime.
+class CacheDirGuard {
+ public:
+  explicit CacheDirGuard(const std::string& name)
+      : dir_(std::filesystem::path(testing::TempDir()) /
+             ("tlbmap_cache_" + name + "_" + std::to_string(::getpid()))),
+        old_dir_(getenv_opt("TLBMAP_CACHE_DIR")),
+        old_no_cache_(getenv_opt("TLBMAP_NO_CACHE")) {
+    std::filesystem::remove_all(dir_);
+    ::setenv("TLBMAP_CACHE_DIR", dir_.c_str(), 1);
+    ::unsetenv("TLBMAP_NO_CACHE");
+  }
+  ~CacheDirGuard() {
+    restore("TLBMAP_CACHE_DIR", old_dir_);
+    restore("TLBMAP_NO_CACHE", old_no_cache_);
+    std::filesystem::remove_all(dir_);
+  }
+
+  const std::filesystem::path& dir() const { return dir_; }
+
+ private:
+  static std::optional<std::string> getenv_opt(const char* name) {
+    const char* v = std::getenv(name);
+    if (v == nullptr) return std::nullopt;
+    return std::string(v);
+  }
+  static void restore(const char* name, const std::optional<std::string>& v) {
+    if (v) {
+      ::setenv(name, v->c_str(), 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+
+  std::filesystem::path dir_;
+  std::optional<std::string> old_dir_;
+  std::optional<std::string> old_no_cache_;
+};
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+TEST(Experiment, CacheHitReplaysFreshResult) {
+  const CacheDirGuard cache("hit");
+  SuiteConfig config = tiny_suite();
+  const SuiteResult fresh = run_suite(config);
+  ASSERT_FALSE(fresh.degraded());
+  ASSERT_TRUE(std::filesystem::exists(cache.dir() / suite_cache_key(config)));
+
+  // The manifest path is not part of the cache key, so this is a hit.
+  config.manifest_out = (cache.dir() / "manifest.json").string();
+  std::ostringstream progress;
+  obs::ObsContext ctx;
+  const SuiteResult cached = run_suite(config, &progress, &ctx);
+  EXPECT_TRUE(cached.apps == fresh.apps);
+  EXPECT_FALSE(cached.interrupted);
+  EXPECT_NE(progress.str().find("loaded cached results"), std::string::npos);
+  EXPECT_NE(slurp(config.manifest_out).find("\"cache_hit\": \"true\""),
+            std::string::npos);
+  // Every task (3 detect + 2 reps x 3 eval) came from the entry.
+  EXPECT_EQ(ctx.metrics.counter_value("checkpoint.resumed_tasks"), 9u);
+}
+
+TEST(Experiment, CorruptCacheEntryIsRecomputedAndReplaced) {
+  const CacheDirGuard cache("corrupt");
+  const SuiteConfig config = tiny_suite();
+  const SuiteResult fresh = run_suite(config);
+  ASSERT_FALSE(fresh.degraded());
+
+  // Flip one payload byte (the envelope header is 28 bytes).
+  const std::filesystem::path entry = cache.dir() / suite_cache_key(config);
+  Expected<std::string> bytes = read_file(entry);
+  ASSERT_TRUE(bytes.has_value());
+  ASSERT_GT(bytes->size(), 28u);
+  (*bytes)[28 + (bytes->size() - 28) / 2] ^= 0x01;
+  ASSERT_TRUE(atomic_write_file(entry, *bytes).has_value());
+
+  std::ostringstream progress;
+  const SuiteResult rerun = run_suite(config, &progress);
+  EXPECT_NE(progress.str().find(to_string(ErrorCode::kCorruptCheckpoint)),
+            std::string::npos);
+  EXPECT_EQ(progress.str().find("loaded cached results"), std::string::npos);
+  EXPECT_TRUE(rerun.apps == fresh.apps);
+
+  // The fresh run overwrote the damaged entry with a complete one.
+  const auto left = load_checkpoint(entry, suite_config_hash(config));
+  ASSERT_TRUE(left.has_value()) << left.error().to_string();
+  EXPECT_EQ(left->detect_done.size(), 3u);
+  EXPECT_TRUE(left->map_done);
+  EXPECT_EQ(left->eval_done.size(), 6u);
+}
+
+TEST(Experiment, UnfinishedCacheEntryIsRecomputed) {
+  // A sound envelope for this config that is not a finished suite (say, a
+  // suite.ckpt copied into the cache) is never trusted as a result.
+  const CacheDirGuard cache("unfinished");
+  const SuiteConfig config = tiny_suite();
+  SuiteConfig uncached = config;
+  uncached.use_cache = false;
+  const SuiteResult reference = run_suite(uncached);
+
+  SuiteCheckpoint partial;
+  partial.config_hash = suite_config_hash(config);
+  partial.detect_tasks = 3;
+  partial.eval_tasks = 6;
+  partial.detect_done[0] = reference.apps[0].sm_detection;
+  const std::filesystem::path entry = cache.dir() / suite_cache_key(config);
+  std::filesystem::create_directories(cache.dir());
+  ASSERT_TRUE(save_checkpoint(entry, partial).has_value());
+
+  std::ostringstream progress;
+  obs::ObsContext ctx;
+  const SuiteResult result = run_suite(config, &progress, &ctx);
+  EXPECT_NE(progress.str().find("unfinished suite"), std::string::npos);
+  EXPECT_EQ(ctx.metrics.counter_value("checkpoint.resumed_tasks"), 0u);
+  EXPECT_TRUE(result.apps == reference.apps);
+  const auto left = load_checkpoint(entry, suite_config_hash(config));
+  ASSERT_TRUE(left.has_value());
+  EXPECT_EQ(left->eval_done.size(), 6u);
 }
 
 TEST(Experiment, RunSuiteSingleAppSmoke) {
