@@ -5,6 +5,7 @@
 // detector costs the simulation, and how machine size scales. Useful when
 // sizing workloads or hunting regressions in the hot path.
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -208,6 +209,39 @@ void BM_SimulatorWithOracle(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
 }
 BENCHMARK(BM_SimulatorWithOracle)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// Trace generation alone: every thread of the nine NPB apps (8 threads,
+// size 0.25, iterations 0.2) drained through ThreadStream::next(), the
+// path Machine::run consumes, with no simulation. Reports ns per event.
+void BM_TraceGeneration(benchmark::State& state) {
+  WorkloadParams params;
+  params.size_scale = 0.25;
+  params.iter_scale = 0.2;
+  std::vector<std::unique_ptr<Workload>> apps;
+  for (const std::string& name : npb_workload_names()) {
+    apps.push_back(make_npb_workload(name, params));
+  }
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    for (const auto& app : apps) {
+      for (ThreadId t = 0; t < app->num_threads(); ++t) {
+        const auto stream = app->stream(t, 1);
+        TraceEvent ev;
+        do {
+          ev = stream->next();
+          benchmark::DoNotOptimize(ev);
+          ++events;
+        } while (ev.kind != TraceEvent::Kind::kEnd);
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  // Seconds per event; the console prints it with an SI prefix (e.g. 8ns).
+  state.counters["per_event"] = benchmark::Counter(
+      static_cast<double>(events),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TraceGeneration)->Unit(benchmark::kMillisecond);
 
 // Fixed cost of building a machine: every TLB, L1 and L2 is allocated and
 // cleared. The suite and the service build one per evaluated run, so this

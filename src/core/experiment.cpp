@@ -11,6 +11,7 @@
 #include <mutex>
 #include <ostream>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "core/checkpoint.hpp"
@@ -42,6 +43,38 @@ std::filesystem::path cache_dir() {
     return dir;
   }
   return std::filesystem::temp_directory_path() / "tlbmap_cache";
+}
+
+/// Every cache entry this build writes starts with this prefix, so entries
+/// of other schema versions are recognisable by name alone.
+std::string cache_entry_prefix() {
+  return "suite_v" + std::to_string(kSchemaVersion) + "_";
+}
+
+/// Deletes the cache entries no build of this schema can read: files named
+/// like tlbmap's own entries (`suite_*.txt`, the pre-checkpoint text
+/// format, and `suite_*.ckpt`) that lack the current version prefix.
+/// Anything else in the directory is left alone. Returns the count removed.
+int evict_stale_cache_entries(const std::filesystem::path& dir) {
+  const std::string current = cache_entry_prefix();
+  int removed = 0;
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(dir, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    const std::filesystem::directory_entry& entry = *it;
+    const std::string name = entry.path().filename().string();
+    const std::string ext = entry.path().extension().string();
+    if (name.rfind("suite_", 0) != 0 || (ext != ".txt" && ext != ".ckpt") ||
+        name.rfind(current, 0) == 0) {
+      continue;
+    }
+    std::error_code rm_ec;
+    if (entry.is_regular_file(rm_ec) &&
+        std::filesystem::remove(entry.path(), rm_ec)) {
+      ++removed;
+    }
+  }
+  return removed;
 }
 
 bool cache_disabled() {
@@ -181,7 +214,8 @@ double AppExperiment::normalized(const MappingRuns& runs,
 
 std::string suite_cache_key(const SuiteConfig& c) {
   std::ostringstream name;
-  name << "suite_" << std::hex << fnv1a(suite_key_string(c)) << ".ckpt";
+  name << cache_entry_prefix() << std::hex << fnv1a(suite_key_string(c))
+       << ".ckpt";
   return name.str();
 }
 
@@ -719,8 +753,13 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
       // sees a torn entry). A rejected entry is overwritten here.
       const Expected<void> written = save_checkpoint(cache_file, ckpt);
       if (written) {
+        const int evicted = evict_stale_cache_entries(cache_dir());
         if (progress != nullptr) {
           *progress << "[suite] cached results at " << cache_file << "\n";
+          if (evicted > 0) {
+            *progress << "[suite] stale cache entries evicted: " << evicted
+                      << "\n";
+          }
         }
       } else if (progress != nullptr) {
         *progress << "[suite] cache write failed: "

@@ -9,9 +9,10 @@
 //
 // Because several bench binaries consume the same suite (Figures 6-9,
 // Tables IV/V), results are cached on disk keyed by a config hash. A cache
-// entry is a completed suite checkpoint (`suite_<hash>.ckpt`, the TLBK
-// format of core/checkpoint.hpp), and a hit replays it through the same
-// detect/map/evaluate phases a resume uses. Set TLBMAP_NO_CACHE=1 (or
+// entry is a completed suite checkpoint (`suite_v<schema>_<hash>.ckpt`, the
+// TLBK format of core/checkpoint.hpp), and a hit replays it through the
+// same detect/map/evaluate phases a resume uses. Each cache write deletes
+// the entries of other schema versions, which no build of this one reads. Set TLBMAP_NO_CACHE=1 (or
 // use_cache=false) to force recomputation, and TLBMAP_CACHE_DIR to relocate
 // the cache (default /tmp/tlbmap_cache).
 #pragma once

@@ -1,5 +1,6 @@
 #include "npb/multiprogram.hpp"
 
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -23,10 +24,12 @@ class OffsetStream final : public ThreadStream {
   OffsetStream(std::unique_ptr<ThreadStream> inner, VirtAddr offset)
       : inner_(std::move(inner)), offset_(offset) {}
 
-  TraceEvent next() override {
-    TraceEvent e = inner_->next();
-    if (e.kind == TraceEvent::Kind::kAccess) e.access.addr += offset_;
-    return e;
+  std::size_t fill(std::span<TraceEvent> out) override {
+    const std::size_t n = inner_->fill(out);
+    for (TraceEvent& e : out.first(n)) {
+      if (e.kind == TraceEvent::Kind::kAccess) e.access.addr += offset_;
+    }
+    return n;
   }
 
  private:

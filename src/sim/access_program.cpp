@@ -1,5 +1,8 @@
 #include "sim/access_program.hpp"
 
+#include <algorithm>
+#include <utility>
+
 namespace tlbmap {
 
 std::uint64_t AccessProgram::total_accesses() const {
@@ -21,7 +24,20 @@ std::uint64_t AccessProgram::total_barriers() const {
 }
 
 ProgramStream::ProgramStream(AccessProgram program, std::uint64_t seed)
-    : program_(std::move(program)), rng_(seed) {}
+    : program_(std::move(program)), rng_(seed) {
+  for (const Phase& phase : program_.phases) {
+    phase_plans_.push_back(plans_.size());
+    for (const Walk& walk : phase.walks) {
+      // Empty regions are skipped by position_on_walk; 1 keeps FastMod valid.
+      const std::uint64_t n = std::max<std::uint64_t>(walk.num_elems(), 1);
+      std::int64_t step = walk.stride % static_cast<std::int64_t>(n);
+      if (step < 0) step += static_cast<std::int64_t>(n);
+      plans_.push_back(WalkPlan{FastMod(n),
+                                FastMod(std::uint64_t{walk.gap_jitter} + 1),
+                                static_cast<std::uint64_t>(step)});
+    }
+  }
+}
 
 bool ProgramStream::position_on_walk() {
   for (;;) {
@@ -64,51 +80,83 @@ bool ProgramStream::position_on_walk() {
   }
 }
 
-TraceEvent ProgramStream::next() {
-  if (finished_) return TraceEvent::make_end();
-  if (write_pending_) {
-    write_pending_ = false;
-    return TraceEvent::make_access(pending_addr_, AccessType::kWrite, 0);
-  }
-  if (!position_on_walk()) {
-    if (barrier_pending_) return TraceEvent::make_barrier();
-    return TraceEvent::make_end();
-  }
-
-  const Phase& phase = program_.phases[phase_];
-  const Walk& walk = phase.walks[walk_];
+std::size_t ProgramStream::emit_segment(TraceEvent* out, std::size_t room) {
+  const Walk& walk = program_.phases[phase_].walks[walk_];
+  const WalkPlan& plan = plans_[phase_plans_[phase_] + walk_];
   const std::uint64_t n = walk.num_elems();
+  const bool rmw = walk.mix == Walk::Mix::kReadWrite;
+  const bool random = walk.pattern == Walk::Pattern::kRandom;
+  const bool jitter = walk.gap_jitter > 0;
+  const AccessType type =
+      walk.mix == Walk::Mix::kWrite ? AccessType::kWrite : AccessType::kRead;
+  // An odd room ends on a read whose write stays pending.
+  const std::uint64_t elems =
+      std::min<std::uint64_t>(walk.count - elem_index_,
+                              rmw ? (room + 1) / 2 : room);
 
-  std::uint64_t elem;
-  if (walk.pattern == Walk::Pattern::kRandom) {
-    elem = rng_() % n;
-  } else {
+  std::uint64_t cursor = 0;
+  if (!random) {
     const std::int64_t signed_elem =
         static_cast<std::int64_t>(walk.start_elem) +
         static_cast<std::int64_t>(elem_index_) * walk.stride;
     // Euclidean modulo so negative strides wrap into the region.
     std::int64_t m = signed_elem % static_cast<std::int64_t>(n);
     if (m < 0) m += static_cast<std::int64_t>(n);
-    elem = static_cast<std::uint64_t>(m);
+    cursor = static_cast<std::uint64_t>(m);
   }
-  ++elem_index_;
 
-  const VirtAddr addr = walk.base + elem * walk.elem_size;
-  std::uint32_t gap = walk.compute_gap;
-  if (walk.gap_jitter > 0) {
-    gap += static_cast<std::uint32_t>(rng_() % (walk.gap_jitter + 1));
+  TraceEvent* o = out;
+  TraceEvent* const end = out + room;
+  for (std::uint64_t i = 0; i < elems; ++i) {
+    std::uint64_t elem;
+    if (random) {
+      elem = plan.elems(rng_());
+    } else {
+      elem = cursor;
+      cursor += plan.step;
+      if (cursor >= n) cursor -= n;
+    }
+    std::uint32_t gap = walk.compute_gap;
+    if (jitter) gap += static_cast<std::uint32_t>(plan.jitter(rng_()));
+    const VirtAddr addr = walk.base + elem * walk.elem_size;
+    *o++ = TraceEvent::make_access(addr, type, gap);
+    if (rmw) {
+      if (o == end) {
+        write_pending_ = true;
+        pending_addr_ = addr;
+        break;
+      }
+      *o++ = TraceEvent::make_access(addr, AccessType::kWrite, 0);
+    }
   }
-  switch (walk.mix) {
-    case Walk::Mix::kRead:
-      return TraceEvent::make_access(addr, AccessType::kRead, gap);
-    case Walk::Mix::kWrite:
-      return TraceEvent::make_access(addr, AccessType::kWrite, gap);
-    case Walk::Mix::kReadWrite:
-      write_pending_ = true;
-      pending_addr_ = addr;
-      return TraceEvent::make_access(addr, AccessType::kRead, gap);
+  elem_index_ += elems;
+  return static_cast<std::size_t>(o - out);
+}
+
+std::size_t ProgramStream::fill(std::span<TraceEvent> out) {
+  TraceEvent* const first = out.data();
+  TraceEvent* const last = first + out.size();
+  TraceEvent* o = first;
+  if (finished_) {
+    *o = TraceEvent::make_end();
+    return 1;
   }
-  return TraceEvent::make_end();  // unreachable
+  if (write_pending_) {
+    write_pending_ = false;
+    *o++ = TraceEvent::make_access(pending_addr_, AccessType::kWrite, 0);
+  }
+  while (o != last) {
+    if (!position_on_walk()) {
+      if (barrier_pending_) {
+        *o++ = TraceEvent::make_barrier();
+        continue;
+      }
+      *o++ = TraceEvent::make_end();
+      break;
+    }
+    o += emit_segment(o, static_cast<std::size_t>(last - o));
+  }
+  return static_cast<std::size_t>(o - first);
 }
 
 }  // namespace tlbmap

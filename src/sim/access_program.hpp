@@ -7,10 +7,13 @@
 // still producing realistic multi-million-access streams.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <random>
+#include <span>
 #include <vector>
 
+#include "sim/fast_mod.hpp"
+#include "sim/mt19937_64.hpp"
 #include "sim/trace.hpp"
 #include "sim/types.hpp"
 
@@ -37,8 +40,9 @@ struct Walk {
   std::uint64_t start_elem = 0;
   std::int64_t stride = 1;      ///< in elements; sequential pattern only
   std::uint32_t compute_gap = 0;  ///< cycles of compute before each access
-  /// Uniform random extra compute per access in [0, gap_jitter]; models
-  /// run-to-run timing noise (the paper's standard-deviation experiments).
+  /// Uniform random extra compute per access in [0, gap_jitter] (any
+  /// value, UINT32_MAX included); models run-to-run timing noise (the
+  /// paper's standard-deviation experiments).
   std::uint32_t gap_jitter = 0;
 
   std::uint64_t num_elems() const { return length / elem_size; }
@@ -70,19 +74,39 @@ struct AccessProgram {
 };
 
 /// Lazy interpreter for one AccessProgram.
+///
+/// `fill` emits each walk segment in a tight loop: sequential walks step an
+/// element cursor (no per-event `%`), random walks and the jitter draw
+/// reduce with FastMod, and the RNG is Mt19937_64. A random element is
+/// drawn before its jitter, each draw reduced exactly as `rng() % bound`,
+/// so a seed's event sequence does not depend on how it is batched.
 class ProgramStream final : public ThreadStream {
  public:
   ProgramStream(AccessProgram program, std::uint64_t seed);
 
-  TraceEvent next() override;
+  std::size_t fill(std::span<TraceEvent> out) override;
 
  private:
+  /// Divide-free constants of one walk, computed once per stream.
+  struct WalkPlan {
+    FastMod elems;         ///< num_elems() (random element draws)
+    FastMod jitter;        ///< gap_jitter + 1, as 64 bits so it never wraps
+    std::uint64_t step;    ///< stride reduced into [0, num_elems())
+  };
+
   /// Advances cursors to the next walk with work, emitting barriers between
   /// phases. Returns false when the program is exhausted.
   bool position_on_walk();
 
+  /// Emits up to `room` (>= 1) events of the current walk into `out` and
+  /// returns how many; a read-modify-write cut by the end of `out` leaves
+  /// its write pending for the next call.
+  std::size_t emit_segment(TraceEvent* out, std::size_t room);
+
   AccessProgram program_;
-  std::mt19937_64 rng_;
+  std::vector<WalkPlan> plans_;           ///< every walk, phase-major
+  std::vector<std::size_t> phase_plans_;  ///< index of each phase's first
+  Mt19937_64 rng_;
 
   // Cursors.
   std::uint32_t iter_ = 0;

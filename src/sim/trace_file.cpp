@@ -145,7 +145,29 @@ std::uint64_t TraceReader::get_varint() {
                          "TraceReader: truncated varint", pos_, records_);
 }
 
-TraceEvent TraceReader::next() {
+std::size_t TraceReader::fill(std::span<TraceEvent> out) {
+  std::size_t n = 0;
+  while (n < out.size()) {
+    const std::size_t pos = pos_;
+    const std::uint64_t records = records_;
+    const VirtAddr last_addr = last_addr_;
+    try {
+      out[n] = decode();
+    } catch (const TraceFormatError&) {
+      // Rewind to the bad record: the events before it are delivered now,
+      // and the next call decodes it again and throws.
+      pos_ = pos;
+      records_ = records;
+      last_addr_ = last_addr;
+      if (n == 0) throw;
+      return n;
+    }
+    if (out[n++].kind == TraceEvent::Kind::kEnd) break;
+  }
+  return n;
+}
+
+TraceEvent TraceReader::decode() {
   if (done_ || pos_ >= bytes_.size()) return TraceEvent::make_end();
   const std::size_t record_start = pos_;
   const std::uint8_t header = bytes_[pos_++];

@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -100,10 +101,15 @@ class TraceReader final : public ThreadStream {
   explicit TraceReader(std::vector<std::uint8_t> bytes);
 
   /// Throws TraceFormatError on a malformed or truncated record; the error
-  /// message names the byte offset and record index of the failure.
-  TraceEvent next() override;
+  /// message names the byte offset and record index of the failure. A
+  /// batch stops before a bad record once it holds events, and the next
+  /// call throws, so the error surfaces at the same event as when records
+  /// are read one by one.
+  std::size_t fill(std::span<TraceEvent> out) override;
 
  private:
+  /// Decodes one record (kEnd past the end of the buffer).
+  TraceEvent decode();
   std::uint64_t get_varint();
 
   std::vector<std::uint8_t> bytes_;

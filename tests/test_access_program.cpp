@@ -1,4 +1,6 @@
 // Tests for the declarative access-program interpreter.
+#include <algorithm>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -234,6 +236,25 @@ TEST(AccessProgram, GapJitterBoundedAndSeeded) {
     gaps.insert(ev.access.compute_gap);
   }
   EXPECT_GT(gaps.size(), 1u);  // jitter actually varies
+}
+
+TEST(ProgramStream, MaxJitterDoesNotTrap) {
+  // gap_jitter + 1 overflows 32 bits; the draw must still be uniform over
+  // the whole [0, UINT32_MAX] range rather than a remainder by zero.
+  AccessProgram prog;
+  Walk w = basic_walk(512);
+  w.gap_jitter = UINT32_MAX;
+  prog.phases.push_back(Phase{{w}, 1, false});
+  ProgramStream s(prog, 3);
+  const auto events = drain(s);
+  ASSERT_EQ(events.size(), 512u);
+  std::uint32_t lo = UINT32_MAX, hi = 0;
+  for (const TraceEvent& ev : events) {
+    lo = std::min(lo, ev.access.compute_gap);
+    hi = std::max(hi, ev.access.compute_gap);
+  }
+  EXPECT_LT(lo, UINT32_MAX / 4);
+  EXPECT_GT(hi, UINT32_MAX / 4 * 3);
 }
 
 TEST(AccessProgram, ZeroCountWalkSkipped) {

@@ -31,6 +31,7 @@
 #include "detect/sm_detector.hpp"
 #include "obs/obs.hpp"
 #include "sim/machine.hpp"
+#include "vector_stream.hpp"
 
 namespace tlbmap {
 namespace {
@@ -54,30 +55,6 @@ struct ShutdownGuard {
 };
 
 /// Canned stream fed from a vector of events (same idiom as test_machine).
-class VectorStream final : public ThreadStream {
- public:
-  explicit VectorStream(std::vector<TraceEvent> events)
-      : events_(std::move(events)) {}
-
-  TraceEvent next() override {
-    if (pos_ >= events_.size()) return TraceEvent::make_end();
-    return events_[pos_++];
-  }
-
- private:
-  std::vector<TraceEvent> events_;
-  std::size_t pos_ = 0;
-};
-
-std::vector<std::unique_ptr<ThreadStream>> streams_of(
-    std::vector<std::vector<TraceEvent>> events) {
-  std::vector<std::unique_ptr<ThreadStream>> out;
-  for (auto& e : events) {
-    out.push_back(std::make_unique<VectorStream>(std::move(e)));
-  }
-  return out;
-}
-
 Machine::RunConfig identity_run(int n) {
   Machine::RunConfig cfg;
   for (int t = 0; t < n; ++t) cfg.thread_to_core.push_back(t);

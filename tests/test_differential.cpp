@@ -1,7 +1,9 @@
 // Differential and stress tests: the cache and TLB models are compared
 // against brute-force reference implementations on long random operation
-// sequences, and randomly generated access programs are checked against
-// their declared totals and bounds.
+// sequences, randomly generated access programs are checked against
+// their declared totals and bounds, and the batched trace generator
+// (ProgramStream::fill, Mt19937_64) is compared event for event against
+// the per-event interpreter and std::mt19937_64 it replaced.
 #include <algorithm>
 #include <cstdint>
 #include <list>
@@ -9,13 +11,17 @@
 #include <optional>
 #include <random>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "npb/workload.hpp"
 #include "sim/access_program.hpp"
 #include "sim/cache.hpp"
 #include "sim/machine.hpp"
+#include "sim/mt19937_64.hpp"
 #include "sim/tlb.hpp"
 
 namespace tlbmap {
@@ -388,6 +394,244 @@ TEST(ProgramFuzz, MachineDigestsRandomProgramsDeterministically) {
     ASSERT_EQ(s1.invalidations, s2.invalidations) << trial;
     ASSERT_EQ(s1.l2_misses, s2.l2_misses) << trial;
     ASSERT_EQ(s1.accesses, a.total_accesses() + b.total_accesses()) << trial;
+  }
+}
+
+// ------------------------------------------------ batched trace generation
+
+/// The per-event interpreter ProgramStream::fill replaced, kept as the
+/// reference: one position_on_walk pass, a Euclidean `%` per sequential
+/// element and std::mt19937_64 draws reduced with `%`.
+class ReferenceProgramStream {
+ public:
+  ReferenceProgramStream(AccessProgram program, std::uint64_t seed)
+      : program_(std::move(program)), rng_(seed) {}
+
+  TraceEvent next() {
+    if (finished_) return TraceEvent::make_end();
+    if (write_pending_) {
+      write_pending_ = false;
+      return TraceEvent::make_access(pending_addr_, AccessType::kWrite, 0);
+    }
+    if (!position_on_walk()) {
+      if (barrier_pending_) return TraceEvent::make_barrier();
+      return TraceEvent::make_end();
+    }
+
+    const Phase& phase = program_.phases[phase_];
+    const Walk& walk = phase.walks[walk_];
+    const std::uint64_t n = walk.num_elems();
+
+    std::uint64_t elem;
+    if (walk.pattern == Walk::Pattern::kRandom) {
+      elem = rng_() % n;
+    } else {
+      const std::int64_t signed_elem =
+          static_cast<std::int64_t>(walk.start_elem) +
+          static_cast<std::int64_t>(elem_index_) * walk.stride;
+      std::int64_t m = signed_elem % static_cast<std::int64_t>(n);
+      if (m < 0) m += static_cast<std::int64_t>(n);
+      elem = static_cast<std::uint64_t>(m);
+    }
+    ++elem_index_;
+
+    const VirtAddr addr = walk.base + elem * walk.elem_size;
+    std::uint32_t gap = walk.compute_gap;
+    if (walk.gap_jitter > 0) {
+      gap += static_cast<std::uint32_t>(
+          rng_() % (std::uint64_t{walk.gap_jitter} + 1));
+    }
+    switch (walk.mix) {
+      case Walk::Mix::kRead:
+        return TraceEvent::make_access(addr, AccessType::kRead, gap);
+      case Walk::Mix::kWrite:
+        return TraceEvent::make_access(addr, AccessType::kWrite, gap);
+      case Walk::Mix::kReadWrite:
+        write_pending_ = true;
+        pending_addr_ = addr;
+        return TraceEvent::make_access(addr, AccessType::kRead, gap);
+    }
+    return TraceEvent::make_end();  // unreachable
+  }
+
+ private:
+  bool position_on_walk() {
+    for (;;) {
+      if (iter_ >= program_.iterations) {
+        finished_ = true;
+        return false;
+      }
+      const auto& phases = program_.phases;
+      if (phase_ >= phases.size()) {
+        phase_ = 0;
+        phase_rep_ = 0;
+        ++iter_;
+        continue;
+      }
+      const Phase& phase = phases[phase_];
+      if (phase_rep_ >= phase.repeat) {
+        if (phase.barrier_after && !barrier_pending_) {
+          barrier_pending_ = true;
+          return false;
+        }
+        barrier_pending_ = false;
+        ++phase_;
+        phase_rep_ = 0;
+        continue;
+      }
+      if (walk_ >= phase.walks.size()) {
+        walk_ = 0;
+        elem_index_ = 0;
+        ++phase_rep_;
+        continue;
+      }
+      const Walk& walk = phase.walks[walk_];
+      if (elem_index_ >= walk.count || walk.num_elems() == 0) {
+        ++walk_;
+        elem_index_ = 0;
+        continue;
+      }
+      return true;
+    }
+  }
+
+  AccessProgram program_;
+  std::mt19937_64 rng_;
+  std::uint32_t iter_ = 0;
+  std::size_t phase_ = 0;
+  std::uint32_t phase_rep_ = 0;
+  std::size_t walk_ = 0;
+  std::uint64_t elem_index_ = 0;
+  bool write_pending_ = false;
+  VirtAddr pending_addr_ = 0;
+  bool barrier_pending_ = false;
+  bool finished_ = false;
+};
+
+/// The reference stream of one thread, displaced into its address space.
+struct ReferenceThread {
+  ReferenceProgramStream stream;
+  VirtAddr offset = 0;
+
+  TraceEvent next() {
+    TraceEvent e = stream.next();
+    if (e.kind == TraceEvent::Kind::kAccess) e.access.addr += offset;
+    return e;
+  }
+};
+
+/// Drains `stream` through fill() in spans of `span` events and checks
+/// each batch against `reference`, event for event; returns the count.
+std::uint64_t expect_fill_matches(ThreadStream& stream,
+                                  ReferenceThread& reference,
+                                  std::size_t span, const std::string& what) {
+  std::vector<TraceEvent> batch(span);
+  std::uint64_t events = 0;
+  for (;;) {
+    const std::size_t n = stream.fill(batch);
+    EXPECT_GE(n, 1u) << what;
+    EXPECT_LE(n, span) << what;
+    if (n == 0 || n > span) return events;
+    for (std::size_t i = 0; i < n; ++i, ++events) {
+      const TraceEvent want = reference.next();
+      const TraceEvent& got = batch[i];
+      const bool same = got.kind == want.kind &&
+                        got.access.addr == want.access.addr &&
+                        got.access.type == want.access.type &&
+                        got.access.compute_gap == want.access.compute_gap;
+      if (!same) {
+        ADD_FAILURE() << what << ": event " << events << " differs";
+        return events;
+      }
+      if (got.kind == TraceEvent::Kind::kEnd) {
+        EXPECT_EQ(i + 1, n) << what << ": kEnd must end its batch";
+        EXPECT_EQ(stream.fill(batch), 1u) << what;  // sticky end
+        EXPECT_EQ(batch[0].kind, TraceEvent::Kind::kEnd) << what;
+        return events;
+      }
+    }
+  }
+}
+
+constexpr std::size_t kSpanSizes[] = {1, 2, 3, 5, 64};
+
+/// ProgramWorkload::stream's per-thread seed.
+std::uint64_t thread_seed(std::uint64_t seed, ThreadId t) {
+  return seed * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(t) + 1;
+}
+
+TEST(BatchedGeneration, FillMatchesPerEventReferenceOnWorkloads) {
+  WorkloadParams params;
+  params.num_threads = 4;
+  params.size_scale = 0.25;
+  params.iter_scale = 0.2;
+  std::vector<std::string> names = npb_workload_names();
+  names.push_back("CHURN");
+  const std::vector<std::string> mix = {"SP", "CG"};
+  for (const std::uint64_t seed : {1ull, 2ull}) {
+    for (const std::string& name : names) {
+      const auto workload = make_npb_workload(name, params);
+      const auto& programs = dynamic_cast<const ProgramWorkload&>(*workload);
+      for (ThreadId t = 0; t < workload->num_threads(); ++t) {
+        for (const std::size_t span : kSpanSizes) {
+          ReferenceThread ref{
+              ReferenceProgramStream(programs.program(t), thread_seed(seed, t)),
+              0};
+          const auto stream = workload->stream(t, seed);
+          const std::string what = name + " t" + std::to_string(t) + " seed " +
+                                   std::to_string(seed) + " span " +
+                                   std::to_string(span);
+          EXPECT_GT(expect_fill_matches(*stream, ref, span, what), 0u);
+        }
+      }
+    }
+    // Multiprogram: app k's threads use the salted seed and are displaced
+    // by k << 40 (npb/multiprogram.cpp).
+    const auto mp = make_npb_workload("MP:SP+CG", params);
+    for (ThreadId t = 0; t < mp->num_threads(); ++t) {
+      const std::size_t k = static_cast<std::size_t>(t / params.num_threads);
+      const ThreadId local = t % params.num_threads;
+      const auto app = make_npb_workload(mix[k], params);
+      const auto& programs = dynamic_cast<const ProgramWorkload&>(*app);
+      const std::uint64_t app_seed = seed + k * 0x51ED270B9ull;
+      for (const std::size_t span : kSpanSizes) {
+        ReferenceThread ref{ReferenceProgramStream(programs.program(local),
+                                                   thread_seed(app_seed, local)),
+                            static_cast<VirtAddr>(k) << 40};
+        const auto stream = mp->stream(t, seed);
+        EXPECT_GT(expect_fill_matches(*stream, ref, span,
+                                      "MP t" + std::to_string(t) + " span " +
+                                          std::to_string(span)),
+                  0u);
+      }
+    }
+  }
+}
+
+TEST(BatchedGeneration, FillMatchesPerEventReferenceOnRandomPrograms) {
+  // Random programs cover what the kernels do not: negative and wrapping
+  // strides, empty walks and phases, jitter 0..2 and every mix.
+  std::mt19937_64 rng(99);
+  for (int trial = 0; trial < 40; ++trial) {
+    const AccessProgram prog = random_program(rng);
+    for (const std::size_t span : kSpanSizes) {
+      ReferenceThread ref{ReferenceProgramStream(prog, trial), 0};
+      ProgramStream stream(prog, trial);
+      expect_fill_matches(stream, ref, span,
+                          "trial " + std::to_string(trial) + " span " +
+                              std::to_string(span));
+    }
+  }
+}
+
+TEST(Mt19937_64, MatchesStd) {
+  for (const std::uint64_t seed :
+       {0ull, 1ull, ~0ull, 0x9E3779B97F4A7C15ull}) {
+    Mt19937_64 fast(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 2000; ++i) {  // six state refills
+      ASSERT_EQ(fast(), reference()) << "seed " << seed << " draw " << i;
+    }
   }
 }
 

@@ -8,32 +8,10 @@
 #include "core/pipeline.hpp"
 #include "npb/synthetic.hpp"
 #include "sim/machine.hpp"
+#include "vector_stream.hpp"
 
 namespace tlbmap {
 namespace {
-
-class VectorStream final : public ThreadStream {
- public:
-  explicit VectorStream(std::vector<TraceEvent> events)
-      : events_(std::move(events)) {}
-  TraceEvent next() override {
-    if (pos_ >= events_.size()) return TraceEvent::make_end();
-    return events_[pos_++];
-  }
-
- private:
-  std::vector<TraceEvent> events_;
-  std::size_t pos_ = 0;
-};
-
-std::vector<std::unique_ptr<ThreadStream>> streams_of(
-    std::vector<std::vector<TraceEvent>> events) {
-  std::vector<std::unique_ptr<ThreadStream>> out;
-  for (auto& e : events) {
-    out.push_back(std::make_unique<VectorStream>(std::move(e)));
-  }
-  return out;
-}
 
 TraceEvent read_at(VirtAddr addr) {
   return TraceEvent::make_access(addr, AccessType::kRead, 0);

@@ -9,6 +9,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -218,6 +219,40 @@ TEST(Experiment, UnfinishedCacheEntryIsRecomputed) {
   const auto left = load_checkpoint(entry, suite_config_hash(config));
   ASSERT_TRUE(left.has_value());
   EXPECT_EQ(left->eval_done.size(), 6u);
+}
+
+TEST(Experiment, CacheWriteEvictsStaleEntriesOnly) {
+  const CacheDirGuard cache("evict");
+  const SuiteConfig config = tiny_suite();
+  const std::string key = suite_cache_key(config);
+  ASSERT_EQ(key.rfind("suite_v", 0), 0u) << key;
+  const std::string current = key.substr(0, key.find('_', 7) + 1);
+  // Seed: a pre-checkpoint text entry, an unversioned and an old-version
+  // checkpoint entry (unreadable), a current-version entry of another
+  // config (kept), and files that are not tlbmap cache entries (kept).
+  const std::vector<std::string> stale = {
+      "suite_1234abcd.txt", "suite_1234abcd.ckpt", "suite_v1_1234abcd.ckpt"};
+  const std::vector<std::string> kept = {current + "ffff.ckpt", "notes.txt",
+                                         "suite_notes.md", "other_1.ckpt"};
+  std::filesystem::create_directories(cache.dir());
+  for (const auto& lists : {stale, kept}) {
+    for (const std::string& name : lists) {
+      ASSERT_TRUE(atomic_write_file(cache.dir() / name, "x").has_value());
+    }
+  }
+
+  std::ostringstream progress;
+  ASSERT_FALSE(run_suite(config, &progress).degraded());
+  EXPECT_NE(progress.str().find("stale cache entries evicted: 3"),
+            std::string::npos)
+      << progress.str();
+  EXPECT_TRUE(std::filesystem::exists(cache.dir() / key));
+  for (const std::string& name : stale) {
+    EXPECT_FALSE(std::filesystem::exists(cache.dir() / name)) << name;
+  }
+  for (const std::string& name : kept) {
+    EXPECT_TRUE(std::filesystem::exists(cache.dir() / name)) << name;
+  }
 }
 
 TEST(Experiment, RunSuiteSingleAppSmoke) {

@@ -96,6 +96,75 @@ TEST(TraceFile, BadRecordHeaderNamesByteAndRecord) {
   }
 }
 
+/// k good access records followed by a bad record header byte.
+std::vector<std::uint8_t> good_then_bad(int k) {
+  TraceWriter writer;
+  for (int i = 0; i < k; ++i) {
+    writer.write(TraceEvent::make_access(4096u + 8u * static_cast<unsigned>(i),
+                                         AccessType::kRead, 1));
+  }
+  std::vector<std::uint8_t> bytes = writer.finish();
+  bytes.back() = 0x41;  // the end marker becomes a bad header
+  return bytes;
+}
+
+TEST(TraceFile, FillStopsBeforeBadRecordAndThrowsNext) {
+  constexpr int kGood = 5;
+  const std::vector<std::uint8_t> bytes = good_then_bad(kGood);
+
+  // Per-event reading: the error surfaces on the call after the k-th event.
+  TraceReader per_event(bytes);
+  for (int i = 0; i < kGood; ++i) {
+    ASSERT_EQ(per_event.next().kind, TraceEvent::Kind::kAccess);
+  }
+  std::size_t want_offset = 0;
+  std::uint64_t want_record = 0;
+  try {
+    per_event.next();
+    FAIL() << "expected TraceFormatError";
+  } catch (const TraceFormatError& e) {
+    want_offset = e.byte_offset();
+    want_record = e.record_index();
+  }
+  EXPECT_EQ(want_offset, bytes.size() - 1);
+  EXPECT_EQ(want_record, static_cast<std::uint64_t>(kGood));
+
+  TraceReader batched(bytes);
+  std::vector<TraceEvent> out(64);
+  ASSERT_EQ(batched.fill(out), static_cast<std::size_t>(kGood));
+  EXPECT_EQ(out[kGood - 1].access.addr, 4096u + 8u * (kGood - 1));
+  for (int attempt = 0; attempt < 2; ++attempt) {  // the error is sticky
+    try {
+      batched.fill(out);
+      FAIL() << "expected TraceFormatError";
+    } catch (const TraceFormatError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kMalformedTrace);
+      EXPECT_EQ(e.byte_offset(), want_offset);
+      EXPECT_EQ(e.record_index(), want_record);
+    }
+  }
+}
+
+TEST(TraceFile, CorruptRecordingFailsTheRun) {
+  SyntheticSpec spec;
+  spec.pattern = SyntheticSpec::Pattern::kRing;
+  spec.private_pages = 4;
+  spec.iterations = 1;
+  const auto live = make_synthetic(spec);
+  std::vector<std::vector<std::uint8_t>> buffers = record_workload(*live, 1);
+  buffers.back().back() = 0x41;  // corrupt the last thread's tail
+  const RecordedWorkload recorded(std::move(buffers));
+
+  Machine m((MachineConfig()));
+  std::vector<std::unique_ptr<ThreadStream>> streams;
+  Machine::RunConfig cfg;
+  for (ThreadId t = 0; t < recorded.num_threads(); ++t) {
+    streams.push_back(recorded.stream(t, 1));
+    cfg.thread_to_core.push_back(t);
+  }
+  EXPECT_THROW(m.run(std::move(streams), cfg), TraceFormatError);
+}
+
 TEST(TraceFile, TruncatedVarintIsStructured) {
   // Access record whose varint address never terminates (all
   // continuation bits set, then EOF).
