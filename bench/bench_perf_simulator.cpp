@@ -88,13 +88,9 @@ BENCHMARK(BM_SimulatorWithSmDetector)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 // End-to-end cost of the HM mechanism inside the simulation, with the
-// sweep interval cranked down so sweeps dominate. naive=1 is the
-// paper-literal pairwise walk, naive=0 the sorted page grouping — the
-// accesses/s ratio at 32 threads is the sweep speedup as the simulator
-// actually experiences it.
+// sweep interval cranked down so sweeps dominate.
 void BM_SimulatorWithHmDetector(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
-  const bool naive = state.range(1) != 0;
   std::uint64_t accesses = 0;
   for (auto _ : state) {
     const auto workload = make_synthetic(bench_spec(threads));
@@ -104,7 +100,6 @@ void BM_SimulatorWithHmDetector(benchmark::State& state) {
     // The paper's cost-to-interval ratio (84,297 per 10M cycles), as in
     // bench_ablation_sampling: the default cost exceeds this interval.
     hm.search_cost = hm.interval * 84'297 / 10'000'000;
-    hm.naive_sweep = naive;
     HmDetector det(machine, threads, hm);
     std::vector<std::unique_ptr<ThreadStream>> streams;
     for (ThreadId t = 0; t < threads; ++t) {
@@ -118,29 +113,25 @@ void BM_SimulatorWithHmDetector(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
 }
 BENCHMARK(BM_SimulatorWithHmDetector)
-    ->ArgsProduct({{8, 32}, {0, 1}})
-    ->ArgNames({"threads", "naive"})
+    ->ArgName("threads")
+    ->Arg(8)
+    ->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
-// Tentpole A/B: a coherence-bound run where every thread hammers one shared
-// buffer, so nearly every L2 miss probes the bus and every write strips
-// sharers. broadcast=1 resolves each probe by walking all num_l2 cache
-// sets (the reference path); broadcast=0 uses the line-occupancy
-// directory, O(holders) per transaction. The accesses/s ratio at a given
-// core count is the directory speedup as the simulator experiences it;
-// stats are bit-identical either way (test_fastpath_differential).
+// A coherence-bound run where every thread hammers one shared buffer, so
+// nearly every L2 miss probes the bus and every write strips sharers: the
+// line-occupancy directory's cost as the core count (and with it the
+// number of snoop peers) grows.
 void BM_CoherenceBoundScaling(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
-  const bool broadcast = state.range(1) != 0;
   SyntheticSpec spec;
   spec.pattern = SyntheticSpec::Pattern::kAllToAll;
   spec.num_threads = threads;
   spec.shared_pages = 32;
   spec.private_pages = 2;
-  // Past 64 cores the broadcast column costs Theta(cores) per miss with
-  // cores times the threads issuing them; shrink the per-thread work there
-  // so the A/B ratio stays measurable without minutes-long iterations. The
-  // <=64-core points keep the original spec (comparable to old baselines).
+  // Past 64 cores, shrink the per-thread work so an iteration stays short.
+  // The <=64-core points keep the original spec (comparable to old
+  // baselines).
   spec.shared_accesses = threads > 64 ? 1024 : 4096;
   spec.private_accesses = 256;
   spec.iterations = threads > 64 ? 1 : 2;
@@ -149,7 +140,6 @@ void BM_CoherenceBoundScaling(benchmark::State& state) {
     const auto workload = make_synthetic(spec);
     MachineConfig config = machine_for_threads(threads);
     config.cores_per_l2 = 1;  // one L2 per core: num_l2 snoop peers = cores
-    config.coherence_broadcast = broadcast;
     Machine machine(config);
     std::vector<std::unique_ptr<ThreadStream>> streams;
     for (ThreadId t = 0; t < threads; ++t) {
@@ -161,13 +151,11 @@ void BM_CoherenceBoundScaling(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
 }
-// 128 and 256 cores cross the old single-word directory's 64-L2 cliff:
-// before multi-word holder rows these points silently ran the broadcast
-// walk in both columns, so the A/B ratio collapsed to 1x exactly where the
-// directory matters most.
+// 128 and 256 cores need holder rows wider than one 64-bit word.
 BENCHMARK(BM_CoherenceBoundScaling)
-    ->ArgsProduct({{16, 32, 64, 128, 256}, {0, 1}})
-    ->ArgNames({"cores", "broadcast"})
+    ->ArgName("cores")
+    ->RangeMultiplier(2)
+    ->Range(16, 256)
     ->Unit(benchmark::kMillisecond);
 
 // The manycore regime end to end: NPB SP at 256 threads on

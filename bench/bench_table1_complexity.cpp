@@ -8,11 +8,11 @@
 // the core count P and the TLB size S — the reported complexity columns
 // should be visible in the timings.
 //
-// BM_HmDetectorSweep additionally A/Bs the production HmDetector: the
-// paper-literal pairwise walk (naive=1) against the sorted page grouping
-// (naive=0), which is Theta(P * S * w log(P * S * w)) to gather and sort
-// plus Theta(matches) to accumulate. Both produce bit-identical matrices (asserted in
-// tests/test_detectors.cpp); the ratio here is the speedup.
+// BM_HmDetectorSweep times the production HmDetector::sweep, the sorted
+// page grouping: Theta(P * S * w log(P * S * w)) to gather and sort plus
+// Theta(matches) to accumulate. It yields the same matrix as BM_HmSweep's
+// literal pairwise walk (asserted in tests/test_detectors.cpp), so the two
+// timings at the same P compare the algorithms.
 //
 // BM_Multisection times the mapping step that consumes the matrix at
 // manycore scale, on the two shapes its swap search treats differently:
@@ -92,12 +92,12 @@ void BM_HmSweep(benchmark::State& state) {
     for (int a = 0; a < cores; ++a) {
       for (int b = a + 1; b < cores; ++b) {
         for (std::size_t set = 0; set < tlbs[0].num_sets(); ++set) {
-          for (const TlbEntry& ea :
-               tlbs[static_cast<std::size_t>(a)].set_entries(set)) {
-            if (!ea.valid) continue;
-            for (const TlbEntry& eb :
-                 tlbs[static_cast<std::size_t>(b)].set_entries(set)) {
-              if (eb.valid && eb.page == ea.page) {
+          const auto tags_b = tlbs[static_cast<std::size_t>(b)].set_tags(set);
+          for (const std::uint64_t tag :
+               tlbs[static_cast<std::size_t>(a)].set_tags(set)) {
+            if (tag == kInvalidTag) continue;
+            for (const std::uint64_t other : tags_b) {
+              if (other == tag) {
                 ++matches;
                 break;
               }
@@ -124,11 +124,9 @@ BENCHMARK(BM_HmSweep)
     ->ArgsProduct({{8}, {16, 64, 256, 1024}})
     ->ArgNames({"P", "S"});  // linear in S
 
-// Production HmDetector::sweep on a primed machine: naive pairwise walk vs
-// sorted page grouping, same TLB contents, same resulting matrix.
+// Production HmDetector::sweep on a primed machine.
 void BM_HmDetectorSweep(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
-  const bool naive = state.range(1) != 0;
   MachineConfig mc = MachineConfig::harpertown();
   if (threads > mc.num_cores()) {
     mc.num_sockets =
@@ -150,18 +148,14 @@ void BM_HmDetectorSweep(benchmark::State& state) {
   for (int t = 0; t < threads; ++t) cfg.thread_to_core.push_back(t);
   machine.run(std::move(streams), cfg);  // prime the TLBs
 
-  HmDetectorConfig hm;
-  hm.naive_sweep = naive;
-  HmDetector detector(machine, threads, hm);
+  HmDetector detector(machine, threads);
   for (auto _ : state) {
     detector.sweep();
     benchmark::DoNotOptimize(detector.matrix());
   }
   state.SetComplexityN(threads);
 }
-BENCHMARK(BM_HmDetectorSweep)
-    ->ArgsProduct({{8, 32, 64, 128}, {0, 1}})
-    ->ArgNames({"P", "naive"});
+BENCHMARK(BM_HmDetectorSweep)->ArgName("P")->Arg(8)->Arg(32)->Arg(64)->Arg(128);
 
 // dense=1: every pair nonzero, N threads on MachineConfig::manycore().
 // dense=0: a +-1..3 neighbour band plus 2N random background pairs, on the

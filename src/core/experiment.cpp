@@ -27,7 +27,7 @@ namespace {
 
 /// Bump when workload definitions or counter semantics change, so stale
 /// cache entries are never reused across library revisions.
-constexpr int kSchemaVersion = 13;
+constexpr int kSchemaVersion = 14;
 
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 1469598103934665603ull;
@@ -91,8 +91,10 @@ std::string suite_key_string(const SuiteConfig& c) {
   key << "v" << kSchemaVersion << '|' << c.machine.num_sockets << ','
       << c.machine.cores_per_socket << ',' << c.machine.cores_per_l2 << ','
       << c.machine.page_size << ',' << c.machine.l1.size_bytes << ','
-      << c.machine.l1.ways << ',' << c.machine.l2.size_bytes << ','
-      << c.machine.l2.ways << ',' << c.machine.tlb.entries << ','
+      << c.machine.l1.line_size << ',' << c.machine.l1.ways << ','
+      << c.machine.l1.latency << ',' << c.machine.l2.size_bytes << ','
+      << c.machine.l2.line_size << ',' << c.machine.l2.ways << ','
+      << c.machine.l2.latency << ',' << c.machine.tlb.entries << ','
       << c.machine.tlb.ways << ',' << c.machine.tlb.miss_penalty << ','
       << c.machine.interconnect.snoop_intra_socket << ','
       << c.machine.interconnect.snoop_inter_socket << ','

@@ -118,61 +118,6 @@ void HmDetector::set_observability(obs::ObsContext* obs) {
 
 void HmDetector::sweep() {
   count_search();
-  if (config_.naive_sweep) {
-    sweep_naive();
-  } else {
-    sweep_indexed();
-  }
-}
-
-void HmDetector::sweep_naive() {
-  const Topology& topo = machine_->topology();
-  const MemoryHierarchy& hier = machine_->hierarchy();
-  std::uint64_t matches = 0;
-  // All possible pairs of TLBs (the SM mechanism's locality argument does
-  // not apply: nothing tells the kernel *which* TLB changed).
-  for (CoreId a = 0; a < topo.num_cores(); ++a) {
-    const ThreadId ta = machine_->thread_on(a);
-    if (ta == kNoThread) continue;
-    for (CoreId b = a + 1; b < topo.num_cores(); ++b) {
-      const ThreadId tb = machine_->thread_on(b);
-      if (tb == kNoThread) continue;
-      const Tlb& tlb_a = hier.tlb(a);
-      const Tlb& tlb_b = hier.tlb(b);
-      // Same geometry on every core: walk sets in lockstep and compare only
-      // within a set — Theta(S * ways^2) per pair. The SoA tag mirrors turn
-      // the inner compare into a dense branch-free span scan.
-      if (simd_scan_enabled()) {
-        for (std::size_t set = 0; set < tlb_a.num_sets(); ++set) {
-          const auto tags_b = tlb_b.set_tags(set);
-          for (const std::uint64_t tag : tlb_a.set_tags(set)) {
-            if (tag == kInvalidTag) continue;
-            if (scan_tags(tags_b.data(), tags_b.size(), tag) >= 0) {
-              matrix_.add(ta, tb);
-              ++matches;
-            }
-          }
-        }
-      } else {
-        for (std::size_t set = 0; set < tlb_a.num_sets(); ++set) {
-          for (const TlbEntry& ea : tlb_a.set_entries(set)) {
-            if (!ea.valid) continue;
-            for (const TlbEntry& eb : tlb_b.set_entries(set)) {
-              if (eb.valid && eb.page == ea.page) {
-                matrix_.add(ta, tb);
-                ++matches;
-                break;
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  if (match_counter_ != nullptr) match_counter_->add(matches);
-}
-
-void HmDetector::sweep_indexed() {
   const Topology& topo = machine_->topology();
   const MemoryHierarchy& hier = machine_->hierarchy();
 
@@ -184,24 +129,13 @@ void HmDetector::sweep_indexed() {
   // Gather every occupied TLB's (page, thread) entries and sort them by
   // page. A TLB holds a page at most once (one set, unique within the set),
   // so each pair appears at most once and add_shared_pages reproduces the
-  // naive per-pair intersection counts bit for bit.
+  // literal per-pair intersection counts bit for bit.
   page_entries_.clear();
   for (CoreId c = 0; c < topo.num_cores(); ++c) {
     const ThreadId thread = machine_->thread_on(c);
     if (thread == kNoThread) continue;
-    const Tlb& tlb = hier.tlb(c);
-    if (simd_scan_enabled()) {
-      // One dense pass over the whole TLB's tag mirror (set-major, the
-      // same enumeration order as the per-set walk below).
-      for (const std::uint64_t tag : tlb.tags()) {
-        if (tag != kInvalidTag) page_entries_.emplace_back(tag, thread);
-      }
-    } else {
-      for (std::size_t set = 0; set < tlb.num_sets(); ++set) {
-        for (const TlbEntry& e : tlb.set_entries(set)) {
-          if (e.valid) page_entries_.emplace_back(e.page, thread);
-        }
-      }
+    for (const std::uint64_t tag : hier.tlb(c).tags()) {
+      if (tag != kInvalidTag) page_entries_.emplace_back(tag, thread);
     }
   }
   std::sort(page_entries_.begin(), page_entries_.end());

@@ -8,14 +8,15 @@
 //
 // The paper's literal sweep walks every pair of TLBs set by set —
 // Theta(P^2 * S * w^2) per sweep — and dominates simulator wall-clock on
-// large topologies. The default implementation here instead gathers every
-// occupied TLB's (page, thread) entries in Theta(P * S * w), sorts them by
-// page and accumulates pair counts only for pages that are actually shared
+// large topologies. This implementation instead gathers every occupied
+// TLB's (page, thread) entries in Theta(P * S * w), sorts them by page and
+// accumulates pair counts only for pages that are actually shared
 // (detect/shared_pages.hpp, the grouping the StreamDetector uses too). That
 // produces a bit-identical matrix: a TLB holds a page at most once, so the
-// naive per-pair count is exactly the size of the two TLBs' page-set
-// intersection. The naive walk stays available behind `naive_sweep` as the
-// reference that differential tests and benches compare against.
+// literal per-pair count is exactly the size of the two TLBs' page-set
+// intersection. The literal walk is the reference that
+// tests/test_detectors.cpp compares against, and bench_table1_complexity
+// times it as BM_HmSweep.
 #pragma once
 
 #include <cstdint>
@@ -37,10 +38,6 @@ struct HmDetectorConfig {
   /// machine stalls every thread for this long, modelling the kernel-wide
   /// interruption.
   Cycles search_cost = 84'297;
-  /// Use the paper's literal all-pairs set walk instead of the sorted page
-  /// grouping. Both paths produce bit-identical matrices; this exists so
-  /// benches can measure the speedup rather than assert it.
-  bool naive_sweep = false;
 
   /// Throws std::invalid_argument when `interval` is 0 or a sweep costs at
   /// least one interval: the machine would then stall for longer than it
@@ -85,8 +82,6 @@ class HmDetector final : public Detector {
   /// Fault-aware tick path: identical cadence plus injected sweep delays,
   /// silent skips, and failed sweeps retried under exponential backoff.
   Cycles on_tick_faulty(Cycles now);
-  void sweep_naive();
-  void sweep_indexed();
 
   Machine* machine_;
   HmDetectorConfig config_;

@@ -14,14 +14,8 @@ Cache::Cache(const CacheConfig& config)
       states_(config_.num_lines(), MesiState::kInvalid) {}
 
 std::size_t Cache::find_way(std::size_t base, LineAddr addr) const {
-  if (simd_scan_enabled()) {
-    const int w = scan_tags(tags_.data() + base, ways_, addr);
-    return w < 0 ? kNoWay : base + static_cast<std::size_t>(w);
-  }
-  for (std::size_t i = base; i < base + ways_; ++i) {
-    if (states_[i] != MesiState::kInvalid && tags_[i] == addr) return i;
-  }
-  return kNoWay;
+  const int w = scan_tags(tags_.data() + base, ways_, addr);
+  return w < 0 ? kNoWay : base + static_cast<std::size_t>(w);
 }
 
 MesiState* Cache::find(LineAddr addr) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <utility>
 
 namespace tlbmap {
@@ -99,33 +98,21 @@ CoherenceDomain::CoherenceDomain(const MachineConfig& config,
                                  Interconnect& interconnect)
     : l2_latency_(config.l2.latency),
       interconnect_(&interconnect),
-      directory_enabled_(!config.coherence_broadcast),
       holder_words_((static_cast<std::size_t>(topology.num_l2()) + 63) / 64),
+      socket_rows_(static_cast<std::size_t>(topology.num_l2()) * holder_words_,
+                   0),
       directory_(holder_words_) {
   l2s_.reserve(static_cast<std::size_t>(topology.num_l2()));
   for (int i = 0; i < topology.num_l2(); ++i) {
     l2s_.emplace_back(config.l2);
   }
-  if (directory_enabled_) {
-    socket_rows_.assign(l2s_.size() * holder_words_, 0);
-    for (int a = 0; a < topology.num_l2(); ++a) {
-      for (int b = 0; b < topology.num_l2(); ++b) {
-        if (topology.socket_of_l2(a) == topology.socket_of_l2(b)) {
-          socket_rows_[static_cast<std::size_t>(a) * holder_words_ +
-                       holder_word(b)] |= holder_mask(b);
-        }
+  for (int a = 0; a < topology.num_l2(); ++a) {
+    for (int b = 0; b < topology.num_l2(); ++b) {
+      if (topology.socket_of_l2(a) == topology.socket_of_l2(b)) {
+        socket_rows_[static_cast<std::size_t>(a) * holder_words_ +
+                     holder_word(b)] |= holder_mask(b);
       }
     }
-  } else if (topology.num_l2() > 64) {
-    // Explicit broadcast mode at a scale where the reference walk is a real
-    // engine hazard (Theta(num_l2) cache-set walks per miss). The simulated
-    // outcome is still exact; only wall-clock suffers. Machine::run also
-    // publishes this as the coherence.directory_disabled gauge.
-    std::fprintf(stderr,
-                 "tlbmap: warning: coherence directory disabled "
-                 "(coherence_broadcast) on %d L2 domains; probe resolution "
-                 "is Theta(num_l2) per miss\n",
-                 topology.num_l2());
   }
 }
 
@@ -161,23 +148,7 @@ void CoherenceDomain::directory_clear(L2Id holder, LineAddr line) {
   }
 }
 
-L2Id CoherenceDomain::probe_broadcast(L2Id me, LineAddr line,
-                                      MachineStats& stats) {
-  L2Id best = -1;
-  for (int other = 0; other < num_l2(); ++other) {
-    if (other == me) continue;
-    interconnect_->record_probe(me, other, stats);
-    if (l2s_[static_cast<std::size_t>(other)].peek(line) == nullptr) continue;
-    if (best == -1 || (!interconnect_->same_socket(me, best) &&
-                       interconnect_->same_socket(me, other))) {
-      best = other;
-    }
-  }
-  return best;
-}
-
 L2Id CoherenceDomain::probe(L2Id me, LineAddr line, MachineStats& stats) {
-  if (!directory_enabled_) return probe_broadcast(me, line, stats);
   // The address probe still goes out to every peer on the bus — only the
   // simulator-side resolution is a holder-set lookup instead of a set walk.
   interconnect_->record_probe_broadcast(me, stats);
@@ -198,13 +169,11 @@ L2Id CoherenceDomain::probe(L2Id me, LineAddr line, MachineStats& stats) {
 void CoherenceDomain::insert_line(L2Id me, LineAddr line, MesiState state,
                                   MachineStats& stats) {
   auto evicted = l2s_[static_cast<std::size_t>(me)].insert(line, state);
-  if (directory_enabled_) {
-    // Victim first: the table then never holds more lines than the L2s
-    // do, so a full machine sits at exactly half load instead of doubling
-    // for one transient entry.
-    if (evicted.has_value()) directory_clear(me, evicted->addr);
-    directory_set(me, line);
-  }
+  // Victim first: the table then never holds more lines than the L2s do,
+  // so a full machine sits at exactly half load instead of doubling for
+  // one transient entry.
+  if (evicted.has_value()) directory_clear(me, evicted->addr);
+  directory_set(me, line);
   if (evicted.has_value()) {
     if (evicted->state == MesiState::kModified) ++stats.writebacks;
     drop(me, evicted->addr);
@@ -255,27 +224,13 @@ Cycles CoherenceDomain::write(L2Id me, LineAddr line, Cycles memory_latency,
         // Ownership upgrade: invalidate every remote copy. Messages go out
         // in parallel, so the stall is the slowest acknowledgement.
         Cycles worst = 0;
-        if (directory_enabled_) {
-          take_remote_holders(me, line, [&](L2Id other) {
-            ++dir_stats_.holder_visits;
-            l2s_[static_cast<std::size_t>(other)].invalidate(line);
-            ++stats.invalidations;
-            worst =
-                std::max(worst, interconnect_->invalidate(me, other, stats));
-            drop(other, line);
-          });
-        } else {
-          for (int other = 0; other < num_l2(); ++other) {
-            if (other == me) continue;
-            Cache& theirs = l2s_[static_cast<std::size_t>(other)];
-            if (theirs.invalidate(line).has_value()) {
-              ++stats.invalidations;
-              worst = std::max(worst,
-                               interconnect_->invalidate(me, other, stats));
-              drop(other, line);
-            }
-          }
-        }
+        take_remote_holders(me, line, [&](L2Id other) {
+          ++dir_stats_.holder_visits;
+          l2s_[static_cast<std::size_t>(other)].invalidate(line);
+          ++stats.invalidations;
+          worst = std::max(worst, interconnect_->invalidate(me, other, stats));
+          drop(other, line);
+        });
         *held = MesiState::kModified;
         return 1 + worst;
       }
@@ -292,40 +247,19 @@ Cycles CoherenceDomain::write(L2Id me, LineAddr line, Cycles memory_latency,
   if (source != -1) {
     // Invalidate every holder; data comes from the nearest one.
     Cycles worst = 0;
-    if (directory_enabled_) {
-      take_remote_holders(me, line, [&](L2Id other) {
-        ++dir_stats_.holder_visits;
-        const auto old =
-            l2s_[static_cast<std::size_t>(other)].invalidate(line);
-        ++stats.invalidations;
-        if (old.has_value() && *old == MesiState::kModified) {
-          ++stats.writebacks;
-        }
-        drop(other, line);
-        if (other == source) {
-          ++stats.snoop_transactions;
-          worst = std::max(worst, interconnect_->transfer(other, me, stats));
-        } else {
-          worst = std::max(worst, interconnect_->invalidate(me, other, stats));
-        }
-      });
-    } else {
-      for (int other = 0; other < num_l2(); ++other) {
-        if (other == me) continue;
-        Cache& theirs = l2s_[static_cast<std::size_t>(other)];
-        const auto old = theirs.invalidate(line);
-        if (!old.has_value()) continue;
-        ++stats.invalidations;
-        if (*old == MesiState::kModified) ++stats.writebacks;
-        drop(other, line);
-        if (other == source) {
-          ++stats.snoop_transactions;
-          worst = std::max(worst, interconnect_->transfer(other, me, stats));
-        } else {
-          worst = std::max(worst, interconnect_->invalidate(me, other, stats));
-        }
+    take_remote_holders(me, line, [&](L2Id other) {
+      ++dir_stats_.holder_visits;
+      const auto old = l2s_[static_cast<std::size_t>(other)].invalidate(line);
+      ++stats.invalidations;
+      if (old.has_value() && *old == MesiState::kModified) ++stats.writebacks;
+      drop(other, line);
+      if (other == source) {
+        ++stats.snoop_transactions;
+        worst = std::max(worst, interconnect_->transfer(other, me, stats));
+      } else {
+        worst = std::max(worst, interconnect_->invalidate(me, other, stats));
       }
-    }
+    });
     latency += worst;
   } else {
     ++stats.memory_fetches;
@@ -341,7 +275,6 @@ void CoherenceDomain::flush() {
 }
 
 bool CoherenceDomain::directory_consistent() const {
-  if (!directory_enabled_) return true;
   if (!directory_.consistent()) return false;
   // Every valid cached line must be tracked with its holder bit set...
   for (int id = 0; id < num_l2(); ++id) {

@@ -20,9 +20,9 @@
 // and never shrinks, so an L2 miss allocates nothing. This changes no
 // simulated outcome: probe messages, snoop transactions, invalidations,
 // latencies and replacement state are identical bit for bit (the
-// differential test suite proves it, up to 256 L2 domains). The literal
-// walked broadcast is kept behind MachineConfig::coherence_broadcast as the
-// differential oracle.
+// differential tests prove it against the literal walked broadcast, a
+// reference model kept in tests/reference_coherence.hpp, up to 256 L2
+// domains).
 #pragma once
 
 #include <bit>
@@ -226,22 +226,20 @@ class CoherenceDomain {
   /// Drops every line from every L2 (between experiment repetitions).
   void flush();
 
-  bool directory_enabled() const { return directory_enabled_; }
   const DirectoryStats& directory_stats() const { return dir_stats_; }
-  /// Lines currently tracked by the directory (0 in broadcast mode).
+  /// Lines currently tracked by the directory.
   std::size_t directory_lines() const { return directory_.size(); }
 
   /// Ground-truth check: the table is structurally sound
   /// (DirectoryTable::consistent), every valid L2 line has its holder bit
-  /// set and every directory bit maps to a resident line. Trivially true in
-  /// broadcast mode. Test/debug aid; O(total cache capacity).
+  /// set and every directory bit maps to a resident line. Test/debug aid;
+  /// O(total cache capacity).
   bool directory_consistent() const;
 
  private:
   /// Index of the holder nearest to `me`, or -1 when no other L2 holds the
   /// line. Also records one probe message per remote L2 (broadcast snoop).
   L2Id probe(L2Id me, LineAddr line, MachineStats& stats);
-  L2Id probe_broadcast(L2Id me, LineAddr line, MachineStats& stats);
 
   /// Inserts into `me`, handling an inclusive eviction (writeback if the
   /// victim was modified; L1 shootdown either way).
@@ -271,7 +269,6 @@ class CoherenceDomain {
   std::vector<Cache> l2s_;
   LineDropFn on_line_drop_;
 
-  bool directory_enabled_;
   std::size_t holder_words_;  ///< ceil(num_l2 / 64), the width of every row
   /// One row per L2 id: row me = the L2s on me's socket, the
   /// nearest-holder partition.

@@ -47,18 +47,10 @@ struct CacheConfig {
   }
 };
 
-/// How the TLB is refilled on a miss — selects the detection mechanism the
-/// operating system can attach (paper Sec. IV-A vs IV-B).
-enum class TlbManagement : std::uint8_t {
-  kSoftware,  ///< miss traps to the OS (SPARC/MIPS style)
-  kHardware,  ///< hardware page walker (x86 style)
-};
-
 /// Geometry of one per-core TLB.
 struct TlbConfig {
   std::size_t entries = 64;
   std::size_t ways = 4;
-  TlbManagement management = TlbManagement::kHardware;
   /// Cycles to service a miss: trap + OS refill (software) or page walk
   /// (hardware). Charged to the faulting core.
   Cycles miss_penalty = 30;
@@ -123,16 +115,6 @@ struct MachineConfig {
   bool numa = false;
   NumaPolicy numa_policy = NumaPolicy::kFirstTouch;
 
-  /// Resolve coherence probes by walking every other L2's cache set (the
-  /// literal snoop broadcast) instead of the line-occupancy directory. Both
-  /// paths produce bit-identical statistics — the simulated protocol *is* a
-  /// broadcast either way, and the probe/invalidation message counts are
-  /// accounted identically; the directory is purely an acceleration
-  /// structure (O(holders) instead of Theta(num_l2) per miss). Kept as the
-  /// reference for differential tests and benches, mirroring
-  /// HmDetectorConfig::naive_sweep.
-  bool coherence_broadcast = false;
-
   CacheConfig l1{/*size_bytes=*/32 * 1024, /*line_size=*/64, /*ways=*/4,
                  /*latency=*/2};
   CacheConfig l2{/*size_bytes=*/6 * 1024 * 1024, /*line_size=*/64, /*ways=*/8,
@@ -180,6 +162,11 @@ struct MachineConfig {
     }
     l1.validate();
     l2.validate();
+    // The hierarchy derives one line address per access and hands it to
+    // both levels, so the levels must agree on what a line is.
+    if (l1.line_size != l2.line_size) {
+      throw std::invalid_argument("MachineConfig: l1 and l2 line sizes differ");
+    }
     tlb.validate();
     fault.validate();
   }
@@ -218,7 +205,7 @@ struct MachineConfig {
     c.interconnect.invalidate_hop_extra = 10;
     c.l1 = CacheConfig{2048, 64, 2, 2};
     c.l2 = CacheConfig{8192, 64, 4, 8};
-    c.tlb = TlbConfig{16, 2, TlbManagement::kHardware, 30};
+    c.tlb = TlbConfig{16, 2, 30};
     return c;
   }
 
@@ -231,7 +218,7 @@ struct MachineConfig {
     c.cores_per_l2 = 2;
     c.l1 = CacheConfig{1024, 64, 2, 2};
     c.l2 = CacheConfig{4096, 64, 4, 8};
-    c.tlb = TlbConfig{8, 2, TlbManagement::kHardware, 30};
+    c.tlb = TlbConfig{8, 2, 30};
     return c;
   }
 };

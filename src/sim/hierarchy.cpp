@@ -55,7 +55,7 @@ MemoryHierarchy::AccessInfo MemoryHierarchy::access(CoreId core,
   PhysAddr phys;
   Cycles memory_latency;
   bool remote_home;
-  if (fast_path_ && memo.valid && memo.page == info.page) {
+  if (memo.valid && memo.page == info.page) {
     // Same-page streak: the page is this core's MRU TLB entry, so this is a
     // guaranteed hit and the translation is already known.
     ++stats.tlb_hits;
@@ -138,7 +138,7 @@ MemoryHierarchy::AccessInfo MemoryHierarchy::access(CoreId core,
   // can hold the line and the shootdown is a no-op. The write itself never
   // touches a sibling L1's copy of the line, and invalidate() leaves LRU
   // alone, so it does not matter that the shootdown follows the write.
-  if (!fast_path_ || stats.l2_hits > l2_hits_before) {
+  if (stats.l2_hits > l2_hits_before) {
     const CoreId first = l2 * topology_.cores_per_l2();
     for (CoreId sibling = first; sibling < first + topology_.cores_per_l2();
          ++sibling) {

@@ -2,6 +2,13 @@
 // -> memory. Composes the component models and keeps the L1s inclusive with
 // respect to their L2 via the coherence domain's line-drop callback.
 //
+// Two engine shortcuts change no simulated outcome: a per-core memo of the
+// last translation skips the TLB and page-table work of a same-page
+// repeat, and the sibling-L1 shootdown after a store runs only when the
+// store hit in the L2. The hierarchy differential test checks every access
+// against ReferenceHierarchy (tests/reference_coherence.hpp), which has
+// neither shortcut.
+//
 // Only data accesses are modelled: the paper notes (Sec. III-A1) that
 // instruction fetches are irrelevant to mapping because instructions are
 // effectively read-only after load.
@@ -36,13 +43,6 @@ class MemoryHierarchy {
   /// Runs one data access issued by `core` through TLB, L1 and L2/coherence.
   AccessInfo access(CoreId core, VirtAddr addr, AccessType type,
                     MachineStats& stats);
-
-  /// Engine fast paths (same-page translation memo; the sibling-L1
-  /// shootdown after a store runs only when the store hit in the L2).
-  /// Outcomes and statistics are bit-identical either way; the switch exists
-  /// so the differential tests can prove it.
-  void set_fast_path_enabled(bool enabled) { fast_path_ = enabled; }
-  bool fast_path_enabled() const { return fast_path_; }
 
   const MachineConfig& config() const { return config_; }
   const Topology& topology() const { return topology_; }
@@ -83,7 +83,6 @@ class MemoryHierarchy {
   CoherenceDomain coherence_;
   int line_shift_;
   std::vector<TranslationMemo> memos_;
-  bool fast_path_ = true;
 };
 
 }  // namespace tlbmap

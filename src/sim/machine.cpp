@@ -442,21 +442,15 @@ Expected<MachineStats> Machine::try_run(
                static_cast<double>(wall_us));
     }
     const CoherenceDomain& coherence = hierarchy_.coherence();
-    // 1 only in explicit broadcast mode (coherence_broadcast): the probe
-    // traffic is still exact, but the engine pays Theta(num_l2) per miss.
-    metrics->gauge("coherence.directory_disabled")
-        .set(coherence.directory_enabled() ? 0.0 : 1.0);
-    if (coherence.directory_enabled()) {
-      const CoherenceDomain::DirectoryStats& dir = coherence.directory_stats();
-      metrics->counter("coherence.directory_probes")
-          .add(dir.probes - dir_before.probes);
-      metrics->counter("coherence.directory_holder_hits")
-          .add(dir.holder_hits - dir_before.holder_hits);
-      metrics->counter("coherence.directory_holder_visits")
-          .add(dir.holder_visits - dir_before.holder_visits);
-      metrics->gauge("coherence.directory_lines")
-          .set(static_cast<double>(coherence.directory_lines()));
-    }
+    const CoherenceDomain::DirectoryStats& dir = coherence.directory_stats();
+    metrics->counter("coherence.directory_probes")
+        .add(dir.probes - dir_before.probes);
+    metrics->counter("coherence.directory_holder_hits")
+        .add(dir.holder_hits - dir_before.holder_hits);
+    metrics->counter("coherence.directory_holder_visits")
+        .add(dir.holder_visits - dir_before.holder_visits);
+    metrics->gauge("coherence.directory_lines")
+        .set(static_cast<double>(coherence.directory_lines()));
     std::ostringstream args;
     args << "\"accesses\":" << stats.accesses
          << ",\"sim_cycles\":" << stats.execution_cycles

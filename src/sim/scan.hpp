@@ -1,5 +1,5 @@
-// Portable SIMD-style scan kernel shared by the TLB, cache and HM-detector
-// sweep hot loops.
+// Portable SIMD-style scan kernel shared by the TLB and cache lookups and
+// the HM-detector sweep.
 //
 // The hot question for an associative container is "which way of this set
 // holds tag X?". Asked of array-of-structs storage it is a strided, branchy
@@ -7,15 +7,14 @@
 // answers it over one dense uint64 tag array instead (kInvalidTag marks
 // invalid ways) with a branch-free XOR/compare over four 64-bit lanes per
 // step — exactly the shape compilers map onto 256-bit vector compares, with
-// no per-lane branches to mispredict. Cache keeps its tags only in such an
-// array (struct-of-arrays storage); Tlb keeps TlbEntry structs for the HM
-// detector's reference walk and mirrors their pages into one, maintained on
-// insert/invalidate/flush. Lookup order, LRU decisions and every simulated
-// outcome are bit-identical to the scalar walks (test_fastpath_differential
-// proves it), so the toggle below is a pure engine switch, never semantics.
+// no per-lane branches to mispredict. Cache and Tlb both keep their tags
+// only in such an array (struct-of-arrays storage), so this is their only
+// lookup. It returns the lowest matching way, and a tag occurs at most once
+// per set, so it finds exactly the way a scalar walk would
+// (CacheDifferential and TlbDifferential check both containers against a
+// brute-force reference).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstddef>
 
@@ -26,20 +25,6 @@ namespace tlbmap {
 /// sequentially from zero, and page numbers are virtual >> page_shift of
 /// user-space addresses — both far below 2^64 - 1.
 inline constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
-
-namespace detail {
-inline std::atomic<bool> g_simd_scan{true};
-}  // namespace detail
-
-/// Runtime toggle for the SoA scan kernels (default on). Scalar mode keeps
-/// the historical reference walks that the differential tests compare
-/// against; no production path turns it off.
-inline bool simd_scan_enabled() {
-  return detail::g_simd_scan.load(std::memory_order_relaxed);
-}
-inline void set_simd_scan_enabled(bool enabled) {
-  detail::g_simd_scan.store(enabled, std::memory_order_relaxed);
-}
 
 /// Index of `needle` in tags[0..n), or -1. Branch-free four-lane blocks:
 /// the block test is one OR-reduction of lane compares (vectorizable);

@@ -20,14 +20,13 @@
 
 namespace tlbmap {
 
-/// One TLB entry (one way of one set).
-struct TlbEntry {
-  PageNum page = 0;
-  bool valid = false;
-  std::uint64_t lru_stamp = 0;
-};
-
 /// Set-associative TLB with true-LRU replacement.
+///
+/// Storage is struct-of-arrays, like Cache: each way of each set is one
+/// tag (the page number, kInvalidTag when the way is empty, and the only
+/// copy of the page) and one LRU stamp, in two parallel arrays. A lookup is
+/// one scan_tags() over a set's dense tags, and the HM detector's sweep
+/// reads the tag array directly.
 class Tlb {
  public:
   explicit Tlb(const TlbConfig& config);
@@ -55,14 +54,9 @@ class Tlb {
   std::size_t capacity() const { return num_sets() * ways_; }
   const TlbConfig& config() const { return config_; }
 
-  /// All ways of one set, valid or not (the HM detector walks sets of two
-  /// TLBs in lockstep; the SM detector probes a single set).
-  std::span<const TlbEntry> set_entries(std::size_t set) const;
-
-  /// The SoA tag mirror of one set / of the whole TLB: page numbers with
-  /// kInvalidTag in invalid ways, set-major, dense. The HM detector's sweep
-  /// reads these spans instead of striding through TlbEntry structs; the
-  /// values always agree with set_entries() exactly.
+  /// The tags of one set / of the whole TLB: page numbers with kInvalidTag
+  /// in empty ways, set-major, dense. The HM detector walks sets of two
+  /// TLBs in lockstep (the paper's sweep) or the whole array at once.
   std::span<const std::uint64_t> set_tags(std::size_t set) const {
     return {tags_.data() + set * ways_, ways_};
   }
@@ -70,30 +64,22 @@ class Tlb {
     return {tags_.data(), tags_.size()};
   }
 
-  /// Number of valid entries (test/debug aid).
+  /// Number of valid entries (test/debug aid; O(capacity)).
   std::size_t valid_entries() const;
 
-  /// Visits every valid entry. Templated so the visitor inlines instead of
-  /// going through a std::function thunk.
-  template <typename Fn>
-  void for_each_entry(Fn&& fn) const {
-    for (const TlbEntry& e : entries_) {
-      if (e.valid) fn(e);
-    }
-  }
-
  private:
-  TlbEntry* find(PageNum page);
+  static constexpr std::size_t kNoWay = ~std::size_t{0};
+
+  /// Flat index of `page`'s way, or kNoWay.
+  std::size_t find_way(PageNum page) const;
 
   TlbConfig config_;
   std::size_t ways_ = 0;
   FastMod set_of_;
   std::uint64_t clock_ = 0;
-  std::vector<TlbEntry> entries_;  ///< num_sets() * ways_, set-major
-  /// SoA mirror of entries_[i].page (kInvalidTag when invalid), maintained
-  /// by insert/invalidate/flush; backs the hot lookup scan and the HM
-  /// detector's sweep (scan.hpp).
-  std::vector<std::uint64_t> tags_;
+  // num_sets() * ways_ entries each, set-major.
+  std::vector<std::uint64_t> tags_;    ///< page number, the only copy
+  std::vector<std::uint64_t> stamps_;  ///< LRU stamp, larger == more recent
 };
 
 }  // namespace tlbmap

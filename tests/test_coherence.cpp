@@ -1,17 +1,22 @@
 // Unit tests for the MESI coherence domain: state transitions, snoop and
 // invalidation counting, writebacks, inclusive line drops, and the
-// intra/inter-socket traffic split.
+// intra/inter-socket traffic split. The line-occupancy directory is also
+// checked op by op against the literal broadcast walk
+// (ReferenceBroadcastDomain) from 2 to 256 L2s.
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <ostream>
 #include <random>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "reference_coherence.hpp"
 #include "sim/coherence.hpp"
 
 namespace tlbmap {
@@ -26,6 +31,22 @@ MachineConfig four_l2_config() {
   c.l1 = CacheConfig{512, 64, 2, 2};
   c.l2 = CacheConfig{4096, 64, 4, 8};
   return c;
+}
+
+/// Runs `body(domain, label)` on a CoherenceDomain and on the reference
+/// broadcast walk, each built fresh for `cfg`.
+template <typename Body>
+void on_both_domains(const MachineConfig& cfg, Body&& body) {
+  Topology topology(cfg);
+  Interconnect interconnect(topology, cfg.interconnect);
+  {
+    CoherenceDomain domain(cfg, topology, interconnect);
+    body(domain, "directory");
+  }
+  {
+    ReferenceBroadcastDomain domain(cfg, topology, interconnect);
+    body(domain, "broadcast");
+  }
 }
 
 class CoherenceTest : public ::testing::Test {
@@ -245,7 +266,6 @@ TEST_F(CoherenceTest, UpgradeLatencyIsWorstAcknowledgement) {
 // ------------------------------------------------ line-occupancy directory
 
 TEST_F(CoherenceTest, DirectoryTracksHoldersIncrementally) {
-  ASSERT_TRUE(domain_.directory_enabled());
   EXPECT_EQ(domain_.directory_lines(), 0u);
 
   domain_.read(0, 10, stats_);
@@ -280,77 +300,50 @@ TEST_F(CoherenceTest, DirectoryConsistentThroughEvictionPressure) {
   EXPECT_GT(domain_.directory_stats().holder_visits, 0u);
 }
 
-TEST_F(CoherenceTest, BroadcastConfigDisablesDirectory) {
-  MachineConfig broadcast = four_l2_config();
-  broadcast.coherence_broadcast = true;
-  Topology topology(broadcast);
-  Interconnect interconnect(topology, broadcast.interconnect);
-  CoherenceDomain domain(broadcast, topology, interconnect);
-  EXPECT_FALSE(domain.directory_enabled());
-
-  domain.read(0, 10, stats_);
-  domain.read(1, 10, stats_);
-  EXPECT_EQ(domain.directory_lines(), 0u);
-  EXPECT_EQ(domain.directory_stats().probes, 0u);
-  EXPECT_TRUE(domain.directory_consistent());
-}
-
 // Write miss with several sharers: the nearest holder sources the data (one
 // snoop transaction), every holder is invalidated, and — since the probe
 // names a live holder — the data never comes from memory. This pins the
 // intended RFO accounting for both probe resolutions.
 TEST_F(CoherenceTest, MultiHolderRfoAccountingMatchesBroadcast) {
-  for (const bool use_broadcast : {false, true}) {
-    MachineConfig cfg = four_l2_config();
-    cfg.coherence_broadcast = use_broadcast;
-    Topology topology(cfg);
-    Interconnect interconnect(topology, cfg.interconnect);
-    CoherenceDomain domain(cfg, topology, interconnect);
+  const MachineConfig cfg = four_l2_config();
+  on_both_domains(cfg, [&](auto& domain, const char* label) {
     MachineStats stats;
-
     domain.read(0, 10, stats);
     domain.read(1, 10, stats);
     domain.read(2, 10, stats);  // three sharers across both sockets
     stats = {};
     const Cycles lat = domain.write(3, 10, stats);
 
-    EXPECT_EQ(stats.invalidations, 3u) << "broadcast=" << use_broadcast;
-    EXPECT_EQ(stats.snoop_transactions, 1u) << "broadcast=" << use_broadcast;
-    EXPECT_EQ(stats.memory_fetches, 0u) << "broadcast=" << use_broadcast;
-    EXPECT_EQ(stats.writebacks, 0u) << "broadcast=" << use_broadcast;
+    EXPECT_EQ(stats.invalidations, 3u) << label;
+    EXPECT_EQ(stats.snoop_transactions, 1u) << label;
+    EXPECT_EQ(stats.memory_fetches, 0u) << label;
+    EXPECT_EQ(stats.writebacks, 0u) << label;
     // Source is L2 2 (same socket as 3): transfer is intra-socket, but the
     // stall is bounded by the slowest cross-socket invalidation.
-    EXPECT_EQ(lat, 1 + cfg.interconnect.invalidate_inter_socket)
-        << "broadcast=" << use_broadcast;
+    EXPECT_EQ(lat, 1 + cfg.interconnect.invalidate_inter_socket) << label;
     const MesiState* held = domain.l2(3).peek(10);
-    ASSERT_NE(held, nullptr);
-    EXPECT_EQ(*held, MesiState::kModified);
+    ASSERT_NE(held, nullptr) << label;
+    EXPECT_EQ(*held, MesiState::kModified) << label;
     for (L2Id other : {0, 1, 2}) {
       EXPECT_EQ(domain.l2(other).peek(10), nullptr)
-          << "L2 " << other << " broadcast=" << use_broadcast;
+          << "L2 " << other << " " << label;
     }
-  }
+  });
 }
 
 // A dirty sharer hit by an RFO must write back before dying, under both
 // probe resolutions.
 TEST_F(CoherenceTest, RfoOverModifiedLineWritesBack) {
-  for (const bool use_broadcast : {false, true}) {
-    MachineConfig cfg = four_l2_config();
-    cfg.coherence_broadcast = use_broadcast;
-    Topology topology(cfg);
-    Interconnect interconnect(topology, cfg.interconnect);
-    CoherenceDomain domain(cfg, topology, interconnect);
+  on_both_domains(four_l2_config(), [](auto& domain, const char* label) {
     MachineStats stats;
-
     domain.write(0, 10, stats);  // Modified in L2 0
     stats = {};
     domain.write(2, 10, stats);  // cross-socket RFO
-    EXPECT_EQ(stats.writebacks, 1u) << "broadcast=" << use_broadcast;
-    EXPECT_EQ(stats.invalidations, 1u) << "broadcast=" << use_broadcast;
-    EXPECT_EQ(stats.snoop_transactions, 1u) << "broadcast=" << use_broadcast;
-    EXPECT_EQ(stats.memory_fetches, 0u) << "broadcast=" << use_broadcast;
-  }
+    EXPECT_EQ(stats.writebacks, 1u) << label;
+    EXPECT_EQ(stats.invalidations, 1u) << label;
+    EXPECT_EQ(stats.snoop_transactions, 1u) << label;
+    EXPECT_EQ(stats.memory_fetches, 0u) << label;
+  });
 }
 
 // Probe accounting parity: the directory must bill the same broadcast
@@ -568,13 +561,11 @@ TEST(DirectoryTableTest, ConsistentAcrossWordBoundaries) {
     }
     cfg.l1 = CacheConfig{512, 64, 2, 2};
     cfg.l2 = CacheConfig{4096, 64, 4, 8};
-    MachineConfig bc_cfg = cfg;
-    bc_cfg.coherence_broadcast = true;
-    Topology topo(cfg), bc_topo(bc_cfg);
+    Topology topo(cfg);
     ASSERT_EQ(topo.num_l2(), num_l2);
     Interconnect ic(topo, cfg.interconnect);
-    Interconnect bc_ic(bc_topo, bc_cfg.interconnect);
-    CoherenceDomain dir(cfg, topo, ic), bc(bc_cfg, bc_topo, bc_ic);
+    CoherenceDomain dir(cfg, topo, ic);
+    ReferenceBroadcastDomain bc(cfg, topo, ic);
 
     MachineStats dir_stats, bc_stats;
     std::mt19937_64 rng(static_cast<std::uint64_t>(num_l2));
@@ -619,15 +610,6 @@ MachineConfig l2_128_config() {
   return c;
 }
 
-TEST(ManycoreCoherenceTest, DirectoryStaysEnabledPast64L2s) {
-  const MachineConfig cfg = l2_128_config();
-  Topology topology(cfg);
-  ASSERT_EQ(topology.num_l2(), 128);
-  Interconnect interconnect(topology, cfg.interconnect);
-  CoherenceDomain domain(cfg, topology, interconnect);
-  EXPECT_TRUE(domain.directory_enabled());
-}
-
 TEST(ManycoreCoherenceTest, HoldersAboveBit64TrackAndInvalidate) {
   const MachineConfig cfg = l2_128_config();
   Topology topology(cfg);
@@ -653,79 +635,106 @@ TEST(ManycoreCoherenceTest, HoldersAboveBit64TrackAndInvalidate) {
 TEST(ManycoreCoherenceTest, NearestHolderTieBreakMatchesBroadcastAt128) {
   // Reader 65 (socket 8, L2s 64..71): holder 68 shares its socket and must
   // beat the globally lower-indexed holder 3.
-  for (const bool use_broadcast : {false, true}) {
-    MachineConfig cfg = l2_128_config();
-    cfg.coherence_broadcast = use_broadcast;
-    Topology topology(cfg);
-    Interconnect interconnect(topology, cfg.interconnect);
-    CoherenceDomain domain(cfg, topology, interconnect);
+  on_both_domains(l2_128_config(), [](auto& domain, const char* label) {
     MachineStats stats;
     domain.read(3, 10, stats);
     domain.read(68, 10, stats);
     stats = {};
     domain.read(65, 10, stats);
-    EXPECT_EQ(stats.snoop_transactions, 1u) << "broadcast=" << use_broadcast;
+    EXPECT_EQ(stats.snoop_transactions, 1u) << label;
     // Probes: 7 intra-socket peers + 120 cross-socket peers, plus one
     // intra-socket transfer from the nearest holder (68).
-    EXPECT_EQ(stats.intra_socket_messages, 8u)
-        << "broadcast=" << use_broadcast;
-    EXPECT_EQ(stats.inter_socket_messages, 120u)
-        << "broadcast=" << use_broadcast;
-  }
+    EXPECT_EQ(stats.intra_socket_messages, 8u) << label;
+    EXPECT_EQ(stats.inter_socket_messages, 120u) << label;
+  });
 }
 
-// Differential: a deterministic sharing-heavy op mix over all 128 L2s must
-// produce bit-identical MachineStats and cache contents under the
-// multi-word directory and the reference broadcast walk.
-TEST(ManycoreCoherenceTest, DirectoryMatchesBroadcastBitForBitAt128L2s) {
-  MachineConfig dir_cfg = l2_128_config();
-  MachineConfig bc_cfg = l2_128_config();
-  bc_cfg.coherence_broadcast = true;
+// ------------------------------------------ directory vs broadcast walk
 
-  Topology dir_topo(dir_cfg), bc_topo(bc_cfg);
-  Interconnect dir_ic(dir_topo, dir_cfg.interconnect);
-  Interconnect bc_ic(bc_topo, bc_cfg.interconnect);
-  CoherenceDomain dir(dir_cfg, dir_topo, dir_ic);
-  CoherenceDomain bc(bc_cfg, bc_topo, bc_ic);
-  ASSERT_TRUE(dir.directory_enabled());
-  ASSERT_FALSE(bc.directory_enabled());
+struct DomainCase {
+  const char* name;
+  MachineConfig machine;
+};
 
-  MachineStats dir_stats, bc_stats;
-  std::uint64_t x = 0x243f6a8885a308d3ull;  // deterministic LCG stream
-  for (int op = 0; op < 4000; ++op) {
-    x = x * 6364136223846793005ull + 1442695040888963407ull;
-    const L2Id me = static_cast<L2Id>((x >> 33) % 128);
-    const LineAddr line = (x >> 17) % 97;  // small pool -> heavy sharing
-    const bool is_write = ((x >> 13) & 3) == 0;
-    Cycles dl, bl;
-    if (is_write) {
-      dl = dir.write(me, line, dir_stats);
-      bl = bc.write(me, line, bc_stats);
+void PrintTo(const DomainCase& c, std::ostream* os) { *os << c.name; }
+
+/// `sockets` sockets of `l2s_per_socket` single-core L2s, fully connected,
+/// with the small caches of four_l2_config().
+MachineConfig flat_config(int sockets, int l2s_per_socket) {
+  MachineConfig c = four_l2_config();
+  c.num_sockets = sockets;
+  c.cores_per_socket = l2s_per_socket;
+  return c;
+}
+
+class CoherenceReferenceDifferential
+    : public ::testing::TestWithParam<DomainCase> {};
+
+// Random reads and writes from random L2s over a small line space, so
+// lines are shared, upgraded, stolen and evicted all the time. After every
+// op the directory domain and the broadcast walk must agree on the
+// latency, every counter and the ordered line drops; at the end, on every
+// L2's contents.
+TEST_P(CoherenceReferenceDifferential, MatchesBroadcastWalkEveryOp) {
+  const DomainCase& c = GetParam();
+  const Topology topology(c.machine);
+  Interconnect interconnect(topology, c.machine.interconnect);
+  CoherenceDomain dir(c.machine, topology, interconnect);
+  ReferenceBroadcastDomain ref(c.machine, topology, interconnect);
+  using Drops = std::vector<std::pair<L2Id, LineAddr>>;
+  Drops dir_drops, ref_drops;
+  dir.set_line_drop_callback(
+      [&](L2Id l2, LineAddr line) { dir_drops.emplace_back(l2, line); });
+  ref.set_line_drop_callback(
+      [&](L2Id l2, LineAddr line) { ref_drops.emplace_back(l2, line); });
+
+  const auto num_l2 = static_cast<std::uint64_t>(topology.num_l2());
+  constexpr LineAddr kLines = 151;  // > 2x one L2's 64 lines
+  MachineStats dir_stats, ref_stats;
+  std::mt19937_64 rng(num_l2);
+  for (int op = 0; op < 6000; ++op) {
+    const auto me = static_cast<L2Id>(rng() % num_l2);
+    const LineAddr line = rng() % kLines;
+    const Cycles memory = rng() % 2 == 0 ? 150 : 300;
+    Cycles dir_lat = 0, ref_lat = 0;
+    if (rng() % 3 == 0) {
+      dir_lat = dir.write(me, line, memory, dir_stats);
+      ref_lat = ref.write(me, line, memory, ref_stats);
     } else {
-      dl = dir.read(me, line, dir_stats);
-      bl = bc.read(me, line, bc_stats);
+      dir_lat = dir.read(me, line, memory, dir_stats);
+      ref_lat = ref.read(me, line, memory, ref_stats);
     }
-    ASSERT_EQ(dl, bl) << "latency diverged at op " << op;
-    if (op % 500 == 0) {
-      ASSERT_EQ(dir_stats, bc_stats) << "stats diverged at op " << op;
-      ASSERT_TRUE(dir.directory_consistent()) << "at op " << op;
-    }
+    ASSERT_EQ(dir_lat, ref_lat) << c.name << " op " << op;
+    ASSERT_EQ(dir_stats, ref_stats) << c.name << " op " << op;
+    ASSERT_EQ(dir_drops, ref_drops) << c.name << " op " << op;
+    dir_drops.clear();
+    ref_drops.clear();
   }
-  EXPECT_EQ(dir_stats, bc_stats);
-  EXPECT_TRUE(dir.directory_consistent());
-  // Cache contents identical, line by line, on every L2.
-  for (L2Id id = 0; id < 128; ++id) {
-    for (LineAddr line = 0; line < 97; ++line) {
+  EXPECT_TRUE(dir.directory_consistent()) << c.name;
+  EXPECT_GT(dir.directory_stats().holder_hits, 0u) << c.name;
+  for (L2Id id = 0; id < topology.num_l2(); ++id) {
+    for (LineAddr line = 0; line < kLines; ++line) {
       const MesiState* a = dir.l2(id).peek(line);
-      const MesiState* b = bc.l2(id).peek(line);
-      ASSERT_EQ(a == nullptr, b == nullptr) << "L2 " << id << " line " << line;
+      const MesiState* b = ref.l2(id).peek(line);
+      ASSERT_EQ(a == nullptr, b == nullptr)
+          << c.name << " L2 " << id << " line " << line;
       if (a != nullptr) {
-        ASSERT_EQ(*a, *b) << "L2 " << id << " line " << line;
+        ASSERT_EQ(*a, *b) << c.name << " L2 " << id << " line " << line;
       }
     }
   }
-  EXPECT_GT(dir.directory_stats().holder_hits, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    L2Counts, CoherenceReferenceDifferential,
+    ::testing::Values(DomainCase{"l2_2", flat_config(2, 1)},
+                      DomainCase{"l2_4", four_l2_config()},
+                      DomainCase{"l2_65", flat_config(65, 1)},
+                      DomainCase{"l2_128", l2_128_config()},
+                      DomainCase{"l2_256_mesh", MachineConfig::manycore()}),
+    [](const ::testing::TestParamInfo<DomainCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace tlbmap

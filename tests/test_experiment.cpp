@@ -85,6 +85,23 @@ TEST(Experiment, CacheKeyStableAndSensitive) {
   EXPECT_NE(suite_cache_key(a), suite_cache_key(e));
 }
 
+// Cache latencies and the line size change every simulated cycle count, so
+// a suite differing only in one of them must not replay another's results.
+TEST(Experiment, SuiteKeyCoversCacheLatenciesAndLineSize) {
+  const std::uint64_t base = suite_config_hash(SuiteConfig{});
+  SuiteConfig l1_latency;
+  l1_latency.machine.l1.latency = 20;
+  SuiteConfig l2_latency;
+  l2_latency.machine.l2.latency = 80;
+  SuiteConfig line_size;
+  line_size.machine.l1.line_size = 128;
+  line_size.machine.l2.line_size = 128;
+  for (const SuiteConfig* changed : {&l1_latency, &l2_latency, &line_size}) {
+    EXPECT_NE(suite_config_hash(*changed), base);
+  }
+  EXPECT_NE(suite_config_hash(l1_latency), suite_config_hash(l2_latency));
+}
+
 /// One-app suite small enough to run several times in a unit test.
 SuiteConfig tiny_suite() {
   SuiteConfig config;

@@ -1,16 +1,21 @@
-// Differential tests for the simulator's engine fast paths. Each fast path
-// (the coherence line-occupancy directory, the per-core translation memo +
-// sibling-shootdown presence check, the SIMD tag scans) claims to be a pure
-// acceleration: the simulated outcome — every MachineStats counter — must
-// be bit-identical to the reference path. These tests run real NPB
-// workloads under both paths and compare the full counter structs, across
-// UMA and both NUMA policies, static and migrating (dynamic) runs. They
-// also hold the directory to its ground truth: after arbitrary runs, every
-// directory bit must agree with the actual L2 contents. The heap
-// scheduler, which has no second picker left to compare against, is held
-// to pinned MachineStats instead.
+// Differential tests and pinned results for the simulator's engine fast
+// paths. The memory hierarchy (translation memo, L2-hit-only sibling
+// shootdown, line-occupancy coherence directory, tag-scan lookups) is run
+// access by access against ReferenceHierarchy (reference_coherence.hpp),
+// which has none of those shortcuts, over every NPB app on UMA, NUMA and
+// manycore machines, with migrations and cache flushes mid-run. Whole
+// Machine runs are held to MachineStats recorded from the reference
+// engines: the scheduler's picks, and the scenarios that used to be A/B'd
+// against engine switches in the library. The directory is also held to
+// its ground truth: after arbitrary runs, every directory bit must agree
+// with the actual L2 contents.
+#include <cstdint>
+#include <iterator>
 #include <memory>
+#include <ostream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,8 +24,9 @@
 #include "detect/hm_detector.hpp"
 #include "mapping/mapping.hpp"
 #include "npb/workload.hpp"
+#include "reference_coherence.hpp"
+#include "sim/hierarchy.hpp"
 #include "sim/machine.hpp"
-#include "sim/scan.hpp"
 
 namespace tlbmap {
 namespace {
@@ -49,177 +55,267 @@ MachineConfig machine_variant(const std::string& variant) {
   return m;
 }
 
-/// One full run at the Machine level with every engine knob exposed.
+/// One full run at the Machine level.
 MachineStats run_app(const MachineConfig& machine_config,
                      const Workload& workload, const Mapping& mapping,
-                     bool fast_hierarchy, std::uint64_t seed) {
+                     std::uint64_t seed) {
   Machine machine(machine_config);
-  machine.hierarchy().set_fast_path_enabled(fast_hierarchy);
   Machine::RunConfig run;
   run.thread_to_core = mapping;
   return machine.run(streams_of(workload, seed), run);
 }
 
-struct DiffParam {
-  const char* app;
-  const char* variant;  ///< "uma" | "numa_first_touch" | "numa_interleave"
-};
-
-class CoherenceDirectoryDifferential
-    : public ::testing::TestWithParam<DiffParam> {};
-
-// The tentpole contract: directory-resolved coherence produces exactly the
-// statistics of the walked broadcast — probe traffic, snoop transactions,
-// invalidations, writebacks, latencies — on identity and scrambled
-// placements alike.
-TEST_P(CoherenceDirectoryDifferential, BitIdenticalStatsToBroadcast) {
-  const auto [app, variant] = GetParam();
-  const auto workload = make_npb_workload(app, small_params());
-  MachineConfig directory_config = machine_variant(variant);
-  directory_config.coherence_broadcast = false;
-  MachineConfig broadcast_config = directory_config;
-  broadcast_config.coherence_broadcast = true;
-
-  const Mapping mappings[] = {
-      identity_mapping(workload->num_threads()),
-      random_mapping(workload->num_threads(), directory_config.num_cores(),
-                     /*seed=*/97),
-  };
-  for (const Mapping& mapping : mappings) {
-    const MachineStats with_directory =
-        run_app(directory_config, *workload, mapping,
-                /*fast_hierarchy=*/true, /*seed=*/5);
-    const MachineStats with_broadcast =
-        run_app(broadcast_config, *workload, mapping,
-                /*fast_hierarchy=*/true, /*seed=*/5);
-    EXPECT_TRUE(with_directory == with_broadcast)
-        << app << "/" << variant << ": directory and broadcast stats differ "
-        << "(cycles " << with_directory.execution_cycles << " vs "
-        << with_broadcast.execution_cycles << ", invalidations "
-        << with_directory.invalidations << " vs "
-        << with_broadcast.invalidations << ", messages "
-        << with_directory.intra_socket_messages << "+"
-        << with_directory.inter_socket_messages << " vs "
-        << with_broadcast.intra_socket_messages << "+"
-        << with_broadcast.inter_socket_messages << ")";
-  }
+/// 128 single-core L2s on 16 fully connected sockets.
+MachineConfig flat_128_config() {
+  MachineConfig c;
+  c.num_sockets = 16;
+  c.cores_per_socket = 8;
+  c.cores_per_l2 = 1;
+  c.l1 = CacheConfig{1024, 64, 2, 2};
+  c.l2 = CacheConfig{4096, 64, 4, 8};
+  return c;
 }
 
-// The hierarchy fast paths (translation memo, shootdown presence check) are
-// equally invisible in the statistics.
-TEST_P(CoherenceDirectoryDifferential, HierarchyFastPathIsInvisible) {
-  const auto [app, variant] = GetParam();
-  const auto workload = make_npb_workload(app, small_params());
-  const MachineConfig config = machine_variant(variant);
-  const Mapping mapping = random_mapping(workload->num_threads(),
-                                         config.num_cores(), /*seed=*/31);
-  const MachineStats fast = run_app(config, *workload, mapping,
-                                    /*fast_hierarchy=*/true, /*seed=*/7);
-  const MachineStats slow = run_app(config, *workload, mapping,
-                                    /*fast_hierarchy=*/false, /*seed=*/7);
-  EXPECT_TRUE(fast == slow)
-      << app << "/" << variant << ": hierarchy fast path changed stats "
-      << "(tlb " << fast.tlb_hits << "/" << fast.tlb_misses << " vs "
-      << slow.tlb_hits << "/" << slow.tlb_misses << ", cycles "
-      << fast.execution_cycles << " vs " << slow.execution_cycles << ")";
+/// The manycore scale the tests run: 32 threads, quarter-size data, a
+/// tenth of the iterations.
+WorkloadParams manycore_params() {
+  WorkloadParams p = small_params(32);
+  p.size_scale = 0.25;
+  p.iter_scale = 0.1;
+  return p;
+}
+
+/// Every MachineStats counter with its name, in declaration order.
+std::vector<std::pair<const char*, std::uint64_t>> stats_fields(
+    const MachineStats& s) {
+  static_assert(sizeof(MachineStats) == 21 * sizeof(std::uint64_t),
+                "a MachineStats field was added: list it here too");
+  return {{"accesses", s.accesses},
+          {"reads", s.reads},
+          {"writes", s.writes},
+          {"tlb_hits", s.tlb_hits},
+          {"tlb_misses", s.tlb_misses},
+          {"l1_hits", s.l1_hits},
+          {"l1_misses", s.l1_misses},
+          {"l2_accesses", s.l2_accesses},
+          {"l2_hits", s.l2_hits},
+          {"l2_misses", s.l2_misses},
+          {"invalidations", s.invalidations},
+          {"snoop_transactions", s.snoop_transactions},
+          {"writebacks", s.writebacks},
+          {"memory_fetches", s.memory_fetches},
+          {"memory_fetches_local", s.memory_fetches_local},
+          {"memory_fetches_remote", s.memory_fetches_remote},
+          {"intra_socket_messages", s.intra_socket_messages},
+          {"inter_socket_messages", s.inter_socket_messages},
+          {"execution_cycles", s.execution_cycles},
+          {"detection_overhead_cycles", s.detection_overhead_cycles},
+          {"detector_searches", s.detector_searches}};
+}
+
+/// FNV-1a over every counter's eight little-endian bytes.
+std::uint64_t stats_hash(const MachineStats& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const auto& [name, value] : stats_fields(s)) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (value >> (8 * byte)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+std::string describe(const MachineStats& s) {
+  std::ostringstream out;
+  for (const auto& [name, value] : stats_fields(s)) {
+    out << name << "=" << value << " ";
+  }
+  return out.str();
+}
+
+// ------------------------------------------ hierarchy vs reference model
+
+struct HierarchyCase {
+  const char* name;
+  MachineConfig machine;
+  WorkloadParams params;
+};
+
+void PrintTo(const HierarchyCase& c, std::ostream* os) { *os << c.name; }
+
+class HierarchyReferenceDifferential
+    : public ::testing::TestWithParam<HierarchyCase> {};
+
+// Every NPB app's streams, drained round-robin (one event per thread in
+// turn, barriers skipped) through a random placement that is redrawn every
+// few thousand events, with one flush_caches() halfway. Each access must
+// return the same AccessInfo from both hierarchies, and the runs must end
+// with the same MachineStats.
+TEST_P(HierarchyReferenceDifferential, MatchesReferencePerAccess) {
+  constexpr std::uint64_t kMigrateEvery = 3000;
+  const HierarchyCase& c = GetParam();
+  for (const std::string& app : npb_workload_names()) {
+    const auto workload = make_npb_workload(app, c.params);
+    const int threads = workload->num_threads();
+    std::uint64_t total = 0;
+    for (ThreadId t = 0; t < threads; ++t) total += workload->accesses_of(t);
+
+    MemoryHierarchy fast(c.machine);
+    ReferenceHierarchy reference(c.machine);
+    MachineStats fast_stats, reference_stats;
+    auto streams = streams_of(*workload, /*seed=*/5);
+    std::vector<bool> ended(static_cast<std::size_t>(threads), false);
+    Mapping placement =
+        random_mapping(threads, c.machine.num_cores(), /*seed=*/61);
+    std::uint64_t events = 0;
+    for (int live = threads; live > 0;) {
+      for (ThreadId t = 0; t < threads; ++t) {
+        const auto ti = static_cast<std::size_t>(t);
+        if (ended[ti]) continue;
+        const TraceEvent event = streams[ti]->next();
+        if (event.kind == TraceEvent::Kind::kEnd) {
+          ended[ti] = true;
+          --live;
+        }
+        if (event.kind != TraceEvent::Kind::kAccess) continue;
+        const CoreId core = placement[ti];
+        const MemAccess& a = event.access;
+        const auto got = fast.access(core, a.addr, a.type, fast_stats);
+        const auto want =
+            reference.access(core, a.addr, a.type, reference_stats);
+        ASSERT_EQ(got.latency, want.latency)
+            << c.name << "/" << app << " event " << events;
+        ASSERT_EQ(got.tlb_miss, want.tlb_miss)
+            << c.name << "/" << app << " event " << events;
+        ASSERT_EQ(got.page, want.page)
+            << c.name << "/" << app << " event " << events;
+        ++events;
+        if (events % kMigrateEvery == 0) {
+          placement = random_mapping(threads, c.machine.num_cores(), events);
+        }
+        if (events == total / 2) {
+          fast.flush_caches();
+          reference.flush_caches();
+        }
+      }
+    }
+    ASSERT_EQ(events, total) << c.name << "/" << app;
+    EXPECT_TRUE(fast_stats == reference_stats)
+        << c.name << "/" << app << "\n fast:      " << describe(fast_stats)
+        << "\n reference: " << describe(reference_stats);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AppsAndMachines, CoherenceDirectoryDifferential,
-    ::testing::Values(DiffParam{"SP", "uma"}, DiffParam{"CG", "uma"},
-                      DiffParam{"UA", "uma"}, DiffParam{"FT", "numa_first_touch"},
-                      DiffParam{"MG", "numa_first_touch"},
-                      DiffParam{"SP", "numa_interleave"},
-                      DiffParam{"LU", "numa_interleave"}),
-    [](const ::testing::TestParamInfo<DiffParam>& info) {
-      return std::string(info.param.app) + "_" + info.param.variant;
+    Machines, HierarchyReferenceDifferential,
+    ::testing::Values(
+        HierarchyCase{"uma", machine_variant("uma"), small_params()},
+        HierarchyCase{"numa_first_touch", machine_variant("numa_first_touch"),
+                      small_params()},
+        HierarchyCase{"numa_interleave", machine_variant("numa_interleave"),
+                      small_params()},
+        HierarchyCase{"flat_128", flat_128_config(), manycore_params()},
+        HierarchyCase{"mesh_256", MachineConfig::manycore(),
+                      manycore_params()}),
+    [](const ::testing::TestParamInfo<HierarchyCase>& info) {
+      return std::string(info.param.name);
     });
 
-// Migration runs exercise the remaining path: detection attached, threads
-// moving between sockets at barriers, caches cooling behind them. The
-// dynamic result (stats, migration count, final placement) must not depend
-// on how coherence probes are resolved.
-TEST(CoherenceDirectoryDifferential, DynamicMigrationRunsMatchBroadcast) {
-  const auto workload = make_npb_workload("SP", small_params());
-  MachineConfig directory_config = MachineConfig::harpertown();
-  MachineConfig broadcast_config = directory_config;
-  broadcast_config.coherence_broadcast = true;
+// ------------------------------------------------------- pinned results
 
-  const Mapping initial = random_mapping(workload->num_threads(),
-                                         directory_config.num_cores(),
-                                         /*seed=*/123);
-  OnlineMapperConfig online;
-  online.remap_every_barriers = 2;
-
-  Pipeline directory_pipe(directory_config);
-  Pipeline broadcast_pipe(broadcast_config);
-  const auto with_directory =
-      directory_pipe.evaluate_dynamic(*workload, initial, online, /*seed=*/9);
-  const auto with_broadcast =
-      broadcast_pipe.evaluate_dynamic(*workload, initial, online, /*seed=*/9);
-
-  EXPECT_TRUE(with_directory.stats == with_broadcast.stats);
-  EXPECT_EQ(with_directory.migrations, with_broadcast.migrations);
-  EXPECT_EQ(with_directory.remap_decisions, with_broadcast.remap_decisions);
-  EXPECT_EQ(with_directory.final_mapping, with_broadcast.final_mapping);
-}
-
-/// Restores the process-global scan toggle even if an assertion fires.
-struct ScopedScalarScan {
-  ScopedScalarScan() { set_simd_scan_enabled(false); }
-  ~ScopedScalarScan() { set_simd_scan_enabled(true); }
-};
-
-// The SoA tag-scan kernels (scan.hpp) are the fourth engine fast path:
-// TLB lookups, cache set scans and the HM sweep read dense uint64 tag
-// mirrors instead of striding through structs. Same contract as the rest —
-// the simulated outcome must be bit-identical to the scalar reference
-// walk, on static and detection-driven dynamic runs alike.
-TEST(ScanKernelDifferential, SimdAndScalarScansProduceIdenticalRuns) {
-  for (const char* variant : {"uma", "numa_first_touch"}) {
-    const auto workload = make_npb_workload("SP", small_params());
-    const MachineConfig config = machine_variant(variant);
-    const Mapping mapping = random_mapping(workload->num_threads(),
-                                           config.num_cores(), /*seed=*/53);
-    ASSERT_TRUE(simd_scan_enabled());  // default on
-    const MachineStats simd = run_app(config, *workload, mapping,
-                                      /*fast_hierarchy=*/true, /*seed=*/7);
-    MachineStats scalar;
-    {
-      ScopedScalarScan scoped;
-      scalar = run_app(config, *workload, mapping,
-                       /*fast_hierarchy=*/true, /*seed=*/7);
-    }
-    EXPECT_TRUE(simd == scalar)
-        << variant << ": SoA tag scan changed simulated results (tlb "
-        << simd.tlb_hits << "/" << simd.tlb_misses << " vs "
-        << scalar.tlb_hits << "/" << scalar.tlb_misses << ", cycles "
-        << simd.execution_cycles << " vs " << scalar.execution_cycles << ")";
-  }
-}
-
-// The HM detector's sweep reads the tag mirrors directly (naive pairwise
-// and inverted-index paths both); the communication matrix and the dynamic
-// mapping decisions built from it must not notice.
-TEST(ScanKernelDifferential, HmSweepMatchesScalarOnDynamicRuns) {
-  const auto workload = make_npb_workload("CG", small_params());
-  const MachineConfig config = MachineConfig::harpertown();
-  const Mapping initial = random_mapping(workload->num_threads(),
-                                         config.num_cores(), /*seed=*/59);
-  OnlineMapperConfig online;
-  online.remap_every_barriers = 2;
-
-  auto run_dynamic = [&] {
-    Pipeline pipe(config);
-    return pipe.evaluate_dynamic(*workload, initial, online, /*seed=*/9);
+// Whole Machine runs recorded when the library could still switch every
+// engine shortcut off: each MachineStats below was produced identically by
+// the fast engines and by the broadcast coherence walk, the scalar tag
+// scans and the memo-free hierarchy together. Each scenario is pinned as a
+// hash over every counter; a mismatch prints the full struct.
+TEST(RetiredDifferentialPinned, ScenariosMatchRecordedStats) {
+  struct Pin {
+    std::string scenario;
+    std::uint64_t hash;
   };
-  const auto simd = run_dynamic();
-  ScopedScalarScan scoped;
-  const auto scalar = run_dynamic();
-  EXPECT_TRUE(simd.stats == scalar.stats);
-  EXPECT_EQ(simd.migrations, scalar.migrations);
-  EXPECT_EQ(simd.remap_decisions, scalar.remap_decisions);
-  EXPECT_EQ(simd.final_mapping, scalar.final_mapping);
+  const Pin pins[] = {
+      {"SP/uma/identity", 0x868a4cd66b8c6e6aull},
+      {"SP/uma/random", 0x3ef29b4c5f162418ull},
+      {"CG/uma/identity", 0xc829ef683a5582eaull},
+      {"CG/uma/random", 0x125bd259cf6783b4ull},
+      {"UA/uma/identity", 0x35877ea7062b3226ull},
+      {"UA/uma/random", 0x5aa058f5c10bde15ull},
+      {"FT/numa_first_touch/identity", 0x41b8bb304393b168ull},
+      {"FT/numa_first_touch/random", 0x41b8bb304393b168ull},
+      {"MG/numa_first_touch/identity", 0xb146c20e7fd4ae93ull},
+      {"MG/numa_first_touch/random", 0xa46980a5b11f0279ull},
+      {"SP/numa_interleave/identity", 0xaec33212ed16021dull},
+      {"SP/numa_interleave/random", 0xf84ddd3e7443b962ull},
+      {"LU/numa_interleave/identity", 0xdfc611d0fd5dbce9ull},
+      {"LU/numa_interleave/random", 0xed3003c298136ddaull},
+      {"SP/dynamic", 0x69258fdf4be731a3ull},
+      {"SP/128_flat", 0x4cc7df8c8cb58aecull},
+      {"SP/256_mesh", 0xb70109d2d7d5ef50ull},
+  };
+  std::vector<std::pair<std::string, MachineStats>> runs;
+
+  // Seven app/machine pairs, each on the identity and a random placement.
+  const std::pair<const char*, const char*> apps[] = {
+      {"SP", "uma"},
+      {"CG", "uma"},
+      {"UA", "uma"},
+      {"FT", "numa_first_touch"},
+      {"MG", "numa_first_touch"},
+      {"SP", "numa_interleave"},
+      {"LU", "numa_interleave"}};
+  for (const auto& [app, variant] : apps) {
+    const auto workload = make_npb_workload(app, small_params());
+    const MachineConfig config = machine_variant(variant);
+    const std::string prefix = std::string(app) + "/" + variant + "/";
+    runs.emplace_back(prefix + "identity",
+                      run_app(config, *workload,
+                              identity_mapping(workload->num_threads()),
+                              /*seed=*/5));
+    runs.emplace_back(
+        prefix + "random",
+        run_app(config, *workload,
+                random_mapping(workload->num_threads(), config.num_cores(),
+                               /*seed=*/97),
+                /*seed=*/5));
+  }
+
+  // A dynamic run: the online mapper attached, remapping at barriers.
+  {
+    const auto workload = make_npb_workload("SP", small_params());
+    const MachineConfig config = MachineConfig::harpertown();
+    const Mapping initial = random_mapping(workload->num_threads(),
+                                           config.num_cores(), /*seed=*/123);
+    OnlineMapperConfig online;
+    online.remap_every_barriers = 2;
+    Pipeline pipe(config);
+    const auto dynamic =
+        pipe.evaluate_dynamic(*workload, initial, online, /*seed=*/9);
+    runs.emplace_back("SP/dynamic", dynamic.stats);
+    EXPECT_EQ(dynamic.migrations, 0);
+    EXPECT_EQ(dynamic.remap_decisions, 0);
+    EXPECT_EQ(dynamic.final_mapping, (Mapping{1, 7, 3, 0, 5, 6, 4, 2}));
+  }
+
+  // Past 64 L2s: 128 flat and the 256-L2 mesh.
+  const std::pair<const char*, MachineConfig> manycore[] = {
+      {"SP/128_flat", flat_128_config()},
+      {"SP/256_mesh", MachineConfig::manycore()}};
+  for (const auto& [name, config] : manycore) {
+    const auto workload = make_npb_workload("SP", manycore_params());
+    runs.emplace_back(
+        name, run_app(config, *workload,
+                      random_mapping(workload->num_threads(),
+                                     config.num_cores(), /*seed=*/71),
+                      /*seed=*/23));
+  }
+
+  ASSERT_EQ(runs.size(), std::size(pins));
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const auto& [scenario, stats] = runs[i];
+    ASSERT_EQ(scenario, pins[i].scenario);
+    EXPECT_EQ(stats_hash(stats), pins[i].hash)
+        << scenario << ": " << describe(stats);
+  }
 }
 
 // The scheduler is one (clock, id) min-heap at every thread count, with no
@@ -279,8 +375,8 @@ TEST(SchedulerPinned, RandomMappingRunsMatchRecordedStats) {
     const MachineConfig config = MachineConfig::harpertown();
     const Mapping mapping = random_mapping(workload->num_threads(),
                                            config.num_cores(), /*seed=*/17);
-    const MachineStats got = run_app(config, *workload, mapping,
-                                     /*fast_hierarchy=*/true, /*seed=*/3);
+    const MachineStats got =
+        run_app(config, *workload, mapping, /*seed=*/3);
     EXPECT_EQ(got, c.expected) << c.app;
   }
 }
@@ -361,15 +457,13 @@ TEST(SchedulerPinned, HmSweepStallsMatchRecordedStats) {
 // 256 threads on the manycore preset: the heap holds hundreds of entries
 // and every pick is a real sift, the regime the single heap was built for.
 TEST(SchedulerPinned, ManycoreSp256MatchesRecordedStats) {
-  WorkloadParams params = small_params(256);
-  params.size_scale = 0.25;
-  params.iter_scale = 0.1;
+  WorkloadParams params = manycore_params();
+  params.num_threads = 256;
   const auto workload = make_npb_workload("SP", params);
   const MachineConfig config = MachineConfig::manycore();
   const Mapping mapping =
       random_mapping(256, config.num_cores(), /*seed=*/71);
-  const MachineStats got = run_app(config, *workload, mapping,
-                                   /*fast_hierarchy=*/true, /*seed=*/23);
+  const MachineStats got = run_app(config, *workload, mapping, /*seed=*/23);
 
   const MachineStats expected =
       MachineStats{.accesses = 1047552u, .reads = 785408u, .writes = 262144u,
@@ -387,67 +481,15 @@ TEST(SchedulerPinned, ManycoreSp256MatchesRecordedStats) {
   EXPECT_EQ(got, expected);
 }
 
-// Manycore parity: the same contract far past the 64-L2 inline holder word.
-// 128 L2s (16x8, fully connected sockets) and 256 L2s (the mesh-priced
-// manycore() preset, 32x8 with per-hop extras) must produce bit-identical
-// stats with the multi-word directory and the walked broadcast. This is the
-// regression test for the old single-word directory's silent fallback.
-TEST(ManycoreDifferential, DirectoryMatchesBroadcastPast64L2s) {
-  MachineConfig l2_128;
-  l2_128.num_sockets = 16;
-  l2_128.cores_per_socket = 8;
-  l2_128.cores_per_l2 = 1;
-  l2_128.l1 = CacheConfig{1024, 64, 2, 2};
-  l2_128.l2 = CacheConfig{4096, 64, 4, 8};
-
-  struct Case {
-    const char* name;
-    MachineConfig machine;
-  };
-  const Case cases[] = {{"128_flat", l2_128},
-                        {"256_mesh", MachineConfig::manycore()}};
-  for (const Case& c : cases) {
-    WorkloadParams params = small_params(32);
-    params.size_scale = 0.25;
-    params.iter_scale = 0.1;
-    const auto workload = make_npb_workload("SP", params);
-    MachineConfig directory_config = c.machine;
-    directory_config.coherence_broadcast = false;
-    MachineConfig broadcast_config = c.machine;
-    broadcast_config.coherence_broadcast = true;
-    const Mapping mapping = random_mapping(
-        workload->num_threads(), c.machine.num_cores(), /*seed=*/71);
-
-    const MachineStats with_directory =
-        run_app(directory_config, *workload, mapping,
-                /*fast_hierarchy=*/true, /*seed=*/23);
-    const MachineStats with_broadcast =
-        run_app(broadcast_config, *workload, mapping,
-                /*fast_hierarchy=*/true, /*seed=*/23);
-    EXPECT_TRUE(with_directory == with_broadcast)
-        << c.name << ": directory and broadcast stats differ (cycles "
-        << with_directory.execution_cycles << " vs "
-        << with_broadcast.execution_cycles << ", invalidations "
-        << with_directory.invalidations << " vs "
-        << with_broadcast.invalidations << ", messages "
-        << with_directory.intra_socket_messages << "+"
-        << with_directory.inter_socket_messages << " vs "
-        << with_broadcast.intra_socket_messages << "+"
-        << with_broadcast.inter_socket_messages << ")";
-  }
-}
-
-// The directory stays on and consistent on a 256-L2 machine after a real
-// run — the exact scenario the 64-L2 cliff used to silently degrade.
+// The directory stays consistent on a 256-L2 machine after a real run,
+// with holder rows four words wide.
 TEST(ManycoreDifferential, DirectoryEnabledAndConsistentAt256L2s) {
-  WorkloadParams params = small_params(64);
-  params.size_scale = 0.25;
-  params.iter_scale = 0.1;
+  WorkloadParams params = manycore_params();
+  params.num_threads = 64;
   const auto workload = make_npb_workload("CG", params);
   const MachineConfig config = MachineConfig::manycore();
   Machine machine(config);
   ASSERT_EQ(machine.topology().num_l2(), 256);
-  ASSERT_TRUE(machine.hierarchy().coherence().directory_enabled());
 
   Machine::RunConfig run;
   run.thread_to_core = random_mapping(workload->num_threads(),
@@ -469,7 +511,6 @@ TEST(CoherenceDirectoryInvariant, MasksMatchCacheContentsAfterRuns) {
     const auto workload = make_npb_workload(app, small_params());
     const MachineConfig config = MachineConfig::harpertown();
     Machine machine(config);
-    ASSERT_TRUE(machine.hierarchy().coherence().directory_enabled());
 
     Machine::RunConfig run;
     run.thread_to_core = random_mapping(workload->num_threads(),
@@ -489,25 +530,6 @@ TEST(CoherenceDirectoryInvariant, MasksMatchCacheContentsAfterRuns) {
     EXPECT_EQ(coherence.directory_lines(), 0u) << app;
     EXPECT_TRUE(coherence.directory_consistent()) << app;
   }
-}
-
-// Opting out via MachineConfig::coherence_broadcast leaves the directory
-// dark: no entries, no stats, consistency trivially true.
-TEST(CoherenceDirectoryInvariant, BroadcastModeKeepsDirectoryEmpty) {
-  const auto workload = make_npb_workload("CG", small_params());
-  MachineConfig config = MachineConfig::harpertown();
-  config.coherence_broadcast = true;
-  Machine machine(config);
-  EXPECT_FALSE(machine.hierarchy().coherence().directory_enabled());
-
-  Machine::RunConfig run;
-  run.thread_to_core = identity_mapping(workload->num_threads());
-  machine.run(streams_of(*workload, /*seed=*/19), run);
-
-  const CoherenceDomain& coherence = machine.hierarchy().coherence();
-  EXPECT_EQ(coherence.directory_lines(), 0u);
-  EXPECT_EQ(coherence.directory_stats().probes, 0u);
-  EXPECT_TRUE(coherence.directory_consistent());
 }
 
 }  // namespace

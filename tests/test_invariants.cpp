@@ -1,14 +1,26 @@
 // Cross-cutting property tests: structural counter invariants that must
 // hold for every workload under every mapping, on more than one machine
 // shape — including a 16-core machine twice the paper's size.
+#include <cmath>
+#include <functional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "core/dynamic.hpp"
+#include "core/fault.hpp"
 #include "core/pipeline.hpp"
+#include "core/retry.hpp"
+#include "detect/hm_detector.hpp"
+#include "detect/phase_detector.hpp"
+#include "detect/stream_detector.hpp"
+#include "mapping/decision_cache.hpp"
 #include "mapping/hierarchical.hpp"
 #include "npb/workload.hpp"
 #include "sim/machine.hpp"
+#include "svc/service.hpp"
 
 namespace tlbmap {
 namespace {
@@ -176,6 +188,218 @@ TEST(BigMachine, FewerThreadsThanCoresEndToEnd) {
   EXPECT_EQ(mapping.size(), 4u);
   EXPECT_TRUE(is_valid_mapping(mapping, 8));
   check_invariants(pipe.evaluate(*workload, mapping, 3), "4-thread BT");
+}
+
+// ------------------------------------------------------ config validation
+
+/// One boundary case: a config on one side of an edge of what its
+/// validate() accepts.
+struct ValidationCase {
+  std::string name;
+  std::function<void()> validate;
+  bool accepted;
+};
+
+template <typename Config, typename Edit>
+ValidationCase edited(std::string name, Config config, Edit edit,
+                      bool accepted) {
+  edit(config);
+  return {std::move(name), [config] { config.validate(); }, accepted};
+}
+
+// Every *Config::validate() at the edges of its accepted range: each
+// rejection throws std::invalid_argument, and the value just inside the
+// edge passes.
+TEST(ConfigValidation, AcceptsAndRejectsAtEachBoundary) {
+  using svc::ServiceConfig;
+  const CacheConfig l1 = MachineConfig{}.l1;
+  const double nan = std::nan("");
+  const ValidationCase cases[] = {
+      edited("cache: paper L1", l1, [](CacheConfig&) {}, true),
+      edited("cache: zero size", l1, [](CacheConfig& c) { c.size_bytes = 0; },
+             false),
+      edited("cache: zero ways", l1, [](CacheConfig& c) { c.ways = 0; }, false),
+      edited("cache: sets not divisible", l1,
+             [](CacheConfig& c) { c.ways = 3; }, false),
+      edited("cache: line not a power of two", l1,
+             [](CacheConfig& c) {
+               c.line_size = 96;
+               c.size_bytes = 96 * 128;
+             },
+             false),
+      edited("tlb: one set, fully associative", TlbConfig{},
+             [](TlbConfig& c) { c.ways = c.entries; }, true),
+      edited("tlb: zero entries", TlbConfig{},
+             [](TlbConfig& c) { c.entries = 0; }, false),
+      edited("tlb: entries not divisible by ways", TlbConfig{},
+             [](TlbConfig& c) { c.ways = 3; }, false),
+      edited("machine: harpertown", MachineConfig{}, [](MachineConfig&) {},
+             true),
+      edited("machine: manycore", MachineConfig::manycore(),
+             [](MachineConfig&) {}, true),
+      edited("machine: zero sockets", MachineConfig{},
+             [](MachineConfig& c) { c.num_sockets = 0; }, false),
+      edited("machine: cores not divisible by l2 share", MachineConfig{},
+             [](MachineConfig& c) { c.cores_per_l2 = 3; }, false),
+      edited("machine: negative mesh columns", MachineConfig{},
+             [](MachineConfig& c) { c.socket_mesh_cols = -1; }, false),
+      edited("machine: sockets not divisible by mesh columns",
+             MachineConfig{}, [](MachineConfig& c) { c.socket_mesh_cols = 3; },
+             false),
+      edited("machine: page size not a power of two", MachineConfig{},
+             [](MachineConfig& c) { c.page_size = 3000; }, false),
+      edited("machine: both levels at 128-byte lines", MachineConfig{},
+             [](MachineConfig& c) {
+               c.l1.line_size = 128;
+               c.l2.line_size = 128;
+             },
+             true),
+      edited("machine: l2 line wider than l1 line", MachineConfig{},
+             [](MachineConfig& c) { c.l2.line_size = 128; }, false),
+      // The L2 would otherwise be indexed by L1-sized lines.
+      {"machine: built on mismatched line sizes",
+       [] {
+         MachineConfig c;
+         c.l2.line_size = 128;
+         const Machine machine(c);
+       },
+       false},
+      edited("machine: bad l2 geometry", MachineConfig{},
+             [](MachineConfig& c) { c.l2.ways = 0; }, false),
+      edited("machine: bad tlb geometry", MachineConfig{},
+             [](MachineConfig& c) { c.tlb.ways = 0; }, false),
+      edited("machine: fault rate above one", MachineConfig{},
+             [](MachineConfig& c) { c.fault.drop_sample_rate = 1.5; }, false),
+      edited("hm: cost one below interval", HmDetectorConfig{},
+             [](HmDetectorConfig& c) { c.search_cost = c.interval - 1; }, true),
+      edited("hm: cost equal to interval", HmDetectorConfig{},
+             [](HmDetectorConfig& c) { c.search_cost = c.interval; }, false),
+      edited("hm: zero interval", HmDetectorConfig{},
+             [](HmDetectorConfig& c) {
+               c.interval = 0;
+               c.search_cost = 0;
+             },
+             false),
+      edited("stream: one-page window, sweep every event",
+             StreamDetectorConfig{},
+             [](StreamDetectorConfig& c) {
+               c.window_pages = 1;
+               c.sweep_every = 1;
+             },
+             true),
+      edited("stream: empty window", StreamDetectorConfig{},
+             [](StreamDetectorConfig& c) { c.window_pages = 0; }, false),
+      edited("stream: never sweeps", StreamDetectorConfig{},
+             [](StreamDetectorConfig& c) { c.sweep_every = 0; }, false),
+      edited("phase: thresholds at their edges", PhaseDetectorConfig{},
+             [](PhaseDetectorConfig& c) {
+               c.drift_threshold = 1.0;
+               c.miss_rate_delta = 0.0;
+             },
+             true),
+      edited("phase: drift above one", PhaseDetectorConfig{},
+             [](PhaseDetectorConfig& c) { c.drift_threshold = 1.01; }, false),
+      edited("phase: drift NaN", PhaseDetectorConfig{},
+             [nan](PhaseDetectorConfig& c) { c.drift_threshold = nan; }, false),
+      edited("phase: negative miss-rate delta", PhaseDetectorConfig{},
+             [](PhaseDetectorConfig& c) { c.miss_rate_delta = -0.1; }, false),
+      edited("decision cache: drift zero", DecisionCacheConfig{},
+             [](DecisionCacheConfig& c) { c.drift_threshold = 0.0; }, true),
+      edited("decision cache: negative drift", DecisionCacheConfig{},
+             [](DecisionCacheConfig& c) { c.drift_threshold = -0.01; }, false),
+      edited("online: every knob at its edge", OnlineMapperConfig{},
+             [](OnlineMapperConfig& c) {
+               c.remap_every_barriers = 0;
+               c.decay = 1.0;
+               c.improvement_threshold = 0.0;
+               c.migration_cooldown = 0;
+               c.canary_barriers = 0;
+               c.regression_threshold = 0.0;
+             },
+             true),
+      edited("online: negative remap cadence", OnlineMapperConfig{},
+             [](OnlineMapperConfig& c) { c.remap_every_barriers = -1; }, false),
+      edited("online: zero decay", OnlineMapperConfig{},
+             [](OnlineMapperConfig& c) { c.decay = 0.0; }, false),
+      edited("online: improvement threshold of one", OnlineMapperConfig{},
+             [](OnlineMapperConfig& c) { c.improvement_threshold = 1.0; },
+             false),
+      edited("online: negative cooldown", OnlineMapperConfig{},
+             [](OnlineMapperConfig& c) { c.migration_cooldown = -1; }, false),
+      edited("online: negative canary window", OnlineMapperConfig{},
+             [](OnlineMapperConfig& c) { c.canary_barriers = -1; }, false),
+      edited("online: negative regression threshold", OnlineMapperConfig{},
+             [](OnlineMapperConfig& c) { c.regression_threshold = -0.1; },
+             false),
+      edited("online: bad rollback backoff", OnlineMapperConfig{},
+             [](OnlineMapperConfig& c) { c.rollback_backoff.factor = 0; },
+             false),
+      edited("online: bad phase detector", OnlineMapperConfig{},
+             [](OnlineMapperConfig& c) { c.phase.drift_threshold = 2.0; },
+             false),
+      edited("fault: every rate at one", FaultPlan{},
+             [](FaultPlan& p) {
+               p.drop_sample_rate = p.corrupt_sample_rate = 1.0;
+               p.detect_fail_rate = p.sweep_skip_rate = 1.0;
+               p.sweep_fail_rate = p.matrix_flip_rate = 1.0;
+               p.matrix_zero_rate = 1.0;
+             },
+             true),
+      edited("fault: negative rate", FaultPlan{},
+             [](FaultPlan& p) { p.matrix_zero_rate = -0.01; }, false),
+      edited("fault: NaN rate", FaultPlan{},
+             [nan](FaultPlan& p) { p.sweep_fail_rate = nan; }, false),
+      edited("retry: no attempts, full jitter", RetryPolicy{},
+             [](RetryPolicy& p) {
+               p.max_attempts = 0;
+               p.jitter = 1.0;
+             },
+             true),
+      edited("retry: negative attempts", RetryPolicy{},
+             [](RetryPolicy& p) { p.max_attempts = -1; }, false),
+      edited("retry: zero factor", RetryPolicy{},
+             [](RetryPolicy& p) { p.factor = 0; }, false),
+      edited("retry: jitter above one", RetryPolicy{},
+             [](RetryPolicy& p) { p.jitter = 1.01; }, false),
+      edited("service: budgets exactly one queue", ServiceConfig{},
+             [](ServiceConfig& c) {
+               c.max_sessions = 1;
+               c.session.budget_bytes = c.session.queue_bytes;
+               c.total_budget_bytes = c.session.budget_bytes;
+             },
+             true),
+      edited("service: no sessions", ServiceConfig{},
+             [](ServiceConfig& c) { c.max_sessions = 0; }, false),
+      edited("service: empty queue", ServiceConfig{},
+             [](ServiceConfig& c) { c.session.queue_bytes = 0; }, false),
+      edited("service: zero deadline", ServiceConfig{},
+             [](ServiceConfig& c) { c.session.deadline_events = 0; }, false),
+      edited("service: session budget below its queue", ServiceConfig{},
+             [](ServiceConfig& c) {
+               c.session.budget_bytes = c.session.queue_bytes - 1;
+             },
+             false),
+      edited("service: total budget below one session", ServiceConfig{},
+             [](ServiceConfig& c) {
+               c.total_budget_bytes = c.session.budget_bytes - 1;
+             },
+             false),
+      edited("service: bad machine", ServiceConfig{},
+             [](ServiceConfig& c) { c.machine.l2.line_size = 32; }, false),
+      edited("service: bad detector", ServiceConfig{},
+             [](ServiceConfig& c) { c.detector.window_pages = 0; }, false),
+      edited("service: bad decision cache", ServiceConfig{},
+             [](ServiceConfig& c) { c.cache.drift_threshold = 1.5; }, false),
+      edited("service: bad retry", ServiceConfig{},
+             [](ServiceConfig& c) { c.retry.jitter = -1.0; }, false),
+  };
+  for (const ValidationCase& c : cases) {
+    if (c.accepted) {
+      EXPECT_NO_THROW(c.validate()) << c.name;
+    } else {
+      EXPECT_THROW(c.validate(), std::invalid_argument) << c.name;
+    }
+  }
 }
 
 }  // namespace

@@ -10,8 +10,7 @@ namespace tlbmap {
 namespace {
 
 TlbConfig small_config() {
-  return TlbConfig{/*entries=*/8, /*ways=*/2, TlbManagement::kHardware,
-                   /*miss_penalty=*/30};
+  return TlbConfig{/*entries=*/8, /*ways=*/2, /*miss_penalty=*/30};
 }
 
 TEST(Tlb, StartsEmpty) {
@@ -109,19 +108,16 @@ TEST(Tlb, FlushAfterInvalidateClearsEverything) {
   EXPECT_EQ(t.valid_entries(), 0u);
 }
 
-TEST(Tlb, SetEntriesExposesWays) {
+TEST(Tlb, SetTagsExposesWays) {
   Tlb t(small_config());
   t.insert(1);  // set 1
   t.insert(5);  // set 1
-  const auto set1 = t.set_entries(1);
+  const auto set1 = t.set_tags(1);
   ASSERT_EQ(set1.size(), 2u);
-  std::set<PageNum> pages;
-  for (const TlbEntry& e : set1) {
-    if (e.valid) pages.insert(e.page);
-  }
-  EXPECT_EQ(pages, (std::set<PageNum>{1, 5}));
+  EXPECT_EQ(std::set<PageNum>(set1.begin(), set1.end()),
+            (std::set<PageNum>{1, 5}));
   // Other sets stay empty.
-  for (const TlbEntry& e : t.set_entries(0)) EXPECT_FALSE(e.valid);
+  for (const std::uint64_t tag : t.set_tags(0)) EXPECT_EQ(tag, kInvalidTag);
 }
 
 TEST(Tlb, SetIndexMatchesModulo) {
@@ -131,14 +127,19 @@ TEST(Tlb, SetIndexMatchesModulo) {
   EXPECT_EQ(t.set_index(9), 1u);
 }
 
-TEST(Tlb, ForEachEntryVisitsValidOnly) {
+TEST(Tlb, InvalidatedWayIsRefilledBeforeLru) {
   Tlb t(small_config());
   t.insert(1);
-  t.insert(2);
-  t.invalidate(1);
-  std::set<PageNum> seen;
-  t.for_each_entry([&](const TlbEntry& e) { seen.insert(e.page); });
-  EXPECT_EQ(seen, (std::set<PageNum>{2}));
+  t.insert(5);  // set 1 full: 1 is LRU
+  EXPECT_TRUE(t.invalidate(5));
+  EXPECT_EQ(t.valid_entries(), 1u);
+  t.insert(9);  // takes 5's empty way, keeps 1
+  EXPECT_TRUE(t.contains(1));
+  EXPECT_TRUE(t.contains(9));
+  t.insert(13);  // set full again: evicts the LRU page, 1
+  EXPECT_FALSE(t.contains(1));
+  EXPECT_TRUE(t.contains(9));
+  EXPECT_TRUE(t.contains(13));
 }
 
 TEST(Tlb, RejectsBadGeometry) {
