@@ -2,17 +2,22 @@
 //
 // Not a paper artefact — this prices DESIGN.md Sec. 16: what the hardened
 // ingest path costs per decoded event (bounded queues, deadline slices,
-// round-robin decode into the stream detector), what a decision read costs
-// when it is a cache hit versus a drift re-match, and what sealing /
-// restoring a full service checkpoint costs per session. CI's soak job
-// publishes the JSON as BENCH_service.json for cross-commit comparison.
+// round-robin decode into the stream detector), what the detector's feed
+// costs on its own, what a decision read costs when it is a cache hit
+// versus a drift re-match, and what sealing / restoring a full service
+// checkpoint costs per session. CI's soak job publishes the JSON as
+// BENCH_service.json for cross-commit comparison.
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "detect/stream_detector.hpp"
 #include "npb/workload.hpp"
 #include "sim/trace_file.hpp"
 #include "svc/service.hpp"
@@ -121,6 +126,84 @@ void BM_ServiceCheckpointRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServiceCheckpointRoundTrip)->Arg(1)->Arg(8);
+
+/// One (thread, page) access in the order the service feeds its detector.
+struct FedAccess {
+  ThreadId thread;
+  PageNum page;
+};
+
+/// Arm 0: SP recorded at 8 threads (full-size data, a tenth of the
+/// iterations), drained one event per thread in turn as Session::pump does.
+/// Most accesses repeat the thread's last page. Arm 1: as many uniform
+/// random pages over twice a window, where a repeat is a 1-in-128 chance.
+std::vector<FedAccess> feed_stream(int arm) {
+  std::vector<FedAccess> out;
+  WorkloadParams params;
+  params.num_threads = 8;
+  params.size_scale = 1.0;
+  params.iter_scale = 0.1;
+  const int page_shift = MachineConfig::harpertown().page_shift();
+  std::vector<std::unique_ptr<TraceReader>> readers;
+  for (auto& buffer :
+       record_workload(*make_npb_workload("SP", params), /*seed=*/1)) {
+    readers.push_back(std::make_unique<TraceReader>(std::move(buffer)));
+  }
+  std::vector<bool> ended(readers.size(), false);
+  for (std::size_t live = readers.size(); live > 0;) {
+    for (std::size_t t = 0; t < readers.size(); ++t) {
+      if (ended[t]) continue;
+      const TraceEvent event = readers[t]->next();
+      if (event.kind == TraceEvent::Kind::kEnd) {
+        ended[t] = true;
+        --live;
+      } else if (event.kind == TraceEvent::Kind::kAccess) {
+        out.push_back({static_cast<ThreadId>(t),
+                       event.access.addr >> page_shift});
+      }
+    }
+  }
+  if (arm == 1) {
+    std::mt19937_64 rng(1);
+    for (FedAccess& a : out) a.page = rng() % 128;
+  }
+  return out;
+}
+
+// StreamDetector::feed alone at the service's default shape (64-page
+// windows, a sweep every 4096 accesses), sweeps included. `same_page` is
+// the share of accesses that repeat their thread's last page: the case
+// feed() serves without searching the window.
+void BM_StreamDetectorFeed(benchmark::State& state) {
+  const std::vector<FedAccess> accesses =
+      feed_stream(static_cast<int>(state.range(0)));
+  std::vector<PageNum> last(8, ~PageNum{0});
+  std::uint64_t repeats = 0;
+  for (const FedAccess& a : accesses) {
+    PageNum& prev = last[static_cast<std::size_t>(a.thread)];
+    repeats += a.page == prev;
+    prev = a.page;
+  }
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    StreamDetector detector(8);
+    for (const FedAccess& a : accesses) detector.feed(a.thread, a.page);
+    benchmark::DoNotOptimize(detector.matrix().total());
+    events += accesses.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  // Seconds per access; the console prints it with an SI prefix (e.g. 5ns).
+  state.counters["per_access"] = benchmark::Counter(
+      static_cast<double>(events),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["same_page"] =
+      static_cast<double>(repeats) / static_cast<double>(accesses.size());
+}
+BENCHMARK(BM_StreamDetectorFeed)
+    ->ArgName("random")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

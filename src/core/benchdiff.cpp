@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -143,6 +144,22 @@ class JsonParser {
   }
 
   bool parse_number(double& out) {
+    // google-benchmark writes a non-finite value bare, as NaN or
+    // [-]Infinity: e.g. the coefficient of variation of a counter that is
+    // zero in every repetition.
+    const bool negative = text_.compare(pos_, 1, "-") == 0;
+    const std::size_t word = pos_ + (negative ? 1 : 0);
+    if (text_.compare(word, 3, "NaN") == 0) {
+      pos_ = word + 3;
+      out = std::numeric_limits<double>::quiet_NaN();
+      return true;
+    }
+    if (text_.compare(word, 8, "Infinity") == 0) {
+      pos_ = word + 8;
+      out = negative ? -std::numeric_limits<double>::infinity()
+                     : std::numeric_limits<double>::infinity();
+      return true;
+    }
     const std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     while (pos_ < text_.size() &&

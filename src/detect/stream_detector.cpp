@@ -1,6 +1,7 @@
 #include "detect/stream_detector.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -23,10 +24,12 @@ StreamDetector::StreamDetector(int num_threads, StreamDetectorConfig config)
   if (num_threads < 1) {
     throw std::invalid_argument("StreamDetector: num_threads must be >= 1");
   }
+  const auto window_pages = static_cast<std::size_t>(config_.window_pages);
   windows_.resize(static_cast<std::size_t>(num_threads));
-  for (auto& w : windows_) {
-    w.reserve(static_cast<std::size_t>(config_.window_pages));
-  }
+  for (auto& w : windows_) w.reserve(window_pages);
+  // A sweep lists every window entry at most once, so memory_bytes() is
+  // final from here on: the service admits a session on this value.
+  page_entries_.reserve(windows_.size() * window_pages);
 }
 
 void StreamDetector::feed(ThreadId thread, PageNum page) {
@@ -35,15 +38,20 @@ void StreamDetector::feed(ThreadId thread, PageNum page) {
                                 std::to_string(thread) + " out of range");
   }
   std::vector<PageNum>& window = windows_[static_cast<std::size_t>(thread)];
-  // LRU refresh: windows are <= a few hundred entries, so a linear scan
-  // beats hash-map overhead (mirrors the Tlb's set-walk reasoning).
-  const auto it = std::find(window.begin(), window.end(), page);
-  if (it != window.end()) {
-    window.erase(it);
-  } else if (window.size() >= static_cast<std::size_t>(config_.window_pages)) {
-    window.erase(window.begin());
+  // A repeat of the MRU page (most accesses of a streamed trace) leaves the
+  // window as it is. Any other page is searched from the MRU end, where
+  // recently touched pages sit; a window never holds a page twice, so the
+  // reverse search finds the one copy a forward search would.
+  if (window.empty() || window.back() != page) {
+    const auto hit = std::find(window.rbegin(), window.rend(), page);
+    if (hit != window.rend()) {
+      window.erase(std::prev(hit.base()));
+    } else if (window.size() >=
+               static_cast<std::size_t>(config_.window_pages)) {
+      window.erase(window.begin());
+    }
+    window.push_back(page);
   }
-  window.push_back(page);
   ++events_;
   if (events_ % config_.sweep_every == 0) sweep();
 }
@@ -105,7 +113,10 @@ void StreamDetector::restore(const StreamDetectorState& state) {
   matrix_ = state.matrix;
   events_ = state.events;
   sweeps_ = state.sweeps;
-  windows_ = state.windows;
+  // Element-wise assign keeps each window's reserved capacity.
+  for (std::size_t t = 0; t < windows_.size(); ++t) {
+    windows_[t].assign(state.windows[t].begin(), state.windows[t].end());
+  }
 }
 
 }  // namespace tlbmap

@@ -10,9 +10,10 @@
 // every page resident in >= 2 windows, added straight into the matrix.
 //
 // Everything is bounded by construction: windows are fixed-size, the
-// matrix never exceeds CommMatrix::worst_case_bytes(threads), and scratch
-// is reused across sweeps — the service's per-tenant memory accounting
-// leans on memory_bytes() being an honest, deterministic upper bound.
+// matrix never exceeds CommMatrix::worst_case_bytes(threads), and windows
+// and sweep scratch are reserved once in the constructor — the service's
+// per-tenant memory accounting leans on memory_bytes() being an honest,
+// deterministic upper bound from the moment a session is admitted.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +57,12 @@ class StreamDetector {
   int num_threads() const { return static_cast<int>(windows_.size()); }
   const StreamDetectorConfig& config() const { return config_; }
 
-  /// Records one access: O(window) LRU update, plus a sweep when the
-  /// cadence comes due. Out-of-range threads throw std::invalid_argument
-  /// (the service quarantines before this can happen).
+  /// Records one access, plus a sweep when the cadence comes due. O(1) when
+  /// the page repeats the thread's MRU page (the window is left as it is);
+  /// otherwise the window is searched from the MRU end, O(depth of the hit)
+  /// or O(window) on a miss. Out-of-range threads throw
+  /// std::invalid_argument (the service quarantines before this can
+  /// happen).
   void feed(ThreadId thread, PageNum page);
 
   /// Runs one sweep immediately (cadence-independent; the service forces
@@ -71,8 +75,9 @@ class StreamDetector {
 
   /// Deterministic estimate of resident bytes (matrix + windows + sweep
   /// scratch) for the service's per-tenant budget accounting. The matrix
-  /// is charged at CommMatrix::worst_case_bytes, so the estimate is an
-  /// upper bound however the matrix fills.
+  /// is charged at CommMatrix::worst_case_bytes and windows and scratch
+  /// are reserved at construction, so the value is fixed from construction
+  /// on and bounds the detector however the matrix fills.
   std::size_t memory_bytes() const;
 
   /// Copies out / restores matrix, cursors and windows.

@@ -64,6 +64,21 @@ TEST(BenchDiff, ParserRejectsGarbage) {
       parse_benchmark_json("{\"benchmarks\":[{\"cpu_time\":1}]}").has_value());
 }
 
+TEST(BenchDiff, ParsesNonFiniteCounters) {
+  // google-benchmark's spelling of a non-finite double, e.g. the _cv
+  // aggregate of a counter that is zero in every repetition.
+  const auto records = parse_benchmark_json(
+      "{\"benchmarks\":[{\"name\":\"BM_A_cv\",\"run_type\":\"aggregate\","
+      "\"real_time\":1,\"cpu_time\":1,\"time_unit\":\"ns\","
+      "\"rollbacks\":NaN,\"up\":Infinity,\"down\":-Infinity}]}");
+  ASSERT_TRUE(records.has_value()) << records.error().to_string();
+  ASSERT_EQ(records.value().size(), 1u);
+  EXPECT_EQ(records.value()[0].name, "BM_A_cv");
+  EXPECT_FALSE(parse_benchmark_json("{\"benchmarks\":[{\"name\":\"BM_A\","
+                                    "\"cpu_time\":Nan}]}")
+                   .has_value());
+}
+
 TEST(BenchDiff, TimeUnitConversion) {
   const auto records = parse_benchmark_json(
       bench_json({{"BM_Us", "iteration", 2.0, 3.0, "us"},

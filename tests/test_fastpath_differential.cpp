@@ -248,7 +248,7 @@ TEST(RetiredDifferentialPinned, ScenariosMatchRecordedStats) {
       {"SP/numa_interleave/random", 0xf84ddd3e7443b962ull},
       {"LU/numa_interleave/identity", 0xdfc611d0fd5dbce9ull},
       {"LU/numa_interleave/random", 0xed3003c298136ddaull},
-      {"SP/dynamic", 0x69258fdf4be731a3ull},
+      {"SP/dynamic", 0x6f6286f3138b9341ull},
       {"SP/128_flat", 0x4cc7df8c8cb58aecull},
       {"SP/256_mesh", 0xb70109d2d7d5ef50ull},
   };
@@ -279,21 +279,26 @@ TEST(RetiredDifferentialPinned, ScenariosMatchRecordedStats) {
                 /*seed=*/5));
   }
 
-  // A dynamic run: the online mapper attached, remapping at barriers.
+  // A dynamic run with the CLI-default online mapper: it migrates threads
+  // at a barrier, the canary measures the move as a regression and rolls it
+  // back, so caches cool behind moving threads twice. Full-size SP at half
+  // the iterations; at smaller scales the mapper never decides to move.
   {
-    const auto workload = make_npb_workload("SP", small_params());
+    WorkloadParams params = small_params();
+    params.size_scale = 1.0;
+    params.iter_scale = 0.5;
+    const auto workload = make_npb_workload("SP", params);
     const MachineConfig config = MachineConfig::harpertown();
     const Mapping initial = random_mapping(workload->num_threads(),
                                            config.num_cores(), /*seed=*/123);
-    OnlineMapperConfig online;
-    online.remap_every_barriers = 2;
     Pipeline pipe(config);
-    const auto dynamic =
-        pipe.evaluate_dynamic(*workload, initial, online, /*seed=*/9);
+    const auto dynamic = pipe.evaluate_dynamic(
+        *workload, initial, OnlineMapperConfig{}, /*seed=*/9);
     runs.emplace_back("SP/dynamic", dynamic.stats);
-    EXPECT_EQ(dynamic.migrations, 0);
-    EXPECT_EQ(dynamic.remap_decisions, 0);
-    EXPECT_EQ(dynamic.final_mapping, (Mapping{1, 7, 3, 0, 5, 6, 4, 2}));
+    EXPECT_GE(dynamic.migrations, 1);  // a pin that migrates nothing is vacuous
+    EXPECT_EQ(dynamic.remap_decisions, 2);
+    EXPECT_EQ(dynamic.rollbacks, 1);
+    EXPECT_EQ(dynamic.final_mapping, initial);
   }
 
   // Past 64 L2s: 128 flat and the 256-L2 mesh.

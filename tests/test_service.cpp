@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -19,6 +20,7 @@
 #include "detect/stream_detector.hpp"
 #include "mapping/decision_cache.hpp"
 #include "npb/workload.hpp"
+#include "reference_stream_window.hpp"
 #include "sim/trace_file.hpp"
 #include "svc/service.hpp"
 
@@ -117,6 +119,187 @@ TEST(StreamDetector, RestoreRejectsRepeatedPage) {
   detector.restore(state);
   detector.sweep();
   EXPECT_EQ(detector.matrix().at(0, 1), 1u);
+}
+
+TEST(StreamDetector, MemoryBytesFixedFromConstruction) {
+  // The service admits a session on memory_bytes() before its first event,
+  // so the estimate must already cover the sweep scratch: feeds, sweeps and
+  // restores may never grow it.
+  constexpr int kWindow = 64;
+  StreamDetectorConfig config;
+  config.window_pages = kWindow;
+  config.sweep_every = 7;
+  StreamDetector detector(8, config);
+  const std::size_t bytes = detector.memory_bytes();
+  EXPECT_GE(bytes, CommMatrix::worst_case_bytes(8) +
+                       8 * kWindow *
+                           (sizeof(PageNum) +
+                            sizeof(std::pair<PageNum, ThreadId>)));
+
+  StreamDetector donor(8, config);
+  for (PageNum p = 0; p < 4 * kWindow; ++p) {
+    for (ThreadId t = 0; t < 8; ++t) {
+      detector.feed(t, p);
+      donor.feed(t, p + static_cast<PageNum>(t));
+      ASSERT_EQ(detector.memory_bytes(), bytes) << "page " << p;
+    }
+  }
+  detector.sweep();
+  EXPECT_GT(detector.sweeps(), 0u);
+  EXPECT_EQ(detector.memory_bytes(), bytes);
+  detector.restore(donor.state());  // full windows
+  EXPECT_EQ(detector.memory_bytes(), bytes);
+  detector.restore(StreamDetector(8, config).state());  // empty windows
+  EXPECT_EQ(detector.memory_bytes(), bytes);
+  detector.feed(0, 1);
+  detector.sweep();
+  EXPECT_EQ(detector.memory_bytes(), bytes);
+}
+
+struct FedAccess {
+  ThreadId thread;
+  PageNum page;
+};
+
+// A recorded NPB stream as the service feeds it: 8 threads drained one
+// event per thread in turn (a barrier takes its thread's turn, as in
+// Session::pump), accesses mapped to Harpertown pages. Full-size data, so
+// threads outgrow a 64-page window; a twentieth of the iterations.
+std::vector<FedAccess> recorded_accesses(const std::string& app) {
+  WorkloadParams params;
+  params.num_threads = 8;
+  params.size_scale = 1.0;
+  params.iter_scale = 0.05;
+  const int page_shift = MachineConfig::harpertown().page_shift();
+  std::vector<std::unique_ptr<TraceReader>> readers;
+  for (auto& buffer :
+       record_workload(*make_npb_workload(app, params), /*seed=*/1)) {
+    readers.push_back(std::make_unique<TraceReader>(std::move(buffer)));
+  }
+  std::vector<FedAccess> out;
+  std::vector<bool> ended(readers.size(), false);
+  for (std::size_t live = readers.size(); live > 0;) {
+    for (std::size_t t = 0; t < readers.size(); ++t) {
+      if (ended[t]) continue;
+      const TraceEvent event = readers[t]->next();
+      if (event.kind == TraceEvent::Kind::kEnd) {
+        ended[t] = true;
+        --live;
+      } else if (event.kind == TraceEvent::Kind::kAccess) {
+        out.push_back({static_cast<ThreadId>(t),
+                       event.access.addr >> page_shift});
+      }
+    }
+  }
+  return out;
+}
+
+// Uniform random pages over a space a little wider than a window, never
+// the thread's last page: every access is a deeper hit or a miss.
+std::vector<FedAccess> random_accesses(std::size_t count) {
+  std::mt19937_64 rng(17);
+  std::vector<FedAccess> out;
+  std::vector<PageNum> last(8, ~PageNum{0});
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto t = static_cast<ThreadId>(i % 8);
+    PageNum page;
+    do {
+      page = rng() % 96;
+    } while (page == last[static_cast<std::size_t>(t)]);
+    last[static_cast<std::size_t>(t)] = page;
+    out.push_back({t, page});
+  }
+  return out;
+}
+
+/// How the accesses of the 64-page, uncapped arm met their windows.
+struct WindowOutcomes {
+  std::uint64_t repeats = 0;    ///< the thread's MRU page again
+  std::uint64_t deeper = 0;     ///< found below the MRU entry
+  std::uint64_t evictions = 0;  ///< missed a full window
+};
+
+// StreamDetector against ReferenceStreamWindow (the literal forward-search
+// LRU list and a pairwise-intersection sweep) on the same access sequence,
+// compared after every sweep. Halfway, the detector is replaced by a fresh
+// one restored from its state, which must carry on identically.
+WindowOutcomes expect_matches_reference(
+    const std::string& name, const std::vector<FedAccess>& accesses) {
+  WindowOutcomes outcomes;
+  // Caps each run at this many sweeps, so sweep_every = 1 stays cheap.
+  constexpr std::uint64_t kMaxSweeps = 4096;
+  for (const int window : {1, 2, 64}) {
+    for (const std::uint64_t every : {1u, 7u, 4096u}) {
+      StreamDetectorConfig config;
+      config.window_pages = window;
+      config.sweep_every = every;
+      const std::string arm = name + " window " + std::to_string(window) +
+                              " every " + std::to_string(every);
+      const std::size_t count = static_cast<std::size_t>(
+          std::min<std::uint64_t>(accesses.size(), kMaxSweeps * every));
+      auto detector = std::make_unique<StreamDetector>(8, config);
+      ReferenceStreamWindow reference(8, config);
+      for (std::size_t i = 0; i < count; ++i) {
+        if (i == count / 2) {
+          auto resumed = std::make_unique<StreamDetector>(8, config);
+          resumed->restore(detector->state());
+          detector = std::move(resumed);
+        }
+        if (window == 64 && every == 4096) {
+          const auto& w =
+              reference.windows()[static_cast<std::size_t>(accesses[i].thread)];
+          if (!w.empty() && w.back() == accesses[i].page) {
+            ++outcomes.repeats;
+          } else if (std::find(w.begin(), w.end(), accesses[i].page) !=
+                     w.end()) {
+            ++outcomes.deeper;
+          } else if (w.size() == 64) {
+            ++outcomes.evictions;
+          }
+        }
+        const std::uint64_t before = detector->sweeps();
+        detector->feed(accesses[i].thread, accesses[i].page);
+        reference.feed(accesses[i].thread, accesses[i].page);
+        if (detector->sweeps() == before) continue;
+        EXPECT_EQ(detector->sweeps(), reference.sweeps()) << arm << " @" << i;
+        EXPECT_TRUE(detector->matrix() == reference.matrix())
+            << arm << " @" << i;
+        EXPECT_EQ(detector->state().windows, reference.windows())
+            << arm << " @" << i;
+        if (::testing::Test::HasFailure()) return outcomes;
+      }
+      EXPECT_EQ(detector->sweeps(), reference.sweeps()) << arm;
+      EXPECT_EQ(detector->events(), reference.events()) << arm;
+      EXPECT_EQ(detector->state().windows, reference.windows()) << arm;
+    }
+  }
+  return outcomes;
+}
+
+TEST(StreamDetectorDifferential, RecordedNpbStreamsMatchReference) {
+  WindowOutcomes total;
+  for (const std::string& app : npb_workload_names()) {
+    if (app == "EP") continue;
+    const std::vector<FedAccess> accesses = recorded_accesses(app);
+    const WindowOutcomes o = expect_matches_reference(app, accesses);
+    if (HasFailure()) return;
+    total.repeats += o.repeats;
+    total.deeper += o.deeper;
+    total.evictions += o.evictions;
+  }
+  // The streams reach every path of feed(): the O(1) repeat, the reverse
+  // search's hits, and evictions from full windows.
+  EXPECT_GT(total.repeats, 0u);
+  EXPECT_GT(total.deeper, 0u);
+  EXPECT_GT(total.evictions, 0u);
+}
+
+TEST(StreamDetectorDifferential, UniformRandomPagesMatchReference) {
+  const WindowOutcomes o =
+      expect_matches_reference("random", random_accesses(40000));
+  EXPECT_EQ(o.repeats, 0u);
+  EXPECT_GT(o.deeper, 0u);
+  EXPECT_GT(o.evictions, 0u);
 }
 
 // ---------------------------------------------------------------------------
