@@ -2,10 +2,10 @@
 //
 // Not a paper artefact — this prices DESIGN.md Sec. 16: what the hardened
 // ingest path costs per decoded event (bounded queues, deadline slices,
-// round-robin decode into the stream detector), what the detector's feed
-// costs on its own, what a decision read costs when it is a cache hit
-// versus a drift re-match, and what sealing / restoring a full service
-// checkpoint costs per session. CI's soak job publishes the JSON as
+// round-robin decode into the stream detector), what TLBT decoding and the
+// detector's feed each cost on their own, what a decision read costs when
+// it is a cache hit versus a drift re-match, and what sealing / restoring a
+// full service checkpoint costs per session. CI's soak job publishes the JSON as
 // BENCH_service.json for cross-commit comparison.
 #include <algorithm>
 #include <cstdint>
@@ -203,6 +203,79 @@ BENCHMARK(BM_StreamDetectorFeed)
     ->ArgName("random")
     ->Arg(0)
     ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+/// SP recorded at 8 threads (full-size data, a tenth of the iterations).
+const std::vector<std::vector<std::uint8_t>>& sp_buffers() {
+  static const auto buffers = [] {
+    WorkloadParams params;
+    params.num_threads = 8;
+    params.size_scale = 1.0;
+    params.iter_scale = 0.1;
+    return record_workload(*make_npb_workload("SP", params), /*seed=*/1);
+  }();
+  return buffers;
+}
+
+/// Drains every decodable record of `decoder` into `*sum`; returns events.
+std::uint64_t drain_decoder(TraceStreamDecoder& decoder, std::uint64_t* sum) {
+  std::uint64_t events = 0;
+  TraceEvent event;
+  for (;;) {
+    const Expected<TraceStreamDecoder::Status> status = decoder.next(&event);
+    if (!status.has_value() ||
+        *status != TraceStreamDecoder::Status::kEvent) {
+      return events;
+    }
+    *sum += event.access.addr;
+    ++events;
+  }
+}
+
+// TLBT decode alone over the recorded SP buffers, per path: 0 =
+// TraceStreamDecoder fed each buffer whole, 1 = the same decoder fed
+// 256-byte chunks (the service's ingest shape), 2 = TraceReader::fill
+// (recorded replay). `per_event` is seconds per decoded event (barriers
+// and the end marker included).
+void BM_TraceDecode(benchmark::State& state) {
+  const auto& buffers = sp_buffers();
+  const int path = static_cast<int>(state.range(0));
+  constexpr std::size_t kChunk = 256;
+  std::uint64_t events = 0;
+  std::uint64_t sum = 0;
+  std::vector<TraceEvent> batch(256);
+  for (auto _ : state) {
+    for (const std::vector<std::uint8_t>& bytes : buffers) {
+      if (path == 2) {
+        TraceReader reader(bytes);
+        for (bool ended = false; !ended;) {
+          const std::size_t n = reader.fill(batch);
+          for (std::size_t i = 0; i < n; ++i) sum += batch[i].access.addr;
+          events += n;
+          ended = batch[n - 1].kind == TraceEvent::Kind::kEnd;
+        }
+        continue;
+      }
+      TraceStreamDecoder decoder;
+      const std::size_t step = path == 0 ? bytes.size() : kChunk;
+      for (std::size_t at = 0; at < bytes.size(); at += step) {
+        decoder.feed(bytes.data() + at, std::min(step, bytes.size() - at));
+        events += drain_decoder(decoder, &sum);
+      }
+      ++events;  // the end marker
+    }
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["per_event"] = benchmark::Counter(
+      static_cast<double>(events),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TraceDecode)
+    ->ArgName("path")
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -108,9 +108,10 @@ class Machine {
 
   /// Non-throwing variant: every failure mode — bad placement, invalid
   /// mid-run migration under strict_migrations, watchdog budget exceeded —
-  /// returns a structured Error instead of raising. This is the entry point
-  /// the resilient suite worker pool uses; no exception escapes it for any
-  /// input that does not itself throw from a user-supplied stream/observer.
+  /// returns a structured Error instead of raising; no exception escapes it
+  /// for any input that does not itself throw from a user-supplied
+  /// stream/observer. Only tests call it directly: run_suite reaches run()
+  /// through Pipeline and folds the exceptions into kWorkerFailure.
   Expected<MachineStats> try_run(
       std::vector<std::unique_ptr<ThreadStream>> streams,
       const RunConfig& config);

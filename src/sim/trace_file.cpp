@@ -1,5 +1,7 @@
 #include "sim/trace_file.hpp"
 
+#include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -34,12 +36,33 @@ std::int64_t zigzag_decode(std::uint64_t v) {
          -static_cast<std::int64_t>(v & 1);
 }
 
-std::string format_trace_error(const std::string& what,
-                               std::size_t byte_offset,
-                               std::uint64_t record_index) {
-  std::ostringstream msg;
-  msg << what << " at byte " << byte_offset << ", record " << record_index;
-  return msg.str();
+enum class Varint { kOk, kNeedMore, kOverlong };
+
+/// Reads one LEB128 varint from [p, end), advancing p past the bytes read.
+Varint read_varint(const std::uint8_t*& p, const std::uint8_t* end,
+                   std::uint64_t* value) {
+  std::uint64_t v = 0;
+  for (int shift = 0; p < end;) {
+    const std::uint8_t byte = *p++;
+    v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) {
+      *value = v;
+      return Varint::kOk;
+    }
+    shift += 7;
+    if (shift > 63) return Varint::kOverlong;
+  }
+  return Varint::kNeedMore;
+}
+
+/// The error for input that stops where `decoder` waits for more bytes.
+TraceFormatError end_of_input(const TraceStreamDecoder& decoder) {
+  const char* what = decoder.offset() == 0        ? "TLBT: truncated header"
+                     : decoder.buffered_bytes() > 0 ? "TLBT: truncated record"
+                                                    : "TLBT: missing end marker";
+  return TraceFormatError(ErrorCode::kTruncatedTrace, what,
+                          decoder.offset() + decoder.buffered_bytes(),
+                          decoder.records());
 }
 
 }  // namespace
@@ -47,8 +70,8 @@ std::string format_trace_error(const std::string& what,
 TraceFormatError::TraceFormatError(ErrorCode code, const std::string& what,
                                    std::size_t byte_offset,
                                    std::uint64_t record_index)
-    : std::invalid_argument(
-          format_trace_error(what, byte_offset, record_index)),
+    : std::invalid_argument(what + " at byte " + std::to_string(byte_offset) +
+                            ", record " + std::to_string(record_index)),
       code_(code),
       byte_offset_(byte_offset),
       record_index_(record_index) {}
@@ -107,202 +130,6 @@ std::vector<std::uint8_t> TraceWriter::finish() {
   return bytes_;
 }
 
-TraceReader::TraceReader(std::vector<std::uint8_t> bytes)
-    : bytes_(std::move(bytes)) {
-  if (bytes_.size() < 5) {
-    throw TraceFormatError(ErrorCode::kTruncatedTrace,
-                           "TraceReader: bad header (buffer too short)",
-                           bytes_.size(), 0);
-  }
-  if (!std::equal(kMagic, kMagic + 4, bytes_.begin())) {
-    throw TraceFormatError(ErrorCode::kMalformedTrace,
-                           "TraceReader: bad header (magic mismatch)", 0, 0);
-  }
-  if (bytes_[4] != kVersion) {
-    throw TraceFormatError(
-        ErrorCode::kMalformedTrace,
-        "TraceReader: bad header (unsupported version " +
-            std::to_string(static_cast<int>(bytes_[4])) + ")",
-        4, 0);
-  }
-  pos_ = 5;
-}
-
-std::uint64_t TraceReader::get_varint() {
-  std::uint64_t value = 0;
-  int shift = 0;
-  while (pos_ < bytes_.size()) {
-    const std::uint8_t byte = bytes_[pos_++];
-    value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return value;
-    shift += 7;
-    if (shift > 63) {
-      throw TraceFormatError(ErrorCode::kMalformedTrace,
-                             "TraceReader: overlong varint", pos_, records_);
-    }
-  }
-  throw TraceFormatError(ErrorCode::kTruncatedTrace,
-                         "TraceReader: truncated varint", pos_, records_);
-}
-
-std::size_t TraceReader::fill(std::span<TraceEvent> out) {
-  std::size_t n = 0;
-  while (n < out.size()) {
-    const std::size_t pos = pos_;
-    const std::uint64_t records = records_;
-    const VirtAddr last_addr = last_addr_;
-    try {
-      out[n] = decode();
-    } catch (const TraceFormatError&) {
-      // Rewind to the bad record: the events before it are delivered now,
-      // and the next call decodes it again and throws.
-      pos_ = pos;
-      records_ = records;
-      last_addr_ = last_addr;
-      if (n == 0) throw;
-      return n;
-    }
-    if (out[n++].kind == TraceEvent::Kind::kEnd) break;
-  }
-  return n;
-}
-
-TraceEvent TraceReader::decode() {
-  if (done_ || pos_ >= bytes_.size()) return TraceEvent::make_end();
-  const std::size_t record_start = pos_;
-  const std::uint8_t header = bytes_[pos_++];
-  ++records_;
-  if (header == kBarrier) return TraceEvent::make_barrier();
-  if (header == kEnd) {
-    done_ = true;
-    return TraceEvent::make_end();
-  }
-  if ((header & kAccess) == 0) {
-    throw TraceFormatError(
-        ErrorCode::kMalformedTrace,
-        "TraceReader: bad record header 0x" + [&] {
-          std::ostringstream hex;
-          hex << std::hex << static_cast<int>(header);
-          return hex.str();
-        }(),
-        record_start, records_ - 1);
-  }
-  const std::uint64_t raw = get_varint();
-  VirtAddr addr;
-  if ((header & kFlagAddrDelta) != 0) {
-    addr = static_cast<VirtAddr>(static_cast<std::int64_t>(last_addr_) +
-                                 zigzag_decode(raw));
-  } else {
-    addr = raw;
-  }
-  last_addr_ = addr;
-  std::uint32_t gap = 0;
-  if ((header & kFlagHasGap) != 0) {
-    const std::uint64_t raw_gap = get_varint();
-    // Oversized gap: the writer emits at most 32 bits, so a wider value is
-    // stream damage. Truncating it silently (the pre-hardening behaviour)
-    // would replay a corrupt trace as a subtly different workload.
-    if (raw_gap > 0xffffffffull) {
-      throw TraceFormatError(ErrorCode::kCorruptTrace,
-                             "TraceReader: compute gap out of range", pos_,
-                             records_ - 1);
-    }
-    gap = static_cast<std::uint32_t>(raw_gap);
-  }
-  const AccessType type = (header & kFlagWrite) != 0 ? AccessType::kWrite
-                                                     : AccessType::kRead;
-  return TraceEvent::make_access(addr, type, gap);
-}
-
-Expected<TraceStats> validate_trace(const std::vector<std::uint8_t>& bytes) {
-  TraceStats stats;
-  stats.bytes = bytes.size();
-  std::size_t pos = 0;
-  std::uint64_t record = 0;
-  auto fail = [&](ErrorCode code, const std::string& what,
-                  std::size_t offset) {
-    return Error{code, format_trace_error(what, offset, record)};
-  };
-  if (bytes.size() < 5) {
-    return fail(ErrorCode::kTruncatedTrace,
-                "validate_trace: bad header (buffer too short)",
-                bytes.size());
-  }
-  if (!std::equal(kMagic, kMagic + 4, bytes.begin())) {
-    return fail(ErrorCode::kMalformedTrace,
-                "validate_trace: bad header (magic mismatch)", 0);
-  }
-  if (bytes[4] != kVersion) {
-    return fail(ErrorCode::kMalformedTrace,
-                "validate_trace: bad header (unsupported version " +
-                    std::to_string(static_cast<int>(bytes[4])) + ")",
-                4);
-  }
-  pos = 5;
-  // read_varint fills *value and returns an empty optional on success, else
-  // the structured failure.
-  auto read_varint = [&](std::uint64_t* value) -> std::optional<Error> {
-    *value = 0;
-    int shift = 0;
-    while (pos < bytes.size()) {
-      const std::uint8_t byte = bytes[pos++];
-      *value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) return std::nullopt;
-      shift += 7;
-      if (shift > 63) {
-        return fail(ErrorCode::kMalformedTrace,
-                    "validate_trace: overlong varint", pos);
-      }
-    }
-    return fail(ErrorCode::kTruncatedTrace, "validate_trace: truncated varint",
-                pos);
-  };
-  while (pos < bytes.size()) {
-    const std::size_t record_start = pos;
-    const std::uint8_t header = bytes[pos++];
-    if (header == kBarrier) {
-      ++stats.barriers;
-      ++stats.records;
-      ++record;
-      continue;
-    }
-    if (header == kEnd) {
-      ++stats.records;
-      stats.explicit_end = true;
-      if (pos != bytes.size()) {
-        return fail(ErrorCode::kMalformedTrace,
-                    "validate_trace: trailing bytes after end marker", pos);
-      }
-      return stats;
-    }
-    if ((header & kAccess) == 0) {
-      std::ostringstream hex;
-      hex << std::hex << static_cast<int>(header);
-      return fail(ErrorCode::kMalformedTrace,
-                  "validate_trace: bad record header 0x" + hex.str(),
-                  record_start);
-    }
-    std::uint64_t value = 0;
-    if (auto err = read_varint(&value)) return *err;
-    if ((header & kFlagHasGap) != 0) {
-      const std::size_t gap_at = pos;
-      if (auto err = read_varint(&value)) return *err;
-      if (value > 0xffffffffull) {
-        return fail(ErrorCode::kCorruptTrace,
-                    "validate_trace: compute gap out of range", gap_at);
-      }
-    }
-    ++stats.accesses;
-    ++stats.records;
-    ++record;
-  }
-  // EOF without an end marker replays fine (the reader synthesises kEnd),
-  // but a validator flags it: a writer always emits 0x01, so its absence
-  // means the tail of the file was lost.
-  return fail(ErrorCode::kTruncatedTrace,
-              "validate_trace: missing end marker (file truncated)", pos);
-}
-
 void TraceStreamDecoder::feed(const std::uint8_t* data, std::size_t size) {
   if (size == 0) return;
   // Compact once the decoded prefix dominates the buffer, so a long-lived
@@ -316,116 +143,104 @@ void TraceStreamDecoder::feed(const std::uint8_t* data, std::size_t size) {
   buffer_.insert(buffer_.end(), data, data + size);
 }
 
+[[gnu::noinline]] Error TraceStreamDecoder::fail(ErrorCode code,
+                                                 std::uint64_t offset,
+                                                 const char* format,
+                                                 int detail) {
+  char what[64];
+  std::snprintf(what, sizeof what, format, detail);
+  failed_.emplace(code, std::string("TLBT: ") + what, offset, records_);
+  return failed_->to_error();
+}
+
+Expected<bool> TraceStreamDecoder::read_header() {
+  if (failed_) return failed_->to_error();
+  if (header_done_) return true;
+  if (buffered_bytes() < 5) return false;
+  const std::uint8_t* header = buffer_.data() + head_;
+  if (!std::equal(kMagic, kMagic + 4, header)) {
+    return fail(ErrorCode::kMalformedTrace, consumed_,
+                "bad header (magic mismatch)");
+  }
+  if (header[4] != kVersion) {
+    return fail(ErrorCode::kMalformedTrace, consumed_ + 4,
+                "bad header (unsupported version %d)", header[4]);
+  }
+  head_ += 5;
+  consumed_ += 5;
+  header_done_ = true;
+  return true;
+}
+
+Expected<TraceStreamDecoder::Status> TraceStreamDecoder::end_of_stream() {
+  if (buffered_bytes() == 0) return Status::kEnd;
+  return fail(ErrorCode::kMalformedTrace, consumed_,
+              "trailing bytes after end marker");
+}
+
 Expected<TraceStreamDecoder::Status> TraceStreamDecoder::next(
     TraceEvent* out) {
-  if (failed_) return *failed_;
-  if (done_) return Status::kEnd;
-  auto fail = [&](ErrorCode code, const std::string& what,
-                  std::uint64_t offset) -> Error {
-    failed_ = Error{code, format_trace_error(what, offset, records_)};
-    return *failed_;
-  };
-  if (!header_done_) {
-    if (buffer_.size() - head_ < 5) return Status::kNeedMore;
-    if (!std::equal(kMagic, kMagic + 4,
-                    buffer_.begin() + static_cast<std::ptrdiff_t>(head_))) {
-      return fail(ErrorCode::kMalformedTrace,
-                  "TraceStreamDecoder: bad header (magic mismatch)",
-                  consumed_);
-    }
-    if (buffer_[head_ + 4] != kVersion) {
-      return fail(
-          ErrorCode::kMalformedTrace,
-          "TraceStreamDecoder: bad header (unsupported version " +
-              std::to_string(static_cast<int>(buffer_[head_ + 4])) + ")",
-          consumed_ + 4);
-    }
-    head_ += 5;
-    consumed_ += 5;
-    header_done_ = true;
+  if (!header_done_) [[unlikely]] {
+    const Expected<bool> header = read_header();
+    if (!header) return header.error();
+    if (!*header) return Status::kNeedMore;
   }
+  if (failed_) [[unlikely]] return failed_->to_error();
+  if (done_) [[unlikely]] return end_of_stream();
   // Decode against a local cursor; nothing is consumed until the whole
   // record fits, so a fragment boundary inside a record is invisible.
-  std::size_t p = head_;
-  if (p >= buffer_.size()) return Status::kNeedMore;
-  const std::uint64_t record_offset = consumed_;
-  const std::uint8_t header = buffer_[p++];
-  enum class Varint { kOk, kNeedMore, kOverlong };
-  auto get_varint = [&](std::uint64_t* value) {
-    *value = 0;
-    int shift = 0;
-    while (p < buffer_.size()) {
-      const std::uint8_t byte = buffer_[p++];
-      *value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) return Varint::kOk;
-      shift += 7;
-      if (shift > 63) return Varint::kOverlong;
-    }
-    return Varint::kNeedMore;
-  };
-  auto varint_offset = [&]() {
-    return consumed_ + static_cast<std::uint64_t>(p - head_);
-  };
+  const std::uint8_t* const begin = buffer_.data() + head_;
+  const std::uint8_t* const end = buffer_.data() + buffer_.size();
+  if (begin == end) return Status::kNeedMore;
+  const std::uint8_t* p = begin;
+  const std::uint8_t header = *p++;
   TraceEvent event;
   if (header == kBarrier) {
     event = TraceEvent::make_barrier();
   } else if (header == kEnd) {
+    event = TraceEvent::make_end();
     done_ = true;
-    head_ = p;
-    ++consumed_;
-    ++records_;
-    if (out != nullptr) *out = TraceEvent::make_end();
-    return Status::kEnd;
-  } else if ((header & kAccess) == 0) {
-    std::ostringstream hex;
-    hex << std::hex << static_cast<int>(header);
-    return fail(ErrorCode::kMalformedTrace,
-                "TraceStreamDecoder: bad record header 0x" + hex.str(),
-                record_offset);
+  } else if ((header & kAccess) == 0) [[unlikely]] {
+    return fail(ErrorCode::kMalformedTrace, consumed_,
+                "bad record header 0x%x", header);
   } else {
     std::uint64_t raw = 0;
-    switch (get_varint(&raw)) {
-      case Varint::kNeedMore: return Status::kNeedMore;
-      case Varint::kOverlong:
-        return fail(ErrorCode::kMalformedTrace,
-                    "TraceStreamDecoder: overlong varint", varint_offset());
-      case Varint::kOk: break;
+    std::uint64_t gap = 0;
+    const std::uint8_t* field = p;  // first byte of the varint being read
+    Varint read = read_varint(p, end, &raw);
+    if (read == Varint::kOk && (header & kFlagHasGap) != 0) {
+      field = p;
+      read = read_varint(p, end, &gap);
     }
-    VirtAddr addr;
-    if ((header & kFlagAddrDelta) != 0) {
-      addr = static_cast<VirtAddr>(static_cast<std::int64_t>(last_addr_) +
-                                   zigzag_decode(raw));
-    } else {
-      addr = raw;
+    if (read == Varint::kNeedMore) return Status::kNeedMore;
+    const std::uint64_t field_offset =
+        consumed_ + static_cast<std::uint64_t>(field - begin);
+    if (read == Varint::kOverlong) [[unlikely]] {
+      return fail(ErrorCode::kMalformedTrace, field_offset, "overlong varint");
     }
-    std::uint32_t gap = 0;
-    if ((header & kFlagHasGap) != 0) {
-      std::uint64_t raw_gap = 0;
-      switch (get_varint(&raw_gap)) {
-        case Varint::kNeedMore: return Status::kNeedMore;
-        case Varint::kOverlong:
-          return fail(ErrorCode::kMalformedTrace,
-                      "TraceStreamDecoder: overlong varint", varint_offset());
-        case Varint::kOk: break;
-      }
-      if (raw_gap > 0xffffffffull) {
-        return fail(ErrorCode::kCorruptTrace,
-                    "TraceStreamDecoder: compute gap out of range",
-                    varint_offset());
-      }
-      gap = static_cast<std::uint32_t>(raw_gap);
+    // The writer emits at most 32 bits, so a wider gap is stream damage.
+    // Truncating it silently would replay a corrupt trace as a subtly
+    // different workload.
+    if (gap > 0xffffffffull) [[unlikely]] {
+      return fail(ErrorCode::kCorruptTrace, field_offset,
+                  "compute gap out of range");
     }
     // Commit only now: last_addr_ advances with the record, never before.
-    last_addr_ = addr;
+    last_addr_ = (header & kFlagAddrDelta) != 0
+                     ? static_cast<VirtAddr>(
+                           static_cast<std::int64_t>(last_addr_) +
+                           zigzag_decode(raw))
+                     : raw;
     event = TraceEvent::make_access(
-        addr, (header & kFlagWrite) != 0 ? AccessType::kWrite
-                                         : AccessType::kRead,
-        gap);
+        last_addr_,
+        (header & kFlagWrite) != 0 ? AccessType::kWrite : AccessType::kRead,
+        static_cast<std::uint32_t>(gap));
   }
-  consumed_ += static_cast<std::uint64_t>(p - head_);
-  head_ = p;
+  consumed_ += static_cast<std::uint64_t>(p - begin);
+  head_ += static_cast<std::size_t>(p - begin);
   ++records_;
   if (out != nullptr) *out = event;
+  if (done_) [[unlikely]] return end_of_stream();
   return Status::kEvent;
 }
 
@@ -450,6 +265,55 @@ void TraceStreamDecoder::restore(const State& state) {
   header_done_ = state.header_done;
   done_ = state.done;
   failed_.reset();
+}
+
+TraceReader::TraceReader(std::vector<std::uint8_t> bytes)
+    : decoder_(std::move(bytes)) {
+  const Expected<bool> header = decoder_.read_header();
+  if (!header) throw *decoder_.failure();
+  if (!*header) throw end_of_input(decoder_);
+}
+
+std::size_t TraceReader::fill(std::span<TraceEvent> out) {
+  std::size_t n = 0;
+  while (n < out.size()) {
+    const Expected<TraceStreamDecoder::Status> status =
+        decoder_.next(&out[n]);
+    if (status.has_value() && *status == TraceStreamDecoder::Status::kEvent) {
+      ++n;
+      continue;
+    }
+    if (status.has_value() && (*status == TraceStreamDecoder::Status::kEnd ||
+                               decoder_.buffered_bytes() == 0)) {
+      out[n++] = TraceEvent::make_end();  // end marker or record boundary
+      break;
+    }
+    // A bad or cut-off record: deliver the events before it now; the
+    // decoder's error is sticky, so the next call throws it.
+    if (n > 0) break;
+    if (!status.has_value()) throw *decoder_.failure();
+    throw end_of_input(decoder_);
+  }
+  return n;
+}
+
+Expected<TraceStats> validate_trace(const std::vector<std::uint8_t>& bytes) {
+  TraceStreamDecoder decoder;
+  decoder.feed(bytes);
+  TraceStats stats;
+  stats.bytes = bytes.size();
+  for (TraceEvent event;;) {
+    const Expected<TraceStreamDecoder::Status> status = decoder.next(&event);
+    if (!status) return status.error();
+    if (*status == TraceStreamDecoder::Status::kNeedMore) {
+      return end_of_input(decoder).to_error();
+    }
+    if (*status == TraceStreamDecoder::Status::kEnd) break;
+    ++(event.kind == TraceEvent::Kind::kBarrier ? stats.barriers
+                                                : stats.accesses);
+  }
+  stats.records = decoder.records();
+  return stats;
 }
 
 std::vector<std::vector<std::uint8_t>> record_workload(

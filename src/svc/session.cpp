@@ -56,18 +56,6 @@ Expected<IngestResult> Session::ingest(ThreadId thread,
                      std::to_string(thread) + " out of range [0, " +
                      std::to_string(num_threads()) + ")"};
   }
-  TraceStreamDecoder& decoder = decoders_[static_cast<std::size_t>(thread)];
-  if (decoder.finished() && size > 0) {
-    // Bytes after the end marker mean the client's framing is broken — the
-    // whole session's stream state is suspect, not just this chunk.
-    quarantine(Error{ErrorCode::kCorruptTrace,
-                     "trailing bytes after end marker at byte " +
-                         std::to_string(decoder.offset())},
-               tick, thread);
-    return Error{ErrorCode::kSessionQuarantined,
-                 "session " + std::to_string(id_) + " (" + tenant_ +
-                     ") is quarantined: " + reason_.message};
-  }
   if (queued_bytes() + size > limits_.queue_bytes) {
     return Error{ErrorCode::kBackpressure,
                  "session " + std::to_string(id_) + " (" + tenant_ +
@@ -76,7 +64,20 @@ Expected<IngestResult> Session::ingest(ThreadId thread,
                      std::to_string(limits_.queue_bytes) +
                      "-byte queue; drain with pump() and retry"};
   }
+  TraceStreamDecoder& decoder = decoders_[static_cast<std::size_t>(thread)];
   decoder.feed(data, size);
+  if (decoder.finished()) {
+    // pump() skips ended streams and completed sessions, so the decoder
+    // judges bytes fed after the end marker here. Broken framing makes the
+    // whole session's stream state suspect, not just this chunk.
+    const Expected<TraceStreamDecoder::Status> status = decoder.next(nullptr);
+    if (!status.has_value()) {
+      quarantine(status.error(), tick, thread);
+      return Error{ErrorCode::kSessionQuarantined,
+                   "session " + std::to_string(id_) + " (" + tenant_ +
+                       ") is quarantined: " + reason_.message};
+    }
+  }
   bytes_ingested_ += size;
   return IngestResult{size, queued_bytes()};
 }

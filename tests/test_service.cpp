@@ -689,10 +689,30 @@ TEST(MappingService, TrailingBytesAfterEndMarkerAreCorruption) {
   ASSERT_FALSE(r.has_value());
   EXPECT_EQ(service.find(id)->status(), SessionStatus::kQuarantined);
   EXPECT_EQ(service.find(id)->quarantine_reason().code,
-            ErrorCode::kCorruptTrace);
+            ErrorCode::kMalformedTrace);
   EXPECT_NE(service.find(id)->quarantine_reason().message.find(
                 "trailing bytes"),
             std::string::npos);
+}
+
+TEST(MappingService, TrailingBytesInTheEndMarkerChunkAreCorruption) {
+  MappingService service(small_service_config());
+  const SessionId id = *service.open_session("a", kThreads);
+  auto buffers = record_tenant(/*seed=*/14);
+  buffers[1].insert(buffers[1].end(), {0x00, 0x00});
+  // drain_all's 512-byte chunks put the end marker and both extra bytes in
+  // the thread's final chunk.
+  constexpr std::size_t kChunk = 512;
+  ASSERT_GE(buffers[1].size() - 3, (buffers[1].size() - 1) / kChunk * kChunk);
+  drain_all(service, {id}, {buffers}, kChunk);
+
+  const Session* session = service.find(id);
+  EXPECT_EQ(session->status(), SessionStatus::kQuarantined);
+  EXPECT_EQ(session->quarantine_reason().code, ErrorCode::kMalformedTrace);
+  EXPECT_EQ(session->quarantine_reason().thread, 1);
+  EXPECT_NE(session->quarantine_reason().message.find("trailing bytes"),
+            std::string::npos);
+  EXPECT_EQ(session->queued_bytes(), 0u);
 }
 
 TEST(MappingService, CompletedSessionServesCachedDecisions) {

@@ -1,6 +1,8 @@
 // Tests for binary trace capture and replay.
+#include <algorithm>
 #include <filesystem>
 #include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -203,38 +205,7 @@ TEST(TraceFile, ValidateTraceAcceptsWriterOutput) {
   EXPECT_EQ(stats->accesses, 2u);
   EXPECT_EQ(stats->barriers, 1u);
   EXPECT_EQ(stats->records, 4u);  // incl. the end marker
-  EXPECT_TRUE(stats->explicit_end);
   EXPECT_EQ(stats->bytes, bytes.size());
-}
-
-TEST(TraceFile, ValidateTraceFlagsCorruptFixtures) {
-  struct Fixture {
-    const char* label;
-    std::vector<std::uint8_t> bytes;
-    ErrorCode expected;
-  };
-  const std::vector<Fixture> fixtures = {
-      {"empty", {}, ErrorCode::kTruncatedTrace},
-      {"short header", {'T', 'L'}, ErrorCode::kTruncatedTrace},
-      {"bad magic", {'X', 'L', 'B', 'T', 1, 0x01}, ErrorCode::kMalformedTrace},
-      {"bad version", {'T', 'L', 'B', 'T', 7, 0x01},
-       ErrorCode::kMalformedTrace},
-      {"bad record header", {'T', 'L', 'B', 'T', 1, 0x41, 0x01},
-       ErrorCode::kMalformedTrace},
-      {"truncated varint", {'T', 'L', 'B', 'T', 1, 0x02, 0x80},
-       ErrorCode::kTruncatedTrace},
-      {"missing end marker", {'T', 'L', 'B', 'T', 1, 0x00},
-       ErrorCode::kTruncatedTrace},
-      {"trailing bytes", {'T', 'L', 'B', 'T', 1, 0x01, 0x00},
-       ErrorCode::kMalformedTrace},
-  };
-  for (const Fixture& f : fixtures) {
-    const Expected<TraceStats> result = validate_trace(f.bytes);
-    ASSERT_FALSE(result.has_value()) << f.label;
-    EXPECT_EQ(result.error().code, f.expected) << f.label;
-    EXPECT_NE(result.error().message.find("at byte"), std::string::npos)
-        << f.label << ": " << result.error().message;
-  }
 }
 
 TEST(TraceFile, TryLoadRecordingRejectsCorruptFile) {
@@ -495,48 +466,162 @@ TEST(TraceStreamDecoder, NeedMoreMidRecordThenResumes) {
   EXPECT_EQ(*decoder.next(&event), TraceStreamDecoder::Status::kEnd);
 }
 
-TEST(TraceStreamDecoder, CorruptCorpusYieldsStructuredStickyErrors) {
+// ---------------------------------------------------------------------------
+// One corrupt-trace corpus for every entry point: validate_trace, a drained
+// TraceReader, and TraceStreamDecoder fed whole and byte by byte must agree
+// on the error code, the byte offset and the record index.
+
+/// How one entry point ended on a fixture.
+struct Outcome {
+  enum class Kind { kError, kNeedMore, kEnd } kind = Kind::kEnd;
+  ErrorCode code = ErrorCode::kInvalidArgument;
+  std::uint64_t offset = 0;
+  std::uint64_t record = 0;
+  std::string message;
+};
+
+Outcome error_outcome(ErrorCode code, std::uint64_t offset,
+                      std::uint64_t record, std::string message = {}) {
+  return Outcome{Outcome::Kind::kError, code, offset, record,
+                 std::move(message)};
+}
+
+Outcome validate_outcome(const std::vector<std::uint8_t>& bytes) {
+  const Expected<TraceStats> stats = validate_trace(bytes);
+  if (stats.has_value()) return Outcome{};
+  // validate_trace's Error carries the offset and record in its message
+  // only; the message check below compares them.
+  return error_outcome(stats.error().code, 0, 0, stats.error().message);
+}
+
+Outcome reader_outcome(const std::vector<std::uint8_t>& bytes) {
+  try {
+    TraceReader reader(bytes);
+    drain(reader);
+    return Outcome{};
+  } catch (const TraceFormatError& e) {
+    return error_outcome(e.code(), e.byte_offset(), e.record_index(),
+                         e.what());
+  }
+}
+
+/// Feeds `bytes` in `step`-byte fragments, draining after each one.
+Outcome decoder_outcome(const std::vector<std::uint8_t>& bytes,
+                        std::size_t step) {
+  TraceStreamDecoder decoder;
+  Expected<TraceStreamDecoder::Status> status =
+      TraceStreamDecoder::Status::kNeedMore;
+  for (std::size_t at = 0; at < bytes.size() && status.has_value();
+       at += step) {
+    decoder.feed(bytes.data() + at, std::min(step, bytes.size() - at));
+    TraceEvent event;
+    do {
+      status = decoder.next(&event);
+    } while (status.has_value() &&
+             *status == TraceStreamDecoder::Status::kEvent);
+  }
+  if (status.has_value()) {
+    Outcome ended;
+    if (*status == TraceStreamDecoder::Status::kNeedMore) {
+      ended.kind = Outcome::Kind::kNeedMore;
+    }
+    return ended;
+  }
+  const TraceFormatError* failure = decoder.failure();
+  EXPECT_NE(failure, nullptr);
+  if (failure == nullptr) return Outcome{};
+  EXPECT_EQ(status.error().message, failure->what());
+  // Sticky: the decoder stays failed, even across more feed() calls.
+  TraceEvent event;
+  decoder.feed({0x00});
+  const auto again = decoder.next(&event);
+  EXPECT_FALSE(again.has_value());
+  if (!again.has_value()) {
+    EXPECT_EQ(again.error().message, failure->what());
+  }
+  return error_outcome(failure->code(), failure->byte_offset(),
+                       failure->record_index(), failure->what());
+}
+
+TEST(TraceDecode, CorruptCorpusFailsAlikeOnEveryEntryPoint) {
+  using Kind = Outcome::Kind;
   struct Fixture {
     const char* label;
     std::vector<std::uint8_t> bytes;
-    ErrorCode expected;
+    Outcome want;  ///< validate_trace and TraceReader
+    /// The stream decoder cannot tell a cut-off stream from one still
+    /// arriving: truncation fixtures leave it at kNeedMore.
+    bool decoder_needs_more = false;
   };
   std::vector<std::uint8_t> overlong = {'T', 'L', 'B', 'T', 1, 0x02};
   for (int i = 0; i < 11; ++i) overlong.push_back(0x80);
-  overlong.push_back(0x01);
-  // Access with the gap flag whose gap varint decodes above 32 bits: the
-  // writer never emits one, so it is corruption, not just bad framing.
-  const std::vector<std::uint8_t> wide_gap = {'T', 'L', 'B', 'T', 1,
-                                              0x0a, 0x05, 0x80, 0x80, 0x80,
-                                              0x80, 0x20};
+  overlong.insert(overlong.end(), {0x01, 0x01});
+  // Access with the gap flag whose gap varint (bytes 7..11) decodes above
+  // 32 bits: the writer never emits one, so it is corruption, not framing.
+  const std::vector<std::uint8_t> wide_gap = {
+      'T', 'L', 'B', 'T', 1, 0x0a, 0x05, 0x80, 0x80, 0x80, 0x80, 0x20, 0x01};
   const std::vector<Fixture> fixtures = {
-      {"bad magic", {'X', 'L', 'B', 'T', 1}, ErrorCode::kMalformedTrace},
-      {"bad version", {'T', 'L', 'B', 'T', 9}, ErrorCode::kMalformedTrace},
-      {"bad record header", {'T', 'L', 'B', 'T', 1, 0x00, 0x41},
-       ErrorCode::kMalformedTrace},
-      {"overlong varint", overlong, ErrorCode::kMalformedTrace},
-      {"oversize gap", wide_gap, ErrorCode::kCorruptTrace},
+      {"empty", {}, error_outcome(ErrorCode::kTruncatedTrace, 0, 0), true},
+      {"short header", {'T', 'L'},
+       error_outcome(ErrorCode::kTruncatedTrace, 2, 0), true},
+      {"bad magic", {'X', 'L', 'B', 'T', 1, 0x01},
+       error_outcome(ErrorCode::kMalformedTrace, 0, 0)},
+      {"bad version", {'T', 'L', 'B', 'T', 7, 0x01},
+       error_outcome(ErrorCode::kMalformedTrace, 4, 0)},
+      {"bad record header", {'T', 'L', 'B', 'T', 1, 0x00, 0x41, 0x01},
+       error_outcome(ErrorCode::kMalformedTrace, 6, 1)},
+      {"truncated varint", {'T', 'L', 'B', 'T', 1, 0x00, 0x02, 0x80},
+       error_outcome(ErrorCode::kTruncatedTrace, 8, 1), true},
+      {"overlong varint", overlong,
+       error_outcome(ErrorCode::kMalformedTrace, 6, 0)},
+      {"out-of-range gap", wide_gap,
+       error_outcome(ErrorCode::kCorruptTrace, 7, 0)},
+      {"trailing bytes", {'T', 'L', 'B', 'T', 1, 0x00, 0x01, 0x00, 0x00},
+       error_outcome(ErrorCode::kMalformedTrace, 7, 2)},
   };
   for (const Fixture& f : fixtures) {
-    TraceStreamDecoder decoder;
-    decoder.feed(f.bytes);
-    TraceEvent event;
-    Expected<TraceStreamDecoder::Status> status = decoder.next(&event);
-    while (status.has_value() &&
-           *status == TraceStreamDecoder::Status::kEvent) {
-      status = decoder.next(&event);
+    SCOPED_TRACE(f.label);
+    const std::string at = " at byte " + std::to_string(f.want.offset) +
+                           ", record " + std::to_string(f.want.record);
+    const Outcome validated = validate_outcome(f.bytes);
+    ASSERT_EQ(validated.kind, Kind::kError);
+    EXPECT_EQ(validated.code, f.want.code);
+    EXPECT_TRUE(validated.message.ends_with(at)) << validated.message;
+
+    const Outcome read = reader_outcome(f.bytes);
+    ASSERT_EQ(read.kind, Kind::kError);
+    EXPECT_EQ(read.code, f.want.code);
+    EXPECT_EQ(read.offset, f.want.offset);
+    EXPECT_EQ(read.record, f.want.record);
+    EXPECT_EQ(read.message, validated.message);
+
+    for (const std::size_t step : {f.bytes.size() + 1, std::size_t{1}}) {
+      SCOPED_TRACE(step == 1 ? "byte by byte" : "whole");
+      const Outcome decoded = decoder_outcome(f.bytes, step);
+      if (f.decoder_needs_more) {
+        EXPECT_EQ(decoded.kind, Kind::kNeedMore);
+        continue;
+      }
+      ASSERT_EQ(decoded.kind, Kind::kError);
+      EXPECT_EQ(decoded.code, f.want.code);
+      EXPECT_EQ(decoded.offset, f.want.offset);
+      EXPECT_EQ(decoded.record, f.want.record);
+      EXPECT_EQ(decoded.message, validated.message);
     }
-    ASSERT_FALSE(status.has_value()) << f.label;
-    EXPECT_EQ(status.error().code, f.expected) << f.label;
-    EXPECT_NE(status.error().message.find("at byte"), std::string::npos)
-        << f.label << ": " << status.error().message;
-    // Sticky: the decoder stays failed, even across more feed() calls.
-    const auto again = decoder.next(&event);
-    ASSERT_FALSE(again.has_value()) << f.label;
-    EXPECT_EQ(again.error().code, f.expected) << f.label;
-    decoder.feed({0x00});
-    EXPECT_FALSE(decoder.next(&event).has_value()) << f.label;
   }
+
+  // A stream without its end marker differs by design per entry point:
+  // replay ends it at the record boundary, validation calls it truncated
+  // (a writer always emits the marker), the stream decoder waits for more.
+  const std::vector<std::uint8_t> no_end = {'T', 'L', 'B', 'T', 1, 0x00};
+  const Outcome validated = validate_outcome(no_end);
+  ASSERT_EQ(validated.kind, Kind::kError);
+  EXPECT_EQ(validated.code, ErrorCode::kTruncatedTrace);
+  EXPECT_TRUE(validated.message.ends_with(" at byte 6, record 1"))
+      << validated.message;
+  EXPECT_EQ(reader_outcome(no_end).kind, Kind::kEnd);
+  EXPECT_EQ(decoder_outcome(no_end, no_end.size()).kind, Kind::kNeedMore);
+  EXPECT_EQ(decoder_outcome(no_end, 1).kind, Kind::kNeedMore);
 }
 
 TEST(TraceStreamDecoder, StateRestoreResumesMidStream) {
