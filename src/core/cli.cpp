@@ -1,12 +1,16 @@
 #include "core/cli.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <sstream>
+#include <stdexcept>
+#include <type_traits>
 
 #include "core/experiment.hpp"
 #include "obs/selfprof.hpp"
@@ -17,166 +21,340 @@
 #include "npb/workload.hpp"
 #include "obs/obs.hpp"
 #include "sim/trace_file.hpp"
-#include "svc/serve.hpp"
 
 namespace tlbmap {
 
 namespace {
 
-Mapping parse_mapping(const std::string& text, std::string& error) {
-  Mapping mapping;
-  std::stringstream in(text);
-  std::string cell;
-  while (std::getline(in, cell, ',')) {
-    try {
-      std::size_t used = 0;
-      const int core = std::stoi(cell, &used);
-      if (used != cell.size()) throw std::invalid_argument(cell);
-      mapping.push_back(core);
-    } catch (const std::exception&) {
-      error = "bad mapping element: '" + cell + "'";
-      return {};
-    }
+constexpr CliCommand kCommands[] = {
+    {"detect", "print the detected communication matrix for one app"},
+    {"map", "detect, then print the derived thread->core mapping"},
+    {"evaluate", "run one app under a given or detected mapping"},
+    {"dynamic", "run with online detection and barrier migration"},
+    {"suite",
+     "run the full evaluation table across apps; a finished suite is "
+     "cached as a completed checkpoint under $TLBMAP_CACHE_DIR (default "
+     "<tmp>/tlbmap_cache) and a rerun replays it (TLBMAP_NO_CACHE=1 "
+     "recomputes)"},
+    {"record", "capture an app's trace to a directory"},
+    {"replay", "run a captured trace"},
+    {"serve", "host the mapping service for N synthetic tenants"},
+};
+
+/// Bit of the named command in CliOption::commands; an unknown name fails
+/// to compile.
+constexpr std::uint32_t command_bit(std::string_view name) {
+  for (std::size_t i = 0; i < std::size(kCommands); ++i) {
+    if (kCommands[i].name == name) return 1u << i;
   }
-  if (mapping.empty()) error = "empty mapping";
-  return mapping;
+  throw std::invalid_argument("unknown command");
 }
 
-std::vector<std::string> parse_list(const std::string& text) {
-  std::vector<std::string> items;
-  std::stringstream in(text);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (!item.empty()) items.push_back(item);
+constexpr std::uint32_t kAll = (1u << std::size(kCommands)) - 1;
+constexpr std::uint32_t kDynamic = command_bit("dynamic");
+constexpr std::uint32_t kServe = command_bit("serve");
+constexpr std::uint32_t kSuiteAndServe = command_bit("suite") | kServe;
+/// Recording runs no simulated machine, so fault and watchdog options would
+/// be silently ignored there; they are rejected instead.
+constexpr std::uint32_t kSimulating = kAll & ~command_bit("record");
+
+// Help groups, in usage order; the table lists each group's options
+// contiguously.
+constexpr std::string_view kGeneral = "options";
+constexpr std::string_view kOnline =
+    "online mapper (dynamic only; DESIGN.md Sec. 17)";
+constexpr std::string_view kService =
+    "mapping service (serve only; DESIGN.md Sec. 16)";
+constexpr std::string_view kCrash = "crash safety (suite and serve)";
+constexpr std::string_view kFault =
+    "fault injection (all rates in [0,1]; defaults 0 = disabled, in which\n"
+    "case results are bit-identical to a faultless build)";
+constexpr std::string_view kObs = "observability";
+
+// Short type names keep most setters on one line.
+using S = std::string;
+using U64 = std::uint64_t;
+
+constexpr CliOption kOptions[] = {
+    {"--help", "", kAll, kGeneral, "print this help",
+     +[](CliOptions& o) { o.help = true; }},
+    {"--app", "NAME", kAll, kGeneral,
+     "one of BT CG EP FT IS LU MG SP UA (default SP)",
+     +[](CliOptions& o, S v) { o.app = std::move(v); }},
+    {"--mechanism", "M", kAll, kGeneral, "sm | hm | oracle (default sm)",
+     +[](CliOptions& o, S v) { o.mechanism = std::move(v); }},
+    {"--threads", "N", kAll, kGeneral, "thread count (default 8)",
+     +[](CliOptions& o, int v) { o.threads = v; }},
+    {"--size-scale", "X", kAll, kGeneral,
+     "workload array scaling (default 1.0)",
+     +[](CliOptions& o, double v) { o.size_scale = v; }},
+    {"--iter-scale", "X", kAll, kGeneral,
+     "workload iteration scaling (default 1.0)",
+     +[](CliOptions& o, double v) { o.iter_scale = v; }},
+    {"--reps", "N", kAll, kGeneral,
+     "repetitions for evaluate/suite (default 4)",
+     +[](CliOptions& o, int v) { o.reps = v; }},
+    {"--seed", "N", kAll, kGeneral, "base RNG seed (default 1)",
+     +[](CliOptions& o, U64 v) { o.seed = v; }},
+    {"--numa", "", kAll, kGeneral, "use the NUMA machine model",
+     +[](CliOptions& o) { o.numa = true; }},
+    {"--sockets", "N", kAll, kGeneral, "override the machine's socket count",
+     +[](CliOptions& o, int v) { o.sockets = v; }},
+    {"--cores-per-socket", "N", kAll, kGeneral, "override cores per socket",
+     +[](CliOptions& o, int v) { o.cores_per_socket = v; }},
+    {"--cores-per-l2", "N", kAll, kGeneral, "override cores sharing one L2",
+     +[](CliOptions& o, int v) { o.cores_per_l2 = v; }},
+    {"--mesh-cols", "N", kAll, kGeneral,
+     "arrange the sockets as an N-column 2D mesh (cross-socket cost grows "
+     "with Manhattan hops; default 0 = fully connected)",
+     +[](CliOptions& o, int v) { o.mesh_cols = v; }},
+    {"--mapping-strategy", "S", kAll, kGeneral,
+     "auto | edmonds | multisection (default auto: Edmonds below 128 threads, "
+     "multisection at manycore scale)",
+     +[](CliOptions& o, S v) { o.mapping_strategy = std::move(v); }},
+    {"--apps", "A,B,...", kAll, kGeneral, "suite: restrict the application set",
+     +[](CliOptions& o, std::vector<S> v) { o.apps = std::move(v); }},
+    {"--mapping", "0,1,...", kAll, kGeneral,
+     "evaluate/replay: explicit thread->core list",
+     +[](CliOptions& o, Mapping v) { o.mapping = std::move(v); }},
+    {"--out", "DIR", kAll, kGeneral, "record/replay trace directory",
+     +[](CliOptions& o, S v) { o.dir = std::move(v); }, "--in"},
+
+    {"--remap-every-barriers", "N", kDynamic, kOnline,
+     "consider remapping every N barriers (default 4; 0 = never remap)",
+     +[](CliOptions& o, int v) { o.online.remap_every_barriers = v; }},
+    {"--improvement-threshold", "X", kDynamic, kOnline,
+     "migrate only when the candidate placement is at least this fraction "
+     "cheaper (default 0.15)",
+     +[](CliOptions& o, double v) { o.online.improvement_threshold = v; }},
+    {"--migration-cooldown", "N", kDynamic, kOnline,
+     "remap decisions to sit out after a migration (default 1; 0 = the "
+     "historical always-eligible behaviour)",
+     +[](CliOptions& o, int v) { o.online.migration_cooldown = v; }},
+    {"--matrix-decay", "X", kDynamic, kOnline,
+     "matrix ageing factor per remap decision, in (0, 1] (default 0.5)",
+     +[](CliOptions& o, double v) { o.online.decay = v; }},
+    {"--min-matrix-total", "N", kDynamic, kOnline,
+     "sampled matrix mass required before a remap decision is trusted "
+     "(default 32; lower it for sparse workloads like CHURN)",
+     +[](CliOptions& o, U64 v) { o.online.min_matrix_total = v; }},
+    {"--canary-barriers", "N", kDynamic, kOnline,
+     "measure each migration's realized cost over N barriers before judging "
+     "it (default 2; 0 = no canary windows, no rollback)",
+     +[](CliOptions& o, int v) { o.online.canary_barriers = v; }},
+    {"--regression-threshold", "X", kDynamic, kOnline,
+     "roll back when the canary window's cycles per access exceed the phase "
+     "baseline by more than this fraction (default 0.25)",
+     +[](CliOptions& o, double v) { o.online.regression_threshold = v; }},
+    {"--no-rollback", "", kDynamic, kOnline,
+     "measure canary verdicts but never act on a regression (the commit-blind "
+     "control arm)", +[](CliOptions& o) { o.online.rollback = false; }},
+
+    {"--tenants", "N", kServe, kService,
+     "synthetic tenant sessions (default 4)",
+     +[](CliOptions& o, int v) { o.serve.tenants = v; }},
+    {"--corrupt-tenant", "K", kServe, kService,
+     "deterministically corrupt tenant K's thread-0 stream; exactly that "
+     "session must quarantine while the others finish untouched",
+     +[](CliOptions& o, int v) { o.serve.corrupt_tenant = v; }},
+    {"--serve-ticks", "N", kServe, kService,
+     "stop after N service ticks (0 = drain all)",
+     +[](CliOptions& o, U64 v) { o.serve.max_ticks = v; }},
+    {"--chunk-bytes", "N", kServe, kService,
+     "ingest fragment size per thread per tick",
+     +[](CliOptions& o, U64 v) { o.serve.chunk_bytes = v; }},
+    {"--max-sessions", "N", kServe, kService, "admission cap on live sessions",
+     +[](CliOptions& o, int v) { o.serve.service.max_sessions = v; }},
+    {"--queue-bytes", "N", kServe, kService,
+     "per-session ingest queue bound (backpressure)",
+     +[](CliOptions& o, U64 v) { o.serve.service.session.queue_bytes = v; }},
+    {"--session-budget", "N", kServe, kService,
+     "per-session memory budget in bytes",
+     +[](CliOptions& o, U64 v) { o.serve.service.session.budget_bytes = v; }},
+    {"--total-budget", "N", kServe, kService,
+     "fleet memory budget (reject-new first, then shed newest when tightened "
+     "at runtime)",
+     +[](CliOptions& o, U64 v) { o.serve.service.total_budget_bytes = v; }},
+    {"--deadline-events", "N", kServe, kService,
+     "per-session decode slice per tick",
+     +[](CliOptions& o, U64 v) {
+       o.serve.service.session.deadline_events = v;
+     }},
+    {"--drift-threshold", "X", kServe, kService,
+     "cosine drift below which decisions re-match",
+     +[](CliOptions& o, double v) {
+       o.serve.service.cache.drift_threshold = v;
+     }},
+    {"--window-pages", "N", kServe, kService,
+     "stream-detector LRU window per thread",
+     +[](CliOptions& o, int v) { o.serve.service.detector.window_pages = v; }},
+    {"--sweep-every", "N", kServe, kService,
+     "stream-detector sweep cadence in events",
+     +[](CliOptions& o, U64 v) { o.serve.service.detector.sweep_every = v; }},
+    {"--serve-out", "FILE", kServe, kService,
+     "structured JSON report (tenants, quarantine reasons, counters)",
+     +[](CliOptions& o, S v) { o.serve.report_out = std::move(v); }},
+
+    {"--checkpoint-dir", "DIR", kSuiteAndServe, kCrash,
+     "checkpoint progress to DIR/suite.ckpt after every suite task, or to "
+     "DIR/service.ckpt (serve), and handle SIGINT/SIGTERM cleanly (the run "
+     "stops at a task/tick boundary and exits 130)",
+     +[](CliOptions& o, S v) { o.checkpoint_dir = std::move(v); }},
+    {"--resume", "", kSuiteAndServe, kCrash,
+     "continue from the checkpoint; a missing or invalid checkpoint falls "
+     "back to a fresh run", +[](CliOptions& o) { o.resume = true; }},
+
+    {"--fault-seed", "N", kSimulating, kFault,
+     "seed of the fault-injection streams",
+     +[](CliOptions& o, U64 v) { o.fault.seed = v; }},
+    {"--fault-drop-rate", "X", kSimulating, kFault,
+     "drop a sampled SM TLB entry",
+     +[](CliOptions& o, double v) { o.fault.drop_sample_rate = v; }},
+    {"--fault-corrupt-rate", "X", kSimulating, kFault,
+     "corrupt a sampled SM page before search",
+     +[](CliOptions& o, double v) { o.fault.corrupt_sample_rate = v; }},
+    {"--fault-detect-fail-rate", "X", kSimulating, kFault,
+     "SM detection instruction fails (search charged, yields nothing)",
+     +[](CliOptions& o, double v) { o.fault.detect_fail_rate = v; }},
+    {"--fault-sweep-skip-rate", "X", kSimulating, kFault,
+     "silently skip a due HM sweep",
+     +[](CliOptions& o, double v) { o.fault.sweep_skip_rate = v; }},
+    {"--fault-sweep-fail-rate", "X", kSimulating, kFault,
+     "fail an HM sweep (retried with backoff)",
+     +[](CliOptions& o, double v) { o.fault.sweep_fail_rate = v; }},
+    {"--fault-sweep-delay", "N", kSimulating, kFault,
+     "delay each HM sweep by uniform [0,N] cycles",
+     +[](CliOptions& o, U64 v) { o.fault.sweep_delay_max = v; }},
+    {"--fault-matrix-flip-rate", "X", kSimulating, kFault,
+     "pairwise-swap comm-matrix cells when the matrix is consumed",
+     +[](CliOptions& o, double v) { o.fault.matrix_flip_rate = v; }},
+    {"--fault-matrix-zero-rate", "X", kSimulating, kFault,
+     "zero comm-matrix cells when consumed",
+     +[](CliOptions& o, double v) { o.fault.matrix_zero_rate = v; }},
+    {"--watchdog-events", "N", kSimulating, kFault,
+     "abort a run with a structured error after N trace events (0 = off)",
+     +[](CliOptions& o, U64 v) { o.watchdog_events = v; }},
+
+    {"--obs-level", "L", kAll, kObs,
+     "off | phases | full (default off; implied phases when an output file is "
+     "requested)", +[](CliOptions& o, S v) { o.obs_level = std::move(v); }},
+    {"--trace-out", "FILE", kAll, kObs,
+     "write a Chrome-trace JSON (open in Perfetto)",
+     +[](CliOptions& o, S v) { o.trace_out = std::move(v); }},
+    {"--metrics-out", "FILE", kAll, kObs, "write the metrics registry as JSONL",
+     +[](CliOptions& o, S v) { o.metrics_out = std::move(v); }},
+    {"--metrics-interval-events", "N", kAll, kObs,
+     "sample every registered metric into a {\"type\":\"series\"} JSONL "
+     "stream every N simulated events and at phase boundaries (0 = off; "
+     "series lands in --metrics-out)",
+     +[](CliOptions& o, U64 v) { o.metrics_interval_events = v; }},
+    {"--manifest-out", "FILE", kAll, kObs,
+     "write a run manifest: config/seed/git provenance, wall + CPU time, peak "
+     "RSS, and per-phase flamegraph collapsed stacks",
+     +[](CliOptions& o, S v) { o.manifest_out = std::move(v); }},
+};
+
+/// Reads one option value as T. Numbers are strict: the whole token must
+/// be consumed, so garbage suffixes ("8x", "0.5junk") are usage errors
+/// rather than silently truncated values. Lists are comma-separated; list
+/// items that are empty are skipped, mapping elements are ints and the
+/// mapping must be non-empty.
+template <class T>
+T parse_value(const S& text) {
+  if constexpr (std::is_same_v<T, S>) {
+    return text;
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    std::size_t used = 0;
+    T value{};
+    if constexpr (std::is_same_v<T, int>) value = std::stoi(text, &used);
+    if constexpr (std::is_same_v<T, double>) value = std::stod(text, &used);
+    if constexpr (std::is_same_v<T, U64>) {
+      // stoull accepts "-1" by wrapping; reject any sign explicitly.
+      if (text.empty() || text[0] == '-' || text[0] == '+') {
+        throw std::invalid_argument(text);
+      }
+      value = std::stoull(text, &used);
+    }
+    if (used != text.size()) throw std::invalid_argument(text);
+    return value;
+  } else {
+    T items;
+    std::stringstream in(text);
+    for (S item; std::getline(in, item, ',');) {
+      if constexpr (std::is_same_v<T, Mapping>) {
+        items.push_back(parse_value<int>(item));
+      } else if (!item.empty()) {
+        items.push_back(item);
+      }
+    }
+    if (std::is_same_v<T, Mapping> && items.empty()) {
+      throw std::invalid_argument("empty mapping");
+    }
+    return items;
   }
-  return items;
+}
+
+void apply(void (*set)(CliOptions&), CliOptions& opt, const S&) {
+  set(opt);
+}
+
+template <class T>
+void apply(void (*set)(CliOptions&, T), CliOptions& opt, const S& value) {
+  set(opt, parse_value<T>(value));
+}
+
+/// "--out DIR / --in DIR": the option as the usage text lists it.
+S label(const CliOption& option) {
+  const S value = option.value.empty() ? "" : " " + S(option.value);
+  S text = S(option.name) + value;
+  if (!option.alias.empty()) text += " / " + S(option.alias) + value;
+  return text;
+}
+
+/// Appends "  LABEL  text", with `text` word-wrapped to 79 columns under a
+/// hanging indent of `width` + 4.
+void append_entry(S& out, std::string_view label, std::size_t width,
+                  std::string_view text) {
+  constexpr std::size_t kColumns = 79;
+  const std::size_t indent = width + 4;
+  S line = "  " + S(label);
+  line.resize(indent, ' ');
+  std::istringstream words{S(text)};
+  for (S word; words >> word;) {
+    if (line.size() > indent && line.size() + 1 + word.size() > kColumns) {
+      out += line + '\n';
+      line.assign(indent, ' ');
+    }
+    if (line.size() > indent) line += ' ';
+    line += word;
+  }
+  out += line + '\n';
 }
 
 }  // namespace
 
+std::span<const CliCommand> cli_commands() { return kCommands; }
+
+std::span<const CliOption> cli_options() { return kOptions; }
+
 std::string cli_usage() {
-  return
-      "usage: tlbmap_cli COMMAND [options]\n"
-      "\n"
-      "commands:\n"
-      "  detect    print the detected communication matrix for one app\n"
-      "  map       detect, then print the derived thread->core mapping\n"
-      "  evaluate  run one app under a given or detected mapping\n"
-      "  dynamic   run with online detection and barrier migration\n"
-      "  suite     run the full evaluation table across apps; a finished\n"
-      "            suite is cached as a completed checkpoint under\n"
-      "            $TLBMAP_CACHE_DIR (default <tmp>/tlbmap_cache) and a\n"
-      "            rerun replays it (TLBMAP_NO_CACHE=1 recomputes)\n"
-      "  record    capture an app's trace to a directory\n"
-      "  replay    run a captured trace\n"
-      "  serve     host the mapping service for N synthetic tenants\n"
-      "\n"
-      "options:\n"
-      "  --app NAME           one of BT CG EP FT IS LU MG SP UA (default SP)\n"
-      "  --mechanism M        sm | hm | oracle (default sm)\n"
-      "  --threads N          thread count (default 8)\n"
-      "  --size-scale X       workload array scaling (default 1.0)\n"
-      "  --iter-scale X       workload iteration scaling (default 1.0)\n"
-      "  --reps N             repetitions for evaluate/suite (default 4)\n"
-      "  --seed N             base RNG seed (default 1)\n"
-      "  --numa               use the NUMA machine model\n"
-      "  --sockets N          override the machine's socket count\n"
-      "  --cores-per-socket N override cores per socket\n"
-      "  --cores-per-l2 N     override cores sharing one L2\n"
-      "  --mesh-cols N        arrange the sockets as an N-column 2D mesh\n"
-      "                       (cross-socket cost grows with Manhattan\n"
-      "                       hops; default 0 = fully connected)\n"
-      "  --mapping-strategy S auto | edmonds | multisection\n"
-      "                       (default auto: Edmonds below 128 threads,\n"
-      "                       multisection at manycore scale)\n"
-      "  --apps A,B,...       suite: restrict the application set\n"
-      "  --mapping 0,1,...    evaluate/replay: explicit thread->core list\n"
-      "  --out DIR / --in DIR record/replay trace directory\n"
-      "\n"
-      "online mapper (dynamic only; DESIGN.md Sec. 17):\n"
-      "  --remap-every-barriers N\n"
-      "                       consider remapping every N barriers\n"
-      "                       (default 4; 0 = never remap)\n"
-      "  --improvement-threshold X\n"
-      "                       migrate only when the candidate placement is\n"
-      "                       at least this fraction cheaper (default 0.15)\n"
-      "  --migration-cooldown N\n"
-      "                       remap decisions to sit out after a migration\n"
-      "                       (default 1; 0 = the historical\n"
-      "                       always-eligible behaviour)\n"
-      "  --matrix-decay X     matrix ageing factor per remap decision,\n"
-      "                       in (0, 1] (default 0.5)\n"
-      "  --min-matrix-total N sampled matrix mass required before a remap\n"
-      "                       decision is trusted (default 32; lower it for\n"
-      "                       sparse workloads like CHURN)\n"
-      "  --canary-barriers N  measure each migration's realized cost over\n"
-      "                       N barriers before judging it (default 2;\n"
-      "                       0 = no canary windows, no rollback)\n"
-      "  --regression-threshold X\n"
-      "                       roll back when the canary window's cycles per\n"
-      "                       access exceed the phase baseline by more than\n"
-      "                       this fraction (default 0.25)\n"
-      "  --no-rollback        measure canary verdicts but never act on a\n"
-      "                       regression (the commit-blind control arm)\n"
-      "\n"
-      "mapping service (serve only; DESIGN.md Sec. 16):\n"
-      "  --tenants N          synthetic tenant sessions (default 4)\n"
-      "  --corrupt-tenant K   deterministically corrupt tenant K's thread-0\n"
-      "                       stream; exactly that session must quarantine\n"
-      "                       while the others finish untouched\n"
-      "  --serve-ticks N      stop after N service ticks (0 = drain all)\n"
-      "  --chunk-bytes N      ingest fragment size per thread per tick\n"
-      "  --max-sessions N     admission cap on live sessions\n"
-      "  --queue-bytes N      per-session ingest queue bound (backpressure)\n"
-      "  --session-budget N   per-session memory budget in bytes\n"
-      "  --total-budget N     fleet memory budget (reject-new first, then\n"
-      "                       shed newest when tightened at runtime)\n"
-      "  --deadline-events N  per-session decode slice per tick\n"
-      "  --drift-threshold X  cosine drift below which decisions re-match\n"
-      "  --window-pages N     stream-detector LRU window per thread\n"
-      "  --sweep-every N      stream-detector sweep cadence in events\n"
-      "  --serve-out FILE     structured JSON report (tenants, quarantine\n"
-      "                       reasons, counters)\n"
-      "\n"
-      "crash safety (suite and serve):\n"
-      "  --checkpoint-dir DIR checkpoint progress to DIR/suite.ckpt after\n"
-      "                       every suite task, or to DIR/service.ckpt\n"
-      "                       (serve), and handle SIGINT/SIGTERM cleanly\n"
-      "                       (the run stops at a task/tick boundary and\n"
-      "                       exits 130)\n"
-      "  --resume             continue from the checkpoint; a missing or\n"
-      "                       invalid checkpoint falls back to a fresh run\n"
-      "\n"
-      "fault injection (all rates in [0,1]; defaults 0 = disabled, in which\n"
-      "case results are bit-identical to a faultless build):\n"
-      "  --fault-seed N             seed of the fault-injection streams\n"
-      "  --fault-drop-rate X        drop a sampled SM TLB entry\n"
-      "  --fault-corrupt-rate X     corrupt a sampled SM page before search\n"
-      "  --fault-detect-fail-rate X SM detection instruction fails (search\n"
-      "                             charged, yields nothing)\n"
-      "  --fault-sweep-skip-rate X  silently skip a due HM sweep\n"
-      "  --fault-sweep-fail-rate X  fail an HM sweep (retried with backoff)\n"
-      "  --fault-sweep-delay N      delay each HM sweep by uniform [0,N]\n"
-      "                             cycles\n"
-      "  --fault-matrix-flip-rate X pairwise-swap comm-matrix cells when the\n"
-      "                             matrix is consumed\n"
-      "  --fault-matrix-zero-rate X zero comm-matrix cells when consumed\n"
-      "  --watchdog-events N        abort a run with a structured error\n"
-      "                             after N trace events (0 = off)\n"
-      "\n"
-      "observability:\n"
-      "  --obs-level L        off | phases | full (default off; implied\n"
-      "                       phases when an output file is requested)\n"
-      "  --trace-out FILE     write a Chrome-trace JSON (open in Perfetto)\n"
-      "  --metrics-out FILE   write the metrics registry as JSONL\n"
-      "  --metrics-interval-events N\n"
-      "                       sample every registered metric into a\n"
-      "                       {\"type\":\"series\"} JSONL stream every N\n"
-      "                       simulated events and at phase boundaries\n"
-      "                       (0 = off; series lands in --metrics-out)\n"
-      "  --manifest-out FILE  write a run manifest: config/seed/git\n"
-      "                       provenance, wall + CPU time, peak RSS, and\n"
-      "                       per-phase flamegraph collapsed stacks\n";
+  S out = "usage: tlbmap_cli COMMAND [options]\n\ncommands:\n";
+  std::size_t width = 0;
+  for (const CliCommand& c : kCommands) width = std::max(width, c.name.size());
+  for (const CliCommand& c : kCommands) {
+    append_entry(out, c.name, width, c.help);
+  }
+  width = 0;
+  for (const CliOption& o : kOptions) width = std::max(width, label(o).size());
+  std::string_view group;
+  for (const CliOption& o : kOptions) {
+    if (o.group != group) {
+      group = o.group;
+      out += "\n" + S(group) + ":\n";
+    }
+    append_entry(out, label(o), width, o.help);
+  }
+  return out;
 }
 
 CliOptions parse_cli(int argc, const char* const* argv) {
@@ -190,209 +368,45 @@ CliOptions parse_cli(int argc, const char* const* argv) {
     opt.help = true;
     return opt;
   }
-  static const std::vector<std::string> kCommands = {
-      "detect", "map",    "evaluate", "dynamic",
-      "suite",  "record", "replay",   "serve"};
-  if (std::find(kCommands.begin(), kCommands.end(), opt.command) ==
-      kCommands.end()) {
+  const auto command =
+      std::find_if(std::begin(kCommands), std::end(kCommands),
+                   [&](const CliCommand& c) { return c.name == opt.command; });
+  if (command == std::end(kCommands)) {
     opt.error = "unknown command: " + opt.command;
     return opt;
   }
+  const std::uint32_t bit = 1u << (command - std::begin(kCommands));
 
-  bool serve_flag_used = false;
-  bool dynamic_flag_used = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        opt.error = "missing value for " + arg;
-        return nullptr;
+  for (int i = 2; i < argc && opt.ok(); ++i) {
+    const S arg = argv[i];
+    const auto option = std::find_if(
+        std::begin(kOptions), std::end(kOptions), [&](const CliOption& o) {
+          return arg == o.name || (!o.alias.empty() && arg == o.alias);
+        });
+    if (option == std::end(kOptions)) {
+      opt.error = "unknown option: " + arg;
+    } else if ((option->commands & bit) == 0) {
+      opt.error = arg + " only applies to";
+      const char* separator = " ";
+      for (std::size_t c = 0; c < std::size(kCommands); ++c) {
+        if (option->commands & (1u << c)) {
+          opt.error += separator + S(kCommands[c].name);
+          separator = ", ";
+        }
       }
-      return argv[++i];
-    };
-    // Strict numeric parsing: the whole token must be consumed, so garbage
-    // suffixes ("8x", "0.5junk") are structured usage errors rather than
-    // silently truncated values.
-    auto to_int = [](const std::string& v) {
-      std::size_t used = 0;
-      const int value = std::stoi(v, &used);
-      if (used != v.size()) throw std::invalid_argument(v);
-      return value;
-    };
-    auto to_double = [](const std::string& v) {
-      std::size_t used = 0;
-      const double value = std::stod(v, &used);
-      if (used != v.size()) throw std::invalid_argument(v);
-      return value;
-    };
-    auto to_u64 = [](const std::string& v) {
-      // stoull accepts "-1" by wrapping; reject any sign explicitly.
-      if (v.empty() || v[0] == '-' || v[0] == '+') {
-        throw std::invalid_argument(v);
+    } else if (option->kind() != CliOption::Kind::kFlag && i + 1 >= argc) {
+      opt.error = "missing value for " + arg;
+    } else {
+      const S value =
+          option->kind() == CliOption::Kind::kFlag ? "" : argv[++i];
+      try {
+        std::visit([&](auto set) { apply(set, opt, value); }, option->set);
+      } catch (const std::exception&) {
+        opt.error = "bad value for " + arg;
       }
-      std::size_t used = 0;
-      const std::uint64_t value = std::stoull(v, &used);
-      if (used != v.size()) throw std::invalid_argument(v);
-      return value;
-    };
-    try {
-      if (arg == "--help") {
-        opt.help = true;
-      } else if (arg == "--numa") {
-        opt.numa = true;
-      } else if (arg == "--app") {
-        if (const char* v = next_value()) opt.app = v;
-      } else if (arg == "--mechanism") {
-        if (const char* v = next_value()) opt.mechanism = v;
-      } else if (arg == "--threads") {
-        if (const char* v = next_value()) opt.threads = to_int(v);
-      } else if (arg == "--size-scale") {
-        if (const char* v = next_value()) opt.size_scale = to_double(v);
-      } else if (arg == "--iter-scale") {
-        if (const char* v = next_value()) opt.iter_scale = to_double(v);
-      } else if (arg == "--reps") {
-        if (const char* v = next_value()) opt.reps = to_int(v);
-      } else if (arg == "--seed") {
-        if (const char* v = next_value()) opt.seed = to_u64(v);
-      } else if (arg == "--sockets") {
-        if (const char* v = next_value()) opt.sockets = to_int(v);
-      } else if (arg == "--cores-per-socket") {
-        if (const char* v = next_value()) opt.cores_per_socket = to_int(v);
-      } else if (arg == "--cores-per-l2") {
-        if (const char* v = next_value()) opt.cores_per_l2 = to_int(v);
-      } else if (arg == "--mesh-cols") {
-        if (const char* v = next_value()) opt.mesh_cols = to_int(v);
-      } else if (arg == "--mapping-strategy") {
-        if (const char* v = next_value()) opt.mapping_strategy = v;
-      } else if (arg == "--fault-seed") {
-        if (const char* v = next_value()) opt.fault.seed = to_u64(v);
-      } else if (arg == "--fault-drop-rate") {
-        if (const char* v = next_value()) opt.fault.drop_sample_rate = to_double(v);
-      } else if (arg == "--fault-corrupt-rate") {
-        if (const char* v = next_value()) opt.fault.corrupt_sample_rate = to_double(v);
-      } else if (arg == "--fault-detect-fail-rate") {
-        if (const char* v = next_value()) opt.fault.detect_fail_rate = to_double(v);
-      } else if (arg == "--fault-sweep-skip-rate") {
-        if (const char* v = next_value()) opt.fault.sweep_skip_rate = to_double(v);
-      } else if (arg == "--fault-sweep-fail-rate") {
-        if (const char* v = next_value()) opt.fault.sweep_fail_rate = to_double(v);
-      } else if (arg == "--fault-sweep-delay") {
-        if (const char* v = next_value()) opt.fault.sweep_delay_max = to_u64(v);
-      } else if (arg == "--fault-matrix-flip-rate") {
-        if (const char* v = next_value()) opt.fault.matrix_flip_rate = to_double(v);
-      } else if (arg == "--fault-matrix-zero-rate") {
-        if (const char* v = next_value()) opt.fault.matrix_zero_rate = to_double(v);
-      } else if (arg == "--watchdog-events") {
-        if (const char* v = next_value()) opt.watchdog_events = to_u64(v);
-      } else if (arg == "--checkpoint-dir") {
-        if (const char* v = next_value()) opt.checkpoint_dir = v;
-      } else if (arg == "--resume") {
-        opt.resume = true;
-      } else if (arg == "--apps") {
-        if (const char* v = next_value()) opt.apps = parse_list(v);
-      } else if (arg == "--mapping") {
-        if (const char* v = next_value()) {
-          opt.mapping = parse_mapping(v, opt.error);
-        }
-      } else if (arg == "--out" || arg == "--in") {
-        if (const char* v = next_value()) opt.dir = v;
-      } else if (arg == "--remap-every-barriers") {
-        dynamic_flag_used = true;
-        if (const char* v = next_value()) {
-          opt.online.remap_every_barriers = to_int(v);
-        }
-      } else if (arg == "--improvement-threshold") {
-        dynamic_flag_used = true;
-        if (const char* v = next_value()) {
-          opt.online.improvement_threshold = to_double(v);
-        }
-      } else if (arg == "--migration-cooldown") {
-        dynamic_flag_used = true;
-        if (const char* v = next_value()) {
-          opt.online.migration_cooldown = to_int(v);
-        }
-      } else if (arg == "--matrix-decay") {
-        dynamic_flag_used = true;
-        if (const char* v = next_value()) opt.online.decay = to_double(v);
-      } else if (arg == "--min-matrix-total") {
-        dynamic_flag_used = true;
-        if (const char* v = next_value()) {
-          opt.online.min_matrix_total = to_u64(v);
-        }
-      } else if (arg == "--canary-barriers") {
-        dynamic_flag_used = true;
-        if (const char* v = next_value()) {
-          opt.online.canary_barriers = to_int(v);
-        }
-      } else if (arg == "--regression-threshold") {
-        dynamic_flag_used = true;
-        if (const char* v = next_value()) {
-          opt.online.regression_threshold = to_double(v);
-        }
-      } else if (arg == "--no-rollback") {
-        dynamic_flag_used = true;
-        opt.online.rollback = false;
-      } else if (arg == "--tenants") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.tenants = to_int(v);
-      } else if (arg == "--corrupt-tenant") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.corrupt_tenant = to_int(v);
-      } else if (arg == "--serve-ticks") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.serve_ticks = to_u64(v);
-      } else if (arg == "--chunk-bytes") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.chunk_bytes = to_u64(v);
-      } else if (arg == "--max-sessions") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.max_sessions = to_int(v);
-      } else if (arg == "--queue-bytes") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.queue_bytes = to_u64(v);
-      } else if (arg == "--session-budget") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) {
-          opt.session_budget_bytes = to_u64(v);
-        }
-      } else if (arg == "--total-budget") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.total_budget_bytes = to_u64(v);
-      } else if (arg == "--deadline-events") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.deadline_events = to_u64(v);
-      } else if (arg == "--drift-threshold") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.drift_threshold = to_double(v);
-      } else if (arg == "--window-pages") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.window_pages = to_int(v);
-      } else if (arg == "--sweep-every") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.sweep_every = to_u64(v);
-      } else if (arg == "--serve-out") {
-        serve_flag_used = true;
-        if (const char* v = next_value()) opt.serve_out = v;
-      } else if (arg == "--obs-level") {
-        if (const char* v = next_value()) opt.obs_level = v;
-      } else if (arg == "--trace-out") {
-        if (const char* v = next_value()) opt.trace_out = v;
-      } else if (arg == "--metrics-out") {
-        if (const char* v = next_value()) opt.metrics_out = v;
-      } else if (arg == "--metrics-interval-events") {
-        if (const char* v = next_value()) {
-          opt.metrics_interval_events = to_u64(v);
-        }
-      } else if (arg == "--manifest-out") {
-        if (const char* v = next_value()) opt.manifest_out = v;
-      } else {
-        opt.error = "unknown option: " + arg;
-      }
-    } catch (const std::exception&) {
-      opt.error = "bad value for " + arg;
     }
-    if (!opt.error.empty()) return opt;
   }
+  if (!opt.ok()) return opt;
 
   if (opt.mechanism != "sm" && opt.mechanism != "hm" &&
       opt.mechanism != "oracle") {
@@ -418,54 +432,19 @@ CliOptions parse_cli(int argc, const char* const* argv) {
       opt.dir.empty()) {
     opt.error = opt.command + " needs --out/--in DIR";
   }
-  if (opt.error.empty() && opt.command != "suite" &&
-      opt.command != "serve" &&
-      (!opt.checkpoint_dir.empty() || opt.resume)) {
-    opt.error = "checkpoint/resume flags only apply to suite and serve";
-  }
-  if (opt.error.empty() && serve_flag_used && opt.command != "serve") {
-    opt.error = "mapping-service flags only apply to serve";
-  }
-  if (opt.error.empty() && dynamic_flag_used && opt.command != "dynamic") {
-    opt.error = "online-mapper flags only apply to dynamic";
-  }
-  if (opt.error.empty() && dynamic_flag_used) {
-    // Range checks live in the library config: the CLI reports the struct's
-    // own invalid_argument message as a structured usage error.
-    try {
-      opt.online.validate();
-    } catch (const std::exception& e) {
-      opt.error = e.what();
-    }
-  }
-  if (opt.error.empty() && opt.command == "serve") {
-    if (opt.tenants < 1) opt.error = "tenants must be positive";
-    if (opt.chunk_bytes == 0) opt.error = "chunk-bytes must be positive";
-    if (opt.max_sessions < 1) opt.error = "max-sessions must be positive";
-    if (opt.corrupt_tenant >= opt.tenants) {
-      opt.error = "corrupt-tenant index past the tenant fleet";
-    }
-    if (opt.drift_threshold < 0.0 || opt.drift_threshold > 1.0) {
-      opt.error = "drift-threshold must be in [0, 1]";
-    }
-  }
   if (opt.error.empty() && opt.checkpoint_dir.empty() && opt.resume) {
     opt.error = "--resume needs --checkpoint-dir";
   }
   if (opt.error.empty()) {
-    // Out-of-range fault rates are usage errors, reported through the same
-    // structured channel as every other parse failure.
+    // Range checks live in the library configs: the CLI reports each
+    // struct's own invalid_argument message as a structured usage error.
     try {
+      opt.online.validate();
       opt.fault.validate();
+      opt.serve.validate();
     } catch (const std::exception& e) {
       opt.error = e.what();
     }
-  }
-  if (opt.error.empty() && opt.command == "record" &&
-      (opt.fault.enabled() || opt.watchdog_events > 0)) {
-    // Recording runs no simulated machine; silently ignoring the flags
-    // would mislead more than rejecting them.
-    opt.error = "fault/watchdog flags conflict with the record command";
   }
   return opt;
 }
@@ -670,27 +649,14 @@ int cmd_replay(const CliOptions& opt, obs::ObsContext* obs) {
 }
 
 int cmd_serve(const CliOptions& opt, obs::ObsContext* obs) {
-  svc::ServeOptions serve;
+  svc::ServeOptions serve = opt.serve;
   serve.service.machine = machine_for(opt);
   serve.service.mapping = mapping_for(opt);
-  serve.service.max_sessions = opt.max_sessions;
-  serve.service.session.queue_bytes = opt.queue_bytes;
-  serve.service.session.budget_bytes = opt.session_budget_bytes;
-  serve.service.session.deadline_events = opt.deadline_events;
-  serve.service.total_budget_bytes = opt.total_budget_bytes;
-  serve.service.cache.drift_threshold = opt.drift_threshold;
-  serve.service.detector.window_pages = opt.window_pages;
-  serve.service.detector.sweep_every = opt.sweep_every;
-  serve.tenants = opt.tenants;
   serve.threads = opt.threads;
   serve.app = opt.app;
   serve.size_scale = opt.size_scale;
   serve.iter_scale = opt.iter_scale;
   serve.seed = opt.seed;
-  serve.chunk_bytes = opt.chunk_bytes;
-  serve.max_ticks = opt.serve_ticks;
-  serve.corrupt_tenant = opt.corrupt_tenant;
-  serve.report_out = opt.serve_out;
   if (!opt.checkpoint_dir.empty()) {
     serve.checkpoint_path = opt.checkpoint_dir + "/service.ckpt";
     serve.resume = opt.resume;

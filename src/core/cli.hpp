@@ -1,26 +1,30 @@
 // Command-line front end for the library, factored as a parse/run pair so
 // the argument handling is unit-testable. The binary lives in
-// examples/tlbmap_cli.cpp.
+// examples/tlbmap_cli.cpp; `tlbmap_cli --help` lists every option.
 //
-// Commands:
-//   detect   --app SP [--mechanism sm|hm|oracle] [--threads N] [--numa]
-//   map      --app SP [--mechanism ...]           print detected mapping
-//   evaluate --app SP --mapping 0,1,2,...         run under a placement
-//   dynamic  --app SP [--reps ...]                online detect + migrate
-//   suite    [--apps BT,SP,...] [--reps N]        figure-6 style table
-//   record   --app SP --out DIR                   capture a trace
-//   replay   --in DIR [--mapping ...]             run a captured trace
-//   serve    [--tenants N] [--corrupt-tenant K]   mapping-service daemon
-// Common: --size-scale X --iter-scale X --seed N --threads N --numa
+// One static table, cli_options(), declares each option once: its name,
+// the commands it applies to, its help group and text, and a setter whose
+// signature is the option's value kind. parse_cli, the usage text, command
+// gating and the unknown-option error are all loops over that table.
+//
+// Library configs are embedded, never copied: `online`
+// (OnlineMapperConfig), `fault` (FaultPlan) and `serve` (svc::ServeOptions)
+// carry the library's defaults by construction, options write straight
+// into them, and parse_cli reports their own validate() messages as usage
+// errors (exit code 2).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "core/dynamic.hpp"
 #include "core/fault.hpp"
 #include "mapping/mapping.hpp"
+#include "svc/serve.hpp"
 
 namespace tlbmap {
 
@@ -55,31 +59,12 @@ struct CliOptions {
   std::vector<std::string> apps;  ///< suite only; empty = all nine
   Mapping mapping;                ///< evaluate/replay; empty = detect+map
   std::string dir;                ///< record --out / replay --in
-  /// Online-mapper knobs (dynamic only; DESIGN.md Sec. 17), populated by
-  /// --remap-every-barriers / --improvement-threshold / --migration-cooldown
-  /// / --matrix-decay / --canary-barriers / --regression-threshold /
-  /// --no-rollback. Embedding the config struct keeps the CLI defaults
-  /// identical to the library defaults by construction; out-of-range values
-  /// surface through OnlineMapperConfig::validate() as structured parse
-  /// errors.
+  /// Online-mapper knobs (dynamic only; DESIGN.md Sec. 17).
   OnlineMapperConfig online{};
-  // Mapping-service daemon (serve only; DESIGN.md Sec. 16). Tenant streams
-  // are synthetic NPB recordings; --corrupt-tenant injects deterministic
-  // stream corruption into one of them, which must quarantine exactly that
-  // session while every other tenant's outcome stays bit-identical.
-  int tenants = 4;                ///< --tenants: synthetic tenant fleet size
-  int corrupt_tenant = -1;        ///< --corrupt-tenant: index or -1 = none
-  std::uint64_t serve_ticks = 0;  ///< --serve-ticks: tick cap (0 = drain)
-  std::uint64_t chunk_bytes = 512;  ///< --chunk-bytes: feed fragment size
-  int max_sessions = 64;          ///< --max-sessions: admission cap
-  std::uint64_t queue_bytes = 64 * 1024;  ///< --queue-bytes: per session
-  std::uint64_t session_budget_bytes = 8 * 1024 * 1024;  ///< --session-budget
-  std::uint64_t total_budget_bytes = 64 * 1024 * 1024;   ///< --total-budget
-  std::uint64_t deadline_events = 8192;   ///< --deadline-events: pump slice
-  double drift_threshold = 0.90;  ///< --drift-threshold: re-match trigger
-  int window_pages = 64;          ///< --window-pages: stream detector LRU
-  std::uint64_t sweep_every = 4096;  ///< --sweep-every: stream sweep cadence
-  std::string serve_out;          ///< --serve-out: JSON report path
+  /// Mapping-service daemon (serve only; DESIGN.md Sec. 16). run_cli fills
+  /// in the machine, the mapping strategy, the common
+  /// --app/--threads/--seed/--*-scale values and the checkpoint path.
+  svc::ServeOptions serve{};
   // Crash safety (suite and serve, DESIGN.md Sec. 12). With
   // --checkpoint-dir set, SIGINT/SIGTERM handlers are installed, progress
   // is checkpointed after every completed task (suite) or at tick
@@ -107,6 +92,42 @@ struct CliOptions {
 
   bool ok() const { return error.empty(); }
 };
+
+/// A command and its one-paragraph help.
+struct CliCommand {
+  std::string_view name;
+  std::string_view help;
+};
+
+/// One command-line option: the one place its name, gating, help and
+/// effect are declared.
+struct CliOption {
+  /// The setter's signature is the value kind (Kind, in the same order);
+  /// parse_cli reads the value with the matching strict parser.
+  using Setter = std::variant<void (*)(CliOptions&),  // flag: no value
+                              void (*)(CliOptions&, int),
+                              void (*)(CliOptions&, std::uint64_t),
+                              void (*)(CliOptions&, double),
+                              void (*)(CliOptions&, std::string),
+                              void (*)(CliOptions&, std::vector<std::string>),
+                              void (*)(CliOptions&, Mapping)>;
+  enum class Kind { kFlag, kInt, kU64, kDouble, kString, kList, kMapping };
+
+  std::string_view name;
+  std::string_view value;  ///< value placeholder in the help; empty for flags
+  /// Bit i set = applies to cli_commands()[i]; elsewhere a usage error.
+  std::uint32_t commands;
+  std::string_view group;  ///< help heading the option is listed under
+  std::string_view help;
+  Setter set;
+  std::string_view alias = {};  ///< second spelling ("--in" for "--out")
+
+  Kind kind() const { return static_cast<Kind>(set.index()); }
+};
+
+/// The command and option tables, in help order.
+std::span<const CliCommand> cli_commands();
+std::span<const CliOption> cli_options();
 
 /// Parses argv (argv[0] ignored). Never throws; failures land in `error`.
 CliOptions parse_cli(int argc, const char* const* argv);

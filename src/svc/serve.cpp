@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "core/codec.hpp"
@@ -124,20 +125,22 @@ const char* error_name(ErrorCode code) { return tlbmap::to_string(code); }
 
 }  // namespace
 
+void ServeOptions::validate() const {
+  if (tenants < 1 || threads < 1 || chunk_bytes == 0) {
+    throw std::invalid_argument(
+        "ServeOptions: tenants, threads and chunk_bytes must be >= 1");
+  }
+  if (corrupt_tenant < -1 || corrupt_tenant >= tenants) {
+    throw std::invalid_argument(
+        "ServeOptions: corrupt_tenant must be -1 or a tenant index");
+  }
+  service.validate();
+}
+
 ServeOutcome run_serve(const ServeOptions& options, std::ostream* log,
                        obs::ObsContext* obs) {
+  options.validate();
   ServeOutcome outcome;
-  if (options.tenants < 1 || options.threads < 1 ||
-      options.chunk_bytes == 0) {
-    outcome.exit_code = 1;
-    outcome.error = "serve: tenants, threads and chunk bytes must be >= 1";
-    return outcome;
-  }
-  if (options.corrupt_tenant >= options.tenants) {
-    outcome.exit_code = 1;
-    outcome.error = "serve: --corrupt-tenant index past the tenant fleet";
-    return outcome;
-  }
   MappingService service(options.service);
   service.set_observability(obs);
   std::vector<Feeder> feeders = build_feeders(options);

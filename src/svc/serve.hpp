@@ -58,6 +58,10 @@ struct ServeOptions {
   /// Structured JSON report path (atomic write; empty = stdout summary
   /// only).
   std::string report_out;
+
+  /// Throws std::invalid_argument on an empty fleet, zero threads or chunk
+  /// bytes, a corrupt_tenant outside [-1, tenants), or an invalid service.
+  void validate() const;
 };
 
 /// Final state of one tenant, for the report.
@@ -88,6 +92,7 @@ struct ServeOutcome {
 };
 
 /// Runs the daemon loop. `log` (may be null) receives progress lines.
+/// Throws std::invalid_argument when `options` fail validate().
 ServeOutcome run_serve(const ServeOptions& options, std::ostream* log,
                        obs::ObsContext* obs);
 

@@ -1,6 +1,9 @@
 // Tests for the CLI argument parser and a smoke pass over the commands.
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +15,12 @@ namespace {
 CliOptions parse(std::initializer_list<const char*> args) {
   std::vector<const char*> argv = {"tlbmap_cli"};
   argv.insert(argv.end(), args.begin(), args.end());
+  return parse_cli(static_cast<int>(argv.size()), argv.data());
+}
+
+CliOptions parse(const std::vector<std::string>& args) {
+  std::vector<const char*> argv = {"tlbmap_cli"};
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
   return parse_cli(static_cast<int>(argv.size()), argv.data());
 }
 
@@ -253,26 +262,26 @@ TEST(Cli, ServeFlagsParsed) {
        "512", "--serve-out", "/tmp/report.json"});
   ASSERT_TRUE(opt.ok()) << opt.error;
   EXPECT_EQ(opt.command, "serve");
-  EXPECT_EQ(opt.tenants, 6);
-  EXPECT_EQ(opt.corrupt_tenant, 2);
-  EXPECT_EQ(opt.serve_ticks, 200u);
-  EXPECT_EQ(opt.chunk_bytes, 256u);
-  EXPECT_EQ(opt.max_sessions, 12);
-  EXPECT_EQ(opt.queue_bytes, 32768u);
-  EXPECT_EQ(opt.session_budget_bytes, 1048576u);
-  EXPECT_EQ(opt.total_budget_bytes, 8388608u);
-  EXPECT_EQ(opt.deadline_events, 1024u);
-  EXPECT_DOUBLE_EQ(opt.drift_threshold, 0.8);
-  EXPECT_EQ(opt.window_pages, 32);
-  EXPECT_EQ(opt.sweep_every, 512u);
-  EXPECT_EQ(opt.serve_out, "/tmp/report.json");
+  EXPECT_EQ(opt.serve.tenants, 6);
+  EXPECT_EQ(opt.serve.corrupt_tenant, 2);
+  EXPECT_EQ(opt.serve.max_ticks, 200u);
+  EXPECT_EQ(opt.serve.chunk_bytes, 256u);
+  EXPECT_EQ(opt.serve.service.max_sessions, 12);
+  EXPECT_EQ(opt.serve.service.session.queue_bytes, 32768u);
+  EXPECT_EQ(opt.serve.service.session.budget_bytes, 1048576u);
+  EXPECT_EQ(opt.serve.service.total_budget_bytes, 8388608u);
+  EXPECT_EQ(opt.serve.service.session.deadline_events, 1024u);
+  EXPECT_DOUBLE_EQ(opt.serve.service.cache.drift_threshold, 0.8);
+  EXPECT_EQ(opt.serve.service.detector.window_pages, 32);
+  EXPECT_EQ(opt.serve.service.detector.sweep_every, 512u);
+  EXPECT_EQ(opt.serve.report_out, "/tmp/report.json");
 
   const CliOptions defaults = parse({"serve"});
   ASSERT_TRUE(defaults.ok()) << defaults.error;
-  EXPECT_EQ(defaults.tenants, 4);
-  EXPECT_EQ(defaults.corrupt_tenant, -1);  // -1 = no fault injection
-  EXPECT_EQ(defaults.serve_ticks, 0u);     // 0 = run until drained
-  EXPECT_TRUE(defaults.serve_out.empty());
+  EXPECT_EQ(defaults.serve.tenants, 4);
+  EXPECT_EQ(defaults.serve.corrupt_tenant, -1);  // -1 = no fault injection
+  EXPECT_EQ(defaults.serve.max_ticks, 0u);       // 0 = run until drained
+  EXPECT_TRUE(defaults.serve.report_out.empty());
 }
 
 TEST(Cli, ServeFlagsValidated) {
@@ -288,6 +297,80 @@ TEST(Cli, ServeFlagsValidated) {
       parse({"serve", "--tenants", "3", "--corrupt-tenant", "2"}).ok());
   // Serve flags belong to serve.
   EXPECT_FALSE(parse({"detect", "--tenants", "4"}).ok());
+}
+
+TEST(Cli, ServeConfigErrorsAreUsageErrors) {
+  // Every serve range check is ServeOptions::validate(), which parse_cli
+  // runs: a configuration the service would refuse is a usage error (exit
+  // 2), never a runtime failure or a silent run without the fault.
+  const std::vector<std::pair<const char*, const char*>> cases = {
+      {"--queue-bytes", "0"},       {"--deadline-events", "0"},
+      {"--session-budget", "100"},  {"--window-pages", "0"},
+      {"--sweep-every", "0"},       {"--total-budget", "1"},
+      {"--drift-threshold", "nan"}, {"--corrupt-tenant", "-5"}};
+  for (const auto& [flag, value] : cases) {
+    const CliOptions opt = parse({"serve", flag, value});
+    EXPECT_FALSE(opt.ok()) << flag << " " << value;
+    EXPECT_EQ(run_cli(opt), 2) << flag << " " << value;
+  }
+}
+
+/// A value `option` accepts under every command it applies to.
+std::string valid_value(const CliOption& option) {
+  static const std::map<std::string_view, std::string> kSpecial = {
+      {"--mechanism", "hm"},         {"--mapping-strategy", "edmonds"},
+      {"--obs-level", "full"},       {"--session-budget", "65536"},
+      {"--total-budget", "8388608"}};
+  if (const auto it = kSpecial.find(option.name); it != kSpecial.end()) {
+    return it->second;
+  }
+  switch (option.kind()) {
+    case CliOption::Kind::kDouble: return "0.5";
+    case CliOption::Kind::kString: return "/tmp/tlbmap_cli_table";
+    case CliOption::Kind::kList: return "EP,SP";
+    case CliOption::Kind::kMapping: return "1,0";
+    default: return "1";
+  }
+}
+
+TEST(CliTable, EveryOptionIsDocumentedAndGatedByItsCommands) {
+  const std::string usage = cli_usage();
+  const auto commands = cli_commands();
+  for (const CliOption& option : cli_options()) {
+    std::vector<std::string> spellings = {std::string(option.name)};
+    if (!option.alias.empty()) spellings.emplace_back(option.alias);
+    for (const std::string& name : spellings) {
+      EXPECT_NE(usage.find(name), std::string::npos) << name;
+      for (std::size_t c = 0; c < commands.size(); ++c) {
+        const bool applies = (option.commands >> c & 1u) != 0;
+        std::vector<std::string> args = {std::string(commands[c].name), name};
+        // Outside its commands even a zero value is rejected, so a no-op
+        // setting cannot hide a misplaced option.
+        if (option.kind() != CliOption::Kind::kFlag) {
+          args.push_back(applies ? valid_value(option) : "0");
+        }
+        // record/replay need a directory, --resume a checkpoint directory.
+        args.insert(args.end(), {"--out", "/tmp/tlbmap_cli_table"});
+        if (name == "--resume") {
+          args.insert(args.end(), {"--checkpoint-dir", "/tmp/tlbmap_ckpt"});
+        }
+        const CliOptions opt = parse(args);
+        if (applies) {
+          EXPECT_TRUE(opt.ok()) << args[0] << " " << name << ": " << opt.error;
+        } else {
+          EXPECT_FALSE(opt.ok()) << args[0] << " " << name;
+          EXPECT_NE(opt.error.find(name), std::string::npos)
+              << args[0] << ": " << opt.error;
+        }
+      }
+    }
+  }
+  // record builds no simulated machine, so the fault and watchdog options
+  // are refused there even at their zero defaults.
+  for (const char* name : {"--fault-seed", "--fault-drop-rate",
+                           "--fault-sweep-delay", "--watchdog-events"}) {
+    EXPECT_FALSE(parse({"record", "--out", "/tmp/x", name, "0"}).ok()) << name;
+  }
 }
 
 TEST(Cli, ServeAcceptsCheckpointFlags) {

@@ -423,12 +423,24 @@ TEST(Multisection, WithinFivePercentOfEdmondsAndFasterAt128) {
   const CommMatrix comm = clustered_matrix(n, /*socket_span=*/8,
                                            /*l2_span=*/2);
 
+  // Each mapper's time is its fastest of 7 alternating runs, so one slow
+  // scheduling slice on a loaded host cannot decide the comparison.
   using Clock = std::chrono::steady_clock;
-  const auto e0 = Clock::now();
-  const Mapping edmonds = HierarchicalMapper(t).map(comm);
-  const auto e1 = Clock::now();
-  const Mapping multi = MultisectionMapper(t).map(comm);
-  const auto e2 = Clock::now();
+  auto timed = [](auto&& run, Clock::duration& best) {
+    const auto start = Clock::now();
+    Mapping mapping = run();
+    best = std::min(best, Clock::now() - start);
+    return mapping;
+  };
+  Clock::duration edmonds_time = Clock::duration::max();
+  Clock::duration multi_time = Clock::duration::max();
+  Mapping edmonds;
+  Mapping multi;
+  for (int run = 0; run < 7; ++run) {
+    edmonds = timed([&] { return HierarchicalMapper(t).map(comm); },
+                    edmonds_time);
+    multi = timed([&] { return MultisectionMapper(t).map(comm); }, multi_time);
+  }
 
   ASSERT_TRUE(is_valid_mapping(edmonds, 128));
   ASSERT_TRUE(is_valid_mapping(multi, 128));
@@ -437,9 +449,11 @@ TEST(Multisection, WithinFivePercentOfEdmondsAndFasterAt128) {
   EXPECT_LE(multi_cost, edmonds_cost * 1.05)
       << "multisection " << multi_cost << " vs edmonds " << edmonds_cost;
   const auto edmonds_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(e1 - e0).count();
+      std::chrono::duration_cast<std::chrono::microseconds>(edmonds_time)
+          .count();
   const auto multi_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(e2 - e1).count();
+      std::chrono::duration_cast<std::chrono::microseconds>(multi_time)
+          .count();
   EXPECT_LT(multi_us, edmonds_us)
       << "multisection " << multi_us << "us vs edmonds " << edmonds_us
       << "us";

@@ -6,9 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include "mapping/exact_matching.hpp"
 #include "mapping/greedy.hpp"
 #include "mapping/matching.hpp"
+#include "reference_exact_matching.hpp"
 
 namespace tlbmap {
 namespace {
