@@ -331,6 +331,48 @@ void append_entry(S& out, std::string_view label, std::size_t width,
   out += line + '\n';
 }
 
+MachineConfig machine_for(const CliOptions& opt) {
+  MachineConfig machine = opt.numa ? MachineConfig::numa_harpertown()
+                                   : MachineConfig::harpertown();
+  if (opt.sockets > 0) machine.num_sockets = opt.sockets;
+  if (opt.cores_per_socket > 0) machine.cores_per_socket = opt.cores_per_socket;
+  if (opt.cores_per_l2 > 0) machine.cores_per_l2 = opt.cores_per_l2;
+  machine.socket_mesh_cols = opt.mesh_cols;
+  machine.fault = opt.fault;
+  machine.watchdog_max_events = opt.watchdog_events;
+  // Surface inconsistent overrides (indivisible geometry, mesh shape) as a
+  // structured CLI error instead of a deep throw from the Topology ctor.
+  machine.validate();
+  return machine;
+}
+
+MappingConfig mapping_for(const CliOptions& opt) {
+  MappingConfig mapping;
+  mapping.strategy =
+      parse_mapping_strategy(opt.mapping_strategy).value_or(
+          MappingStrategy::kAuto);
+  return mapping;
+}
+
+/// The serve run the command line describes: the serve flags plus the
+/// machine (with its topology overrides), the mapping strategy, the common
+/// --app/--threads/--seed/--*-scale values and the checkpoint path.
+svc::ServeOptions serve_options_for(const CliOptions& opt) {
+  svc::ServeOptions serve = opt.serve;
+  serve.service.machine = machine_for(opt);
+  serve.service.mapping = mapping_for(opt);
+  serve.threads = opt.threads;
+  serve.app = opt.app;
+  serve.size_scale = opt.size_scale;
+  serve.iter_scale = opt.iter_scale;
+  serve.seed = opt.seed;
+  if (!opt.checkpoint_dir.empty()) {
+    serve.checkpoint_path = opt.checkpoint_dir + "/service.ckpt";
+    serve.resume = opt.resume;
+  }
+  return serve;
+}
+
 }  // namespace
 
 std::span<const CliCommand> cli_commands() { return kCommands; }
@@ -436,12 +478,15 @@ CliOptions parse_cli(int argc, const char* const* argv) {
     opt.error = "--resume needs --checkpoint-dir";
   }
   if (opt.error.empty()) {
-    // Range checks live in the library configs: the CLI reports each
-    // struct's own invalid_argument message as a structured usage error.
+    // Range checks live in the library: the CLI reports each config's own
+    // invalid_argument message, and the workload registry's for an unknown
+    // app name, as a structured usage error.
     try {
+      make_npb_workload(opt.app, WorkloadParams{});
+      for (const S& app : opt.apps) make_npb_workload(app, WorkloadParams{});
       opt.online.validate();
       opt.fault.validate();
-      opt.serve.validate();
+      if (opt.command == "serve") serve_options_for(opt).validate();
     } catch (const std::exception& e) {
       opt.error = e.what();
     }
@@ -450,29 +495,6 @@ CliOptions parse_cli(int argc, const char* const* argv) {
 }
 
 namespace {
-
-MachineConfig machine_for(const CliOptions& opt) {
-  MachineConfig machine = opt.numa ? MachineConfig::numa_harpertown()
-                                   : MachineConfig::harpertown();
-  if (opt.sockets > 0) machine.num_sockets = opt.sockets;
-  if (opt.cores_per_socket > 0) machine.cores_per_socket = opt.cores_per_socket;
-  if (opt.cores_per_l2 > 0) machine.cores_per_l2 = opt.cores_per_l2;
-  machine.socket_mesh_cols = opt.mesh_cols;
-  machine.fault = opt.fault;
-  machine.watchdog_max_events = opt.watchdog_events;
-  // Surface inconsistent overrides (indivisible geometry, mesh shape) as a
-  // structured CLI error instead of a deep throw from the Topology ctor.
-  machine.validate();
-  return machine;
-}
-
-MappingConfig mapping_for(const CliOptions& opt) {
-  MappingConfig mapping;
-  mapping.strategy =
-      parse_mapping_strategy(opt.mapping_strategy).value_or(
-          MappingStrategy::kAuto);
-  return mapping;
-}
 
 WorkloadParams params_for(const CliOptions& opt) {
   WorkloadParams p;
@@ -649,17 +671,8 @@ int cmd_replay(const CliOptions& opt, obs::ObsContext* obs) {
 }
 
 int cmd_serve(const CliOptions& opt, obs::ObsContext* obs) {
-  svc::ServeOptions serve = opt.serve;
-  serve.service.machine = machine_for(opt);
-  serve.service.mapping = mapping_for(opt);
-  serve.threads = opt.threads;
-  serve.app = opt.app;
-  serve.size_scale = opt.size_scale;
-  serve.iter_scale = opt.iter_scale;
-  serve.seed = opt.seed;
-  if (!opt.checkpoint_dir.empty()) {
-    serve.checkpoint_path = opt.checkpoint_dir + "/service.ckpt";
-    serve.resume = opt.resume;
+  const svc::ServeOptions serve = serve_options_for(opt);
+  if (!serve.checkpoint_path.empty()) {
     // Same clean-shutdown contract as the suite: the first SIGINT/SIGTERM
     // stops the loop at a tick boundary and the service checkpoints.
     install_shutdown_handlers();

@@ -61,9 +61,10 @@ struct CliOptions {
   std::string dir;                ///< record --out / replay --in
   /// Online-mapper knobs (dynamic only; DESIGN.md Sec. 17).
   OnlineMapperConfig online{};
-  /// Mapping-service daemon (serve only; DESIGN.md Sec. 16). run_cli fills
-  /// in the machine, the mapping strategy, the common
-  /// --app/--threads/--seed/--*-scale values and the checkpoint path.
+  /// Mapping-service daemon (serve only; DESIGN.md Sec. 16). The serve
+  /// command adds the machine, the mapping strategy, the common
+  /// --app/--threads/--seed/--*-scale values and the checkpoint path, and
+  /// parse_cli validates the combined options.
   svc::ServeOptions serve{};
   // Crash safety (suite and serve, DESIGN.md Sec. 12). With
   // --checkpoint-dir set, SIGINT/SIGTERM handlers are installed, progress

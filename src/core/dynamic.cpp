@@ -6,17 +6,19 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/retry.hpp"
 #include "obs/json.hpp"
 
 namespace tlbmap {
 namespace {
 
-/// Saturating subtraction: cumulative counters are monotone within a run,
-/// but restored anchors driven against a fresh stats block must degrade to
-/// an empty window, not wrap.
-std::uint64_t sub_sat(std::uint64_t a, std::uint64_t b) {
-  return a >= b ? a - b : 0;
-}
+/// Damping of repeated rollbacks within one phase: after the k-th rollback
+/// since the current phase epoch began, migrations are blocked for
+/// delay(k) further remap decisions (capped exponential; jitter off keeps
+/// decisions bit-reproducible). Past max_attempts rollbacks the phase is
+/// migration-hostile until the next epoch.
+const RetryPolicy kRollbackBackoff{/*max_attempts=*/8, /*base_delay=*/1,
+                                   /*factor=*/2};
 
 /// Ceiling on a single backoff sentence, in remap decisions. delay()
 /// saturates at the u64 ceiling; an int cursor needs a sane bound.
@@ -50,7 +52,6 @@ void OnlineMapperConfig::validate() const {
     throw std::invalid_argument(
         "OnlineMapperConfig: regression_threshold must be non-negative");
   }
-  rollback_backoff.validate();
   phase.validate();
 }
 
@@ -69,67 +70,6 @@ OnlineMapper::OnlineMapper(Machine& machine, int num_threads,
   }
 }
 
-OnlineMapperState OnlineMapper::state() const {
-  OnlineMapperState s;
-  s.detector = detector_.state();
-  s.mapping = current_;
-  s.migrations = migrations_;
-  s.remap_decisions = remap_decisions_;
-  s.degraded_decisions = degraded_decisions_;
-  s.cooldown_left = cooldown_left_;
-  s.rollbacks = rollbacks_;
-  s.canary_commits = canary_commits_;
-  s.backoff_skips = backoff_skips_;
-  s.canary_left = canary_left_;
-  s.backoff_left = backoff_left_;
-  s.phase_rollbacks = phase_rollbacks_;
-  s.canary_prev = canary_prev_;
-  s.canary_cost = canary_cost_;
-  s.canary_accesses = canary_accesses_;
-  s.baseline_cost = baseline_cost_;
-  s.baseline_accesses = baseline_accesses_;
-  s.decision_cost = decision_cost_;
-  s.decision_accesses = decision_accesses_;
-  s.phase_cost = phase_cost_;
-  s.phase_accesses = phase_accesses_;
-  s.phase = phase_.state();
-  return s;
-}
-
-void OnlineMapper::restore(const OnlineMapperState& state) {
-  if (state.mapping.size() != current_.size()) {
-    throw std::invalid_argument(
-        "OnlineMapper::restore: snapshot mapping length mismatch");
-  }
-  if (!state.canary_prev.empty() &&
-      state.canary_prev.size() != current_.size()) {
-    throw std::invalid_argument(
-        "OnlineMapper::restore: snapshot canary placement length mismatch");
-  }
-  detector_.restore(state.detector);  // throws on matrix-size mismatch
-  phase_.restore(state.phase);        // throws on shape mismatch
-  current_ = state.mapping;
-  migrations_ = state.migrations;
-  remap_decisions_ = state.remap_decisions;
-  degraded_decisions_ = state.degraded_decisions;
-  cooldown_left_ = state.cooldown_left;
-  rollbacks_ = state.rollbacks;
-  canary_commits_ = state.canary_commits;
-  backoff_skips_ = state.backoff_skips;
-  canary_left_ = state.canary_left;
-  backoff_left_ = state.backoff_left;
-  phase_rollbacks_ = state.phase_rollbacks;
-  canary_prev_ = state.canary_prev;
-  canary_cost_ = state.canary_cost;
-  canary_accesses_ = state.canary_accesses;
-  baseline_cost_ = state.baseline_cost;
-  baseline_accesses_ = state.baseline_accesses;
-  decision_cost_ = state.decision_cost;
-  decision_accesses_ = state.decision_accesses;
-  phase_cost_ = state.phase_cost;
-  phase_accesses_ = state.phase_accesses;
-}
-
 Cycles OnlineMapper::on_access(ThreadId thread, CoreId core, VirtAddr addr,
                                PageNum page, AccessType type, bool tlb_miss,
                                Cycles now) {
@@ -140,8 +80,8 @@ Cycles OnlineMapper::on_access(ThreadId thread, CoreId core, VirtAddr addr,
 std::vector<CoreId> OnlineMapper::close_canary(int barrier_index,
                                                std::uint64_t cum_cost,
                                                std::uint64_t cum_accesses) {
-  const std::uint64_t win_cost = sub_sat(cum_cost, canary_cost_);
-  const std::uint64_t win_accesses = sub_sat(cum_accesses, canary_accesses_);
+  const std::uint64_t win_cost = cum_cost - canary_cost_;
+  const std::uint64_t win_accesses = cum_accesses - canary_accesses_;
   // Cross-multiplied rate comparison (integer inputs, one deterministic
   // float expression): regressed iff
   //   win_cost / win_accesses > (baseline_cost / baseline_accesses)
@@ -171,7 +111,7 @@ std::vector<CoreId> OnlineMapper::close_canary(int barrier_index,
     ++phase_rollbacks_;
     const int attempt = std::min(phase_rollbacks_, 30);
     backoff_left_ = static_cast<int>(std::min<std::uint64_t>(
-        config_.rollback_backoff.delay(attempt), kMaxBackoffDecisions));
+        kRollbackBackoff.delay(attempt), kMaxBackoffDecisions));
     if (obs::MetricsRegistry* metrics =
             obs::metrics_at(obs_, obs::ObsLevel::kPhases)) {
       metrics->counter("online.rollbacks").add();
@@ -232,8 +172,8 @@ std::vector<CoreId> OnlineMapper::on_barrier(int barrier_index, Cycles now,
 
   // Realized-cost window since the last remap decision feeds the
   // phase-anchored baseline the next canary compares against.
-  const std::uint64_t win_cost = sub_sat(cum_cost, decision_cost_);
-  const std::uint64_t win_accesses = sub_sat(cum_accesses, decision_accesses_);
+  const std::uint64_t win_cost = cum_cost - decision_cost_;
+  const std::uint64_t win_accesses = cum_accesses - decision_accesses_;
   decision_cost_ = cum_cost;
   decision_accesses_ = cum_accesses;
   phase_cost_ += win_cost;
@@ -342,8 +282,7 @@ std::vector<CoreId> OnlineMapper::on_barrier(int barrier_index, Cycles now,
   // Past the attempt cap the phase has proven migration-hostile: block
   // until the phase detector declares a new epoch.
   const bool phase_exhausted =
-      config_.rollback_backoff.max_attempts > 0 &&
-      phase_rollbacks_ > config_.rollback_backoff.max_attempts;
+      phase_rollbacks_ > kRollbackBackoff.max_attempts;
   if (backoff_left_ > 0 || phase_exhausted) {
     if (backoff_left_ > 0) --backoff_left_;
     ++backoff_skips_;

@@ -23,7 +23,6 @@
 #include <optional>
 
 #include "core/fault.hpp"
-#include "core/retry.hpp"
 #include "detect/phase_detector.hpp"
 #include "detect/sm_detector.hpp"
 #include "mapping/hierarchical.hpp"
@@ -71,13 +70,6 @@ struct OnlineMapperConfig {
   /// regression is never acted on (the rollback-disabled arm of the churn
   /// differential; --no-rollback on the CLI).
   bool rollback = true;
-  /// Damping of repeated rollbacks within one phase: after the k-th
-  /// rollback since the current phase epoch began, migrations are blocked
-  /// for delay(k) further remap decisions (capped exponential; jitter off
-  /// keeps decisions bit-reproducible). A new phase epoch resets the
-  /// counter — a genuine phase change deserves a fresh chance to move.
-  RetryPolicy rollback_backoff{/*max_attempts=*/8, /*base_delay=*/1,
-                               /*factor=*/2};
   /// Phase-epoch detection over the clean (un-decayed, fault-free) matrix
   /// plus per-thread miss-rate windows.
   PhaseDetectorConfig phase{};
@@ -87,44 +79,6 @@ struct OnlineMapperConfig {
   /// (0, 1], negative thresholds/counts, bad sub-configs) — the structured
   /// validation surface the CLI reports through.
   void validate() const;
-};
-
-/// In-memory decision state of an OnlineMapper (DESIGN.md Sec. 17; no file
-/// codec): the embedded SM detector's snapshot, the current placement, the
-/// decision/hysteresis cursors, and the whole self-stabilization trail —
-/// open canary transaction, phase-anchored baseline, rollback/backoff
-/// damping and phase-detector snapshot. Restoring it into a fresh mapper
-/// of the same shape reproduces the original's future remap decisions,
-/// canary verdicts and rollbacks exactly (faultless plans).
-struct OnlineMapperState {
-  SmDetectorState detector;
-  Mapping mapping;
-  std::int32_t migrations = 0;
-  std::int32_t remap_decisions = 0;
-  std::int32_t degraded_decisions = 0;
-  std::int32_t cooldown_left = 0;
-  // Self-stabilization trail (PR 10).
-  std::int32_t rollbacks = 0;
-  std::int32_t canary_commits = 0;
-  std::int32_t backoff_skips = 0;
-  std::int32_t canary_left = 0;       ///< > 0 = a canary window is open
-  std::int32_t backoff_left = 0;      ///< remap decisions still damped
-  std::int32_t phase_rollbacks = 0;   ///< rollbacks since the phase began
-  Mapping canary_prev;                ///< pre-move placement (empty = none)
-  // "cost" below is simulated cycles (barrier-release time): the canary
-  // verdict compares cycles-per-access rates, the one counter pair that
-  // directly prices a placement's stall/locality impact.
-  std::uint64_t canary_cost = 0;      ///< cumulative cycles at canary open
-  std::uint64_t canary_accesses = 0;  ///< cumulative accesses at canary open
-  std::uint64_t baseline_cost = 0;    ///< phase cycle sum at canary open
-  std::uint64_t baseline_accesses = 0;
-  std::uint64_t decision_cost = 0;    ///< cumulative cycles at last decision
-  std::uint64_t decision_accesses = 0;
-  std::uint64_t phase_cost = 0;       ///< cycles accumulated this phase
-  std::uint64_t phase_accesses = 0;
-  PhaseDetectorState phase;
-
-  bool operator==(const OnlineMapperState&) const = default;
 };
 
 class OnlineMapper final : public MachineObserver, public MigrationPolicy {
@@ -176,13 +130,6 @@ class OnlineMapper final : public MachineObserver, public MigrationPolicy {
     detector_.set_observability(obs);
   }
 
-  /// Copies out the decision state.
-  OnlineMapperState state() const;
-  /// Overwrites the decision state from a snapshot. Throws
-  /// std::invalid_argument when the snapshot's shape (matrix size, mapping
-  /// length, phase windows) does not match this mapper's.
-  void restore(const OnlineMapperState& state);
-
  private:
   /// Evaluates a closing canary window; returns the restored pre-move
   /// placement on rollback, empty otherwise.
@@ -203,17 +150,19 @@ class OnlineMapper final : public MachineObserver, public MigrationPolicy {
   int rollbacks_ = 0;
   int canary_commits_ = 0;
   int backoff_skips_ = 0;
-  int canary_left_ = 0;
-  int backoff_left_ = 0;
-  int phase_rollbacks_ = 0;
-  Mapping canary_prev_;
-  std::uint64_t canary_cost_ = 0;
-  std::uint64_t canary_accesses_ = 0;
-  std::uint64_t baseline_cost_ = 0;
+  int canary_left_ = 0;      ///< > 0 = a canary window is open
+  int backoff_left_ = 0;     ///< remap decisions still damped
+  int phase_rollbacks_ = 0;  ///< rollbacks since the phase began
+  Mapping canary_prev_;      ///< pre-move placement (empty = none)
+  // "cost" below is simulated cycles (barrier-release time): the canary
+  // verdict compares cycles-per-access rates.
+  std::uint64_t canary_cost_ = 0;      ///< cumulative cycles at canary open
+  std::uint64_t canary_accesses_ = 0;  ///< cumulative accesses at canary open
+  std::uint64_t baseline_cost_ = 0;    ///< phase cycle sum at canary open
   std::uint64_t baseline_accesses_ = 0;
-  std::uint64_t decision_cost_ = 0;
+  std::uint64_t decision_cost_ = 0;    ///< cumulative cycles at last decision
   std::uint64_t decision_accesses_ = 0;
-  std::uint64_t phase_cost_ = 0;
+  std::uint64_t phase_cost_ = 0;       ///< cycles accumulated this phase
   std::uint64_t phase_accesses_ = 0;
   /// Engaged only when the machine's plan carries matrix faults: the
   /// decision then runs on a noisy copy of the detected matrix.

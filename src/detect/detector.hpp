@@ -36,8 +36,6 @@ class Detector : public MachineObserver {
   /// fault.injected_* counters after the detect phase.
   virtual const FaultCounters* fault_counters() const { return nullptr; }
 
-  void reset_matrix() { matrix_ = CommMatrix(matrix_.size()); }
-
   /// Ages the accumulated matrix (dynamic re-detection support).
   void decay_matrix(double factor) { matrix_.decay(factor); }
 

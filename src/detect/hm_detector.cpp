@@ -23,6 +23,7 @@ HmDetector::HmDetector(Machine& machine, int num_threads,
                        HmDetectorConfig config)
     : Detector(num_threads), machine_(&machine), config_(config) {
   config_.validate();
+  due_ = config_.interval;
   if (machine.config().fault.enabled()) {
     fault_.emplace(machine.config().fault, FaultInjector::kHmSalt);
   }
@@ -37,58 +38,47 @@ Cycles HmDetector::on_access(ThreadId /*thread*/, CoreId /*core*/,
 }
 
 Cycles HmDetector::on_tick(Cycles now) {
-  if (fault_) return on_tick_faulty(now);
-  // Figure 1b: run a sweep once `interval` cycles have passed since the
-  // last one. `now` is a per-thread clock and may jitter backwards slightly
-  // relative to the previous call; the early return covers that too.
-  if (now < last_sweep_ + config_.interval) return 0;
-  // Advance on the interval grid rather than to `now`: snapping to `now`
-  // accumulates drift under sparse ticks, so sweeps would run ever later
-  // than the configured cadence.
-  last_sweep_ += (now - last_sweep_) / config_.interval * config_.interval;
-  sweep();
-  return config_.search_cost;
-}
-
-Cycles HmDetector::on_tick_faulty(Cycles now) {
-  // Outstanding retry of a failed sweep: attempt again once the backoff
-  // window has passed. Each attempt — failed or not — still stalls the
-  // machine for search_cost (the kernel ran either way).
-  const RetryPolicy retry = sweep_retry_policy();
+  // Figure 1b: nothing runs until the next sweep (or the retry of a failed
+  // one) is due. `now` is a per-thread clock and may jitter backwards
+  // slightly relative to the previous call; the early return covers that
+  // too.
+  if (now < due_) return 0;
   if (retry_count_ > 0) {
-    if (now < retry_at_) return 0;
-    if (fault_->fail_sweep()) {
-      if (!retry.should_retry(retry_count_ + 1)) {
-        // Give up: this detection epoch is lost; the regular cadence
-        // resumes at the next interval boundary.
-        retry_count_ = 0;
-        if (obs_ != nullptr && obs_->full()) {
-          obs_->tracer.record_instant("HM.sweep_abandoned", "detector", "");
-        }
-      } else {
-        ++retry_count_;
-        retry_at_ = now + retry.delay(retry_count_);
-      }
+    // Outstanding retry of a failed sweep (only a fault plan fails one).
+    // Each attempt — failed or not — still stalls the machine for
+    // search_cost (the kernel ran either way).
+    const RetryPolicy retry = sweep_retry_policy();
+    const bool failed = fault_->fail_sweep();
+    if (failed && retry.should_retry(retry_count_ + 1)) {
+      ++retry_count_;
+      due_ = now + retry.delay(retry_count_);
       return config_.search_cost;
     }
+    // The retry swept, or this detection epoch is given up as lost; either
+    // way the regular cadence resumes at the next interval boundary.
     retry_count_ = 0;
+    due_ = last_sweep_ + config_.interval + pending_delay_;
     if (obs_ != nullptr && obs_->full()) {
-      obs_->tracer.record_instant("HM.sweep_retry_ok", "detector", "");
+      obs_->tracer.record_instant(
+          failed ? "HM.sweep_abandoned" : "HM.sweep_retry_ok", "detector",
+          "");
     }
-    sweep();
+    if (!failed) sweep();
     return config_.search_cost;
   }
 
-  // Same grid cadence as the faultless path, shifted by the injected delay
-  // of this epoch (drawn when the previous epoch completed).
-  if (now < last_sweep_ + config_.interval + pending_delay_) return 0;
+  // Advance on the interval grid rather than to `now`: snapping to `now`
+  // accumulates drift under sparse ticks, so sweeps would run ever later
+  // than the configured cadence. A fault plan shifts the next epoch by an
+  // injected delay; without one the delay is 0.
   last_sweep_ += (now - last_sweep_) / config_.interval * config_.interval;
-  pending_delay_ = fault_->draw_sweep_delay();
-  if (fault_->skip_sweep()) return 0;  // epoch silently lost, no stall
-  if (fault_->fail_sweep()) {
+  pending_delay_ = fault_ ? fault_->draw_sweep_delay() : 0;
+  due_ = last_sweep_ + config_.interval + pending_delay_;
+  if (fault_ && fault_->skip_sweep()) return 0;  // epoch lost, no stall
+  if (fault_ && fault_->fail_sweep()) {
     // First failure: charge the attempt and schedule a backoff retry.
     retry_count_ = 1;
-    retry_at_ = now + retry.delay(1);
+    due_ = now + sweep_retry_policy().delay(1);
     if (obs_ != nullptr && obs_->full()) {
       obs_->tracer.record_instant("HM.sweep_failed", "detector", "");
     }

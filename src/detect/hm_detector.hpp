@@ -79,23 +79,23 @@ class HmDetector final : public Detector {
   }
 
  private:
-  /// Fault-aware tick path: identical cadence plus injected sweep delays,
-  /// silent skips, and failed sweeps retried under exponential backoff.
-  Cycles on_tick_faulty(Cycles now);
-
   Machine* machine_;
   HmDetectorConfig config_;
   Cycles last_sweep_ = 0;
 
-  /// Engaged only when the machine's FaultPlan is enabled; otherwise
-  /// on_tick runs the exact pre-fault-injection path.
+  /// Engaged only when the machine's FaultPlan is enabled: injected sweep
+  /// delays, silent skips, and failed sweeps retried under exponential
+  /// backoff. Absent, on_tick draws nothing and sweeps on the plain
+  /// interval grid.
   std::optional<FaultInjector> fault_;
   /// Give up on a failed sweep after this many backoff retries (the epoch
   /// is lost; detection resumes at the next interval).
   static constexpr int kMaxSweepRetries = 4;
   Cycles pending_delay_ = 0;  ///< injected delay of the next due sweep
   int retry_count_ = 0;       ///< outstanding retries of a failed sweep
-  Cycles retry_at_ = 0;       ///< earliest time the next retry may run
+  /// Earliest time on_tick does anything: the next retry of a failed sweep
+  /// while one is outstanding, else last_sweep_ + interval + pending_delay_.
+  Cycles due_ = 0;
 
   // Sweep scratch, reused so the hot path stays allocation-free after
   // warm-up: every occupied TLB's (page, thread) entries.

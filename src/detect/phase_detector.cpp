@@ -11,6 +11,10 @@ namespace {
 /// to zero are all "no misses worth speaking of", whatever the ratio.
 constexpr double kRateFloor = 0.02;
 
+/// Per-thread access floor before that thread's miss-rate delta is
+/// trusted; windows thinner than this carry too much sampling noise.
+constexpr std::uint64_t kMinWindowAccesses = 256;
+
 }  // namespace
 
 void PhaseDetectorConfig::validate() const {
@@ -77,8 +81,8 @@ bool PhaseDetector::observe(const CommMatrix& matrix) {
   }
   if (!changed && config_.miss_rate_delta > 0.0) {
     for (std::size_t t = 0; t < window_accesses_.size() && !changed; ++t) {
-      if (window_accesses_[t] < config_.min_window_accesses ||
-          ref_accesses_[t] < config_.min_window_accesses) {
+      if (window_accesses_[t] < kMinWindowAccesses ||
+          ref_accesses_[t] < kMinWindowAccesses) {
         continue;
       }
       const double rate = static_cast<double>(window_misses_[t]) /
@@ -105,35 +109,6 @@ bool PhaseDetector::observe(const CommMatrix& matrix) {
   std::fill(window_accesses_.begin(), window_accesses_.end(), 0);
   std::fill(window_misses_.begin(), window_misses_.end(), 0);
   return changed;
-}
-
-PhaseDetectorState PhaseDetector::state() const {
-  PhaseDetectorState s;
-  s.epoch = epoch_;
-  s.has_reference = has_reference_;
-  s.reference = reference_;
-  s.ref_accesses = ref_accesses_;
-  s.ref_misses = ref_misses_;
-  s.window_accesses = window_accesses_;
-  s.window_misses = window_misses_;
-  return s;
-}
-
-void PhaseDetector::restore(const PhaseDetectorState& state) {
-  const auto n = static_cast<std::size_t>(num_threads_);
-  if (state.reference.size() != num_threads_ ||
-      state.ref_accesses.size() != n || state.ref_misses.size() != n ||
-      state.window_accesses.size() != n || state.window_misses.size() != n) {
-    throw std::invalid_argument(
-        "PhaseDetector::restore: snapshot shape mismatch");
-  }
-  epoch_ = state.epoch;
-  has_reference_ = state.has_reference;
-  reference_ = state.reference;
-  ref_accesses_ = state.ref_accesses;
-  ref_misses_ = state.ref_misses;
-  window_accesses_ = state.window_accesses;
-  window_misses_ = state.window_misses;
 }
 
 }  // namespace tlbmap

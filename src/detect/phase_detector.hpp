@@ -15,8 +15,7 @@
 // Either signal past its threshold starts a new phase: the epoch counter
 // bumps and the reference re-anchors to the current matrix/window. Epochs
 // are monotone and deterministic — a pure function of the observation
-// sequence — so OnlineMapper can carry them in its state() snapshot and
-// reproduce them bit-identically after restore().
+// sequence.
 #pragma once
 
 #include <cstdint>
@@ -36,27 +35,10 @@ struct PhaseDetectorConfig {
   /// fraction of its reference rate (relative delta with a small absolute
   /// floor, so a 0 -> 0.1 % wiggle does not count as a phase).
   double miss_rate_delta = 0.75;
-  /// Per-thread access floor before that thread's miss-rate delta is
-  /// trusted; windows thinner than this carry too much sampling noise.
-  std::uint64_t min_window_accesses = 256;
 
   /// Throws std::invalid_argument when a threshold is negative, non-finite,
   /// or (for drift) outside [0, 1].
   void validate() const;
-};
-
-/// In-memory snapshot: the epoch cursor, the phase-reference matrix and
-/// per-thread reference window, plus the in-flight accumulation window.
-struct PhaseDetectorState {
-  std::uint64_t epoch = 0;
-  bool has_reference = false;
-  CommMatrix reference{1};
-  std::vector<std::uint64_t> ref_accesses;
-  std::vector<std::uint64_t> ref_misses;
-  std::vector<std::uint64_t> window_accesses;
-  std::vector<std::uint64_t> window_misses;
-
-  bool operator==(const PhaseDetectorState&) const = default;
 };
 
 class PhaseDetector {
@@ -76,11 +58,6 @@ class PhaseDetector {
   std::uint64_t epoch() const { return epoch_; }
   const PhaseDetectorConfig& config() const { return config_; }
   int num_threads() const { return num_threads_; }
-
-  PhaseDetectorState state() const;
-  /// Throws std::invalid_argument when the snapshot's shape (matrix size,
-  /// window lengths) does not match this detector's thread count.
-  void restore(const PhaseDetectorState& state);
 
  private:
   void anchor(const CommMatrix& matrix);

@@ -1,7 +1,5 @@
 #include "detect/sm_detector.hpp"
 
-#include <stdexcept>
-
 namespace tlbmap {
 
 SmDetector::SmDetector(Machine& machine, int num_threads,
@@ -19,26 +17,6 @@ void SmDetector::set_observability(obs::ObsContext* obs) {
     match_counter_ =
         &obs->metrics.counter("detector.matches", {{"mechanism", name()}});
   }
-}
-
-SmDetectorState SmDetector::state() const {
-  SmDetectorState s;
-  s.matrix = matrix_;
-  s.searches = searches_;
-  s.misses_seen = misses_seen_;
-  s.miss_counter = miss_counter_;
-  return s;
-}
-
-void SmDetector::restore(const SmDetectorState& state) {
-  if (state.matrix.size() != matrix_.size()) {
-    throw std::invalid_argument(
-        "SmDetector::restore: snapshot thread count mismatch");
-  }
-  matrix_ = state.matrix;
-  searches_ = state.searches;
-  misses_seen_ = state.misses_seen;
-  miss_counter_ = state.miss_counter;
 }
 
 Cycles SmDetector::on_access(ThreadId thread, CoreId core,

@@ -25,20 +25,6 @@ struct SmDetectorConfig {
   Cycles search_cost = 231;
 };
 
-/// In-memory mid-run snapshot of an SmDetector (no file codec): the
-/// accumulated matrix plus the sampling cursor. Restoring it into a fresh
-/// detector of the same shape reproduces the original's future decisions
-/// exactly (faultless plans; an injector's stream position is not part of
-/// the snapshot).
-struct SmDetectorState {
-  CommMatrix matrix{1};
-  std::uint64_t searches = 0;
-  std::uint64_t misses_seen = 0;
-  std::uint32_t miss_counter = 0;  ///< misses since the last sampled search
-
-  bool operator==(const SmDetectorState&) const = default;
-};
-
 class SmDetector final : public Detector {
  public:
   /// `machine` must outlive the detector; the detector reads other cores'
@@ -57,13 +43,6 @@ class SmDetector final : public Detector {
   }
 
   void set_observability(obs::ObsContext* obs) override;
-
-  /// Copies out the matrix and cursors.
-  SmDetectorState state() const;
-  /// Overwrites the matrix and cursors from a snapshot. Throws
-  /// std::invalid_argument when the snapshot's matrix size does not match
-  /// this detector's thread count.
-  void restore(const SmDetectorState& state);
 
  private:
   Machine* machine_;

@@ -183,8 +183,8 @@ Expected<MachineStats> Machine::try_run(
 
   auto apply_migration = [&](const std::vector<CoreId>& next) {
     if (next.empty()) return;
-    // Validate before mutating thread_on_core_ so a rejected migration
-    // leaves the current placement untouched (graceful mode keeps running).
+    // Validate before mutating thread_on_core_: an invalid mapping ends
+    // the run with kInvalidMapping and leaves the placement untouched.
     bool valid = next.size() == placement.size();
     if (valid) {
       std::vector<bool> used(static_cast<std::size_t>(topology().num_cores()),
@@ -199,23 +199,10 @@ Expected<MachineStats> Machine::try_run(
       }
     }
     if (!valid) {
-      if (config.strict_migrations) {
-        fatal = Error{ErrorCode::kInvalidMapping,
-                      next.size() == placement.size()
-                          ? "MigrationPolicy: invalid mapping"
-                          : "MigrationPolicy: wrong mapping size"};
-        return;
-      }
-      // Graceful degradation: reject the migration, keep the current
-      // placement, record the event, and continue the run.
-      if (obs::Tracer* tracer =
-              obs::tracer_at(config.obs, obs::ObsLevel::kFull)) {
-        tracer->record_instant("machine.migration_rejected", "sim", "");
-      }
-      if (obs::MetricsRegistry* metrics =
-              obs::metrics_at(config.obs, obs::ObsLevel::kPhases)) {
-        metrics->counter("machine.rejected_migrations").add(1);
-      }
+      fatal = Error{ErrorCode::kInvalidMapping,
+                    next.size() == placement.size()
+                        ? "MigrationPolicy: invalid mapping"
+                        : "MigrationPolicy: wrong mapping size"};
       return;
     }
     std::fill(thread_on_core_.begin(), thread_on_core_.end(), kNoThread);

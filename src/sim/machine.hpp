@@ -65,13 +65,15 @@ class Machine {
 
   struct RunConfig {
     /// thread_to_core[t] = core executing thread t. Must be a permutation
-    /// into distinct cores; threads never migrate during a run (the paper
-    /// evaluates static mappings).
+    /// into distinct cores; threads move only when `migration` returns a
+    /// new placement (the paper evaluates static mappings).
     std::vector<CoreId> thread_to_core;
     /// Fixed cost of one barrier episode (join + fork).
     Cycles barrier_latency = 500;
     MachineObserver* observer = nullptr;
-    /// Optional dynamic mapping: consulted at every barrier release.
+    /// Optional dynamic mapping: consulted at every barrier release. A
+    /// returned placement that is not a valid mapping ends the run with
+    /// kInvalidMapping.
     MigrationPolicy* migration = nullptr;
     /// Charged to each thread that changes core (context save/restore; the
     /// cold TLB and caches on the new core are modelled naturally).
@@ -88,13 +90,6 @@ class Machine {
     /// time-series sample tagged "interval" in the registry. Requires `obs`
     /// at kPhases or above.
     std::uint64_t metrics_interval_events = 0;
-    /// How to treat an invalid mapping returned by the MigrationPolicy
-    /// mid-run. Strict (default) aborts the run with kInvalidMapping —
-    /// the historical throwing behaviour, right for tests and for policies
-    /// that must be correct. Non-strict *rejects* the migration, keeps the
-    /// current placement, counts machine.rejected_migrations and carries
-    /// on: the graceful-degradation mode the OnlineMapper runs under.
-    bool strict_migrations = true;
   };
 
   /// Runs every stream to completion and returns the collected counters.
@@ -106,8 +101,9 @@ class Machine {
   MachineStats run(std::vector<std::unique_ptr<ThreadStream>> streams,
                    const RunConfig& config);
 
-  /// Non-throwing variant: every failure mode — bad placement, invalid
-  /// mid-run migration under strict_migrations, watchdog budget exceeded —
+  /// Non-throwing variant: every failure mode — bad placement, an invalid
+  /// mapping from the MigrationPolicy (wrong size, a core out of range or
+  /// used twice: kInvalidMapping), watchdog budget exceeded —
   /// returns a structured Error instead of raising; no exception escapes it
   /// for any input that does not itself throw from a user-supplied
   /// stream/observer. Only tests call it directly: run_suite reaches run()

@@ -135,6 +135,13 @@ void ServeOptions::validate() const {
         "ServeOptions: corrupt_tenant must be -1 or a tenant index");
   }
   service.validate();
+  // The service admits no session with more threads than cores, so such a
+  // fleet could never start.
+  if (threads > service.machine.num_cores()) {
+    throw std::invalid_argument(
+        "ServeOptions: " + std::to_string(threads) + " threads exceed the " +
+        std::to_string(service.machine.num_cores()) + "-core machine");
+  }
 }
 
 ServeOutcome run_serve(const ServeOptions& options, std::ostream* log,

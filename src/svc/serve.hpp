@@ -60,7 +60,8 @@ struct ServeOptions {
   std::string report_out;
 
   /// Throws std::invalid_argument on an empty fleet, zero threads or chunk
-  /// bytes, a corrupt_tenant outside [-1, tenants), or an invalid service.
+  /// bytes, more threads than the service machine has cores, a
+  /// corrupt_tenant outside [-1, tenants), or an invalid service.
   void validate() const;
 };
 

@@ -23,12 +23,10 @@
 #include <gtest/gtest.h>
 
 #include "core/checkpoint.hpp"
-#include "core/dynamic.hpp"
 #include "core/experiment.hpp"
 #include "core/io.hpp"
 #include "core/pipeline.hpp"
 #include "core/shutdown.hpp"
-#include "detect/sm_detector.hpp"
 #include "obs/obs.hpp"
 #include "sim/machine.hpp"
 #include "vector_stream.hpp"
@@ -359,44 +357,6 @@ TEST(Checkpoint, SaveLoadRoundTripsThroughDisk) {
   const auto missing = load_checkpoint(dir / "absent.ckpt", 0);
   ASSERT_FALSE(missing.has_value());
   EXPECT_EQ(missing.error().code, ErrorCode::kIoError);
-}
-
-// ---------------------------------------------------------------------------
-// In-memory detector / online-mapper state snapshots.
-
-TEST(Checkpoint, LiveDetectorRestoreRoundTrips) {
-  Machine machine(MachineConfig::tiny());
-
-  SmDetectorState sm_state;
-  sm_state.matrix = CommMatrix(2);
-  sm_state.matrix.add(0, 1, 64);
-  sm_state.searches = 8;
-  sm_state.misses_seen = 120;
-  sm_state.miss_counter = 3;
-  SmDetector sm(machine, 2);
-  sm.restore(sm_state);
-  EXPECT_TRUE(sm.state() == sm_state);
-
-  // Shape mismatches are a caller bug, rejected loudly.
-  SmDetectorState wrong;
-  wrong.matrix = CommMatrix(5);
-  EXPECT_THROW(sm.restore(wrong), std::invalid_argument);
-}
-
-TEST(Checkpoint, OnlineMapperRestoreRejectsShapeMismatch) {
-  Machine machine(MachineConfig::tiny());
-  OnlineMapper mapper(machine, 2, Mapping{0, 1});
-
-  OnlineMapperState state = mapper.state();
-  state.migrations = 9;
-  state.cooldown_left = 4;
-  state.detector.misses_seen = 55;
-  mapper.restore(state);
-  EXPECT_TRUE(mapper.state() == state);
-
-  OnlineMapperState wrong = state;
-  wrong.mapping = {0, 1, 2};
-  EXPECT_THROW(mapper.restore(wrong), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -295,6 +295,10 @@ TEST(Cli, ServeFlagsValidated) {
       parse({"serve", "--tenants", "3", "--corrupt-tenant", "3"}).ok());
   EXPECT_TRUE(
       parse({"serve", "--tenants", "3", "--corrupt-tenant", "2"}).ok());
+  // The fleet's threads must fit the machine the topology overrides build.
+  EXPECT_TRUE(parse({"serve", "--threads", "64", "--sockets", "8",
+                     "--cores-per-socket", "8"})
+                  .ok());
   // Serve flags belong to serve.
   EXPECT_FALSE(parse({"detect", "--tenants", "4"}).ok());
 }
@@ -307,7 +311,8 @@ TEST(Cli, ServeConfigErrorsAreUsageErrors) {
       {"--queue-bytes", "0"},       {"--deadline-events", "0"},
       {"--session-budget", "100"},  {"--window-pages", "0"},
       {"--sweep-every", "0"},       {"--total-budget", "1"},
-      {"--drift-threshold", "nan"}, {"--corrupt-tenant", "-5"}};
+      {"--drift-threshold", "nan"}, {"--corrupt-tenant", "-5"},
+      {"--threads", "64"}};
   for (const auto& [flag, value] : cases) {
     const CliOptions opt = parse({"serve", flag, value});
     EXPECT_FALSE(opt.ok()) << flag << " " << value;
@@ -315,12 +320,29 @@ TEST(Cli, ServeConfigErrorsAreUsageErrors) {
   }
 }
 
+TEST(Cli, UnknownAppIsAUsageError) {
+  // The workload registry decides which names exist; parse_cli asks it.
+  const CliOptions bad = parse({"detect", "--app", "FOO"});
+  EXPECT_FALSE(bad.ok());
+  EXPECT_NE(bad.error.find("FOO"), std::string::npos) << bad.error;
+  EXPECT_EQ(run_cli(bad), 2);
+  EXPECT_FALSE(parse({"suite", "--apps", "EP,FOO"}).ok());
+  EXPECT_FALSE(parse({"dynamic", "--app", "mp:sp"}).ok());
+  for (const char* app : {"churn", "mp:sp+cg", "sp", "SP"}) {
+    const CliOptions opt = parse({"detect", "--app", app});
+    EXPECT_TRUE(opt.ok()) << app << ": " << opt.error;
+  }
+}
+
 /// A value `option` accepts under every command it applies to.
 std::string valid_value(const CliOption& option) {
+  // --app names a registered workload; the serve fleet's default 8 threads
+  // must fit the machine the topology overrides build.
   static const std::map<std::string_view, std::string> kSpecial = {
       {"--mechanism", "hm"},         {"--mapping-strategy", "edmonds"},
       {"--obs-level", "full"},       {"--session-budget", "65536"},
-      {"--total-budget", "8388608"}};
+      {"--total-budget", "8388608"}, {"--app", "EP"},
+      {"--sockets", "2"},            {"--cores-per-socket", "4"}};
   if (const auto it = kSpecial.find(option.name); it != kSpecial.end()) {
     return it->second;
   }

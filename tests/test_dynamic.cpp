@@ -1,5 +1,6 @@
 // Tests for in-run thread migration and the online mapper.
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -115,21 +116,46 @@ TEST(Migration, MigrationCostCharged) {
 }
 
 TEST(Migration, InvalidPolicyMappingThrows) {
-  Machine m(MachineConfig::tiny());
-  class BadPolicy final : public MigrationPolicy {
+  /// Returns the same placement at every barrier.
+  class FixedPolicy final : public MigrationPolicy {
+   public:
+    explicit FixedPolicy(std::vector<CoreId> next) : next_(std::move(next)) {}
     std::vector<CoreId> on_barrier(int, Cycles, const MachineStats&) override {
-      return {0, 0};
+      return next_;
     }
-  } bad;
+
+   private:
+    std::vector<CoreId> next_;
+  };
+  const auto barrier_streams = [] {
+    return streams_of({
+        {TraceEvent::make_barrier()},
+        {TraceEvent::make_barrier()},
+    });
+  };
+  Machine m(MachineConfig::tiny());
+  const CoreId past_end = m.topology().num_cores();
+  // A duplicate core, a wrong size and an out-of-range core each end the
+  // run with kInvalidMapping.
+  for (const std::vector<CoreId>& bad :
+       {std::vector<CoreId>{0, 0}, std::vector<CoreId>{0},
+        std::vector<CoreId>{0, 1, 0}, std::vector<CoreId>{0, past_end},
+        std::vector<CoreId>{-1, 0}}) {
+    FixedPolicy policy(bad);
+    Machine::RunConfig run;
+    run.thread_to_core = {0, 1};
+    run.migration = &policy;
+    const auto result = m.try_run(barrier_streams(), run);
+    ASSERT_FALSE(result.has_value()) << to_string(bad);
+    EXPECT_EQ(result.error().code, ErrorCode::kInvalidMapping)
+        << to_string(bad);
+  }
+  // run() surfaces the same failure as std::invalid_argument.
+  FixedPolicy duplicate({0, 0});
   Machine::RunConfig run;
   run.thread_to_core = {0, 1};
-  run.migration = &bad;
-  EXPECT_THROW(m.run(streams_of({
-                         {TraceEvent::make_barrier()},
-                         {TraceEvent::make_barrier()},
-                     }),
-                     run),
-               std::invalid_argument);
+  run.migration = &duplicate;
+  EXPECT_THROW(m.run(barrier_streams(), run), std::invalid_argument);
 }
 
 TEST(Migration, EmptyReturnKeepsPlacement) {
@@ -228,11 +254,11 @@ TEST(OnlineMapper, RejectsInvalidInitialMapping) {
 }
 
 // ---------------------------------------------------------------------------
-// Canary transactions, rollback and checkpointed decision state (PR 10).
+// Canary transactions and rollback.
 //
-// These drive OnlineMapper directly: the detected matrix is seeded through
-// restore() and barriers carry fabricated cycle/access counters, so every
-// cost rate the canary compares is chosen exactly.
+// These drive OnlineMapper's barriers directly: the detected matrix comes
+// from a short detection run and barriers carry fabricated cycle/access
+// counters, so every cost rate the canary compares is chosen exactly.
 
 OnlineMapperConfig canary_config() {
   OnlineMapperConfig cfg;
@@ -250,14 +276,28 @@ OnlineMapperConfig canary_config() {
   return cfg;
 }
 
-/// Seeds the mapper's detected matrix via its own restore path: pairs
-/// (0,1) and (2,3) share heavily, nothing else communicates.
-void seed_pairs_matrix(OnlineMapper& mapper) {
-  OnlineMapperState s = mapper.state();
-  s.detector.matrix = CommMatrix(4);
-  s.detector.matrix.add(0, 1, 1000);
-  s.detector.matrix.add(2, 3, 1000);
-  mapper.restore(s);
+/// Partners split across L2 domains on Harpertown — the matcher will move.
+const Mapping kSplitStart = {0, 2, 4, 6};
+
+/// Seeds the mapper's detected matrix with a short detection run: a
+/// 4-thread pairs workload — (0,1) and (2,3) share, nothing else
+/// communicates — observed from kSplitStart, with no migration policy.
+void seed_pairs_matrix(Machine& machine, OnlineMapper& mapper) {
+  SyntheticSpec spec;
+  spec.num_threads = 4;
+  spec.iterations = 2;
+  const auto workload = make_synthetic(spec);
+  std::vector<std::unique_ptr<ThreadStream>> streams;
+  for (ThreadId t = 0; t < spec.num_threads; ++t) {
+    streams.push_back(workload->stream(t, /*seed=*/1));
+  }
+  Machine::RunConfig run;
+  run.thread_to_core = kSplitStart;
+  run.observer = &mapper;
+  machine.run(std::move(streams), run);
+  ASSERT_GT(mapper.matrix().at(0, 1), 0u);
+  ASSERT_GT(mapper.matrix().at(2, 3), 0u);
+  ASSERT_EQ(mapper.matrix().at(0, 2), 0u);
 }
 
 MachineStats stats_of(std::uint64_t accesses) {
@@ -265,9 +305,6 @@ MachineStats stats_of(std::uint64_t accesses) {
   s.accesses = accesses;
   return s;
 }
-
-/// Partners split across L2 domains on Harpertown — the matcher will move.
-const Mapping kSplitStart = {0, 2, 4, 6};
 
 TEST(OnlineMapper, DefaultCooldownIsMeasuredNonZero) {
   // PR 10 satellite: one aged decision window must re-confirm a pattern
@@ -299,14 +336,13 @@ TEST(OnlineMapper, ConfigValidationRejectsBadKnobs) {
 TEST(OnlineMapper, CanaryRollbackRestoresPreMovePlacement) {
   Machine machine(MachineConfig::harpertown());
   OnlineMapper mapper(machine, 4, kSplitStart, canary_config());
-  seed_pairs_matrix(mapper);
+  seed_pairs_matrix(machine, mapper);
 
   // Barrier 0: baseline rate 1.0 cycles/access, migration opens a canary.
   const auto moved = mapper.on_barrier(0, 1000, stats_of(1000));
   ASSERT_FALSE(moved.empty());
   EXPECT_NE(moved, kSplitStart);
   EXPECT_EQ(mapper.migrations(), 1);
-  EXPECT_GT(mapper.state().canary_left, 0);
 
   // The canary window runs at 4x the baseline rate: cycles race ahead of
   // accesses. The window closes on the third tick and must roll back.
@@ -317,13 +353,12 @@ TEST(OnlineMapper, CanaryRollbackRestoresPreMovePlacement) {
   EXPECT_EQ(mapper.current_mapping(), kSplitStart);
   EXPECT_EQ(mapper.rollbacks(), 1);
   EXPECT_EQ(mapper.canary_commits(), 0);
-  EXPECT_EQ(mapper.state().canary_left, 0);
 }
 
 TEST(OnlineMapper, CanaryCommitKeepsMigration) {
   Machine machine(MachineConfig::harpertown());
   OnlineMapper mapper(machine, 4, kSplitStart, canary_config());
-  seed_pairs_matrix(mapper);
+  seed_pairs_matrix(machine, mapper);
 
   const auto moved = mapper.on_barrier(0, 1000, stats_of(1000));
   ASSERT_FALSE(moved.empty());
@@ -342,7 +377,7 @@ TEST(OnlineMapper, RollbackDisabledMeasuresButNeverReverts) {
   OnlineMapperConfig cfg = canary_config();
   cfg.rollback = false;
   OnlineMapper mapper(machine, 4, kSplitStart, cfg);
-  seed_pairs_matrix(mapper);
+  seed_pairs_matrix(machine, mapper);
 
   const auto moved = mapper.on_barrier(0, 1000, stats_of(1000));
   ASSERT_FALSE(moved.empty());
@@ -358,7 +393,7 @@ TEST(OnlineMapper, RollbackDisabledMeasuresButNeverReverts) {
 TEST(OnlineMapper, BackoffDampsRemigrationAfterRollback) {
   Machine machine(MachineConfig::harpertown());
   OnlineMapper mapper(machine, 4, kSplitStart, canary_config());
-  seed_pairs_matrix(mapper);
+  seed_pairs_matrix(machine, mapper);
 
   ASSERT_FALSE(mapper.on_barrier(0, 1000, stats_of(1000)).empty());
   mapper.on_barrier(1, 3000, stats_of(1500));
@@ -369,45 +404,10 @@ TEST(OnlineMapper, BackoffDampsRemigrationAfterRollback) {
   // Re-seed the matrix (decay has aged it) so the matcher would migrate
   // again immediately — the first post-rollback decision must instead be
   // suppressed by the exponential damping.
-  seed_pairs_matrix(mapper);
+  seed_pairs_matrix(machine, mapper);
   EXPECT_TRUE(mapper.on_barrier(4, 8000, stats_of(3500)).empty());
   EXPECT_GE(mapper.backoff_skips(), 1);
   EXPECT_EQ(mapper.migrations(), 1);
-}
-
-TEST(OnlineMapper, CheckpointMidCanaryReplaysBitIdentically) {
-  // Acceptance (PR 10): checkpoint/resume while a canary transaction is in
-  // flight reproduces the decision sequence — including the rollback —
-  // bit-for-bit.
-  Machine machine(MachineConfig::harpertown());
-  OnlineMapper original(machine, 4, kSplitStart, canary_config());
-  seed_pairs_matrix(original);
-
-  ASSERT_FALSE(original.on_barrier(0, 1000, stats_of(1000)).empty());
-  original.on_barrier(1, 3000, stats_of(1500));
-  const OnlineMapperState snapshot = original.state();
-  ASSERT_GT(snapshot.canary_left, 0);  // mid-window
-
-  OnlineMapper resumed(machine, 4, kSplitStart, canary_config());
-  resumed.restore(snapshot);
-  ASSERT_TRUE(resumed.state() == snapshot);
-
-  // Replay an identical tail into both mappers; every returned placement
-  // and every piece of decision state must match exactly.
-  const std::uint64_t cycles[] = {5000, 7000, 9000, 11000, 13000};
-  const std::uint64_t accesses[] = {2000, 2500, 3500, 4500, 5500};
-  bool rolled_back = false;
-  for (int i = 0; i < 5; ++i) {
-    const auto a = original.on_barrier(2 + i, cycles[i], stats_of(accesses[i]));
-    const auto b = resumed.on_barrier(2 + i, cycles[i], stats_of(accesses[i]));
-    EXPECT_EQ(a, b) << "diverged at barrier " << 2 + i;
-    EXPECT_TRUE(original.state() == resumed.state())
-        << "state diverged at barrier " << 2 + i;
-    rolled_back = rolled_back || !a.empty();
-  }
-  EXPECT_TRUE(rolled_back);  // the replayed window did regress
-  EXPECT_EQ(original.rollbacks(), resumed.rollbacks());
-  EXPECT_EQ(original.rollbacks(), 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -127,6 +127,24 @@ TEST(FaultDifferential, ZeroRatePlanIsBitIdentical) {
     EXPECT_EQ(ma, mb);
     EXPECT_TRUE(a.evaluate(*workload, ma, 3) == b.evaluate(*workload, mb, 3));
   }
+
+  // A plan whose only non-zero rate is matrix noise engages the HM
+  // detector's injector, but no sweep fault can fire: HM detection must
+  // sweep on exactly the faultless cadence and stall the same cycles.
+  MachineConfig flips = MachineConfig();
+  flips.fault.seed = 0xDEADBEEF;
+  flips.fault.matrix_flip_rate = 0.5;
+  ASSERT_TRUE(flips.fault.enabled());
+  Pipeline a(plain), c(flips);
+  scale_detectors(a);
+  scale_detectors(c);
+  const DetectionResult da =
+      a.detect(*workload, Pipeline::Mechanism::kHardwareManaged, 3);
+  const DetectionResult dc =
+      c.detect(*workload, Pipeline::Mechanism::kHardwareManaged, 3);
+  EXPECT_GT(da.searches, 0u);
+  EXPECT_EQ(da.searches, dc.searches);
+  EXPECT_TRUE(da.stats == dc.stats);
 }
 
 TEST(FaultDifferential, FaultsOnIsDeterministicPerSeed) {

@@ -331,9 +331,6 @@ TEST(ConfigValidation, AcceptsAndRejectsAtEachBoundary) {
       edited("online: negative regression threshold", OnlineMapperConfig{},
              [](OnlineMapperConfig& c) { c.regression_threshold = -0.1; },
              false),
-      edited("online: bad rollback backoff", OnlineMapperConfig{},
-             [](OnlineMapperConfig& c) { c.rollback_backoff.factor = 0; },
-             false),
       edited("online: bad phase detector", OnlineMapperConfig{},
              [](OnlineMapperConfig& c) { c.phase.drift_threshold = 2.0; },
              false),
