@@ -346,6 +346,28 @@ MachineConfig machine_for(const CliOptions& opt) {
   return machine;
 }
 
+WorkloadParams params_for(const CliOptions& opt) {
+  WorkloadParams p;
+  p.num_threads = opt.threads;
+  p.size_scale = opt.size_scale;
+  p.iter_scale = opt.iter_scale;
+  return p;
+}
+
+/// The workloads a command simulates on the machine: --app, or the suite's
+/// app list (the nine NPB kernels by default). record, replay and serve
+/// simulate none (serve checks its fleet in ServeOptions::validate()).
+std::vector<S> simulated_apps(const CliOptions& opt) {
+  if (opt.command == "suite") {
+    return opt.apps.empty() ? npb_workload_names() : opt.apps;
+  }
+  if (opt.command == "record" || opt.command == "replay" ||
+      opt.command == "serve") {
+    return {};
+  }
+  return {opt.app};
+}
+
 MappingConfig mapping_for(const CliOptions& opt) {
   MappingConfig mapping;
   mapping.strategy =
@@ -480,10 +502,24 @@ CliOptions parse_cli(int argc, const char* const* argv) {
   if (opt.error.empty()) {
     // Range checks live in the library: the CLI reports each config's own
     // invalid_argument message, and the workload registry's for an unknown
-    // app name, as a structured usage error.
+    // app name, as a structured usage error. A workload with more threads
+    // than the machine has cores (a multiprogram app runs apps x threads)
+    // could never be placed.
     try {
       make_npb_workload(opt.app, WorkloadParams{});
       for (const S& app : opt.apps) make_npb_workload(app, WorkloadParams{});
+      const std::vector<S> simulated = simulated_apps(opt);
+      const int cores = simulated.empty() ? 0 : machine_for(opt).num_cores();
+      for (const S& app : simulated) {
+        const int threads =
+            make_npb_workload(app, params_for(opt))->num_threads();
+        if (threads > cores) {
+          throw std::invalid_argument(
+              app + " at --threads " + std::to_string(opt.threads) +
+              " runs " + std::to_string(threads) + " threads, more than the " +
+              std::to_string(cores) + "-core machine has");
+        }
+      }
       opt.online.validate();
       opt.fault.validate();
       if (opt.command == "serve") serve_options_for(opt).validate();
@@ -495,14 +531,6 @@ CliOptions parse_cli(int argc, const char* const* argv) {
 }
 
 namespace {
-
-WorkloadParams params_for(const CliOptions& opt) {
-  WorkloadParams p;
-  p.num_threads = opt.threads;
-  p.size_scale = opt.size_scale;
-  p.iter_scale = opt.iter_scale;
-  return p;
-}
 
 Pipeline::Mechanism mechanism_for(const CliOptions& opt) {
   if (opt.mechanism == "hm") return Pipeline::Mechanism::kHardwareManaged;
@@ -583,7 +611,7 @@ int cmd_dynamic(const CliOptions& opt, obs::ObsContext* obs) {
   Pipeline pipe = make_pipeline(opt, obs);
   const auto workload = make_npb_workload(opt.app, params_for(opt));
   const Mapping start = random_mapping(
-      opt.threads, machine_for(opt).num_cores(), opt.seed + 99);
+      workload->num_threads(), machine_for(opt).num_cores(), opt.seed + 99);
   const auto result = pipe.evaluate_dynamic(*workload, start, opt.online,
                                             opt.seed);
   print_stats_row("dynamic", result.stats);
@@ -624,6 +652,14 @@ int cmd_suite(const CliOptions& opt, obs::ObsContext* obs) {
                  "suite interrupted; partial results not shown "
                  "(resume with --resume)\n");
     return 130;  // conventional 128 + SIGINT
+  }
+  if (result.degraded()) {
+    // Failed tasks left zeroed result slots: any ratio over them would be
+    // made up. run_suite already named each failure on stderr.
+    std::fprintf(stderr,
+                 "suite degraded: %zu task(s) failed; no ratios shown\n",
+                 result.failures.size());
+    return 1;
   }
   TextTable table({"app", "time SM/OS", "time HM/OS", "inv SM/OS",
                    "snoop SM/OS", "L2 SM/OS"});

@@ -2,8 +2,8 @@
 // consumer (DESIGN.md Secs. 12 and 16).
 //
 // Extracted from checkpoint.cpp when the mapping service grew its own
-// session-state payloads: the suite checkpoint, the detector/mapper state
-// snapshots and the service session codecs all write the same fixed-width
+// session-state payloads: the suite checkpoint, the service session codecs
+// and the serve driver's feeder cursors all write the same fixed-width
 // little-endian fields and want the same sticky-error decode discipline,
 // so the writer/reader pair lives here once.
 //

@@ -14,9 +14,9 @@ namespace {
 
 /// Damping of repeated rollbacks within one phase: after the k-th rollback
 /// since the current phase epoch began, migrations are blocked for
-/// delay(k) further remap decisions (capped exponential; jitter off keeps
-/// decisions bit-reproducible). Past max_attempts rollbacks the phase is
-/// migration-hostile until the next epoch.
+/// delay(k) further remap decisions (capped exponential). Past
+/// max_attempts rollbacks the phase is migration-hostile until the next
+/// epoch.
 const RetryPolicy kRollbackBackoff{/*max_attempts=*/8, /*base_delay=*/1,
                                    /*factor=*/2};
 

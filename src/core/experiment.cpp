@@ -425,46 +425,29 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
   // head of a long one. Task order, seeds and slots are fixed up front, so
   // results are bit-identical for any worker count.
   //
-  // Resilience (DESIGN.md Sec. 11): no exception escapes a worker. A task
-  // that throws is retried up to config.task_retries times, then folded
-  // into a structured kWorkerFailure with its result slot left at its
-  // default; the caller collects the failures per phase.
+  // Resilience (DESIGN.md Sec. 11): no exception escapes a worker. Every
+  // task is a pure function of the config and its preassigned seed, so a
+  // task that throws would throw again: it is folded into a structured
+  // kWorkerFailure with its result slot left at its default; the caller
+  // collects the failures per phase.
   auto run_tasks = [&](const char* phase, std::size_t count,
                        const std::function<void(std::size_t)>& body) {
-    const int retries = std::max(0, config.task_retries);
     std::vector<std::string> errors(count);
     auto guarded = [&](std::size_t idx) {
-      for (int attempt = 0;; ++attempt) {
-        try {
-          body(idx);
-          errors[idx].clear();
-          return;
-        } catch (const InterruptedError&) {
-          // A shutdown request is not a failure: the task simply did not
-          // run. No retry, no kWorkerFailure, no degraded mode — on resume
-          // the checkpoint replays it.
-          errors[idx].clear();
-          return;
-        } catch (const std::exception& e) {
-          errors[idx] = e.what();
-        } catch (...) {
-          errors[idx] = "unknown exception";
-        }
-        if (attempt >= retries) return;
-        if (obs::Tracer* tracer = obs::tracer_at(obs, obs::ObsLevel::kFull)) {
-          std::ostringstream args;
-          args << "\"phase\":\"" << phase << "\",\"task\":" << idx
-               << ",\"attempt\":" << (attempt + 1);
-          tracer->record_instant("suite.task_retry", "suite", args.str());
-        }
-        if (obs::MetricsRegistry* metrics =
-                obs::metrics_at(obs, obs::ObsLevel::kPhases)) {
-          metrics->counter("suite.task_retries").add(1);
-        }
+      try {
+        body(idx);
+      } catch (const InterruptedError&) {
+        // A shutdown request is not a failure: the task simply did not
+        // run. No kWorkerFailure, no degraded mode — on resume the
+        // checkpoint replays it.
+      } catch (const std::exception& e) {
+        errors[idx] = e.what();
+      } catch (...) {
+        errors[idx] = "unknown exception";
       }
     };
-    // Per-task wall time (retries included): wall-clock tagged so the
-    // series stream stays deterministic. Histogram::observe is thread-safe.
+    // Per-task wall time: wall-clock tagged so the series stream stays
+    // deterministic. Histogram::observe is thread-safe.
     obs::Histogram* task_wall = nullptr;
     if (obs::MetricsRegistry* metrics =
             obs::metrics_at(obs, obs::ObsLevel::kPhases)) {
@@ -483,24 +466,15 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
               std::chrono::steady_clock::now() - t0)
               .count()));
     };
-    const int workers =
-        std::max(1, std::min<int>(worker_budget, static_cast<int>(count)));
-    if (workers == 1) {
-      for (std::size_t idx = 0; idx < count; ++idx) {
-        if (shutdown_requested()) break;
-        timed(idx);
-      }
-    } else {
-      // The shared pool claims indices from an atomic cursor and stops
-      // claiming new tasks once a shutdown is pending; tasks already in
-      // flight stop themselves at the Machine's next poll.
-      pool.run(count, timed, [] { return shutdown_requested(); });
-    }
+    // The shared pool claims indices from an atomic cursor (a serial loop
+    // for one worker or one task) and stops claiming new tasks once a
+    // shutdown is pending; tasks already in flight stop themselves at the
+    // Machine's next poll.
+    pool.run(count, timed, [] { return shutdown_requested(); });
     for (std::size_t idx = 0; idx < count; ++idx) {
       if (errors[idx].empty()) continue;
       std::ostringstream msg;
-      msg << phase << " task " << idx << " failed after " << (retries + 1)
-          << " attempt(s): " << errors[idx];
+      msg << phase << " task " << idx << " failed: " << errors[idx];
       result.failures.push_back(Error{ErrorCode::kWorkerFailure, msg.str()});
       if (progress != nullptr) {
         *progress << "[suite] DEGRADED: " << msg.str() << "\n";

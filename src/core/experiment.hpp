@@ -61,11 +61,6 @@ struct SuiteConfig {
   /// regardless of the worker count — each run simulates its own Machine
   /// and writes its own preassigned slot.
   int parallel_workers = 0;
-  /// Retries per failed suite task (DESIGN.md Sec. 11). A worker never lets
-  /// an exception escape: a task that throws is retried this many times,
-  /// then recorded as a structured kWorkerFailure and its result slot left
-  /// zeroed. Suites with failed tasks are reported degraded and not cached.
-  int task_retries = 1;
   /// Crash safety (DESIGN.md Sec. 12). When non-empty, suite progress is
   /// checkpointed to `<checkpoint_dir>/suite.ckpt` as tasks complete: on
   /// SIGINT/SIGTERM (with shutdown handlers installed) or a crash, a later

@@ -1,20 +1,10 @@
 #include "core/retry.hpp"
 
-#include <cmath>
 #include <limits>
 
 namespace tlbmap {
 
 namespace {
-
-/// splitmix64 finaliser (same public-domain constants as core/fault.cpp):
-/// one stateless mixing step, uniform over [0, 2^64).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 /// a * b saturating at the u64 ceiling.
 std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) {
@@ -24,40 +14,12 @@ std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) {
   return a * b;
 }
 
-std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  return a > kMax - b ? kMax : a + b;
-}
-
 }  // namespace
-
-void RetryPolicy::validate() const {
-  if (max_attempts < 0) {
-    throw std::invalid_argument("RetryPolicy: max_attempts must be >= 0");
-  }
-  if (factor == 0) {
-    throw std::invalid_argument("RetryPolicy: factor must be positive");
-  }
-  if (!std::isfinite(jitter) || jitter < 0.0 || jitter > 1.0) {
-    throw std::invalid_argument("RetryPolicy: jitter must be in [0, 1]");
-  }
-}
 
 std::uint64_t RetryPolicy::delay(int attempt) const {
   if (attempt < 1) attempt = 1;
   std::uint64_t d = base_delay > 0 ? base_delay : 1;
   for (int k = 1; k < attempt; ++k) d = sat_mul(d, factor);
-  if (jitter > 0.0) {
-    // Pure function of (seed, attempt): the draw is scaled into
-    // [0, jitter * d] by mapping the 64-bit mix onto [0, 1].
-    const double unit =
-        static_cast<double>(mix64(seed ^ (0x5245'5452'5900ull +
-                                          static_cast<std::uint64_t>(attempt)))
-                            >> 11) *
-        (1.0 / 9007199254740992.0);  // 2^-53
-    d = sat_add(d, static_cast<std::uint64_t>(jitter * unit *
-                                              static_cast<double>(d)));
-  }
   return d;
 }
 

@@ -1,21 +1,14 @@
-// Shared retry policy: capped attempts with jittered exponential backoff,
-// deterministic under a fixed seed (DESIGN.md Sec. 16).
+// Shared retry policy: capped attempts with exponential backoff.
 //
-// Generalised from the HM detector's sweep-retry loop (DESIGN.md Sec. 11)
-// when the mapping service needed the same shape for degraded-detection
-// retries: attempt k waits base_delay * factor^(k-1), plus a seeded jitter
-// drawn uniformly from [0, jitter * delay]. Delays are in caller units —
-// simulated cycles at the HM site, service pump ticks in src/svc — the
-// policy never touches a clock itself.
-//
-// Jitter comes from a splitmix64 stream over (seed, attempt), not from a
-// stateful PRNG: the delay of attempt k is a pure function of the policy
-// and k, so restoring a session from a checkpoint reproduces the exact
-// backoff schedule without serialising generator state.
+// Generalised from the HM detector's sweep-retry loop (DESIGN.md Sec. 11):
+// attempt k waits base_delay * factor^(k-1). Delays are in caller units —
+// simulated cycles for the HM sweep retry, remap decisions for the online
+// mapper's rollback damping — the policy never touches a clock itself.
+// The delay of attempt k is a pure function of the policy and k, so a
+// schedule replays bit-identically.
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 
 namespace tlbmap {
 
@@ -23,34 +16,21 @@ struct RetryPolicy {
   /// Attempts after the initial failure before giving up. 0 disables
   /// retrying entirely (the first failure is final).
   int max_attempts = 4;
-  /// Delay before the first retry, in caller units (cycles, ticks, ...).
+  /// Delay before the first retry, in caller units (cycles, decisions).
   /// Clamped up to 1 by delay(): a zero wait would retry in the same
   /// scheduling instant and defeat the backoff.
   std::uint64_t base_delay = 1;
   /// Multiplier applied per attempt (2 = classic doubling).
   std::uint64_t factor = 2;
-  /// Jitter fraction in [0, 1]: attempt k adds a seeded uniform draw from
-  /// [0, jitter * exponential_delay(k)]. 0 (default) = pure exponential,
-  /// which keeps pre-existing adopters bit-identical.
-  double jitter = 0.0;
-  /// Seed of the jitter stream; only read when jitter > 0.
-  std::uint64_t seed = 0;
-
-  /// Throws std::invalid_argument on a negative attempt cap, a zero
-  /// factor, or a jitter outside [0, 1] (matching the config validate()
-  /// style used across the repo).
-  void validate() const;
 
   /// True when `attempt` (1-based) is within the cap.
   bool should_retry(int attempt) const {
     return attempt >= 1 && attempt <= max_attempts;
   }
 
-  /// Backoff before 1-based retry `attempt`: base_delay * factor^(attempt-1)
-  /// plus the seeded jitter share. Saturates at the u64 ceiling instead of
-  /// wrapping, so an absurd attempt count degrades to "wait forever", not
-  /// "retry immediately". Deterministic: same policy, same attempt, same
-  /// delay.
+  /// Backoff before 1-based retry `attempt`: base_delay * factor^(attempt-1).
+  /// Saturates at the u64 ceiling instead of wrapping, so an absurd attempt
+  /// count degrades to "wait forever", not "retry immediately".
   std::uint64_t delay(int attempt) const;
 };
 

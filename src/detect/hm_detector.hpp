@@ -68,9 +68,9 @@ class HmDetector final : public Detector {
   void sweep();
 
   /// The sweep-retry schedule as the shared RetryPolicy (DESIGN.md
-  /// Sec. 16): kMaxSweepRetries attempts, base interval/8, doubling, no
-  /// jitter — bit-identical to the hand-rolled loop this site had before
-  /// the policy existed (the fault tests pin the cadence).
+  /// Sec. 11): kMaxSweepRetries attempts, base interval/8, doubling —
+  /// bit-identical to the hand-rolled loop this site had before the policy
+  /// existed (the fault tests pin the cadence).
   RetryPolicy sweep_retry_policy() const {
     RetryPolicy policy;
     policy.max_attempts = kMaxSweepRetries;

@@ -44,37 +44,4 @@ MatchingResult greedy_perfect_matching(const WeightMatrix& w) {
   return result;
 }
 
-MatchingResult greedy_matching(const WeightMatrix& w) {
-  const std::size_t n = w.size();
-  if (n == 0) {
-    throw std::invalid_argument("greedy_matching: empty matrix");
-  }
-  if (n == 1) {
-    if (w[0].size() != 1) {
-      throw std::invalid_argument("greedy_matching: not square");
-    }
-    MatchingResult single;
-    single.mate = {-1};
-    return single;
-  }
-  if (n % 2 == 0) return greedy_perfect_matching(w);
-  WeightMatrix padded(n + 1, std::vector<std::int64_t>(n + 1, 0));
-  for (std::size_t i = 0; i < n; ++i) {
-    if (w[i].size() != n) {
-      throw std::invalid_argument("greedy_matching: not square");
-    }
-    for (std::size_t j = 0; j < n; ++j) padded[i][j] = w[i][j];
-  }
-  const MatchingResult inner = greedy_perfect_matching(padded);
-  MatchingResult result;
-  result.mate.assign(n, -1);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (inner.mate[v] >= 0 && static_cast<std::size_t>(inner.mate[v]) < n) {
-      result.mate[v] = inner.mate[v];
-    }
-  }
-  result.weight = inner.weight;
-  return result;
-}
-
 }  // namespace tlbmap

@@ -10,9 +10,4 @@ namespace tlbmap {
 /// Same contract as max_weight_perfect_matching (square, even N, symmetric).
 MatchingResult greedy_perfect_matching(const WeightMatrix& w);
 
-/// Odd-tolerant variant mirroring max_weight_matching: any square matrix
-/// with n >= 1; odd sizes leave the greedily-last vertex unmatched
-/// (mate -1). Never asserts or dies on all-zero input.
-MatchingResult greedy_matching(const WeightMatrix& w);
-
 }  // namespace tlbmap

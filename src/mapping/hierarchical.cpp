@@ -48,13 +48,13 @@ HierarchicalMapper::HierarchicalMapper(const Topology& topology,
 }
 
 MatchingResult HierarchicalMapper::run_matching(const WeightMatrix& w) const {
-  // Odd-tolerant entry points: group counts are even for power-of-two
-  // topologies, but a degenerate matrix or future topology must degrade to
-  // an unmatched group (carried forward unmerged) rather than a throw.
+  // Power-of-two arities and padding to the core count make every group
+  // count even while it exceeds the socket count, so the matching is
+  // always perfect.
   if (config_.matcher == HierarchicalMapperConfig::Matcher::kGreedy) {
-    return greedy_matching(w);
+    return greedy_perfect_matching(w);
   }
-  return max_weight_matching(w);
+  return max_weight_perfect_matching(w);
 }
 
 std::vector<std::vector<std::vector<ThreadId>>>
@@ -79,29 +79,12 @@ HierarchicalMapper::merge_levels(const CommMatrix& comm) const {
     const MatchingResult match = run_matching(w);
     std::vector<std::vector<ThreadId>> merged;
     merged.reserve(groups.size() / 2);
-    std::vector<bool> taken(groups.size(), false);
     for (std::size_t i = 0; i < groups.size(); ++i) {
-      if (taken[i]) continue;
-      const int m = match.mate[i];
-      if (m < 0 || static_cast<std::size_t>(m) >= groups.size() ||
-          taken[static_cast<std::size_t>(m)]) {
-        // Unmatched group (odd group count or degenerate matcher output):
-        // carry it forward unmerged instead of indexing out of bounds.
-        taken[i] = true;
-        merged.push_back(groups[i]);
-        continue;
-      }
-      const std::size_t j = static_cast<std::size_t>(m);
-      taken[i] = taken[j] = true;
+      const std::size_t j = static_cast<std::size_t>(match.mate[i]);
+      if (j < i) continue;  // merged when its partner was visited
       std::vector<ThreadId> both = groups[i];
       both.insert(both.end(), groups[j].begin(), groups[j].end());
       merged.push_back(std::move(both));
-    }
-    if (merged.size() >= groups.size()) {
-      // No merge happened — the matcher returned nothing usable. Bail out
-      // with the current grouping rather than loop forever.
-      levels.push_back(std::move(merged));
-      break;
     }
     groups = std::move(merged);
     levels.push_back(groups);

@@ -37,13 +37,4 @@ struct MatchingResult {
 /// matching of weight 0.
 MatchingResult max_weight_perfect_matching(const WeightMatrix& w);
 
-/// Odd-tolerant variant (DESIGN.md Sec. 11): accepts any square symmetric
-/// non-negative matrix with n >= 1. Even sizes delegate to
-/// max_weight_perfect_matching; odd sizes are padded internally with one
-/// zero-weight virtual vertex, so exactly one real vertex is left
-/// unmatched (mate -1) — the one whose exclusion maximises the total
-/// matched weight. n == 1 returns the single vertex unmatched. Never
-/// asserts or dies on degenerate (all-zero) input.
-MatchingResult max_weight_matching(const WeightMatrix& w);
-
 }  // namespace tlbmap

@@ -214,16 +214,6 @@ void MetricsRegistry::sample_series(std::uint64_t sim_events,
     }
   }
   series_.append(std::move(sample));
-  // Surface decimation as a counter so a bounded daemon run can report how
-  // much history it shed. Updated after the append: the counter names the
-  // drops visible to the *next* sample, keeping each sample a snapshot of
-  // state strictly before its own trigger (and the stream deterministic).
-  const std::uint64_t dropped = series_.dropped();
-  if (dropped > 0) {
-    Counter& shed = counter("obs.series_dropped");
-    const std::uint64_t seen = shed.value();
-    if (dropped > seen) shed.add(dropped - seen);
-  }
 }
 
 namespace {

@@ -131,14 +131,6 @@ class MetricsRegistry {
   /// The epoch-bucketed sample stream (empty until sample_series runs).
   const TimeSeries& series() const { return series_; }
 
-  /// Caps the stored series samples for daemon-length runs (DESIGN.md
-  /// Sec. 16): past the cap, older samples are decimated (evenly, not
-  /// tail-biased) and the obs.series_dropped counter tracks how many were
-  /// shed. 0 (default) = unbounded, the batch-suite behaviour.
-  void set_series_capacity(std::size_t capacity) {
-    series_.set_capacity(capacity);
-  }
-
   /// One JSON object per line:
   ///   {"type":"counter","name":...,"labels":{...},"value":N}
   ///   {"type":"gauge",...,"value":X}

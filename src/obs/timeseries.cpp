@@ -8,43 +8,8 @@ namespace tlbmap::obs {
 
 void TimeSeries::append(SeriesSample sample) {
   std::lock_guard<std::mutex> lock(mu_);
-  sample.index = next_index_++;
-  if (capacity_ > 0 && sample.index % stride_ != 0) {
-    ++dropped_;
-    return;
-  }
+  sample.index = samples_.size();
   samples_.push_back(std::move(sample));
-  if (capacity_ > 0 && samples_.size() >= capacity_) {
-    // Halve by keeping every second stored sample (those whose index is a
-    // multiple of the doubled stride), so retention stays evenly spaced
-    // over the whole history instead of privileging the most recent tail.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < samples_.size(); ++i) {
-      if (samples_[i].index % (stride_ * 2) == 0) {
-        if (kept != i) samples_[kept] = std::move(samples_[i]);
-        ++kept;
-      } else {
-        ++dropped_;
-      }
-    }
-    samples_.resize(kept);
-    stride_ *= 2;
-  }
-}
-
-void TimeSeries::set_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity;
-}
-
-std::size_t TimeSeries::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
-std::uint64_t TimeSeries::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
 }
 
 std::size_t TimeSeries::size() const {

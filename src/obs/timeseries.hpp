@@ -52,23 +52,7 @@ struct SeriesSample {
 class TimeSeries {
  public:
   /// Appends a sample, assigning the next monotonic index. Thread-safe.
-  /// With a capacity set, the sample may be decimated away instead of
-  /// stored (the index is still consumed, so stored indices reveal the
-  /// gaps); dropped() counts the casualties.
   void append(SeriesSample sample);
-
-  /// Bounds the stored sample count for daemon-length runs (DESIGN.md
-  /// Sec. 16): 0 (default) stores every sample forever. With capacity N,
-  /// reaching N stored samples halves them by dropping every second one
-  /// and doubles the keep-stride for future appends, so memory stays
-  /// O(N) while the retained samples remain evenly spaced over the whole
-  /// run's history — a week-long serve run keeps its shape, not just its
-  /// tail. Deterministic: the kept set is a pure function of the append
-  /// sequence and the capacity.
-  void set_capacity(std::size_t capacity);
-  std::size_t capacity() const;
-  /// Samples decimated away so far (exported as obs.series_dropped).
-  std::uint64_t dropped() const;
 
   std::size_t size() const;
   std::vector<SeriesSample> samples() const;
@@ -80,10 +64,6 @@ class TimeSeries {
  private:
   mutable std::mutex mu_;
   std::vector<SeriesSample> samples_;
-  std::size_t capacity_ = 0;     ///< 0 = unbounded
-  std::uint64_t next_index_ = 0; ///< appended samples (stored + dropped)
-  std::uint64_t stride_ = 1;     ///< store every stride_-th appended sample
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace tlbmap::obs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -48,11 +49,17 @@ void corrupt_buffer(std::vector<std::uint8_t>& bytes) {
   }
 }
 
-std::vector<Feeder> build_feeders(const ServeOptions& options) {
+/// The workload each tenant records: `app` at `threads` threads per app
+/// (a multiprogram app records apps x threads streams).
+std::unique_ptr<Workload> make_tenant_workload(const ServeOptions& options) {
   WorkloadParams params;
   params.num_threads = options.threads;
   params.size_scale = options.size_scale;
   params.iter_scale = options.iter_scale;
+  return make_npb_workload(options.app, params);
+}
+
+std::vector<Feeder> build_feeders(const ServeOptions& options) {
   std::vector<Feeder> feeders;
   feeders.reserve(static_cast<std::size_t>(options.tenants));
   for (int k = 0; k < options.tenants; ++k) {
@@ -63,7 +70,7 @@ std::vector<Feeder> build_feeders(const ServeOptions& options) {
     // fleet composition — the fault-isolation differential (run with vs.
     // without the corrupt tenant) depends on surviving tenants seeing
     // byte-identical streams either way.
-    const auto workload = make_npb_workload(options.app, params);
+    const auto workload = make_tenant_workload(options);
     f.buffers = record_workload(*workload,
                                 options.seed + static_cast<std::uint64_t>(k));
     if (k == options.corrupt_tenant && !f.buffers.empty()) {
@@ -137,10 +144,13 @@ void ServeOptions::validate() const {
   service.validate();
   // The service admits no session with more threads than cores, so such a
   // fleet could never start.
-  if (threads > service.machine.num_cores()) {
+  const int workload_threads = make_tenant_workload(*this)->num_threads();
+  if (workload_threads > service.machine.num_cores()) {
     throw std::invalid_argument(
-        "ServeOptions: " + std::to_string(threads) + " threads exceed the " +
-        std::to_string(service.machine.num_cores()) + "-core machine");
+        "ServeOptions: " + app + " at " + std::to_string(threads) +
+        " threads runs " + std::to_string(workload_threads) +
+        " threads, more than the " +
+        std::to_string(service.machine.num_cores()) + "-core machine has");
   }
 }
 
@@ -203,8 +213,8 @@ ServeOutcome run_serve(const ServeOptions& options, std::ostream* log,
     // disturbed to make room.
     for (Feeder& f : feeders) {
       if (f.open() || f.dead) continue;
-      const Expected<SessionId> id =
-          service.open_session(f.name, options.threads);
+      const Expected<SessionId> id = service.open_session(
+          f.name, static_cast<int>(f.buffers.size()));
       if (id.has_value()) {
         f.session = *id;
         progressed = true;
@@ -235,8 +245,8 @@ ServeOutcome run_serve(const ServeOptions& options, std::ostream* log,
     outcome.events += events;
     ++outcome.ticks;
     if (events > 0) progressed = true;
-    // Decision reads every tick: cache-served when fresh, and early
-    // degenerate reads arm the per-session retry schedule.
+    // Decision reads every tick, right after the pump: cache-served when
+    // fresh, decided afresh while detection is still degenerate.
     for (Feeder& f : feeders) {
       if (!f.open() || f.dead) continue;
       const Session* session = service.find(f.session);

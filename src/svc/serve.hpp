@@ -27,7 +27,9 @@ struct ServeOptions {
   ServiceConfig service{};
 
   /// Synthetic tenant fleet: `tenants` sessions, each recording `app` at
-  /// `threads` threads with per-tenant seeds derived from `seed`.
+  /// `threads` threads with per-tenant seeds derived from `seed`. A
+  /// multiprogram app ("mp:sp+cg") runs `threads` threads per app, and its
+  /// session holds one stream per recorded thread.
   int tenants = 4;
   int threads = 8;
   std::string app = "SP";
@@ -60,8 +62,9 @@ struct ServeOptions {
   std::string report_out;
 
   /// Throws std::invalid_argument on an empty fleet, zero threads or chunk
-  /// bytes, more threads than the service machine has cores, a
-  /// corrupt_tenant outside [-1, tenants), or an invalid service.
+  /// bytes, a workload with more threads than the service machine has
+  /// cores, an app the workload registry does not know, a corrupt_tenant
+  /// outside [-1, tenants), or an invalid service.
   void validate() const;
 };
 

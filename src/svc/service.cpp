@@ -82,11 +82,6 @@ void write_session(BinWriter& w, const Session::State& s) {
   w.u64(s.bytes_ingested);
   w.u64(s.barriers_seen);
   w.i32(s.next_thread);
-  w.i32(s.retry_attempt);
-  w.u64(s.retry_at);
-  w.boolean(s.retry_armed);
-  w.u64(s.gave_up_at_sweeps);
-  w.boolean(s.gave_up);
 }
 
 Session::State read_session(BinReader& r) {
@@ -139,11 +134,6 @@ Session::State read_session(BinReader& r) {
   s.bytes_ingested = r.u64();
   s.barriers_seen = r.u64();
   s.next_thread = r.i32();
-  s.retry_attempt = r.i32();
-  s.retry_at = r.u64();
-  s.retry_armed = r.boolean();
-  s.gave_up_at_sweeps = r.u64();
-  s.gave_up = r.boolean();
   return s;
 }
 
@@ -153,7 +143,6 @@ void ServiceConfig::validate() const {
   machine.validate();
   detector.validate();
   cache.validate();
-  retry.validate();
   if (max_sessions < 1) {
     throw std::invalid_argument("ServiceConfig: max_sessions must be >= 1");
   }
@@ -176,7 +165,7 @@ void ServiceConfig::validate() const {
 
 std::uint64_t service_config_hash(const ServiceConfig& config) {
   std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  h = fnv1a(h, std::string("svc-v1"));
+  h = fnv1a(h, std::string("svc-v2"));
   h = fnv1a(h, static_cast<std::uint64_t>(config.machine.num_sockets));
   h = fnv1a(h, static_cast<std::uint64_t>(config.machine.cores_per_socket));
   h = fnv1a(h, static_cast<std::uint64_t>(config.machine.cores_per_l2));
@@ -191,11 +180,6 @@ std::uint64_t service_config_hash(const ServiceConfig& config) {
   h = fnv1a(h, config.detector.sweep_every);
   h = fnv1a(h, static_cast<std::uint64_t>(config.cache.drift_threshold *
                                           1000000.0));
-  h = fnv1a(h, static_cast<std::uint64_t>(config.retry.max_attempts));
-  h = fnv1a(h, config.retry.base_delay);
-  h = fnv1a(h, config.retry.factor);
-  h = fnv1a(h, static_cast<std::uint64_t>(config.retry.jitter * 1000000.0));
-  h = fnv1a(h, config.retry.seed);
   h = fnv1a(h, std::string(to_string(config.mapping.strategy)));
   return h;
 }
@@ -228,7 +212,7 @@ Expected<SessionId> MappingService::open_session(const std::string& tenant,
   }
   Session candidate(next_id_, tenant, num_threads,
                     config_.machine.page_shift(), config_.session,
-                    config_.detector, config_.cache, config_.retry);
+                    config_.detector, config_.cache);
   // Budget admission is pessimistic: charge the fixed state plus a *full*
   // queue, so an admitted session can never be pushed over its budget (or
   // the fleet's) by bytes it is entitled to buffer.
@@ -329,15 +313,6 @@ std::uint64_t MappingService::pump() {
       ++quarantined_;
       if (metrics != nullptr) {
         metrics->counter("svc.sessions_quarantined").add();
-      }
-    }
-  }
-  for (auto& [id, session] : sessions_) {
-    if (session.maybe_retry(topology_, config_.mapping, tick_)) {
-      ++retry_attempts_;
-      if (metrics != nullptr) {
-        metrics->counter("svc.retry_attempts", {{"tenant", session.tenant()}})
-            .add();
       }
     }
   }
@@ -460,7 +435,6 @@ std::string MappingService::serialize(std::string_view extra) const {
   w.u64(quarantined_);
   w.u64(shed_);
   w.u64(backpressure_);
-  w.u64(retry_attempts_);
   w.str(extra);
   w.u64(sessions_.size());
   for (const auto& [id, session] : sessions_) {
@@ -481,7 +455,6 @@ Expected<std::string> MappingService::restore(std::string_view bytes) {
   const std::uint64_t quarantined = r.u64();
   const std::uint64_t shed = r.u64();
   const std::uint64_t backpressure = r.u64();
-  const std::uint64_t retry_attempts = r.u64();
   std::string extra = r.str();
   const std::uint64_t count = r.u64();
   std::map<SessionId, Session> sessions;
@@ -498,7 +471,7 @@ Expected<std::string> MappingService::restore(std::string_view bytes) {
     Session session(state.id, state.tenant,
                     static_cast<int>(state.num_threads),
                     config_.machine.page_shift(), config_.session,
-                    config_.detector, config_.cache, config_.retry);
+                    config_.detector, config_.cache);
     try {
       session.restore(state);
     } catch (const std::invalid_argument& e) {
@@ -520,7 +493,6 @@ Expected<std::string> MappingService::restore(std::string_view bytes) {
   quarantined_ = quarantined;
   shed_ = shed;
   backpressure_ = backpressure;
-  retry_attempts_ = retry_attempts;
   return extra;
 }
 

@@ -24,9 +24,10 @@
 //     resumes every session mid-stream, deterministically.
 //
 // Everything is single-threaded and tick-driven: pump() is the only place
-// work happens, sessions advance in id order, and all retry jitter is
-// seeded — two services fed the same bytes in the same order are
-// bit-identical, which is what makes the robustness properties testable.
+// decoding happens, sessions advance in id order, and a decision is a pure
+// function of the session's matrix and cache — two services fed the same
+// bytes and read in the same order are bit-identical, which is what makes
+// the robustness properties testable.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +38,6 @@
 #include <vector>
 
 #include "core/expected.hpp"
-#include "core/retry.hpp"
 #include "detect/stream_detector.hpp"
 #include "mapping/decision_cache.hpp"
 #include "mapping/strategy.hpp"
@@ -65,10 +65,6 @@ struct ServiceConfig {
 
   StreamDetectorConfig detector{};
   DecisionCacheConfig cache{};
-  /// Degraded-detection retry schedule (jitter is deterministic per
-  /// session: the policy seed is mixed with the session id).
-  RetryPolicy retry{/*max_attempts=*/6, /*base_delay=*/2, /*factor=*/2,
-                    /*jitter=*/0.5, /*seed=*/0x73766372ull};
   MappingConfig mapping{};
 
   /// Throws std::invalid_argument on non-positive caps or budgets smaller
@@ -120,8 +116,8 @@ class MappingService {
   }
 
   /// One service tick: every active session decodes up to its deadline
-  /// slice (in session-id order — the determinism contract), then due
-  /// degraded-detection retries fire. Returns events decoded fleet-wide.
+  /// slice (in session-id order — the determinism contract). Returns events
+  /// decoded fleet-wide.
   std::uint64_t pump();
 
   /// The tenant's current placement decision (cached unless drifted).
@@ -154,7 +150,6 @@ class MappingService {
   std::uint64_t sessions_quarantined() const { return quarantined_; }
   std::uint64_t sessions_shed() const { return shed_; }
   std::uint64_t backpressure_signals() const { return backpressure_; }
-  std::uint64_t retry_attempts() const { return retry_attempts_; }
 
   // --- checkpointing (TLBK envelope, service_config_hash-tagged) ---
 
@@ -191,7 +186,6 @@ class MappingService {
   std::uint64_t quarantined_ = 0;
   std::uint64_t shed_ = 0;
   std::uint64_t backpressure_ = 0;
-  std::uint64_t retry_attempts_ = 0;
 };
 
 }  // namespace tlbmap::svc

@@ -1,5 +1,6 @@
 #include "svc/session.hpp"
 
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -22,20 +23,14 @@ const char* to_string(SessionStatus status) {
 Session::Session(SessionId id, std::string tenant, int num_threads,
                  int page_shift, SessionLimits limits,
                  StreamDetectorConfig detector_config,
-                 DecisionCacheConfig cache_config, RetryPolicy retry)
+                 DecisionCacheConfig cache_config)
     : id_(id),
       tenant_(std::move(tenant)),
       page_shift_(page_shift),
       limits_(limits),
-      retry_(retry),
       decoders_(static_cast<std::size_t>(num_threads)),
       detector_(num_threads, detector_config),
-      cache_(cache_config) {
-  retry_.validate();
-  // Jitter the backoff per session so tenants that degrade together do not
-  // retry in lockstep; the seed mix keeps it deterministic per session id.
-  retry_.seed ^= id_;
-}
+      cache_(cache_config) {}
 
 Expected<IngestResult> Session::ingest(ThreadId thread,
                                        const std::uint8_t* data,
@@ -134,33 +129,6 @@ void Session::maybe_complete() {
   status_ = SessionStatus::kComplete;
 }
 
-Expected<MappingDecision> Session::try_decide(
-    const Topology& topology, const MappingConfig& mapping_config,
-    std::uint64_t tick) {
-  Expected<MappingDecision> decision =
-      cache_.decide(detector_.matrix(), topology, mapping_config);
-  if (decision.has_value()) {
-    retry_armed_ = false;
-    retry_attempt_ = 0;
-    gave_up_ = false;
-    return decision;
-  }
-  const Error& error = decision.error();
-  if (error.code == ErrorCode::kSaturatedMatrix) {
-    quarantine(error, tick, kNoThread);
-    return decision;
-  }
-  if (error.code == ErrorCode::kDegenerateMatrix && !retry_armed_ &&
-      !gave_up_) {
-    // Arm the degraded-detection retry schedule: pump() re-attempts at
-    // jittered exponential backoff until signal appears or attempts run out.
-    retry_armed_ = true;
-    retry_attempt_ = 1;
-    retry_at_ = tick + retry_.delay(1);
-  }
-  return decision;
-}
-
 Expected<MappingDecision> Session::decision(const Topology& topology,
                                             const MappingConfig& mapping_config,
                                             std::uint64_t tick) {
@@ -170,40 +138,13 @@ Expected<MappingDecision> Session::decision(const Topology& topology,
                  "session " + std::to_string(id_) + " (" + tenant_ + ") is " +
                      std::string(to_string(status_)) + ": " + reason_.message};
   }
-  return try_decide(topology, mapping_config, tick);
-}
-
-bool Session::maybe_retry(const Topology& topology,
-                          const MappingConfig& mapping_config,
-                          std::uint64_t tick) {
-  if (status_ == SessionStatus::kQuarantined ||
-      status_ == SessionStatus::kShed) {
-    return false;
+  Expected<MappingDecision> decision =
+      cache_.decide(detector_.matrix(), topology, mapping_config);
+  if (!decision.has_value() &&
+      decision.error().code == ErrorCode::kSaturatedMatrix) {
+    quarantine(decision.error(), tick, kNoThread);
   }
-  // A sweep since give-up means new signal: re-arm from attempt one.
-  if (gave_up_ && detector_.sweeps() > gave_up_at_sweeps_) {
-    gave_up_ = false;
-    retry_armed_ = true;
-    retry_attempt_ = 1;
-    retry_at_ = tick + retry_.delay(1);
-  }
-  if (!retry_armed_ || tick < retry_at_) return false;
-  const Expected<MappingDecision> decision =
-      try_decide(topology, mapping_config, tick);
-  if (decision.has_value()) return true;  // try_decide cleared the schedule
-  if (decision.error().code != ErrorCode::kDegenerateMatrix) {
-    retry_armed_ = false;  // quarantined or matcher failure: stop retrying
-    return true;
-  }
-  ++retry_attempt_;
-  if (!retry_.should_retry(retry_attempt_)) {
-    retry_armed_ = false;
-    gave_up_ = true;
-    gave_up_at_sweeps_ = detector_.sweeps();
-  } else {
-    retry_at_ = tick + retry_.delay(retry_attempt_);
-  }
-  return true;
+  return decision;
 }
 
 void Session::shed(std::uint64_t tick) {
@@ -221,7 +162,6 @@ void Session::quarantine(Error error, std::uint64_t tick, ThreadId thread) {
                              thread};
   // Release the queues: a quarantined tenant must not hold fleet memory.
   for (TraceStreamDecoder& decoder : decoders_) decoder = {};
-  retry_armed_ = false;
 }
 
 std::size_t Session::queued_bytes() const {
@@ -253,11 +193,6 @@ Session::State Session::state() const {
   s.bytes_ingested = bytes_ingested_;
   s.barriers_seen = barriers_seen_;
   s.next_thread = next_thread_;
-  s.retry_attempt = retry_attempt_;
-  s.retry_at = retry_at_;
-  s.retry_armed = retry_armed_;
-  s.gave_up_at_sweeps = gave_up_at_sweeps_;
-  s.gave_up = gave_up_;
   return s;
 }
 
@@ -279,11 +214,6 @@ void Session::restore(const State& state) {
   bytes_ingested_ = state.bytes_ingested;
   barriers_seen_ = state.barriers_seen;
   next_thread_ = state.next_thread;
-  retry_attempt_ = state.retry_attempt;
-  retry_at_ = state.retry_at;
-  retry_armed_ = state.retry_armed;
-  gave_up_at_sweeps_ = state.gave_up_at_sweeps;
-  gave_up_ = state.gave_up;
 }
 
 }  // namespace tlbmap::svc

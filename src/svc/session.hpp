@@ -3,7 +3,7 @@
 // A session owns everything a tenant can corrupt, stall or bloat: one
 // TraceStreamDecoder per client thread (whose internal buffer *is* the
 // bounded ingest queue), an incremental StreamDetector, a mapping
-// DecisionCache, and the retry/quarantine state machine around them.
+// DecisionCache, and the quarantine state machine around them.
 // Nothing in here is shared across sessions — fault isolation falls out of
 // ownership, and the service-level differential test (one tenant corrupted,
 // every other tenant bit-identical) is the proof.
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "core/expected.hpp"
-#include "core/retry.hpp"
 #include "detect/stream_detector.hpp"
 #include "mapping/decision_cache.hpp"
 #include "mapping/strategy.hpp"
@@ -83,7 +82,7 @@ class Session {
  public:
   Session(SessionId id, std::string tenant, int num_threads, int page_shift,
           SessionLimits limits, StreamDetectorConfig detector_config,
-          DecisionCacheConfig cache_config, RetryPolicy retry);
+          DecisionCacheConfig cache_config);
 
   SessionId id() const { return id_; }
   const std::string& tenant() const { return tenant_; }
@@ -107,19 +106,13 @@ class Session {
   std::uint64_t pump(std::uint64_t tick);
 
   /// Serves the tenant's mapping decision from the cache, re-matching on
-  /// drift. On degenerate detection with nothing cached, arms the jittered
-  /// exponential-backoff retry schedule and returns the structured error; a
-  /// saturated matrix quarantines. Never recomputes on the read path when
+  /// drift. Degenerate detection with nothing cached returns the structured
+  /// error (the next read decides again on whatever the matrix holds then);
+  /// a saturated matrix quarantines. Never recomputes on the read path when
   /// the cache is fresh.
   Expected<MappingDecision> decision(const Topology& topology,
                                      const MappingConfig& mapping_config,
                                      std::uint64_t tick);
-
-  /// Pump-side retry driver: when a degraded-detection retry is due at
-  /// `tick`, re-attempts the decision. Returns true when an attempt ran
-  /// (success or not) so the service can count retries.
-  bool maybe_retry(const Topology& topology,
-                   const MappingConfig& mapping_config, std::uint64_t tick);
 
   /// Service-initiated eviction (load shedding) or fault isolation.
   void shed(std::uint64_t tick);
@@ -154,11 +147,6 @@ class Session {
     /// count, so the cross-thread decode order must survive a resume for
     /// the matrix to stay bit-identical.
     std::int32_t next_thread = 0;
-    std::int32_t retry_attempt = 0;
-    std::uint64_t retry_at = 0;
-    bool retry_armed = false;
-    std::uint64_t gave_up_at_sweeps = 0;
-    bool gave_up = false;
 
     bool operator==(const State&) const = default;
   };
@@ -171,17 +159,11 @@ class Session {
   /// marker and no bytes remain queued; runs the final sweep so the last
   /// partial window still lands in the matrix.
   void maybe_complete();
-  /// Shared body of decision()/maybe_retry(): one cache consult plus the
-  /// retry-arming / quarantine bookkeeping.
-  Expected<MappingDecision> try_decide(const Topology& topology,
-                                       const MappingConfig& mapping_config,
-                                       std::uint64_t tick);
 
   SessionId id_;
   std::string tenant_;
   int page_shift_;
   SessionLimits limits_;
-  RetryPolicy retry_;
 
   SessionStatus status_ = SessionStatus::kActive;
   QuarantineReason reason_;
@@ -194,15 +176,6 @@ class Session {
   std::uint64_t bytes_ingested_ = 0;
   std::uint64_t barriers_seen_ = 0;
   int next_thread_ = 0;  ///< round-robin pump cursor
-
-  // Degraded-detection retry state (RetryPolicy schedule over pump ticks).
-  bool retry_armed_ = false;
-  std::int32_t retry_attempt_ = 0;
-  std::uint64_t retry_at_ = 0;
-  /// After exhausting attempts, stay quiet until a new sweep brings new
-  /// signal; records the sweep count at give-up.
-  bool gave_up_ = false;
-  std::uint64_t gave_up_at_sweeps_ = 0;
 };
 
 }  // namespace tlbmap::svc

@@ -1,5 +1,7 @@
 // Tests for the CLI argument parser and a smoke pass over the commands.
+#include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string_view>
@@ -328,10 +330,46 @@ TEST(Cli, UnknownAppIsAUsageError) {
   EXPECT_EQ(run_cli(bad), 2);
   EXPECT_FALSE(parse({"suite", "--apps", "EP,FOO"}).ok());
   EXPECT_FALSE(parse({"dynamic", "--app", "mp:sp"}).ok());
+  // Four threads, so the two-app multiprogram workload fits the machine.
   for (const char* app : {"churn", "mp:sp+cg", "sp", "SP"}) {
-    const CliOptions opt = parse({"detect", "--app", app});
+    const CliOptions opt = parse({"detect", "--app", app, "--threads", "4"});
     EXPECT_TRUE(opt.ok()) << app << ": " << opt.error;
   }
+}
+
+TEST(Cli, MoreThreadsThanCoresIsAUsageError) {
+  // Each simulating command builds its workload at parse time and checks
+  // its thread count against the machine: a placement of 16 threads on the
+  // 8-core default machine cannot exist, so the run never starts.
+  for (const char* command :
+       {"detect", "map", "evaluate", "dynamic", "suite"}) {
+    const CliOptions opt = parse({command, "--threads", "16", "--app", "EP"});
+    EXPECT_FALSE(opt.ok()) << command;
+    EXPECT_EQ(run_cli(opt), 2) << command;
+  }
+  EXPECT_FALSE(parse({"suite", "--threads", "16", "--apps", "EP"}).ok());
+  EXPECT_TRUE(parse({"suite", "--threads", "16", "--apps", "EP", "--sockets",
+                     "4"})
+                  .ok());
+  // A multiprogram app runs apps x threads threads.
+  const CliOptions mp = parse({"evaluate", "--threads", "16", "--app",
+                               "mp:sp+cg"});
+  EXPECT_FALSE(mp.ok());
+  EXPECT_EQ(run_cli(mp), 2);
+  EXPECT_FALSE(parse({"evaluate", "--threads", "8", "--app", "mp:sp+cg"}).ok());
+  EXPECT_FALSE(
+      parse({"suite", "--threads", "8", "--apps", "EP,mp:sp+cg"}).ok());
+  const CliOptions fits = parse({"evaluate", "--threads", "4", "--app",
+                                 "mp:sp+cg"});
+  EXPECT_TRUE(fits.ok()) << fits.error;
+  // So does a multiprogram serve fleet: 2 apps x 8 threads per tenant.
+  const CliOptions serve = parse({"serve", "--app", "mp:sp+cg", "--threads",
+                                  "8"});
+  EXPECT_FALSE(serve.ok());
+  EXPECT_EQ(run_cli(serve), 2);
+  EXPECT_TRUE(parse({"serve", "--app", "mp:sp+cg", "--threads", "4"}).ok());
+  // record simulates nothing: any thread count records.
+  EXPECT_TRUE(parse({"record", "--threads", "16", "--out", "/tmp/x"}).ok());
 }
 
 /// A value `option` accepts under every command it applies to.
@@ -457,11 +495,12 @@ TEST(Cli, RemovedMachineWorkersFlagRejected) {
 
 TEST(CliRun, InconsistentTopologyOverrideFailsStructurally) {
   // Geometry that MachineConfig::validate rejects (3 cores per socket with
-  // 2 per L2) must come back as exit code 1, not an uncaught throw.
+  // 2 per L2) must come back as a usage error (exit 2), not an uncaught
+  // throw: parse_cli builds the machine to check the thread count.
   CliOptions opt = parse({"detect", "--app", "IS", "--cores-per-socket", "3",
                           "--cores-per-l2", "2", "--threads", "2"});
-  ASSERT_TRUE(opt.ok()) << opt.error;
-  EXPECT_EQ(run_cli(opt), 1);
+  EXPECT_FALSE(opt.ok());
+  EXPECT_EQ(run_cli(opt), 2);
 }
 
 TEST(CliFuzz, GarbageNeverAbortsAlwaysStructured) {
@@ -533,10 +572,44 @@ TEST(CliRun, DetectMapEvaluateSmoke) {
   EXPECT_EQ(run_cli(eval), 0);
 }
 
+TEST(CliRun, DynamicStartsEveryMultiprogramThread) {
+  // mp:sp+cg at 4 threads per app runs 8 threads; the random start
+  // placement must cover all of them, not just --threads.
+  CliOptions dynamic = parse({"dynamic", "--app", "mp:sp+cg", "--threads",
+                              "4", "--iter-scale", "0.05", "--size-scale",
+                              "0.05"});
+  ASSERT_TRUE(dynamic.ok()) << dynamic.error;
+  EXPECT_EQ(run_cli(dynamic), 0);
+}
+
 TEST(CliRun, EvaluateRejectsBadMappingAtRuntime) {
   CliOptions eval = parse({"evaluate", "--app", "EP", "--iter-scale", "0.2",
                            "--reps", "1", "--mapping", "0,0,1,2,3,4,5,6"});
   EXPECT_EQ(run_cli(eval), 1);
+}
+
+TEST(CliRun, DegradedSuiteExitsOneWithoutRatios) {
+  // A watchdog budget no run fits in fails every task. The zeroed result
+  // slots must not be printed as ratios, the exit code says the suite
+  // failed, and the manifest still records the degraded run.
+  const std::string manifest = "/tmp/tlbmap_cli_test_degraded_manifest.json";
+  std::remove(manifest.c_str());
+  CliOptions opt = parse({"suite", "--apps", "EP", "--reps", "1",
+                          "--iter-scale", "0.05", "--size-scale", "0.05",
+                          "--watchdog-events", "16", "--manifest-out",
+                          manifest.c_str()});
+  ASSERT_TRUE(opt.ok()) << opt.error;
+  testing::internal::CaptureStdout();
+  const int code = run_cli(opt);
+  const std::string out = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(code, 1);
+  EXPECT_EQ(out.find("SM/OS"), std::string::npos) << out;
+  std::ifstream in(manifest);
+  ASSERT_TRUE(in.good());
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("\"degraded\": true"), std::string::npos) << text;
+  std::remove(manifest.c_str());
 }
 
 TEST(CliRun, ObsArtifactsWritten) {

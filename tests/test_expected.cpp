@@ -180,7 +180,6 @@ TEST(ExpectedPaths, SuiteWorkerFailuresAreStructuredAndDegrade) {
   config.use_cache = false;
   config.workload.iter_scale = 0.2;
   config.detect_iter_scale = 1.0;
-  config.task_retries = 0;
   // A watchdog budget no real run fits in: every task fails structurally.
   config.machine.watchdog_max_events = 16;
 

@@ -126,9 +126,9 @@ TEST(Hierarchical, SingleThreadPair) {
 }
 
 TEST(Hierarchical, OddThreadCountsMapValidly) {
-  // Odd thread counts exercise the virtual-padding path and the
-  // odd-tolerant matching entry points (DESIGN.md Sec. 11): no assert,
-  // no throw, a valid placement out.
+  // Odd thread counts exercise the virtual-padding path: padding to the
+  // core count keeps every matching even-sized, so no assert, no throw, a
+  // valid placement out.
   HierarchicalMapper mapper(harpertown());
   HierarchicalMapper greedy(
       harpertown(),

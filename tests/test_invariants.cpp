@@ -12,7 +12,6 @@
 #include "core/dynamic.hpp"
 #include "core/fault.hpp"
 #include "core/pipeline.hpp"
-#include "core/retry.hpp"
 #include "detect/hm_detector.hpp"
 #include "detect/phase_detector.hpp"
 #include "detect/stream_detector.hpp"
@@ -346,18 +345,6 @@ TEST(ConfigValidation, AcceptsAndRejectsAtEachBoundary) {
              [](FaultPlan& p) { p.matrix_zero_rate = -0.01; }, false),
       edited("fault: NaN rate", FaultPlan{},
              [nan](FaultPlan& p) { p.sweep_fail_rate = nan; }, false),
-      edited("retry: no attempts, full jitter", RetryPolicy{},
-             [](RetryPolicy& p) {
-               p.max_attempts = 0;
-               p.jitter = 1.0;
-             },
-             true),
-      edited("retry: negative attempts", RetryPolicy{},
-             [](RetryPolicy& p) { p.max_attempts = -1; }, false),
-      edited("retry: zero factor", RetryPolicy{},
-             [](RetryPolicy& p) { p.factor = 0; }, false),
-      edited("retry: jitter above one", RetryPolicy{},
-             [](RetryPolicy& p) { p.jitter = 1.01; }, false),
       edited("service: budgets exactly one queue", ServiceConfig{},
              [](ServiceConfig& c) {
                c.max_sessions = 1;
@@ -387,8 +374,6 @@ TEST(ConfigValidation, AcceptsAndRejectsAtEachBoundary) {
              [](ServiceConfig& c) { c.detector.window_pages = 0; }, false),
       edited("service: bad decision cache", ServiceConfig{},
              [](ServiceConfig& c) { c.cache.drift_threshold = 1.5; }, false),
-      edited("service: bad retry", ServiceConfig{},
-             [](ServiceConfig& c) { c.retry.jitter = -1.0; }, false),
   };
   for (const ValidationCase& c : cases) {
     if (c.accepted) {

@@ -99,61 +99,6 @@ TEST(Matching, RejectsOddSize) {
   EXPECT_THROW(max_weight_perfect_matching(w), std::invalid_argument);
 }
 
-TEST(OddMatching, LeavesCheapestVertexUnmatched) {
-  // 0-1 communicate heavily; 2 is nearly silent. The odd-tolerant matcher
-  // must pair 0-1 and leave 2 unmatched (mate -1).
-  WeightMatrix w(3, std::vector<std::int64_t>(3, 0));
-  w[0][1] = w[1][0] = 100;
-  w[0][2] = w[2][0] = 1;
-  w[1][2] = w[2][1] = 1;
-  const MatchingResult r = max_weight_matching(w);
-  ASSERT_EQ(r.mate.size(), 3u);
-  EXPECT_EQ(r.mate[0], 1);
-  EXPECT_EQ(r.mate[1], 0);
-  EXPECT_EQ(r.mate[2], -1);
-  EXPECT_EQ(r.weight, 100);
-
-  const MatchingResult g = greedy_matching(w);
-  EXPECT_EQ(g.mate[0], 1);
-  EXPECT_EQ(g.mate[2], -1);
-}
-
-TEST(OddMatching, SingleVertexAndEvenDelegation) {
-  const MatchingResult one = max_weight_matching({{0}});
-  ASSERT_EQ(one.mate.size(), 1u);
-  EXPECT_EQ(one.mate[0], -1);
-  EXPECT_EQ(one.weight, 0);
-  EXPECT_THROW(max_weight_matching({}), std::invalid_argument);
-  EXPECT_THROW(greedy_matching({}), std::invalid_argument);
-
-  // Even sizes delegate: identical result to the strict entry point.
-  const WeightMatrix w = random_matrix(8, 3, 1000);
-  const MatchingResult strict = max_weight_perfect_matching(w);
-  const MatchingResult relaxed = max_weight_matching(w);
-  EXPECT_EQ(strict.mate, relaxed.mate);
-  EXPECT_EQ(strict.weight, relaxed.weight);
-}
-
-TEST(OddMatching, AllZeroOddMatrixNeverDies) {
-  for (int n : {3, 5, 7, 9}) {
-    WeightMatrix w(static_cast<std::size_t>(n),
-                   std::vector<std::int64_t>(static_cast<std::size_t>(n), 0));
-    const MatchingResult r = max_weight_matching(w);
-    int unmatched = 0;
-    for (int v = 0; v < n; ++v) {
-      if (r.mate[static_cast<std::size_t>(v)] < 0) {
-        ++unmatched;
-      } else {
-        EXPECT_EQ(r.mate[static_cast<std::size_t>(
-                      r.mate[static_cast<std::size_t>(v)])],
-                  v);
-      }
-    }
-    EXPECT_EQ(unmatched, 1) << "n=" << n;
-    EXPECT_EQ(r.weight, 0);
-  }
-}
-
 TEST(Matching, RejectsAsymmetric) {
   WeightMatrix w(2, std::vector<std::int64_t>(2, 0));
   w[0][1] = 3;

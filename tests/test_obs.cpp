@@ -429,89 +429,13 @@ TEST(Metrics, ConcurrentSeriesSamplingSmoke) {
 
 TEST(Series, UnboundedByDefault) {
   TimeSeries series;
-  EXPECT_EQ(series.capacity(), 0u);
   for (int i = 0; i < 500; ++i) {
     SeriesSample s;
     s.sim_events = static_cast<std::uint64_t>(i);
     series.append(std::move(s));
   }
   EXPECT_EQ(series.size(), 500u);
-  EXPECT_EQ(series.dropped(), 0u);
-}
-
-TEST(Series, CapacityDecimatesEvenlyNotTailBiased) {
-  TimeSeries series;
-  series.set_capacity(16);
-  const int appended = 1000;
-  for (int i = 0; i < appended; ++i) {
-    SeriesSample s;
-    s.sim_events = static_cast<std::uint64_t>(i) * 10;
-    series.append(std::move(s));
-  }
-  // Memory stays bounded and everything shed is accounted for.
-  EXPECT_LT(series.size(), 16u);
-  EXPECT_GT(series.size(), 0u);
-  EXPECT_EQ(series.size() + series.dropped(),
-            static_cast<std::size_t>(appended));
-
-  // The kept samples are evenly strided over the whole history (indices
-  // are multiples of a power-of-two stride), not just the newest tail.
-  const auto samples = series.samples();
-  ASSERT_GE(samples.size(), 2u);
-  EXPECT_EQ(samples.front().index, 0u);  // the origin always survives
-  const std::uint64_t stride = samples[1].index - samples[0].index;
-  EXPECT_GT(stride, 1u);
-  EXPECT_EQ(stride & (stride - 1), 0u);  // power of two
-  for (std::size_t i = 1; i < samples.size(); ++i) {
-    EXPECT_EQ(samples[i].index - samples[i - 1].index, stride) << i;
-  }
-  // History coverage: the retained window spans most of the appends, which
-  // a keep-the-tail policy would not.
-  EXPECT_LT(samples.front().index, static_cast<std::uint64_t>(appended) / 4);
-  EXPECT_GT(samples.back().index, static_cast<std::uint64_t>(appended) / 2);
-}
-
-TEST(Series, DecimationIsDeterministic) {
-  const auto run = [] {
-    TimeSeries series;
-    series.set_capacity(8);
-    for (int i = 0; i < 300; ++i) {
-      SeriesSample s;
-      s.sim_events = static_cast<std::uint64_t>(i);
-      series.append(std::move(s));
-    }
-    std::vector<std::uint64_t> kept;
-    for (const SeriesSample& s : series.samples()) kept.push_back(s.index);
-    return std::make_pair(kept, series.dropped());
-  };
-  const auto a = run();
-  const auto b = run();
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_EQ(a.second, b.second);
-}
-
-TEST(Metrics, BoundedSeriesExportsDroppedCounter) {
-  MetricsRegistry registry;
-  registry.set_series_capacity(8);
-  registry.counter("work.done").add(1);
-  for (int i = 0; i < 100; ++i) {
-    registry.sample_series(static_cast<std::uint64_t>(i) * 100, "interval");
-  }
-  EXPECT_LT(registry.series().size(), 8u);
-  const std::uint64_t dropped = registry.series().dropped();
-  EXPECT_GT(dropped, 0u);
-  // The decimation count is surfaced as obs.series_dropped so a bounded
-  // daemon run can report how much history it shed.
-  EXPECT_EQ(registry.counter_value("obs.series_dropped"), dropped);
-
-  // An unbounded registry never creates the counter at all.
-  MetricsRegistry unbounded;
-  unbounded.counter("work.done").add(1);
-  for (int i = 0; i < 100; ++i) {
-    unbounded.sample_series(static_cast<std::uint64_t>(i), "interval");
-  }
-  EXPECT_EQ(unbounded.series().size(), 100u);
-  EXPECT_EQ(unbounded.counter_value("obs.series_dropped"), 0u);
+  EXPECT_EQ(series.samples().back().index, 499u);
 }
 
 TEST(Tracer, ConcurrentWraparoundKeepsRingIntact) {

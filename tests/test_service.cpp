@@ -22,6 +22,7 @@
 #include "npb/workload.hpp"
 #include "reference_stream_window.hpp"
 #include "sim/trace_file.hpp"
+#include "svc/serve.hpp"
 #include "svc/service.hpp"
 
 namespace tlbmap {
@@ -939,6 +940,31 @@ TEST(MappingService, FaultIsolationDifferential) {
         pipeline.evaluate(workload_b, b->mapping, /*seed=*/1);
     EXPECT_EQ(stats_a, stats_b);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The serve driver.
+
+TEST(Serve, MultiprogramTenantHoldsEveryRecordedStream) {
+  // mp:sp+cg at 4 threads per app records 8 streams; the tenant's session
+  // must open with all 8, drain them and hold a decision for each thread.
+  svc::ServeOptions options;
+  options.app = "mp:sp+cg";
+  options.threads = 4;
+  options.tenants = 1;
+  options.size_scale = 0.05;
+  options.iter_scale = 0.05;
+  const svc::ServeOutcome outcome = svc::run_serve(options, nullptr, nullptr);
+  EXPECT_EQ(outcome.exit_code, 0) << outcome.error;
+  EXPECT_TRUE(outcome.quarantines.empty());
+  ASSERT_EQ(outcome.tenants.size(), 1u);
+  EXPECT_EQ(outcome.tenants[0].status, SessionStatus::kComplete);
+  EXPECT_TRUE(outcome.tenants[0].has_decision);
+  EXPECT_EQ(outcome.tenants[0].mapping.size(), 8u);
+
+  // Two apps at 8 threads each need 16 cores; the 8-core machine has 8.
+  options.threads = 8;
+  EXPECT_THROW(options.validate(), std::invalid_argument);
 }
 
 }  // namespace
