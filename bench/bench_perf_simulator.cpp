@@ -246,12 +246,16 @@ void BM_MachineConstruct(benchmark::State& state) {
 BENCHMARK(BM_MachineConstruct)->Arg(0)->Arg(1)->ArgNames({"manycore"});
 
 // One lookup in the paper's L2 geometry (6 MB, 8-way, 12,288 sets, not a
-// power of two). miss=0: find() on resident lines, spread over every set.
-// miss=1: a cyclic stream over four times the capacity, disjoint from the
+// power of two). arm 0: find() on resident lines, spread over every set.
+// arm 1: a cyclic stream over four times the capacity, disjoint from the
 // lines filled up front, so every find() misses and the insert() after it
-// evicts the set's LRU line.
+// evicts the set's LRU line. arm 2: a read then a store to the same
+// resident line, both looked up through one way hint as a core does: the
+// read walks the set, the store's find() is one tag compare, and the line
+// turns Modified. An arm-2 iteration costs two lookups.
 void BM_CacheAccess(benchmark::State& state) {
-  const bool miss = state.range(0) != 0;
+  const bool miss = state.range(0) == 1;
+  const bool read_then_write = state.range(0) == 2;
   Cache cache(MachineConfig::harpertown().l2);
   const LineAddr capacity = cache.num_sets() * cache.ways();
   const LineAddr range = miss ? 4 * capacity : capacity;
@@ -262,16 +266,22 @@ void BM_CacheAccess(benchmark::State& state) {
   // A prime stride, coprime with the range: visits every line of it.
   const LineAddr stride = 7'919;
   LineAddr line = 0;
+  std::size_t hint = Cache::kNoWay;
   for (auto _ : state) {
     line += stride;
     if (line >= range) line -= range;
-    if (cache.find(line) == nullptr) {
+    if (read_then_write) {
+      benchmark::DoNotOptimize(cache.find(line, hint));
+      MesiState* held = cache.find(line, hint);
+      *held = MesiState::kModified;
+      benchmark::DoNotOptimize(held);
+    } else if (cache.find(line) == nullptr) {
       benchmark::DoNotOptimize(cache.insert(line, MesiState::kExclusive));
     }
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CacheAccess)->Arg(0)->Arg(1)->ArgNames({"miss"});
+BENCHMARK(BM_CacheAccess)->Arg(0)->Arg(1)->Arg(2)->ArgNames({"arm"});
 
 }  // namespace
 

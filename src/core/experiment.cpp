@@ -429,7 +429,7 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
   // task is a pure function of the config and its preassigned seed, so a
   // task that throws would throw again: it is folded into a structured
   // kWorkerFailure with its result slot left at its default; the caller
-  // collects the failures per phase.
+  // collects the failures per phase. Returns which tasks failed.
   auto run_tasks = [&](const char* phase, std::size_t count,
                        const std::function<void(std::size_t)>& body) {
     std::vector<std::string> errors(count);
@@ -471,8 +471,10 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
     // shutdown is pending; tasks already in flight stop themselves at the
     // Machine's next poll.
     pool.run(count, timed, [] { return shutdown_requested(); });
+    std::vector<bool> failed(count, false);
     for (std::size_t idx = 0; idx < count; ++idx) {
       if (errors[idx].empty()) continue;
+      failed[idx] = true;
       std::ostringstream msg;
       msg << phase << " task " << idx << " failed: " << errors[idx];
       result.failures.push_back(Error{ErrorCode::kWorkerFailure, msg.str()});
@@ -480,6 +482,7 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
         *progress << "[suite] DEGRADED: " << msg.str() << "\n";
       }
     }
+    return failed;
   };
 
   // Interrupted epilogue: persist what completed, flag the result, and
@@ -519,7 +522,9 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
   }
 
   // Phase 1: all detection runs (3 mechanisms per app) in one pool. Each
-  // accumulates its own CommMatrix.
+  // accumulates its own CommMatrix. Task 3i is app i's SM run, 3i + 1 its
+  // HM run and 3i + 2 its oracle run.
+  std::vector<bool> detect_failed;
   {
     obs::TraceSpan span(obs::tracer_at(obs, obs::ObsLevel::kPhases),
                         "suite.detect", "suite");
@@ -541,7 +546,7 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
       tasks.push_back(
           {&result.apps[i].oracle_detection, i, Pipeline::Mechanism::kOracle});
     }
-    run_tasks("detect", tasks.size(), [&](std::size_t idx) {
+    detect_failed = run_tasks("detect", tasks.size(), [&](std::size_t idx) {
       const DetectTask& task = tasks[idx];
       if (replay(ckpt.detect_done, idx, *task.slot)) return;
       Pipeline detect_pipe(config.machine);
@@ -570,7 +575,10 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
 
   // Phase 2: mapping is a cheap serial step between the two fan-outs. A
   // mapping that cannot be derived (matcher failure on a corrupted matrix)
-  // degrades to round-robin rather than aborting the suite.
+  // degrades to round-robin rather than aborting the suite. A failed
+  // detection has no matrix to map: its mapping stays empty, and the
+  // evaluate tasks under it are skipped, so the detect task's failure is
+  // the only one reported for it.
   {
     obs::TraceSpan span(obs::tracer_at(obs, obs::ObsLevel::kPhases),
                         "suite.map", "suite");
@@ -604,9 +612,14 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
         result.apps[i].hm_mapping = ckpt.hm_mappings[i];
       }
     } else {
-      for (AppExperiment& app : result.apps) {
-        app.sm_mapping = map_or_fallback(app, app.sm_detection);
-        app.hm_mapping = map_or_fallback(app, app.hm_detection);
+      for (std::size_t i = 0; i < num_apps; ++i) {
+        AppExperiment& app = result.apps[i];
+        if (!detect_failed[3 * i]) {
+          app.sm_mapping = map_or_fallback(app, app.sm_detection);
+        }
+        if (!detect_failed[3 * i + 1]) {
+          app.hm_mapping = map_or_fallback(app, app.hm_detection);
+        }
       }
       if (mirroring) {
         std::lock_guard<std::mutex> lock(ckpt_mutex);
@@ -670,6 +683,7 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
     }
     run_tasks("evaluate", tasks.size(), [&](std::size_t idx) {
       const EvalTask& task = tasks[idx];
+      if (task.mapping.empty()) return;  // its detection failed (phase 2)
       if (replay(ckpt.eval_done, idx, *task.slot)) return;
       Pipeline worker_pipe(config.machine);
       // The tracer and registry are thread-safe; evaluation spans from

@@ -13,18 +13,6 @@ Cache::Cache(const CacheConfig& config)
       stamps_(config_.num_lines(), 0),
       states_(config_.num_lines(), MesiState::kInvalid) {}
 
-std::size_t Cache::find_way(std::size_t base, LineAddr addr) const {
-  const int w = scan_tags(tags_.data() + base, ways_, addr);
-  return w < 0 ? kNoWay : base + static_cast<std::size_t>(w);
-}
-
-MesiState* Cache::find(LineAddr addr) {
-  const std::size_t i = find_way(set_index(addr) * ways_, addr);
-  if (i == kNoWay) return nullptr;
-  stamps_[i] = ++clock_;
-  return &states_[i];
-}
-
 const MesiState* Cache::peek(LineAddr addr) const {
   const std::size_t i = find_way(set_index(addr) * ways_, addr);
   return i == kNoWay ? nullptr : &states_[i];
@@ -34,34 +22,20 @@ MesiState* Cache::peek_mutable(LineAddr addr) {
   return const_cast<MesiState*>(std::as_const(*this).peek(addr));
 }
 
-std::optional<Cache::Eviction> Cache::insert(LineAddr addr, MesiState state) {
-  // One pass: the line itself if present, else the first invalid way, else
-  // the valid way with the smallest stamp (stamps of valid ways are
-  // distinct, so that is the LRU line).
-  const std::size_t base = set_index(addr) * ways_;
-  std::size_t free_way = kNoWay;
-  std::size_t lru_way = base;
-  for (std::size_t i = base; i < base + ways_; ++i) {
-    if (tags_[i] == addr) {
-      states_[i] = state;
-      stamps_[i] = ++clock_;
-      return std::nullopt;
-    }
-    if (tags_[i] == kInvalidTag) {
-      if (free_way == kNoWay) free_way = i;
-    } else if (stamps_[i] < stamps_[lru_way]) {
-      lru_way = i;
-    }
+std::optional<Cache::Eviction> Cache::insert(LineAddr addr, MesiState state,
+                                             std::size_t& hint) {
+  if (hint >= tags_.size() || tags_[hint] != addr) {
+    const std::size_t base = set_index(addr) * ways_;
+    hint = base + pick_way(tags_.data() + base, stamps_.data() + base, ways_,
+                           addr);
   }
   std::optional<Eviction> evicted;
-  std::size_t victim = free_way;
-  if (victim == kNoWay) {
-    victim = lru_way;
-    evicted = Eviction{tags_[victim], states_[victim]};
+  if (tags_[hint] != addr && tags_[hint] != kInvalidTag) {
+    evicted = Eviction{tags_[hint], states_[hint]};
   }
-  tags_[victim] = addr;
-  stamps_[victim] = ++clock_;
-  states_[victim] = state;
+  tags_[hint] = addr;
+  stamps_[hint] = ++clock_;
+  states_[hint] = state;
   return evicted;
 }
 

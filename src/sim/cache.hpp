@@ -11,6 +11,13 @@
 // eight dense tags instead of striding through line structs. The set index
 // is a divide-free reduction (fast_mod.hpp), because the paper's L2 has a
 // set count that is not a power of two.
+//
+// find() and insert() also take a way hint: a flat way index the caller
+// remembers from its last access (any value, stale or out of range). It is
+// tried with one tag compare before the set is walked. A line's tag occurs
+// at most once in the whole cache, so a matching hint is exact, and a stale
+// one costs nothing but the walk it would have done anyway: no event has
+// to clear hints.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +67,25 @@ class Cache {
     MesiState state = MesiState::kInvalid;
   };
 
+  /// Way hint that matches no way.
+  static constexpr std::size_t kNoWay = ~std::size_t{0};
+
   /// Looks a line up and refreshes its LRU stamp. Returns the line's state,
   /// or nullptr on miss.
-  MesiState* find(LineAddr addr);
+  MesiState* find(LineAddr addr) {
+    std::size_t hint = kNoWay;
+    return find(addr, hint);
+  }
+  /// find() that tries way `hint` first and leaves it at the line's way
+  /// (kNoWay on a miss).
+  MesiState* find(LineAddr addr, std::size_t& hint) {
+    if (hint >= tags_.size() || tags_[hint] != addr) {
+      hint = find_way(set_index(addr) * ways_, addr);
+      if (hint == kNoWay) return nullptr;
+    }
+    stamps_[hint] = ++clock_;
+    return &states_[hint];
+  }
 
   /// Looks a line up without touching LRU state (used by snoops, which must
   /// not perturb the owner's replacement order). A line is dropped only
@@ -74,7 +97,13 @@ class Cache {
   /// Inserts a line in the given state, evicting the set's LRU victim when
   /// every way is valid. Inserting an already-present line just updates its
   /// state and LRU stamp.
-  std::optional<Eviction> insert(LineAddr addr, MesiState state);
+  std::optional<Eviction> insert(LineAddr addr, MesiState state) {
+    std::size_t hint = kNoWay;
+    return insert(addr, state, hint);
+  }
+  /// insert() that tries way `hint` first and leaves it at the line's way.
+  std::optional<Eviction> insert(LineAddr addr, MesiState state,
+                                 std::size_t& hint);
 
   /// Drops a line. Returns the state it held, or nullopt if absent.
   std::optional<MesiState> invalidate(LineAddr addr);
@@ -101,10 +130,11 @@ class Cache {
   }
 
  private:
-  static constexpr std::size_t kNoWay = ~std::size_t{0};
-
   /// Flat index of `addr`'s way in the set starting at `base`, or kNoWay.
-  std::size_t find_way(std::size_t base, LineAddr addr) const;
+  std::size_t find_way(std::size_t base, LineAddr addr) const {
+    const int w = scan_tags(tags_.data() + base, ways_, addr);
+    return w < 0 ? kNoWay : base + static_cast<std::size_t>(w);
+  }
 
   CacheConfig config_;
   std::size_t ways_ = 0;

@@ -167,8 +167,9 @@ L2Id CoherenceDomain::probe(L2Id me, LineAddr line, MachineStats& stats) {
 }
 
 void CoherenceDomain::insert_line(L2Id me, LineAddr line, MesiState state,
-                                  MachineStats& stats) {
-  auto evicted = l2s_[static_cast<std::size_t>(me)].insert(line, state);
+                                  std::size_t& l2_way, MachineStats& stats) {
+  auto evicted =
+      l2s_[static_cast<std::size_t>(me)].insert(line, state, l2_way);
   // Victim first: the table then never holds more lines than the L2s do,
   // so a full machine sits at exactly half load instead of doubling for
   // one transient entry.
@@ -181,10 +182,10 @@ void CoherenceDomain::insert_line(L2Id me, LineAddr line, MesiState state,
 }
 
 Cycles CoherenceDomain::read(L2Id me, LineAddr line, Cycles memory_latency,
-                             MachineStats& stats) {
+                             std::size_t& l2_way, MachineStats& stats) {
   ++stats.l2_accesses;
   Cache& mine = l2s_[static_cast<std::size_t>(me)];
-  if (mine.find(line) != nullptr) {
+  if (mine.find(line, l2_way) != nullptr) {
     ++stats.l2_hits;
     return l2_latency_;
   }
@@ -199,20 +200,20 @@ Cycles CoherenceDomain::read(L2Id me, LineAddr line, Cycles memory_latency,
     *held = MesiState::kShared;
     ++stats.snoop_transactions;
     latency += interconnect_->transfer(holder, me, stats);
-    insert_line(me, line, MesiState::kShared, stats);
+    insert_line(me, line, MesiState::kShared, l2_way, stats);
   } else {
     ++stats.memory_fetches;
     latency += memory_latency;
-    insert_line(me, line, MesiState::kExclusive, stats);
+    insert_line(me, line, MesiState::kExclusive, l2_way, stats);
   }
   return latency;
 }
 
 Cycles CoherenceDomain::write(L2Id me, LineAddr line, Cycles memory_latency,
-                              MachineStats& stats) {
+                              std::size_t& l2_way, MachineStats& stats) {
   ++stats.l2_accesses;
   Cache& mine = l2s_[static_cast<std::size_t>(me)];
-  if (MesiState* held = mine.find(line)) {
+  if (MesiState* held = mine.find(line, l2_way)) {
     ++stats.l2_hits;
     switch (*held) {
       case MesiState::kModified:
@@ -265,7 +266,7 @@ Cycles CoherenceDomain::write(L2Id me, LineAddr line, Cycles memory_latency,
     ++stats.memory_fetches;
     latency += memory_latency;
   }
-  insert_line(me, line, MesiState::kModified, stats);
+  insert_line(me, line, MesiState::kModified, l2_way, stats);
   return latency;
 }
 

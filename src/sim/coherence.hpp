@@ -201,20 +201,24 @@ class CoherenceDomain {
   /// Demand read reaching an L2 (after an L1 miss).
   /// Returns the extra latency beyond the core's L1 access.
   /// `memory_latency` is the DRAM cost if the line must come from memory
-  /// (NUMA machines pass the home-node-dependent value).
+  /// (NUMA machines pass the home-node-dependent value). `l2_way` is the
+  /// caller's way hint into `l2` (Cache::find); it is left at the line's
+  /// way.
   Cycles read(L2Id l2, LineAddr line, Cycles memory_latency,
-              MachineStats& stats);
+              std::size_t& l2_way, MachineStats& stats);
   Cycles read(L2Id l2, LineAddr line, MachineStats& stats) {
-    return read(l2, line, interconnect_->memory_latency(), stats);
+    std::size_t l2_way = Cache::kNoWay;
+    return read(l2, line, interconnect_->memory_latency(), l2_way, stats);
   }
 
   /// Demand write reaching an L2 (write-through from the L1). Store buffers
   /// hide the common-case latency; only coherence work (ownership upgrade,
   /// read-for-ownership) is charged.
   Cycles write(L2Id l2, LineAddr line, Cycles memory_latency,
-               MachineStats& stats);
+               std::size_t& l2_way, MachineStats& stats);
   Cycles write(L2Id l2, LineAddr line, MachineStats& stats) {
-    return write(l2, line, interconnect_->memory_latency(), stats);
+    std::size_t l2_way = Cache::kNoWay;
+    return write(l2, line, interconnect_->memory_latency(), l2_way, stats);
   }
 
   void set_line_drop_callback(LineDropFn fn) { on_line_drop_ = std::move(fn); }
@@ -241,10 +245,11 @@ class CoherenceDomain {
   /// line. Also records one probe message per remote L2 (broadcast snoop).
   L2Id probe(L2Id me, LineAddr line, MachineStats& stats);
 
-  /// Inserts into `me`, handling an inclusive eviction (writeback if the
-  /// victim was modified; L1 shootdown either way).
+  /// Inserts into `me` through way hint `l2_way`, handling an inclusive
+  /// eviction (writeback if the victim was modified; L1 shootdown either
+  /// way).
   void insert_line(L2Id me, LineAddr line, MesiState state,
-                   MachineStats& stats);
+                   std::size_t& l2_way, MachineStats& stats);
 
   void drop(L2Id holder, LineAddr line);
 

@@ -25,6 +25,7 @@ MemoryHierarchy::MemoryHierarchy(const MachineConfig& config)
     l1s_.emplace_back(config.l1);
   }
   memos_.resize(static_cast<std::size_t>(topology_.num_cores()));
+  hints_.resize(static_cast<std::size_t>(topology_.num_cores()));
   // Keep L1s inclusive: when an L2 loses a line, shoot it down in the L1s of
   // the cores attached to that L2. Cores of an L2 are a contiguous id range.
   coherence_.set_line_drop_callback([this](L2Id l2, LineAddr line) {
@@ -94,6 +95,7 @@ MemoryHierarchy::AccessInfo MemoryHierarchy::access(CoreId core,
   const LineAddr line = phys >> line_shift_;
 
   Cache& l1 = l1s_[static_cast<std::size_t>(core)];
+  WayHints& hint = hints_[static_cast<std::size_t>(core)];
   const L2Id l2 = topology_.l2_of(core);
 
   const auto count_fetch_locality = [&](std::uint64_t fetches_before) {
@@ -107,30 +109,31 @@ MemoryHierarchy::AccessInfo MemoryHierarchy::access(CoreId core,
   };
 
   if (type == AccessType::kRead) {
-    if (l1.find(line) != nullptr) {
+    if (l1.find(line, hint.l1) != nullptr) {
       ++stats.l1_hits;
       info.latency += config_.l1.latency;
       return info;
     }
     ++stats.l1_misses;
     const std::uint64_t fetches_before = stats.memory_fetches;
-    info.latency +=
-        config_.l1.latency + coherence_.read(l2, line, memory_latency, stats);
+    info.latency += config_.l1.latency +
+                    coherence_.read(l2, line, memory_latency, hint.l2, stats);
     count_fetch_locality(fetches_before);
-    l1.insert(line, MesiState::kShared);  // write-through L1: never dirty
+    // Write-through L1: never dirty.
+    l1.insert(line, MesiState::kShared, hint.l1);
     return info;
   }
 
   // Write-through, no-write-allocate L1: refresh a present copy, then push
   // the store to the L2, which performs the MESI ownership work.
-  if (l1.find(line) != nullptr) {
+  if (l1.find(line, hint.l1) != nullptr) {
     ++stats.l1_hits;
   } else {
     ++stats.l1_misses;
   }
   const std::uint64_t fetches_before = stats.memory_fetches;
   const std::uint64_t l2_hits_before = stats.l2_hits;
-  info.latency += coherence_.write(l2, line, memory_latency, stats);
+  info.latency += coherence_.write(l2, line, memory_latency, hint.l2, stats);
   count_fetch_locality(fetches_before);
   // Cores behind the same L2 do not appear on the snoop bus, so their L1
   // copies must be shot down locally or they would keep serving stale hits.

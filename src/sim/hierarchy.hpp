@@ -2,12 +2,22 @@
 // -> memory. Composes the component models and keeps the L1s inclusive with
 // respect to their L2 via the coherence domain's line-drop callback.
 //
-// Two engine shortcuts change no simulated outcome: a per-core memo of the
-// last translation skips the TLB and page-table work of a same-page
-// repeat, and the sibling-L1 shootdown after a store runs only when the
-// store hit in the L2. The hierarchy differential test checks every access
-// against ReferenceHierarchy (tests/reference_coherence.hpp), which has
-// neither shortcut.
+// Three engine shortcuts change no simulated outcome:
+//  - a per-core memo of the last translation skips the TLB and page-table
+//    work of a same-page repeat;
+//  - each core keeps one way hint into its L1 and one into its L2: the
+//    flat way index its last lookup or fill there ended on. Cache::find and
+//    Cache::insert test that way's tag before walking the set, so a read
+//    followed by a store to the same line, or a streak of reads, walks
+//    each set once. A hint is checked against the tag, never trusted, so
+//    no eviction, invalidation or flush has to clear it. A fill that walks
+//    takes the way pick_way() (scan.hpp) chooses, the one branch-free
+//    victim pick Cache and Tlb share;
+//  - the sibling-L1 shootdown after a store runs only when the store hit
+//    in the L2.
+// The hierarchy differential test checks every access against
+// ReferenceHierarchy (tests/reference_coherence.hpp), which has none of
+// these shortcuts.
 //
 // Only data accesses are modelled: the paper notes (Sec. III-A1) that
 // instruction fetches are irrelevant to mapping because instructions are
@@ -74,6 +84,12 @@ class MemoryHierarchy {
     bool valid = false;
   };
 
+  /// A core's way hints into its L1 and its L2 (see the file comment).
+  struct WayHints {
+    std::size_t l1 = Cache::kNoWay;
+    std::size_t l2 = Cache::kNoWay;
+  };
+
   MachineConfig config_;
   Topology topology_;
   Interconnect interconnect_;
@@ -83,6 +99,7 @@ class MemoryHierarchy {
   CoherenceDomain coherence_;
   int line_shift_;
   std::vector<TranslationMemo> memos_;
+  std::vector<WayHints> hints_;
 };
 
 }  // namespace tlbmap

@@ -33,25 +33,36 @@ struct ThreadState {
 /// Entries go stale when a thread's clock moves or it blocks; the picker
 /// validates the top against live state and drops stale entries, so the
 /// only invariant is that every runnable thread has at least one entry
-/// carrying its current clock. Ordering by the (clock, id) pair gives the
-/// lowest-id tie-break.
+/// carrying its current clock.
+///
+/// An entry is one word, clock << 16 | thread, so the (clock, id) order
+/// with its lowest-id tie-break is a single unsigned compare. That bounds
+/// thread ids below 2^16 and keyed clocks below 2^48 cycles; every keyed
+/// clock is OR-ed into clock_bits_, and the run checks clock_overflow()
+/// before it trusts the heap again.
 class ReadyHeap {
  public:
-  struct Entry {
-    Cycles clock;
-    int thread;
-  };
+  static constexpr int kThreadBits = 16;
+  static constexpr std::size_t kMaxThreads = std::size_t{1} << kThreadBits;
 
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
-  const Entry& top() const { return heap_.front(); }
+  Cycles top_clock() const { return heap_.front() >> kThreadBits; }
+  int top_thread() const {
+    return static_cast<int>(heap_.front() & (kMaxThreads - 1));
+  }
+  /// True once a clock of 2^48 cycles or more was keyed (its key wrapped).
+  bool clock_overflow() const {
+    return (clock_bits_ >> (64 - kThreadBits)) != 0;
+  }
 
-  void push(Entry e) {
+  void push(Cycles clock, int thread) {
+    const std::uint64_t e = key(clock, thread);
     std::size_t i = heap_.size();
     heap_.push_back(e);
     while (i > 0) {
       const std::size_t parent = (i - 1) / 2;
-      if (!before(e, heap_[parent])) break;
+      if (heap_[parent] <= e) break;
       heap_[i] = heap_[parent];
       i = parent;
     }
@@ -59,7 +70,7 @@ class ReadyHeap {
   }
 
   void pop() {
-    const Entry last = heap_.back();
+    const std::uint64_t last = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) sift_down_from_top(last);
   }
@@ -67,41 +78,46 @@ class ReadyHeap {
   /// Gives the top entry a new clock and restores heap order with one
   /// sift-down: the picked thread's entry after it issued an event.
   void rekey_top(Cycles clock) {
-    sift_down_from_top(Entry{clock, heap_.front().thread});
+    sift_down_from_top(key(clock, top_thread()));
   }
 
-  /// Adds `delta` to every entry. A uniform shift keeps heap order, so a
-  /// global stall needs no re-heapify: each runnable thread's entry still
-  /// carries its (shifted) current clock, and stale entries stay stale.
+  /// Adds `delta` to every entry's clock. A uniform shift keeps heap
+  /// order, so a global stall needs no re-heapify: each runnable thread's
+  /// entry still carries its (shifted) current clock, and stale entries
+  /// stay stale.
   void shift_all(Cycles delta) {
-    for (Entry& e : heap_) e.clock += delta;
+    for (std::uint64_t& e : heap_) {
+      e = key((e >> kThreadBits) + delta,
+              static_cast<int>(e & (kMaxThreads - 1)));
+    }
+    clock_bits_ |= delta;
   }
 
  private:
-  /// (clock, id) order, computed without branches: the heap's compares
-  /// are data-dependent, so a branch here mispredicts about half the time.
-  static bool before(const Entry& a, const Entry& b) {
-    return (a.clock < b.clock) |
-           ((a.clock == b.clock) & (a.thread < b.thread));
+  std::uint64_t key(Cycles clock, int thread) {
+    clock_bits_ |= clock;
+    return clock << kThreadBits | static_cast<std::uint64_t>(thread);
   }
 
-  /// Places `e` at the root, then moves it down to its place.
-  void sift_down_from_top(Entry e) {
+  /// Places `e` at the root, then moves it down to its place. The child
+  /// pick is branch-free: the heap's compares are data-dependent, so a
+  /// branch there mispredicts about half the time.
+  void sift_down_from_top(std::uint64_t e) {
     const std::size_t n = heap_.size();
     std::size_t i = 0;
     for (std::size_t child = 1; child < n; child = 2 * i + 1) {
       if (child + 1 < n) {
-        child += static_cast<std::size_t>(
-            before(heap_[child + 1], heap_[child]));
+        child += static_cast<std::size_t>(heap_[child + 1] < heap_[child]);
       }
-      if (!before(heap_[child], e)) break;
+      if (heap_[child] >= e) break;
       heap_[i] = heap_[child];
       i = child;
     }
     heap_[i] = e;
   }
 
-  std::vector<Entry> heap_;
+  std::vector<std::uint64_t> heap_;
+  Cycles clock_bits_ = 0;  ///< OR of every keyed clock and stall
 };
 
 }  // namespace
@@ -133,6 +149,10 @@ Expected<MachineStats> Machine::try_run(
   if (config.thread_to_core.size() != streams.size()) {
     return Error{ErrorCode::kInvalidMapping,
                  "Machine::run: mapping size != thread count"};
+  }
+  if (streams.size() > ReadyHeap::kMaxThreads) {
+    return Error{ErrorCode::kInvalidArgument,
+                 "Machine::run: more than 65536 threads"};
   }
   std::fill(thread_on_core_.begin(), thread_on_core_.end(), kNoThread);
   for (ThreadId t = 0; t < num_threads; ++t) {
@@ -171,7 +191,7 @@ Expected<MachineStats> Machine::try_run(
   ReadyHeap ready;
   auto push_ready = [&](int t) {
     const ThreadState& ts = threads[static_cast<std::size_t>(t)];
-    if (ts.runnable()) ready.push({ts.clock, t});
+    if (ts.runnable()) ready.push(ts.clock, t);
   };
   auto push_all_ready = [&] {
     for (int t = 0; t < num_threads; ++t) push_ready(t);
@@ -297,6 +317,11 @@ Expected<MachineStats> Machine::try_run(
   push_all_ready();
   while (live > 0) {
     if (fatal) return *std::move(fatal);
+    if (ready.clock_overflow()) {
+      return Error{ErrorCode::kInvalidArgument,
+                   "Machine::run: simulated clock reached 2^48 cycles after " +
+                       std::to_string(events_issued) + " events"};
+    }
     // Cooperative shutdown (DESIGN.md Sec. 12): poll the process-wide flag
     // every 4096 events — often enough that SIGINT lands within
     // microseconds of simulated work, cheap enough to vanish from the hot
@@ -324,10 +349,10 @@ Expected<MachineStats> Machine::try_run(
     // Its entry stays on top while the event runs and is re-keyed after.
     int next = -1;
     while (!ready.empty()) {
-      const ReadyHeap::Entry top = ready.top();
-      const ThreadState& ts = threads[static_cast<std::size_t>(top.thread)];
-      if (ts.runnable() && ts.clock == top.clock) {
-        next = top.thread;
+      const int top = ready.top_thread();
+      const ThreadState& ts = threads[static_cast<std::size_t>(top)];
+      if (ts.runnable() && ts.clock == ready.top_clock()) {
+        next = top;
         break;
       }
       ready.pop();  // stale: clock moved or thread blocked since push

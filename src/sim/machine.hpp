@@ -6,7 +6,9 @@
 // accesses from different threads interleave in simulated-time order (this
 // is what stands in for Simics). One binary min-heap over (clock, id) picks
 // that thread at every thread count; after an event the picked thread's
-// entry is re-keyed in place with a single sift-down. Detectors observe
+// entry is re-keyed in place with a single sift-down. A heap entry is one
+// word, clock << 16 | id, so a run holds at most 2^16 threads, and a run
+// whose clock reaches 2^48 cycles ends with an error. Detectors observe
 // two signals, matching the paper's two mechanisms: per-access TLB-miss
 // notifications (software-managed TLB trap) and the advance of global time
 // (the hardware-managed TLB's periodic search).
@@ -103,7 +105,8 @@ class Machine {
 
   /// Non-throwing variant: every failure mode — bad placement, an invalid
   /// mapping from the MigrationPolicy (wrong size, a core out of range or
-  /// used twice: kInvalidMapping), watchdog budget exceeded —
+  /// used twice: kInvalidMapping), a clock that reaches 2^48 cycles or
+  /// more than 2^16 threads (kInvalidArgument), watchdog budget exceeded —
   /// returns a structured Error instead of raising; no exception escapes it
   /// for any input that does not itself throw from a user-supplied
   /// stream/observer. Only tests call it directly: run_suite reaches run()

@@ -1,5 +1,5 @@
-// Portable SIMD-style scan kernel shared by the TLB and cache lookups and
-// the HM-detector sweep.
+// Portable SIMD-style scan kernels shared by the TLB and cache lookups,
+// their inserts and the HM-detector sweep.
 //
 // The hot question for an associative container is "which way of this set
 // holds tag X?". Asked of array-of-structs storage it is a strided, branchy
@@ -12,7 +12,8 @@
 // lookup. It returns the lowest matching way, and a tag occurs at most once
 // per set, so it finds exactly the way a scalar walk would
 // (CacheDifferential and TlbDifferential check both containers against a
-// brute-force reference).
+// brute-force reference). pick_way() is the insert's victim choice over the
+// same tag array plus a parallel LRU stamp array, again without branches.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +49,28 @@ inline int scan_tags(const std::uint64_t* tags, std::size_t n,
     if (tags[i] == needle) return static_cast<int>(i);
   }
   return -1;
+}
+
+/// Way an insert of `needle` takes in a set of n ways: the way that holds
+/// `needle`, else the lowest invalid way, else the valid way with the
+/// smallest LRU stamp. One branch-free pass takes the argmin of a per-way
+/// key: 0 for the needle itself, 1 + w for invalid way w, and n + 1 + stamp
+/// for a valid way. Stamps of valid ways are distinct, so the minimum is
+/// unique, and the three bands never overlap.
+inline std::size_t pick_way(const std::uint64_t* tags,
+                            const std::uint64_t* stamps, std::size_t n,
+                            std::uint64_t needle) {
+  std::size_t best = 0;
+  std::uint64_t best_key = ~std::uint64_t{0};
+  for (std::size_t w = 0; w < n; ++w) {
+    const std::uint64_t key = tags[w] == needle        ? 0
+                              : tags[w] == kInvalidTag ? 1 + w
+                                                       : n + 1 + stamps[w];
+    const bool less = key < best_key;
+    best = less ? w : best;
+    best_key = less ? key : best_key;
+  }
+  return best;
 }
 
 }  // namespace tlbmap

@@ -25,26 +25,11 @@ bool Tlb::lookup(PageNum page) {
 }
 
 void Tlb::insert(PageNum page) {
-  // One pass: the page itself if present, else the first empty way, else
-  // the valid way with the smallest stamp (stamps of valid ways are
-  // distinct, so that is the LRU entry).
   const std::size_t base = set_index(page) * ways_;
-  std::size_t free_way = kNoWay;
-  std::size_t lru_way = base;
-  for (std::size_t i = base; i < base + ways_; ++i) {
-    if (tags_[i] == page) {
-      stamps_[i] = ++clock_;
-      return;
-    }
-    if (tags_[i] == kInvalidTag) {
-      if (free_way == kNoWay) free_way = i;
-    } else if (stamps_[i] < stamps_[lru_way]) {
-      lru_way = i;
-    }
-  }
-  const std::size_t victim = free_way == kNoWay ? lru_way : free_way;
-  tags_[victim] = page;
-  stamps_[victim] = ++clock_;
+  const std::size_t way =
+      base + pick_way(tags_.data() + base, stamps_.data() + base, ways_, page);
+  tags_[way] = page;
+  stamps_[way] = ++clock_;
 }
 
 bool Tlb::contains(PageNum page) const { return find_way(page) != kNoWay; }

@@ -674,7 +674,8 @@ class CoherenceReferenceDifferential
 // lines are shared, upgraded, stolen and evicted all the time. After every
 // op the directory domain and the broadcast walk must agree on the
 // latency, every counter and the ordered line drops; at the end, on every
-// L2's contents.
+// L2's contents. The directory domain is driven through one way hint per
+// L2, as a core drives it, so hints go stale under steals and evictions.
 TEST_P(CoherenceReferenceDifferential, MatchesBroadcastWalkEveryOp) {
   const DomainCase& c = GetParam();
   const Topology topology(c.machine);
@@ -691,17 +692,19 @@ TEST_P(CoherenceReferenceDifferential, MatchesBroadcastWalkEveryOp) {
   const auto num_l2 = static_cast<std::uint64_t>(topology.num_l2());
   constexpr LineAddr kLines = 151;  // > 2x one L2's 64 lines
   MachineStats dir_stats, ref_stats;
+  std::vector<std::size_t> l2_ways(num_l2, Cache::kNoWay);
   std::mt19937_64 rng(num_l2);
   for (int op = 0; op < 6000; ++op) {
     const auto me = static_cast<L2Id>(rng() % num_l2);
     const LineAddr line = rng() % kLines;
     const Cycles memory = rng() % 2 == 0 ? 150 : 300;
+    std::size_t& way = l2_ways[static_cast<std::size_t>(me)];
     Cycles dir_lat = 0, ref_lat = 0;
     if (rng() % 3 == 0) {
-      dir_lat = dir.write(me, line, memory, dir_stats);
+      dir_lat = dir.write(me, line, memory, way, dir_stats);
       ref_lat = ref.write(me, line, memory, ref_stats);
     } else {
-      dir_lat = dir.read(me, line, memory, dir_stats);
+      dir_lat = dir.read(me, line, memory, way, dir_stats);
       ref_lat = ref.read(me, line, memory, ref_stats);
     }
     ASSERT_EQ(dir_lat, ref_lat) << c.name << " op " << op;

@@ -81,6 +81,10 @@ class ReferenceCache {
 
   bool invalidate(LineAddr addr) { return invalidate_state(addr).has_value(); }
 
+  void flush() {
+    for (auto& set : lru_) set.clear();
+  }
+
   /// invalidate() that reports the state the line held.
   std::optional<MesiState> invalidate_state(LineAddr addr) {
     auto& set = lru_[addr % sets_];
@@ -205,6 +209,68 @@ TEST_P(CacheDifferential, MatchesReferenceOnWideKeys) {
         ASSERT_EQ(cache.invalidate(addr), ref.invalidate_state(addr))
             << "op " << op;
         break;
+    }
+  }
+}
+
+// One way hint carried through every find and insert, the way a core
+// carries its L1 and L2 hints. Half the ops reuse the previous line, so the
+// hint often matches; evictions, invalidates and flushes leave it stale in
+// range, and now and then it is replaced by an out-of-range value. A hint
+// is only a guess, so every result must still match the hint-free
+// reference.
+TEST_P(CacheDifferential, MatchesReferenceThroughOneWayHint) {
+  const auto [size, ways, seed] = GetParam();
+  Cache cache(CacheConfig{size, 64, ways, 1});
+  ReferenceCache ref(cache.num_sets(), cache.ways());
+  std::mt19937_64 rng(seed + 200);
+  const std::size_t lines = cache.num_sets() * cache.ways();
+  const LineAddr addr_space = lines * 3;
+  std::size_t hint = Cache::kNoWay;
+  LineAddr addr = 0;
+
+  for (int op = 0; op < 20'000; ++op) {
+    if (rng() % 2 == 0) addr = rng() % addr_space;
+    switch (rng() % 16) {
+      case 0:
+        ASSERT_EQ(cache.invalidate(addr), ref.invalidate_state(addr))
+            << "op " << op;
+        break;
+      case 1:
+        if (rng() % 8 == 0) {
+          cache.flush();
+          ref.flush();
+        }
+        break;
+      case 2: {
+        const std::size_t out_of_range[] = {lines, lines + rng() % lines,
+                                            Cache::kNoWay};
+        hint = out_of_range[rng() % 3];
+        break;
+      }
+      case 3:
+      case 4:
+      case 5:
+      case 6:
+      case 7: {
+        const MesiState state = random_state(rng);
+        const auto got = cache.insert(addr, state, hint);
+        const auto want = ref.insert_evicting(addr, state);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
+        if (got.has_value()) {
+          ASSERT_EQ(got->addr, want->addr) << "victim mismatch at op " << op;
+          ASSERT_EQ(got->state, want->state) << "victim state at op " << op;
+        }
+        break;
+      }
+      default: {
+        const MesiState* got = cache.find(addr, hint);
+        ASSERT_EQ(got != nullptr, ref.find(addr)) << "find at op " << op;
+        if (got != nullptr) {
+          ASSERT_EQ(got, cache.peek(addr)) << "hinted way at op " << op;
+        }
+        break;
+      }
     }
   }
 }

@@ -290,6 +290,46 @@ TEST(Experiment, RunSuiteSingleAppSmoke) {
   EXPECT_GT(app.sm_detection.stats.accesses, 0u);
 }
 
+// `suite --apps EP --reps 1 --iter-scale 0.05 --size-scale 0.05
+// --watchdog-events 16`: every detect task trips the watchdog. The SM and
+// HM evaluations have no mapping to run, so they are skipped; the OS
+// evaluation needs no detection and fails on its own watchdog. Each
+// failure is reported once, with its own cause.
+TEST(Experiment, FailedDetectionSkipsItsMapAndEvaluateTasks) {
+  SuiteConfig config;
+  config.apps = {"EP"};
+  config.repetitions = 1;
+  config.use_cache = false;
+  config.workload.iter_scale = 0.05;
+  config.workload.size_scale = 0.05;
+  config.machine.watchdog_max_events = 16;
+
+  const SuiteResult result = run_suite(config);
+  ASSERT_TRUE(result.degraded());
+  std::vector<std::string> messages;
+  for (const Error& err : result.failures) {
+    EXPECT_EQ(err.code, ErrorCode::kWorkerFailure);
+    messages.push_back(err.message);
+  }
+  const std::string watchdog = "[watchdog_timeout]";
+  ASSERT_EQ(messages.size(), 4u) << ::testing::PrintToString(messages);
+  for (int t = 0; t < 3; ++t) {
+    EXPECT_EQ(messages[static_cast<std::size_t>(t)].rfind(
+                  "detect task " + std::to_string(t) + " failed: " + watchdog,
+                  0),
+              0u)
+        << messages[static_cast<std::size_t>(t)];
+  }
+  EXPECT_EQ(messages[3].rfind("evaluate task 0 failed: " + watchdog, 0), 0u)
+      << messages[3];
+
+  const AppExperiment& app = result.apps[0];
+  EXPECT_TRUE(app.sm_mapping.empty());
+  EXPECT_TRUE(app.hm_mapping.empty());
+  EXPECT_EQ(app.sm_runs.runs[0].accesses, 0u);
+  EXPECT_EQ(app.hm_runs.runs[0].accesses, 0u);
+}
+
 TEST(Experiment, RunSuiteWritesManifestAndSeries) {
   const std::string manifest_path =
       testing::TempDir() + "tlbmap_suite_manifest.json";

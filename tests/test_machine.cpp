@@ -1,6 +1,8 @@
 // Tests for the event-driven machine: clocks, barriers, observer hooks,
 // mapping validation and determinism.
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -126,6 +128,29 @@ TEST(Machine, RejectsOutOfRangeCore) {
   Machine::RunConfig run;
   run.thread_to_core = {0, 9};
   EXPECT_THROW(m.run(streams_of({{}, {}}), run), std::invalid_argument);
+}
+
+// A scheduler key holds a clock in 48 bits. Every access below adds a
+// compute gap of 2^32 - 1 cycles, so the clock passes 2^48 after about
+// 65.5k accesses: 65,000 of them fit, 70,000 end with a structured error
+// instead of a wrapped key.
+TEST(Machine, ClockPast48BitsEndsTheRunWithAnError) {
+  const auto run_reads = [](int n) {
+    Machine m(MachineConfig::tiny());
+    return m.try_run(
+        streams_of({std::vector<TraceEvent>(
+            static_cast<std::size_t>(n), read_at(64, UINT32_MAX))}),
+        identity_run(1));
+  };
+  const Expected<MachineStats> fits = run_reads(65'000);
+  ASSERT_TRUE(fits.has_value()) << fits.error().to_string();
+  EXPECT_LT(fits->execution_cycles, Cycles{1} << 48);
+
+  const Expected<MachineStats> past = run_reads(70'000);
+  ASSERT_FALSE(past.has_value());
+  EXPECT_EQ(past.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_NE(past.error().message.find("2^48"), std::string::npos)
+      << past.error().message;
 }
 
 TEST(Machine, RejectsZeroCoresPerL2) {
