@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "core/fault.hpp"
@@ -135,6 +136,10 @@ struct MachineConfig {
   /// workload generators in long suite runs.
   std::uint64_t watchdog_max_events = 0;
 
+  /// The L2 count stays below this: the coherence directory keeps L2 ids
+  /// and holder counts in 16-bit lanes and reserves 0xFFFE and 0xFFFF.
+  static constexpr int kMaxL2s = 0xFFFE;
+
   int num_cores() const { return num_sockets * cores_per_socket; }
   int num_l2() const { return num_cores() / cores_per_l2; }
   int page_shift() const {
@@ -149,6 +154,16 @@ struct MachineConfig {
     }
     if (cores_per_socket % cores_per_l2 != 0) {
       throw std::invalid_argument("MachineConfig: cores_per_socket % cores_per_l2 != 0");
+    }
+    // In 64 bits, so no product of two valid ints overflows.
+    const std::int64_t cores =
+        std::int64_t{num_sockets} * std::int64_t{cores_per_socket};
+    if (cores > std::numeric_limits<int>::max()) {
+      throw std::invalid_argument("MachineConfig: core count overflows int");
+    }
+    if (cores / cores_per_l2 >= kMaxL2s) {
+      throw std::invalid_argument(
+          "MachineConfig: num_l2 must stay below 65534 (0xFFFE)");
     }
     if (socket_mesh_cols < 0) {
       throw std::invalid_argument("MachineConfig: negative socket_mesh_cols");

@@ -461,6 +461,8 @@ Expected<MachineStats> Machine::try_run(
         .add(dir.holder_hits - dir_before.holder_hits);
     metrics->counter("coherence.directory_holder_visits")
         .add(dir.holder_visits - dir_before.holder_visits);
+    metrics->counter("coherence.directory_pooled_rows")
+        .add(dir.pooled_rows - dir_before.pooled_rows);
     metrics->gauge("coherence.directory_lines")
         .set(static_cast<double>(coherence.directory_lines()));
     std::ostringstream args;

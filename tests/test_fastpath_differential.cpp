@@ -487,7 +487,8 @@ TEST(SchedulerPinned, ManycoreSp256MatchesRecordedStats) {
 }
 
 // The directory stays consistent on a 256-L2 machine after a real run,
-// with holder rows four words wide.
+// with pooled holder rows four words wide, and the run publishes its
+// directory bookkeeping as per-run metrics.
 TEST(ManycoreDifferential, DirectoryEnabledAndConsistentAt256L2s) {
   WorkloadParams params = manycore_params();
   params.num_threads = 64;
@@ -499,17 +500,26 @@ TEST(ManycoreDifferential, DirectoryEnabledAndConsistentAt256L2s) {
   Machine::RunConfig run;
   run.thread_to_core = random_mapping(workload->num_threads(),
                                       config.num_cores(), /*seed=*/83);
+  obs::ObsContext ctx;
+  ctx.level = obs::ObsLevel::kPhases;
+  run.obs = &ctx;
   machine.run(streams_of(*workload, /*seed=*/29), run);
 
   const CoherenceDomain& coherence = machine.hierarchy().coherence();
   EXPECT_TRUE(coherence.directory_consistent());
   EXPECT_GT(coherence.directory_lines(), 0u);
-  EXPECT_GT(coherence.directory_stats().holder_hits, 0u);
+  const CoherenceDomain::DirectoryStats& dir = coherence.directory_stats();
+  EXPECT_GT(dir.holder_hits, 0u);
+  EXPECT_GT(dir.pooled_rows, 0u);  // CG's shared vector has many readers
+  EXPECT_EQ(ctx.metrics.counter_value("coherence.directory_probes"),
+            dir.probes);
+  EXPECT_EQ(ctx.metrics.counter_value("coherence.directory_pooled_rows"),
+            dir.pooled_rows);
 }
 
 // Ground truth for the directory itself: after an arbitrary run, the holder
-// bitmasks must match the L2 contents exactly in both directions — no stale
-// bits, no untracked lines. (The sanitize CI job runs this under
+// cells must match the L2 contents exactly in both directions — no stale
+// holders, no untracked lines. (The sanitize CI job runs this under
 // ASan/UBSan.)
 TEST(CoherenceDirectoryInvariant, MasksMatchCacheContentsAfterRuns) {
   for (const char* app : {"SP", "UA"}) {

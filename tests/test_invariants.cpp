@@ -3,6 +3,7 @@
 // shape — including a 16-core machine twice the paper's size.
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -238,6 +239,33 @@ TEST(ConfigValidation, AcceptsAndRejectsAtEachBoundary) {
              [](MachineConfig&) {}, true),
       edited("machine: zero sockets", MachineConfig{},
              [](MachineConfig& c) { c.num_sockets = 0; }, false),
+      // The directory's 16-bit holder lanes reserve 0xFFFE and 0xFFFF.
+      edited("machine: 0xFFFD L2s", MachineConfig{},
+             [](MachineConfig& c) {
+               c.num_sockets = MachineConfig::kMaxL2s - 1;
+               c.cores_per_socket = c.cores_per_l2 = 1;
+             },
+             true),
+      edited("machine: 0xFFFE L2s", MachineConfig{},
+             [](MachineConfig& c) {
+               c.num_sockets = MachineConfig::kMaxL2s;
+               c.cores_per_socket = c.cores_per_l2 = 1;
+             },
+             false),
+      edited("machine: core count at INT_MAX", MachineConfig{},
+             [](MachineConfig& c) {
+               c.num_sockets = 1;
+               c.cores_per_socket = c.cores_per_l2 =
+                   std::numeric_limits<int>::max();
+             },
+             true),
+      edited("machine: sockets x cores overflows int", MachineConfig{},
+             [](MachineConfig& c) {
+               c.num_sockets = 2;
+               c.cores_per_socket = c.cores_per_l2 =
+                   std::numeric_limits<int>::max();
+             },
+             false),
       edited("machine: cores not divisible by l2 share", MachineConfig{},
              [](MachineConfig& c) { c.cores_per_l2 = 3; }, false),
       edited("machine: negative mesh columns", MachineConfig{},
