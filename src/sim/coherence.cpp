@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace tlbmap {
@@ -12,6 +14,14 @@ namespace {
 /// The lanes below lane k.
 constexpr std::uint64_t low_lanes(unsigned k) {
   return (std::uint64_t{1} << (16 * k)) - 1;
+}
+
+/// Throws std::length_error when the dense directory cannot index `line`.
+void refuse_unindexable(LineAddr line) {
+  if (line >= CoherenceDomain::kMaxLines) [[unlikely]] {
+    throw std::length_error("CoherenceDomain: line " + std::to_string(line) +
+                            " is past the directory's 2^32 lines");
+  }
 }
 
 }  // namespace
@@ -132,90 +142,13 @@ bool HolderPool::well_formed(HolderCell cell) const {
   return count == holder_count(cell) && count > kLanes;
 }
 
-DirectoryTable::DirectoryTable(std::size_t min_capacity) {
-  allocate(std::bit_ceil(std::max<std::size_t>(min_capacity, 2)));
-}
-
-void DirectoryTable::allocate(std::size_t capacity) {
-  mask_ = capacity - 1;
-  shift_ = 64 - std::countr_zero(capacity);
-  slots_.assign(capacity, DirectorySlot{});
-}
-
-void DirectoryTable::grow() {
-  const std::vector<DirectorySlot> old = std::move(slots_);
-  allocate(2 * capacity());
-  for (const DirectorySlot& entry : old) {
-    if (entry.line == kEmpty) continue;
-    std::size_t i = home(entry.line);
-    while (slot(i).line != kEmpty) i = (i + 1) & mask_;
-    slot(i) = entry;
-  }
-}
-
-std::size_t DirectoryTable::find_or_insert(LineAddr line) {
-  std::size_t i = home(line);
-  for (; slot(i).line != kEmpty; i = (i + 1) & mask_) {
-    if (slot(i).line == line) return i;
-  }
-  if (2 * (live_ + 1) > capacity()) {
-    grow();
-    for (i = home(line); slot(i).line != kEmpty; i = (i + 1) & mask_) {
-    }
-  }
-  slot(i).line = line;
-  ++live_;
-  return i;
-}
-
-void DirectoryTable::erase(std::size_t at) {
-  // Backward-shift deletion: walk the rest of the cluster and pull back
-  // every entry whose probe path crosses the hole (its home is not
-  // cyclically inside (hole, i]), so every key stays reachable from its
-  // home without tombstones.
-  std::size_t hole = at;
-  for (std::size_t i = (at + 1) & mask_; slot(i).line != kEmpty;
-       i = (i + 1) & mask_) {
-    if (((i - home(slot(i).line)) & mask_) >= ((i - hole) & mask_)) {
-      slot(hole) = slot(i);
-      hole = i;
-    }
-  }
-  slot(hole) = DirectorySlot{};
-  --live_;
-}
-
-void DirectoryTable::clear() {
-  if (live_ == 0) return;
-  allocate(capacity());
-  live_ = 0;
-}
-
-bool DirectoryTable::consistent() const {
-  if (2 * live_ > capacity()) return false;
-  std::size_t occupied_slots = 0;
-  for (std::size_t i = 0; i < capacity(); ++i) {
-    if (!occupied(i)) {
-      if (cell(i) != HolderPool::kEmptyCell) return false;
-      continue;
-    }
-    ++occupied_slots;
-    if (find(key(i)) != i) return false;
-  }
-  return occupied_slots == live_;
-}
-
 CoherenceDomain::CoherenceDomain(const MachineConfig& config,
                                  const Topology& topology,
                                  Interconnect& interconnect)
     : l2_latency_(config.l2.latency),
       interconnect_(&interconnect),
       l2s_per_socket_(static_cast<unsigned>(topology.l2s_per_socket())),
-      pool_(topology.num_l2()),
-      directory_(std::min(
-          std::bit_ceil(2 * static_cast<std::size_t>(topology.num_l2()) *
-                        config.l2.num_lines()),
-          kMaxStartSlots)) {
+      pool_(topology.num_l2()) {
   l2s_.reserve(static_cast<std::size_t>(topology.num_l2()));
   for (int i = 0; i < topology.num_l2(); ++i) {
     l2s_.emplace_back(config.l2);
@@ -228,9 +161,8 @@ void CoherenceDomain::drop(L2Id holder, LineAddr line) {
 
 template <typename Fn>
 void CoherenceDomain::take_remote_holders(L2Id me, LineAddr line, Fn&& fn) {
-  const std::size_t slot = directory_.find(line);
-  if (slot == DirectoryTable::kNotFound) return;
-  HolderCell& cell = directory_.cell(slot);
+  if (directory_cell(line) == HolderPool::kEmptyCell) return;
+  HolderCell& cell = directory_[line];
   pool_.visit(cell, [&](L2Id h) {
     if (h != me) fn(h);
     return false;
@@ -239,15 +171,21 @@ void CoherenceDomain::take_remote_holders(L2Id me, LineAddr line, Fn&& fn) {
 }
 
 void CoherenceDomain::directory_set(L2Id holder, LineAddr line) {
-  if (pool_.add(directory_.cell(directory_.find_or_insert(line)), holder)) {
-    ++dir_stats_.pooled_rows;
+  if (line >= directory_.size()) {
+    directory_.resize(std::bit_ceil(line + 1), HolderPool::kEmptyCell);
   }
+  HolderCell& cell = directory_[line];
+  if (cell == HolderPool::kEmptyCell) ++directory_lines_;
+  if (pool_.add(cell, holder)) ++dir_stats_.pooled_rows;
 }
 
 void CoherenceDomain::directory_clear(L2Id holder, LineAddr line) {
-  const std::size_t slot = directory_.find(line);
-  if (slot == DirectoryTable::kNotFound) return;
-  if (pool_.remove(directory_.cell(slot), holder)) directory_.erase(slot);
+  if (line >= directory_.size()) return;
+  HolderCell& cell = directory_[line];
+  if (pool_.remove(cell, holder)) {
+    cell = HolderPool::kEmptyCell;
+    --directory_lines_;
+  }
 }
 
 L2Id CoherenceDomain::probe(L2Id me, LineAddr line, MachineStats& stats) {
@@ -255,8 +193,8 @@ L2Id CoherenceDomain::probe(L2Id me, LineAddr line, MachineStats& stats) {
   // simulator-side resolution is a holder-set lookup instead of a set walk.
   interconnect_->record_probe_broadcast(me, stats);
   ++dir_stats_.probes;
-  const std::size_t slot = directory_.find(line);
-  if (slot == DirectoryTable::kNotFound) return -1;
+  const HolderCell cell = directory_cell(line);
+  if (cell == HolderPool::kEmptyCell) return -1;
   // Nearest holder, matching the broadcast scan's tie-break: the
   // lowest-indexed holder on my socket when one exists, else the
   // lowest-indexed holder overall. A tracked line has a holder, and `me`
@@ -264,7 +202,7 @@ L2Id CoherenceDomain::probe(L2Id me, LineAddr line, MachineStats& stats) {
   const auto my_socket_first =
       static_cast<unsigned>(me) - static_cast<unsigned>(me) % l2s_per_socket_;
   L2Id pick = -1;
-  pool_.visit(directory_.cell(slot), [&](L2Id h) {
+  pool_.visit(cell, [&](L2Id h) {
     if (pick == -1) pick = h;
     if (static_cast<unsigned>(h) - my_socket_first < l2s_per_socket_) {
       pick = h;
@@ -280,9 +218,6 @@ void CoherenceDomain::insert_line(L2Id me, LineAddr line, MesiState state,
                                   std::size_t& l2_way, MachineStats& stats) {
   auto evicted =
       l2s_[static_cast<std::size_t>(me)].insert(line, state, l2_way);
-  // Victim first: the table then never holds more lines than the L2s do,
-  // so a full machine sits at exactly half load instead of doubling for
-  // one transient entry.
   if (evicted.has_value()) directory_clear(me, evicted->addr);
   directory_set(me, line);
   if (evicted.has_value()) {
@@ -293,6 +228,7 @@ void CoherenceDomain::insert_line(L2Id me, LineAddr line, MesiState state,
 
 Cycles CoherenceDomain::read(L2Id me, LineAddr line, Cycles memory_latency,
                              std::size_t& l2_way, MachineStats& stats) {
+  refuse_unindexable(line);
   ++stats.l2_accesses;
   Cache& mine = l2s_[static_cast<std::size_t>(me)];
   if (mine.find(line, l2_way) != nullptr) {
@@ -321,6 +257,7 @@ Cycles CoherenceDomain::read(L2Id me, LineAddr line, Cycles memory_latency,
 
 Cycles CoherenceDomain::write(L2Id me, LineAddr line, Cycles memory_latency,
                               std::size_t& l2_way, MachineStats& stats) {
+  refuse_unindexable(line);
   ++stats.l2_accesses;
   Cache& mine = l2s_[static_cast<std::size_t>(me)];
   if (MesiState* held = mine.find(line, l2_way)) {
@@ -382,36 +319,35 @@ Cycles CoherenceDomain::write(L2Id me, LineAddr line, Cycles memory_latency,
 
 void CoherenceDomain::flush() {
   for (Cache& c : l2s_) c.flush();
-  directory_.clear();
+  if (directory_lines_ != 0) {
+    std::fill(directory_.begin(), directory_.end(), HolderPool::kEmptyCell);
+    directory_lines_ = 0;
+  }
   pool_.clear();
 }
 
 bool CoherenceDomain::directory_consistent() const {
-  if (!directory_.consistent()) return false;
   // Every valid cached line must be tracked with its holder named...
   for (int id = 0; id < num_l2(); ++id) {
     bool ok = true;
     l2s_[static_cast<std::size_t>(id)].for_each_line([&](const CacheLine& cl) {
-      const std::size_t slot = directory_.find(cl.addr);
       bool named = false;
-      if (slot != DirectoryTable::kNotFound) {
-        pool_.visit(directory_.cell(slot), [&](L2Id h) {
-          named = h == id;
-          return h >= id;
-        });
-      }
+      pool_.visit(directory_cell(cl.addr), [&](L2Id h) {
+        named = h == id;
+        return h >= id;
+      });
       if (!named) ok = false;
     });
     if (!ok) return false;
   }
-  // ...and every cell must be well formed, own its pooled row alone and
-  // name only L2s that hold the line.
+  // ...and every tracked line's cell must be well formed, own its pooled
+  // row alone and name only L2s that hold the line.
   std::vector<bool> row_owned(pool_.rows(), false);
-  std::size_t pooled_cells = 0;
-  for (std::size_t slot = 0; slot < directory_.capacity(); ++slot) {
-    if (!directory_.occupied(slot)) continue;
-    const LineAddr line = directory_.key(slot);
-    const HolderCell cell = directory_.cell(slot);
+  std::size_t lines = 0, pooled_cells = 0;
+  for (LineAddr line = 0; line < directory_.size(); ++line) {
+    const HolderCell cell = directory_[line];
+    if (cell == HolderPool::kEmptyCell) continue;
+    ++lines;
     if (!pool_.well_formed(cell)) return false;
     if (HolderPool::pooled(cell)) {
       if (row_owned[HolderPool::row_index(cell)]) return false;
@@ -425,7 +361,7 @@ bool CoherenceDomain::directory_consistent() const {
     });
     if (!ok) return false;
   }
-  return pooled_cells == pool_.rows_in_use();
+  return lines == directory_lines_ && pooled_cells == pool_.rows_in_use();
 }
 
 }  // namespace tlbmap

@@ -10,22 +10,25 @@
 // good thread mapping exploits.
 //
 // The simulator resolves the broadcast with a line-occupancy directory:
-// an open-addressed table of 16-byte slots {line, cell} (DirectoryTable)
-// maintained incrementally by every insert/invalidate/eviction. A cell
-// names up to four holder L2 ids inline, ascending, in 16-bit lanes; a
-// line with a fifth holder moves to a full holder row (one bit per L2)
-// taken from a free-listed pool (HolderPool) and comes back inline when it
-// drops to four. A line's slot holds everything a miss reads about it, so
-// a lookup touches one host cache line. A probe is one table lookup plus
-// one ascending walk over the holders, and the invalidation loops visit
-// only actual holders: O(holders) instead of Theta(num_l2) cache-set walks
-// per miss. The table grows by doubling and never shrinks, and the pool
-// reuses its rows, so a warm L2 miss allocates nothing. This changes no
-// simulated outcome: probe messages, snoop transactions, invalidations,
-// latencies and replacement state are identical bit for bit (the
-// differential tests prove it against the literal walked broadcast, a
-// reference model kept in tests/reference_coherence.hpp, up to 256 L2
-// domains).
+// one dense array of holder cells indexed by line address, maintained
+// incrementally by every insert/invalidate/eviction. The page table hands
+// out frames in order from 0 on first touch, so every line a machine makes
+// lies in [0, touched pages x lines per page) and the array needs no hash:
+// a lookup is one bounds check and one load, eight neighbouring lines share
+// a host cache line, and the array costs 8 bytes per touched line (touched
+// bytes / 8). It grows to bit_ceil(line + 1) cells on the first line past
+// its end and never shrinks. A cell names up to four holder L2 ids inline,
+// ascending, in 16-bit lanes; a line with a fifth holder moves to a full
+// holder row (one bit per L2) taken from a free-listed pool (HolderPool)
+// and comes back inline when it drops to four. A probe is one cell load
+// plus one ascending walk over the holders, and the invalidation loops
+// visit only actual holders: O(holders) instead of Theta(num_l2) cache-set
+// walks per miss. The pool reuses its rows, so a warm L2 miss allocates
+// nothing. This changes no simulated outcome: probe messages, snoop
+// transactions, invalidations, latencies and replacement state are
+// identical bit for bit (the differential tests prove it against the
+// literal walked broadcast, a reference model kept in
+// tests/reference_coherence.hpp, up to 256 L2 domains).
 #pragma once
 
 #include <bit>
@@ -48,7 +51,7 @@ namespace tlbmap {
 /// order, lane k in bits [16k, 16k + 16), free lanes kFreeLane (so they
 /// sort last). Pooled form, for five holders or more: lane 0 is
 /// kPooledLane, lane 1 the holder count and lanes 2-3 the index of a
-/// HolderPool row. A line with no holders has no cell.
+/// HolderPool row. A line with no holders has kEmptyCell (every lane free).
 using HolderCell = std::uint64_t;
 
 /// Checked narrowing from a holder bit index to an L2Id. Every conversion
@@ -89,7 +92,7 @@ class HolderPool {
   /// the reference broadcast walks its peers) until `fn` returns true.
   template <typename Fn>
   void visit(HolderCell cell, Fn&& fn) const;
-  /// Frees every row (the table was cleared); keeps the storage.
+  /// Frees every row (the directory was cleared); keeps the storage.
   void clear();
 
   static bool pooled(HolderCell cell) { return lane(cell, 0) == kPooledLane; }
@@ -143,75 +146,6 @@ void HolderPool::visit(HolderCell cell, Fn&& fn) const {
   }
 }
 
-/// One directory slot: a line and its holders. A default slot is empty.
-struct DirectorySlot {
-  LineAddr line = ~LineAddr{0};
-  HolderCell cell = HolderPool::kEmptyCell;
-};
-
-/// The directory's storage: an open-addressed LineAddr -> HolderCell table
-/// of 16-byte slots (four to a host cache line; a 16-byte-aligned vector
-/// never splits one), homed by a multiplicative hash. Linear probing;
-/// erase shifts the rest of the cluster back, so no tombstones build up.
-/// The table doubles at half load and never shrinks (clear() keeps the
-/// capacity), so a run in steady state allocates nothing.
-class DirectoryTable {
- public:
-  static constexpr std::size_t kNotFound = ~std::size_t{0};
-
-  /// `min_capacity` is rounded up to a power of two (at least 2).
-  explicit DirectoryTable(std::size_t min_capacity);
-
-  /// Slot holding `line`, or kNotFound.
-  std::size_t find(LineAddr line) const {
-    for (std::size_t i = home(line);; i = (i + 1) & mask_) {
-      const LineAddr key = slot(i).line;
-      if (key == line) return i;
-      if (key == kEmpty) return kNotFound;
-    }
-  }
-  /// Slot holding `line`, inserting it with HolderPool::kEmptyCell if
-  /// absent. May grow the table, which moves every slot. `line` must not
-  /// be ~0, the empty slot's line (line addresses never reach it).
-  std::size_t find_or_insert(LineAddr line);
-  /// Removes the entry at an occupied slot. Moves later entries of the
-  /// same cluster, so slot indices taken before the call are stale.
-  void erase(std::size_t slot);
-  /// Removes every entry; keeps the capacity.
-  void clear();
-
-  HolderCell& cell(std::size_t i) { return slot(i).cell; }
-  HolderCell cell(std::size_t i) const { return slot(i).cell; }
-  bool occupied(std::size_t i) const { return slot(i).line != kEmpty; }
-  LineAddr key(std::size_t i) const { return slot(i).line; }
-
-  std::size_t size() const { return live_; }
-  std::size_t capacity() const { return mask_ + 1; }
-  /// First slot probed for `line`.
-  std::size_t home(LineAddr line) const {
-    return static_cast<std::size_t>((line * kHashMul) >> shift_);
-  }
-
-  /// Structural check: the live count equals the occupied slots, the load
-  /// stays at or under half, every key is reachable from its home slot and
-  /// every empty slot holds kEmptyCell. Test/debug aid; O(capacity).
-  bool consistent() const;
-
- private:
-  static constexpr LineAddr kEmpty = DirectorySlot{}.line;
-  static constexpr std::uint64_t kHashMul = 0x9E3779B97F4A7C15ull;
-
-  DirectorySlot& slot(std::size_t i) { return slots_[i]; }
-  const DirectorySlot& slot(std::size_t i) const { return slots_[i]; }
-  void allocate(std::size_t capacity);
-  void grow();
-
-  std::size_t mask_ = 0;  ///< capacity - 1
-  int shift_ = 0;         ///< 64 - log2(capacity)
-  std::size_t live_ = 0;
-  std::vector<DirectorySlot> slots_;
-};
-
 class CoherenceDomain {
  public:
   /// Called whenever an L2 loses a line (remote invalidation or eviction),
@@ -228,20 +162,17 @@ class CoherenceDomain {
     std::uint64_t pooled_rows = 0;    ///< cells moved to a pooled row
   };
 
-  /// Most slots a directory starts with: a table starts at
-  /// min(bit_ceil(2 x the L2s' total lines), this), so it rarely grows.
-  /// Measured peaks: paper_8t's largest table is 65,536 slots (starting at
-  /// 1,024, its runs grew 1,116 times over 249 tables), and manycore_256's
-  /// tables peak at exactly 2 x its 32,768 L2 lines. Presizing to the full
-  /// L2 capacity instead would give Harpertown 2^20 slots x 16 B = 16 MiB
-  /// per Machine.
-  static constexpr std::size_t kMaxStartSlots = std::size_t{1} << 16;
+  /// Lines at or above this are refused with std::length_error: the
+  /// dense directory could not index them. A Machine never makes one (that
+  /// takes 256 GiB of touched memory).
+  static constexpr LineAddr kMaxLines = LineAddr{1} << 32;
 
   CoherenceDomain(const MachineConfig& config, const Topology& topology,
                   Interconnect& interconnect);
 
   /// Demand read reaching an L2 (after an L1 miss).
-  /// Returns the extra latency beyond the core's L1 access.
+  /// Returns the extra latency beyond the core's L1 access. Throws
+  /// std::length_error, changing nothing, when `line` >= kMaxLines.
   /// `memory_latency` is the DRAM cost if the line must come from memory
   /// (NUMA machines pass the home-node-dependent value). `l2_way` is the
   /// caller's way hint into `l2` (Cache::find); it is left at the line's
@@ -255,7 +186,8 @@ class CoherenceDomain {
 
   /// Demand write reaching an L2 (write-through from the L1). Store buffers
   /// hide the common-case latency; only coherence work (ownership upgrade,
-  /// read-for-ownership) is charged.
+  /// read-for-ownership) is charged. Refuses `line` >= kMaxLines as read()
+  /// does.
   Cycles write(L2Id l2, LineAddr line, Cycles memory_latency,
                std::size_t& l2_way, MachineStats& stats);
   Cycles write(L2Id l2, LineAddr line, MachineStats& stats) {
@@ -274,16 +206,18 @@ class CoherenceDomain {
 
   const DirectoryStats& directory_stats() const { return dir_stats_; }
   /// Lines currently tracked by the directory.
-  std::size_t directory_lines() const { return directory_.size(); }
+  std::size_t directory_lines() const { return directory_lines_; }
+  /// Cells of the directory array (8 bytes each), tracked or not.
+  std::size_t directory_cells() const { return directory_.size(); }
 
   /// Rows the holder pool has allocated (it never returns them).
   std::size_t directory_pool_rows() const { return pool_.rows(); }
 
-  /// Ground-truth check: the table is structurally sound
-  /// (DirectoryTable::consistent), every cell is well formed and pooled
-  /// cells own distinct rows (all the rows in use), every valid L2 line
-  /// names its holder and every named holder has the line resident.
-  /// Test/debug aid; O(total cache capacity).
+  /// Ground-truth check: the live-line count equals the non-empty cells,
+  /// every cell is well formed and pooled cells own distinct rows (all the
+  /// rows in use), every valid L2 line names its holder and every named
+  /// holder has the line resident.
+  /// Test/debug aid; O(total cache capacity + directory cells).
   bool directory_consistent() const;
 
  private:
@@ -307,6 +241,11 @@ class CoherenceDomain {
   template <typename Fn>
   void take_remote_holders(L2Id me, LineAddr line, Fn&& fn);
 
+  /// `line`'s cell; kEmptyCell past the array's end.
+  HolderCell directory_cell(LineAddr line) const {
+    return line < directory_.size() ? directory_[line]
+                                    : HolderPool::kEmptyCell;
+  }
   void directory_set(L2Id holder, LineAddr line);
   void directory_clear(L2Id holder, LineAddr line);
 
@@ -319,7 +258,8 @@ class CoherenceDomain {
   /// socket, the nearest-holder partition.
   unsigned l2s_per_socket_;
   HolderPool pool_;
-  DirectoryTable directory_;
+  std::vector<HolderCell> directory_;  ///< by line; kEmptyCell: no holder
+  std::size_t directory_lines_ = 0;    ///< cells other than kEmptyCell
   DirectoryStats dir_stats_;
 };
 

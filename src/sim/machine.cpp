@@ -465,6 +465,8 @@ Expected<MachineStats> Machine::try_run(
         .add(dir.pooled_rows - dir_before.pooled_rows);
     metrics->gauge("coherence.directory_lines")
         .set(static_cast<double>(coherence.directory_lines()));
+    metrics->gauge("coherence.directory_cells")
+        .set(static_cast<double>(coherence.directory_cells()));
     std::ostringstream args;
     args << "\"accesses\":" << stats.accesses
          << ",\"sim_cycles\":" << stats.execution_cycles

@@ -3,6 +3,8 @@
 // intra/inter-socket traffic split. The line-occupancy directory is also
 // checked op by op against the literal broadcast walk
 // (ReferenceBroadcastDomain) from 2 to 256 L2s.
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <ostream>
 #include <random>
@@ -265,13 +267,16 @@ TEST_F(CoherenceTest, UpgradeLatencyIsWorstAcknowledgement) {
 
 TEST_F(CoherenceTest, DirectoryTracksHoldersIncrementally) {
   EXPECT_EQ(domain_.directory_lines(), 0u);
+  EXPECT_EQ(domain_.directory_cells(), 0u);  // nothing allocated up front
 
   domain_.read(0, 10, stats_);
   EXPECT_EQ(domain_.directory_lines(), 1u);
+  EXPECT_EQ(domain_.directory_cells(), 16u);  // bit_ceil(10 + 1)
   domain_.read(1, 10, stats_);  // second holder, same line
   EXPECT_EQ(domain_.directory_lines(), 1u);
   domain_.read(2, 20, stats_);
   EXPECT_EQ(domain_.directory_lines(), 2u);
+  EXPECT_EQ(domain_.directory_cells(), 32u);
   EXPECT_TRUE(domain_.directory_consistent());
 
   // An RFO by L2 3 strips lines 10's other holders; the mask must follow.
@@ -280,6 +285,31 @@ TEST_F(CoherenceTest, DirectoryTracksHoldersIncrementally) {
 
   domain_.flush();
   EXPECT_EQ(domain_.directory_lines(), 0u);
+  EXPECT_EQ(domain_.directory_cells(), 32u);  // flush keeps the array
+  EXPECT_TRUE(domain_.directory_consistent());
+}
+
+// A line the dense directory cannot index is refused before anything
+// changes: no counter, way hint, cache or directory entry moves.
+TEST_F(CoherenceTest, RefusesLinesTheDirectoryCannotIndex) {
+  domain_.read(0, 10, stats_);
+  domain_.write(2, 20, stats_);
+  const MachineStats before = stats_;
+  std::size_t way = Cache::kNoWay;
+  for (const LineAddr line : {CoherenceDomain::kMaxLines,
+                              CoherenceDomain::kMaxLines + 10,
+                              LineAddr{1} << 40}) {
+    EXPECT_THROW(domain_.read(0, line, stats_), std::length_error) << line;
+    EXPECT_THROW(domain_.write(1, line, 300, way, stats_), std::length_error)
+        << line;
+    EXPECT_EQ(domain_.l2(0).peek(line), nullptr) << line;
+    EXPECT_EQ(domain_.l2(1).peek(line), nullptr) << line;
+  }
+  EXPECT_EQ(stats_, before);
+  EXPECT_EQ(way, Cache::kNoWay);
+  EXPECT_EQ(domain_.directory_lines(), 2u);
+  EXPECT_EQ(domain_.directory_cells(), 32u);
+  EXPECT_EQ(domain_.directory_stats().probes, 2u);
   EXPECT_TRUE(domain_.directory_consistent());
 }
 
@@ -406,194 +436,113 @@ TEST(HolderCellTest, CheckedL2IdRejectsOutOfRangeBits) {
   EXPECT_THROW(checked_l2id(1000, 256), std::logic_error);
 }
 
-// ---------------------------------------------------------- directory table
+// ---------------------------------------------------- directory vs a model
 
-/// Lines whose home slot in `table` is `slot`, found by search: forced
-/// collisions, independent of the hash constant.
-std::vector<LineAddr> lines_homed_at(const DirectoryTable& table,
-                                     std::size_t slot, std::size_t count,
-                                     LineAddr start = 1) {
-  std::vector<LineAddr> lines;
-  for (LineAddr line = start; lines.size() < count; ++line) {
-    if (table.home(line) == slot) lines.push_back(line);
-  }
-  return lines;
-}
-
-// Random add/remove/reset/erase/clear-all on a table and its pool against
-// std::unordered_map<LineAddr, std::set<L2Id>>, with up to 8 holders per
-// line among 200 L2s, so cells go pooled and come back inline all the time
-// and pooled rows span four words. Two key pools: 64 lines keep a
-// 128-slot table near half load (long clusters, frequent wraps), 300 lines
-// take it to 1,024 slots. The lines are scattered: consecutive ones spread
-// evenly under the multiplicative hash and would rarely collide. The
-// outright erase drops a line whatever its holders, so backward shifts
-// move pooled and inline cells alike.
-TEST(DirectoryTableTest, MatchesUnorderedMapModel) {
+// Reads and writes from 200 L2s on 300 lines scattered over [0, 2^20),
+// against std::unordered_map<LineAddr, std::set<L2Id>> kept from the
+// protocol alone: a read adds the reader, a write leaves the writer the
+// only holder and every line drop removes its L2. A miss on a line held
+// elsewhere must be a snoop, any other miss a memory fetch. Reads stop at
+// 8 holders (a ninth L2 writes instead), so cells go pooled and come back
+// inline. The ops pick lines in ascending order through a widening window,
+// so the array grows again and again while earlier lines hold pooled cells.
+TEST(CoherenceDirectoryTest, MatchesHolderSetModelOnScatteredLines) {
   constexpr int kL2s = 200;
-  std::mt19937_64 key_rng(0x11e5);
-  std::vector<LineAddr> keys(300);
-  for (LineAddr& key : keys) key = key_rng() >> 1;
-  for (const std::size_t lines : {64, 300}) {
-    SCOPED_TRACE(lines);
-    DirectoryTable table(/*min_capacity=*/4);
-    HolderPool pool(kL2s);
-    std::unordered_map<LineAddr, std::set<L2Id>> model;
-    std::mt19937_64 rng(0x5eed);
-    std::uint64_t conversions = 0, returns = 0, outright = 0;
-    const auto pooled_cells = [&] {
-      std::size_t n = 0;
-      for (std::size_t i = 0; i < table.capacity(); ++i) {
-        if (!table.occupied(i)) continue;
-        if (!pool.well_formed(table.cell(i))) return ~std::size_t{0};
-        n += HolderPool::pooled(table.cell(i)) ? 1 : 0;
-      }
-      return n;
-    };
-    for (int op = 0; op < 40000; ++op) {
-      const LineAddr line = keys[rng() % lines];
-      const auto id = static_cast<L2Id>(rng() % kL2s);
-      const int kind = static_cast<int>(rng() % 1000);
-      if (kind < 550) {  // add a holder, up to 8 per line
-        std::set<L2Id>& holders = model[line];
-        if (holders.size() >= 8 && !holders.contains(id)) continue;
-        HolderCell& cell = table.cell(table.find_or_insert(line));
-        const bool was_pooled = HolderPool::pooled(cell);
-        const bool fifth = holders.size() == 4 && !holders.contains(id);
-        ASSERT_EQ(pool.add(cell, id), fifth) << "op " << op;
-        conversions += !was_pooled && HolderPool::pooled(cell) ? 1 : 0;
-        holders.insert(id);
-      } else if (kind < 920) {  // remove a holder (a present one half the time)
-        const std::size_t slot = table.find(line);
-        const auto it = model.find(line);
-        ASSERT_EQ(slot == DirectoryTable::kNotFound, it == model.end())
-            << "op " << op;
-        if (it == model.end()) continue;
-        const L2Id gone = rng() % 2 == 0 ? *it->second.begin() : id;
-        const bool was_pooled = HolderPool::pooled(table.cell(slot));
-        const bool empty = pool.remove(table.cell(slot), gone);
-        returns += was_pooled && !HolderPool::pooled(table.cell(slot)) ? 1 : 0;
-        it->second.erase(gone);
-        ASSERT_EQ(empty, it->second.empty()) << "op " << op;
-        if (empty) {
-          table.erase(slot);
-          model.erase(it);
-        }
-      } else if (kind < 960) {  // reset to one holder
-        const std::size_t slot = table.find(line);
-        if (slot == DirectoryTable::kNotFound) continue;
-        pool.reset(table.cell(slot), id);
-        model[line] = {id};
-      } else if (kind < 999) {  // erase outright (reset frees a pooled row)
-        const std::size_t slot = table.find(line);
-        ASSERT_EQ(slot == DirectoryTable::kNotFound, !model.contains(line))
-            << "op " << op;
-        if (slot == DirectoryTable::kNotFound) continue;
-        pool.reset(table.cell(slot), id);
-        table.erase(slot);
-        model.erase(line);
-        ++outright;
-      } else {
-        table.clear();
-        pool.clear();
-        model.clear();
-      }
-      if (op % 1000 == 0) {
-        ASSERT_TRUE(table.consistent()) << "op " << op;
-        ASSERT_EQ(pooled_cells(), pool.rows_in_use()) << "op " << op;
-      }
+  MachineConfig cfg = four_l2_config();
+  cfg.num_sockets = kL2s / 8;
+  cfg.cores_per_socket = 8;
+  cfg.l2 = CacheConfig{1024, 64, 4, 8};  // 16 lines: evictions all the time
+  const Topology topology(cfg);
+  ASSERT_EQ(topology.num_l2(), kL2s);
+  Interconnect interconnect(topology, cfg.interconnect);
+  CoherenceDomain domain(cfg, topology, interconnect);
+
+  std::unordered_map<LineAddr, std::set<L2Id>> model;
+  // Pooled lines an eviction (of a line other than the op's) took back to
+  // four holders; a write's invalidations reset its line's cell instead.
+  std::uint64_t returns = 0;
+  LineAddr op_line = 0;
+  domain.set_line_drop_callback([&](L2Id l2, LineAddr line) {
+    const auto it = model.find(line);
+    ASSERT_TRUE(it != model.end() && it->second.contains(l2))
+        << "L2 " << l2 << " dropped line " << line << " it did not hold";
+    returns += line != op_line && it->second.size() == 5 ? 1 : 0;
+    it->second.erase(l2);
+    if (it->second.empty()) model.erase(it);
+  });
+
+  std::mt19937_64 line_rng(0x11e5);
+  std::vector<LineAddr> lines(300);
+  for (LineAddr& line : lines) line = line_rng() % (LineAddr{1} << 20);
+  std::sort(lines.begin(), lines.end());
+
+  std::mt19937_64 rng(0x5eed);
+  MachineStats stats;
+  std::uint64_t growths_under_pooled = 0;
+  for (int op = 0; op < 30000; ++op) {
+    const std::size_t window =
+        std::min(lines.size(), static_cast<std::size_t>(1 + op / 64));
+    const LineAddr line = lines[rng() % window];
+    const auto me = static_cast<L2Id>(rng() % kL2s);
+    op_line = line;
+    const auto it = model.find(line);
+    const std::set<L2Id> holders =
+        it == model.end() ? std::set<L2Id>{} : it->second;
+    const bool hit = holders.contains(me);
+    const bool write = rng() % 8 == 0 || (!hit && holders.size() >= 8);
+    const bool pooled_live = std::any_of(
+        model.begin(), model.end(), [](const auto& m) {
+          return m.second.size() > HolderPool::kLanes;
+        });
+    const MachineStats before = stats;
+    const std::size_t cells = domain.directory_cells();
+    if (write) {
+      domain.write(me, line, stats);
+      model[line] = {me};
+    } else {
+      domain.read(me, line, stats);
+      model[line].insert(me);
     }
-    ASSERT_TRUE(table.consistent());
-    ASSERT_EQ(pooled_cells(), pool.rows_in_use());
-    EXPECT_GT(conversions, 100u);
-    EXPECT_GT(returns, 100u);
-    EXPECT_GT(outright, 100u);
-    EXPECT_EQ(table.capacity(), lines == 64 ? 128u : 1024u);
-    ASSERT_EQ(table.size(), model.size());
-    for (const auto& [line, holders] : model) {
-      const std::size_t slot = table.find(line);
-      ASSERT_NE(slot, DirectoryTable::kNotFound) << line;
-      EXPECT_EQ(holders_of(pool, table.cell(slot)),
-                std::vector<L2Id>(holders.begin(), holders.end()))
-          << line;
+    ASSERT_EQ(stats.l2_misses - before.l2_misses, hit ? 0u : 1u) << "op " << op;
+    ASSERT_EQ(stats.snoop_transactions - before.snoop_transactions,
+              !hit && !holders.empty() ? 1u : 0u)
+        << "op " << op << " line " << line;
+    ASSERT_EQ(stats.memory_fetches - before.memory_fetches,
+              !hit && holders.empty() ? 1u : 0u)
+        << "op " << op << " line " << line;
+    for (L2Id id = 0; id < kL2s; ++id) {
+      ASSERT_EQ(domain.l2(id).peek(line) != nullptr,
+                model[line].contains(id))
+          << "op " << op << " L2 " << id << " line " << line;
+    }
+    if (domain.directory_cells() != cells && pooled_live) {
+      ++growths_under_pooled;
+    }
+    if (op % 1000 == 0) {
+      ASSERT_TRUE(domain.directory_consistent()) << "op " << op;
+      ASSERT_EQ(domain.directory_lines(), model.size()) << "op " << op;
     }
   }
-}
-
-// A cluster homed at the last slot wraps past the table's end; erasing
-// from its head must shift the wrapped tail back without losing a key,
-// while a key already sitting at its own home stays put. Each cell holds
-// its line as a payload the table must carry along.
-TEST(DirectoryTableTest, BackwardShiftEraseAcrossTheWrap) {
-  DirectoryTable table(/*min_capacity=*/16);
-  ASSERT_EQ(table.capacity(), 16u);
-  const auto at_end = lines_homed_at(table, 15, 4);
-  const auto at_one = lines_homed_at(table, 1, 2);
-  const LineAddr at_five = lines_homed_at(table, 5, 1).front();
-  // The slot-15 keys fill 15, 0, 1, 2; the slot-1 keys collide with them
-  // and land at 3 and 4; the slot-5 key closes one cluster from 15 to 5.
-  for (const auto& group : {at_end, at_one, std::vector<LineAddr>{at_five}}) {
-    for (const LineAddr line : group) {
-      table.cell(table.find_or_insert(line)) = line;
+  EXPECT_TRUE(domain.directory_consistent());
+  EXPECT_EQ(domain.directory_lines(), model.size());
+  EXPECT_EQ(domain.directory_cells(), std::bit_ceil(lines.back() + 1));
+  EXPECT_GE(growths_under_pooled, 5u);
+  EXPECT_GT(domain.directory_stats().pooled_rows, 100u);
+  EXPECT_GT(returns, 100u);
+  for (const LineAddr line : lines) {
+    const auto it = model.find(line);
+    for (L2Id id = 0; id < kL2s; ++id) {
+      ASSERT_EQ(domain.l2(id).peek(line) != nullptr,
+                it != model.end() && it->second.contains(id))
+          << "L2 " << id << " line " << line;
     }
   }
-  ASSERT_EQ(table.size(), 7u);
-  EXPECT_EQ(table.find(at_end[0]), 15u);
-  EXPECT_EQ(table.find(at_end[1]), 0u);
-  EXPECT_EQ(table.find(at_one[1]), 4u);
-  EXPECT_EQ(table.find(at_five), 5u);
-  ASSERT_TRUE(table.consistent());
-
-  table.erase(table.find(at_end[0]));  // head of the wrapped cluster
-  EXPECT_TRUE(table.consistent());
-  EXPECT_EQ(table.find(at_end[0]), DirectoryTable::kNotFound);
-  EXPECT_EQ(table.find(at_end[1]), 15u);  // shifted back across the wrap
-  EXPECT_EQ(table.find(at_one[1]), 3u);
-  EXPECT_EQ(table.find(at_five), 5u);     // at its home: not moved
-  EXPECT_FALSE(table.occupied(4));
-  table.erase(table.find(at_end[2]));
-  table.erase(table.find(at_one[0]));
-  EXPECT_TRUE(table.consistent());
-  for (const LineAddr line : {at_end[1], at_end[3], at_one[1], at_five}) {
-    const std::size_t slot = table.find(line);
-    ASSERT_NE(slot, DirectoryTable::kNotFound) << line;
-    EXPECT_EQ(std::as_const(table).cell(slot), line) << line;
-  }
-  EXPECT_EQ(table.size(), 4u);
-  for (const LineAddr line : {at_end[1], at_end[3], at_one[1], at_five}) {
-    table.erase(table.find(line));
-  }
-  EXPECT_EQ(table.size(), 0u);
-  EXPECT_TRUE(table.consistent());  // every freed slot is empty again
-}
-
-// From 2 slots to 8192: each doubling rehashes every key with its cell.
-TEST(DirectoryTableTest, GrowsAcrossDoublingsAndKeepsCells) {
-  DirectoryTable table(/*min_capacity=*/2);
-  ASSERT_EQ(table.capacity(), 2u);
-  for (LineAddr line = 0; line < 4000; ++line) {
-    table.cell(table.find_or_insert(line)) = ~line;
-    EXPECT_LE(2 * table.size(), table.capacity());
-  }
-  EXPECT_EQ(table.capacity(), 8192u);
-  EXPECT_TRUE(table.consistent());
-  for (LineAddr line = 0; line < 4000; ++line) {
-    const std::size_t slot = table.find(line);
-    ASSERT_NE(slot, DirectoryTable::kNotFound) << line;
-    EXPECT_EQ(std::as_const(table).cell(slot), ~line);
-  }
-  // clear() empties the table but keeps its capacity.
-  table.clear();
-  EXPECT_EQ(table.size(), 0u);
-  EXPECT_EQ(table.capacity(), 8192u);
-  EXPECT_TRUE(table.consistent());
-  EXPECT_EQ(table.find(17), DirectoryTable::kNotFound);
 }
 
 // Real coherence traffic at L2 counts on both sides of each 64-bit row
-// word boundary: the holder cells, the pooled rows and the table must stay
+// word boundary: the holder cells, the pooled rows and the array must stay
 // consistent with the caches, and identical to the broadcast walk.
-TEST(DirectoryTableTest, ConsistentAcrossWordBoundaries) {
+TEST(CoherenceDirectoryTest, ConsistentAcrossWordBoundaries) {
   for (const int num_l2 : {63, 64, 65, 128, 256}) {
     MachineConfig cfg;
     cfg.num_sockets = num_l2;
@@ -718,6 +667,8 @@ TEST(ManycoreCoherenceTest, PooledRowIsReusedAcrossUpgrades) {
 struct DomainCase {
   const char* name;
   MachineConfig machine;
+  /// Lines from a scattered set instead of [0, 151); see below.
+  bool scattered = false;
 };
 
 void PrintTo(const DomainCase& c, std::ostream* os) { *os << c.name; }
@@ -740,6 +691,9 @@ class CoherenceReferenceDifferential
 // latency, every counter and the ordered line drops; at the end, on every
 // L2's contents. The directory domain is driven through one way hint per
 // L2, as a core drives it, so hints go stale under steals and evictions.
+// A scattered case draws 300 lines once from [0, 2^20) and picks them in
+// ascending order through a widening window, so the directory array grows
+// in the middle of the run, under live holders and evictions.
 TEST_P(CoherenceReferenceDifferential, MatchesBroadcastWalkEveryOp) {
   const DomainCase& c = GetParam();
   const Topology topology(c.machine);
@@ -753,16 +707,28 @@ TEST_P(CoherenceReferenceDifferential, MatchesBroadcastWalkEveryOp) {
   ref.set_line_drop_callback(
       [&](L2Id l2, LineAddr line) { ref_drops.emplace_back(l2, line); });
 
+  std::vector<LineAddr> lines(151);  // > 2x one L2's 64 lines
+  for (LineAddr i = 0; i < lines.size(); ++i) lines[i] = i;
+  if (c.scattered) {
+    std::mt19937_64 line_rng(0x5ca7);
+    lines.resize(300);
+    for (LineAddr& line : lines) line = line_rng() % (LineAddr{1} << 20);
+    std::sort(lines.begin(), lines.end());
+  }
   const auto num_l2 = static_cast<std::uint64_t>(topology.num_l2());
-  constexpr LineAddr kLines = 151;  // > 2x one L2's 64 lines
   MachineStats dir_stats, ref_stats;
   std::vector<std::size_t> l2_ways(num_l2, Cache::kNoWay);
+  std::uint64_t growths = 0;
   std::mt19937_64 rng(num_l2);
   for (int op = 0; op < 6000; ++op) {
     const auto me = static_cast<L2Id>(rng() % num_l2);
-    const LineAddr line = rng() % kLines;
+    const std::size_t window =
+        c.scattered ? std::min(lines.size(), std::size_t{1} + op / 16)
+                    : lines.size();
+    const LineAddr line = lines[rng() % window];
     const Cycles memory = rng() % 2 == 0 ? 150 : 300;
     std::size_t& way = l2_ways[static_cast<std::size_t>(me)];
+    const std::size_t cells = dir.directory_cells();
     Cycles dir_lat = 0, ref_lat = 0;
     if (rng() % 3 == 0) {
       dir_lat = dir.write(me, line, memory, way, dir_stats);
@@ -771,6 +737,7 @@ TEST_P(CoherenceReferenceDifferential, MatchesBroadcastWalkEveryOp) {
       dir_lat = dir.read(me, line, memory, way, dir_stats);
       ref_lat = ref.read(me, line, memory, ref_stats);
     }
+    growths += cells != 0 && dir.directory_cells() != cells ? 1 : 0;
     ASSERT_EQ(dir_lat, ref_lat) << c.name << " op " << op;
     ASSERT_EQ(dir_stats, ref_stats) << c.name << " op " << op;
     ASSERT_EQ(dir_drops, ref_drops) << c.name << " op " << op;
@@ -779,8 +746,12 @@ TEST_P(CoherenceReferenceDifferential, MatchesBroadcastWalkEveryOp) {
   }
   EXPECT_TRUE(dir.directory_consistent()) << c.name;
   EXPECT_GT(dir.directory_stats().holder_hits, 0u) << c.name;
+  if (c.scattered) {
+    EXPECT_GE(growths, 5u) << c.name;
+    EXPECT_GT(dir_stats.writebacks, 0u) << c.name;
+  }
   for (L2Id id = 0; id < topology.num_l2(); ++id) {
-    for (LineAddr line = 0; line < kLines; ++line) {
+    for (const LineAddr line : lines) {
       const MesiState* a = dir.l2(id).peek(line);
       const MesiState* b = ref.l2(id).peek(line);
       ASSERT_EQ(a == nullptr, b == nullptr)
@@ -798,7 +769,8 @@ INSTANTIATE_TEST_SUITE_P(
                       DomainCase{"l2_4", four_l2_config()},
                       DomainCase{"l2_65", flat_config(65, 1)},
                       DomainCase{"l2_128", l2_128_config()},
-                      DomainCase{"l2_256_mesh", MachineConfig::manycore()}),
+                      DomainCase{"l2_256_mesh", MachineConfig::manycore()},
+                      DomainCase{"l2_128_scattered", l2_128_config(), true}),
     [](const ::testing::TestParamInfo<DomainCase>& info) {
       return std::string(info.param.name);
     });

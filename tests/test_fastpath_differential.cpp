@@ -488,7 +488,7 @@ TEST(SchedulerPinned, ManycoreSp256MatchesRecordedStats) {
 
 // The directory stays consistent on a 256-L2 machine after a real run,
 // with pooled holder rows four words wide, and the run publishes its
-// directory bookkeeping as per-run metrics.
+// directory bookkeeping as per-run metrics and its size as gauges.
 TEST(ManycoreDifferential, DirectoryEnabledAndConsistentAt256L2s) {
   WorkloadParams params = manycore_params();
   params.num_threads = 64;
@@ -515,6 +515,12 @@ TEST(ManycoreDifferential, DirectoryEnabledAndConsistentAt256L2s) {
             dir.probes);
   EXPECT_EQ(ctx.metrics.counter_value("coherence.directory_pooled_rows"),
             dir.pooled_rows);
+  // The gauges read the live lines and the array size (its footprint / 8).
+  EXPECT_EQ(ctx.metrics.gauge("coherence.directory_lines").value(),
+            static_cast<double>(coherence.directory_lines()));
+  EXPECT_EQ(ctx.metrics.gauge("coherence.directory_cells").value(),
+            static_cast<double>(coherence.directory_cells()));
+  EXPECT_GE(coherence.directory_cells(), coherence.directory_lines());
 }
 
 // Ground truth for the directory itself: after an arbitrary run, the holder
