@@ -1,4 +1,5 @@
-// Crash-safe suite checkpoints (DESIGN.md Sec. 12).
+// Crash-safe checkpoints (DESIGN.md Sec. 12): the suite results cache and
+// the service snapshot share this envelope.
 //
 // A checkpoint is a sealed binary envelope:
 //
@@ -10,12 +11,11 @@
 //   24      4     CRC-32 of the payload (u32 LE, IEEE polynomial)
 //   28      ...   payload
 //
-// All integers are little-endian fixed-width; the payload encodes the
-// suite's completed tasks (detection results, mappings, evaluation stats)
+// All integers are little-endian fixed-width; the suite payload encodes a
+// finished suite's tasks (detection results, mappings, evaluation stats)
 // keyed by their stable task indices. Because run_suite preassigns every
-// task's seed and result slot, replaying the remaining tasks after a resume
-// is bit-identical to the uninterrupted run — the differential tests in
-// test_checkpoint.cpp assert exactly that.
+// task's seed and result slot, replaying a cache entry is bit-identical to
+// the run that wrote it — test_experiment.cpp asserts exactly that.
 //
 // Validation is strict and structured: bad magic, truncation, a CRC
 // mismatch or an unknown version yield ErrorCode::kCorruptCheckpoint with
@@ -46,20 +46,21 @@ namespace tlbmap {
 /// online-mapper snapshot grew its self-stabilization trail. That snapshot
 /// and the detector snapshots have since lost their file codecs (their
 /// state is in-memory only); the suite and service payloads are unchanged
-/// since version 2, so existing suite.ckpt / service.ckpt files still
-/// parse. Whether a parsed snapshot is used is up to its config hash.
+/// since version 2, so existing cache entries and service.ckpt files
+/// still parse. Whether a parsed snapshot is used is up to its config hash.
 inline constexpr std::uint32_t kCheckpointVersion = 2;
 
-/// Progress snapshot of one run_suite invocation. Task indices are the
+/// Snapshot of one run_suite invocation. Task indices are the
 /// suite's stable global indices: detect task i covers app i/3 with
 /// mechanism i%3 (SM, HM, oracle); eval task i covers app i/(3*reps),
 /// repetition (i/3)%reps, policy i%3 (OS, SM, HM). A snapshot with every
 /// task filled in is a finished suite: that is what the results cache
-/// stores (DESIGN.md Sec. 12).
+/// stores, and the only kind of snapshot run_suite accepts (DESIGN.md
+/// Sec. 12).
 struct SuiteCheckpoint {
   /// suite_config_hash() of the config that produced this snapshot.
   std::uint64_t config_hash = 0;
-  /// Task-count shape of the run (revalidated against the resuming
+  /// Task-count shape of the run (revalidated against the loading
   /// config's shape — a second guard behind the hash).
   std::uint64_t detect_tasks = 0;
   std::uint64_t eval_tasks = 0;

@@ -53,7 +53,6 @@ constexpr std::uint32_t command_bit(std::string_view name) {
 constexpr std::uint32_t kAll = (1u << std::size(kCommands)) - 1;
 constexpr std::uint32_t kDynamic = command_bit("dynamic");
 constexpr std::uint32_t kServe = command_bit("serve");
-constexpr std::uint32_t kSuiteAndServe = command_bit("suite") | kServe;
 /// Recording runs no simulated machine, so fault and watchdog options would
 /// be silently ignored there; they are rejected instead.
 constexpr std::uint32_t kSimulating = kAll & ~command_bit("record");
@@ -65,7 +64,6 @@ constexpr std::string_view kOnline =
     "online mapper (dynamic only; DESIGN.md Sec. 17)";
 constexpr std::string_view kService =
     "mapping service (serve only; DESIGN.md Sec. 16)";
-constexpr std::string_view kCrash = "crash safety (suite and serve)";
 constexpr std::string_view kFault =
     "fault injection (all rates in [0,1]; defaults 0 = disabled, in which\n"
     "case results are bit-identical to a faultless build)";
@@ -195,13 +193,13 @@ constexpr CliOption kOptions[] = {
      "structured JSON report (tenants, quarantine reasons, counters)",
      +[](CliOptions& o, S v) { o.serve.report_out = std::move(v); }},
 
-    {"--checkpoint-dir", "DIR", kSuiteAndServe, kCrash,
-     "checkpoint progress to DIR/suite.ckpt after every suite task, or to "
-     "DIR/service.ckpt (serve), and handle SIGINT/SIGTERM cleanly (the run "
-     "stops at a task/tick boundary and exits 130)",
+    {"--checkpoint-dir", "DIR", kServe, kService,
+     "checkpoint the service to DIR/service.ckpt and handle SIGINT/SIGTERM "
+     "cleanly (the loop stops at a tick boundary, seals the checkpoint and "
+     "exits 130)",
      +[](CliOptions& o, S v) { o.checkpoint_dir = std::move(v); }},
-    {"--resume", "", kSuiteAndServe, kCrash,
-     "continue from the checkpoint; a missing or invalid checkpoint falls "
+    {"--resume", "", kServe, kService,
+     "continue from DIR/service.ckpt; a missing or invalid checkpoint falls "
      "back to a fresh run", +[](CliOptions& o) { o.resume = true; }},
 
     {"--fault-seed", "N", kSimulating, kFault,
@@ -635,24 +633,9 @@ int cmd_suite(const CliOptions& opt, obs::ObsContext* obs) {
   config.repetitions = opt.reps;
   config.base_seed = opt.seed;
   if (!opt.apps.empty()) config.apps = opt.apps;
-  config.checkpoint_dir = opt.checkpoint_dir;
-  config.resume = opt.resume;
   config.metrics_interval_events = opt.metrics_interval_events;
   config.manifest_out = opt.manifest_out;
-  if (!opt.checkpoint_dir.empty()) {
-    // Clean shutdown (DESIGN.md Sec. 12): the first SIGINT/SIGTERM sets the
-    // cooperative flag — workers stop at the next task/event boundary and
-    // the suite checkpoints what completed. A second signal kills the
-    // process the default way.
-    install_shutdown_handlers();
-  }
   const SuiteResult result = run_suite(config, &std::cerr, obs);
-  if (result.interrupted) {
-    std::fprintf(stderr,
-                 "suite interrupted; partial results not shown "
-                 "(resume with --resume)\n");
-    return 130;  // conventional 128 + SIGINT
-  }
   if (result.degraded()) {
     // Failed tasks left zeroed result slots: any ratio over them would be
     // made up. run_suite already named each failure on stderr.
@@ -709,8 +692,9 @@ int cmd_replay(const CliOptions& opt, obs::ObsContext* obs) {
 int cmd_serve(const CliOptions& opt, obs::ObsContext* obs) {
   const svc::ServeOptions serve = serve_options_for(opt);
   if (!serve.checkpoint_path.empty()) {
-    // Same clean-shutdown contract as the suite: the first SIGINT/SIGTERM
-    // stops the loop at a tick boundary and the service checkpoints.
+    // Clean shutdown (DESIGN.md Sec. 12): the first SIGINT/SIGTERM stops
+    // the loop at a tick boundary and the service checkpoints; a second
+    // signal kills the process the default way.
     install_shutdown_handlers();
   }
   const svc::ServeOutcome result = svc::run_serve(serve, &std::cerr, obs);

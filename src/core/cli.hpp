@@ -66,11 +66,10 @@ struct CliOptions {
   /// --app/--threads/--seed/--*-scale values and the checkpoint path, and
   /// parse_cli validates the combined options.
   svc::ServeOptions serve{};
-  // Crash safety (suite and serve, DESIGN.md Sec. 12). With
-  // --checkpoint-dir set, SIGINT/SIGTERM handlers are installed, progress
-  // is checkpointed after every completed task (suite) or at tick
-  // boundaries (serve), and an interrupted run exits with code 130;
-  // --resume continues from the saved snapshot.
+  // Service checkpoint (serve only, DESIGN.md Sec. 12). With
+  // --checkpoint-dir set, SIGINT/SIGTERM handlers are installed, the
+  // service checkpoints at the tick boundary where it stops and exits with
+  // code 130; --resume continues from the saved snapshot.
   std::string checkpoint_dir;  ///< empty = checkpointing off
   bool resume = false;
   // Observability (see src/obs/): "off" records nothing. Passing
@@ -137,7 +136,7 @@ std::string cli_usage();
 
 /// Executes a parsed command, printing results to stdout. Returns the
 /// process exit code (0 success, 2 usage error, 1 runtime failure, 130
-/// when a checkpointed suite was interrupted by SIGINT/SIGTERM).
+/// when a checkpointed serve was interrupted by SIGINT/SIGTERM).
 int run_cli(const CliOptions& options);
 
 }  // namespace tlbmap

@@ -20,6 +20,10 @@ namespace tlbmap {
 /// Failure taxonomy. Codes classify *what kind* of thing went wrong so
 /// callers can pick a degradation strategy (retry, fall back, skip) without
 /// parsing message strings.
+///
+/// The numeric values are persisted (a quarantined session's reason in the
+/// service checkpoint), so a code keeps its number for good: 9 belonged to
+/// a retired code and stays unused.
 enum class ErrorCode {
   kInvalidArgument,   ///< caller passed an out-of-contract value
   kInvalidMapping,    ///< thread->core mapping not a valid placement
@@ -29,9 +33,8 @@ enum class ErrorCode {
   kWatchdogTimeout,   ///< Machine::run exceeded its event budget
   kDegenerateMatrix,  ///< comm matrix carries no mappable signal
   kMappingFailure,    ///< matcher could not produce a placement
-  kWorkerFailure,     ///< suite worker task failed after retries
-  kInterrupted,       ///< run stopped by the cooperative shutdown flag
-  kCorruptCheckpoint,     ///< checkpoint bytes fail magic/version/CRC checks
+  kWorkerFailure,     ///< suite worker task failed
+  kCorruptCheckpoint = 10,  ///< checkpoint bytes fail magic/version/CRC checks
   kCheckpointMismatch,    ///< checkpoint is valid but for another config
   kCorruptTrace,          ///< trace record decodes to an impossible value
   kAdmissionRejected,     ///< service at capacity: new session refused
@@ -51,7 +54,6 @@ inline const char* to_string(ErrorCode code) {
     case ErrorCode::kDegenerateMatrix: return "degenerate_matrix";
     case ErrorCode::kMappingFailure: return "mapping_failure";
     case ErrorCode::kWorkerFailure: return "worker_failure";
-    case ErrorCode::kInterrupted: return "interrupted";
     case ErrorCode::kCorruptCheckpoint: return "corrupt_checkpoint";
     case ErrorCode::kCheckpointMismatch: return "checkpoint_mismatch";
     case ErrorCode::kCorruptTrace: return "corrupt_trace";

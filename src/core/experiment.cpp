@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <functional>
 #include <map>
@@ -16,8 +17,6 @@
 
 #include "core/checkpoint.hpp"
 #include "core/io.hpp"
-#include "core/shutdown.hpp"
-#include "core/worker_pool.hpp"
 #include "npb/synthetic.hpp"
 #include "obs/selfprof.hpp"
 
@@ -83,9 +82,7 @@ bool cache_disabled() {
 }
 
 /// Everything that affects suite results, in one canonical string. Hashed
-/// for both the cache file name and the checkpoint config fingerprint.
-/// The crash-safety knobs (checkpoint_dir / resume) are deliberately
-/// absent: they change durability, not results.
+/// for both the cache file name and the cache entry's config fingerprint.
 std::string suite_key_string(const SuiteConfig& c) {
   std::ostringstream key;
   key << "v" << kSchemaVersion << '|' << c.machine.num_sockets << ','
@@ -139,15 +136,13 @@ SuiteCheckpoint blank_checkpoint(const SuiteConfig& c) {
   return ckpt;
 }
 
-/// load_checkpoint plus the shape check behind the config hash, shared by
-/// resume and the results cache. Every stored task index must lie inside
-/// `blank`'s shape and a finished map phase must hold one mapping per app;
-/// a snapshot that passes the CRC and the hash but not this can only be a
-/// colliding corruption or a buggy producer, so it is a mismatch. A cache
-/// entry (`require_complete`) must also have every task filled in.
+/// load_checkpoint plus the checks behind the config hash: every stored
+/// task index must lie inside `blank`'s shape, and the entry must hold a
+/// finished suite (every task and one mapping pair per app). An entry that
+/// passes the CRC and the hash but not this can only be a colliding
+/// corruption or a buggy producer, so it is a mismatch.
 Expected<SuiteCheckpoint> load_suite_checkpoint(
-    const std::filesystem::path& file, const SuiteCheckpoint& blank,
-    bool require_complete) {
+    const std::filesystem::path& file, const SuiteCheckpoint& blank) {
   Expected<SuiteCheckpoint> loaded = load_checkpoint(file, blank.config_hash);
   if (!loaded) return loaded;
   const std::size_t num_apps = blank.detect_tasks / 3;
@@ -167,13 +162,45 @@ Expected<SuiteCheckpoint> load_suite_checkpoint(
     return Error{ErrorCode::kCheckpointMismatch,
                  "checkpoint task shape does not match this config"};
   }
-  if (require_complete &&
-      (!loaded->map_done || loaded->detect_done.size() != blank.detect_tasks ||
-       loaded->eval_done.size() != blank.eval_tasks)) {
+  if (!loaded->map_done ||
+      loaded->detect_done.size() != blank.detect_tasks ||
+      loaded->eval_done.size() != blank.eval_tasks) {
     return Error{ErrorCode::kCheckpointMismatch,
                  "cache entry holds an unfinished suite"};
   }
   return loaded;
+}
+
+/// Runs fn(idx) for every idx in [0, count) on up to `workers` (>= 1)
+/// threads, the calling thread included: each claims the next index from
+/// an atomic cursor until none is left. Which thread runs an index is
+/// nondeterministic, so each fn(idx) must write only its own result slot.
+/// The first exception a task throws is rethrown once every thread has
+/// joined. The threads are jthreads declared after the state they share,
+/// so they are joined before it goes away, even when starting one throws.
+void parallel_for(std::size_t count, int workers,
+                  const std::function<void(std::size_t)>& fn) {
+  std::atomic<std::size_t> next{0};
+  std::once_flag error_once;
+  std::exception_ptr error;
+  auto drain = [&] {
+    for (std::size_t idx = next.fetch_add(1, std::memory_order_relaxed);
+         idx < count; idx = next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        fn(idx);
+      } catch (...) {
+        std::call_once(error_once, [&] { error = std::current_exception(); });
+      }
+    }
+  };
+  {
+    const std::size_t spawn =
+        std::min(count, static_cast<std::size_t>(workers));
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 1; t < spawn; ++t) threads.emplace_back(drain);
+    drain();
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace
@@ -228,8 +255,8 @@ std::uint64_t suite_config_hash(const SuiteConfig& c) {
 SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
                       obs::ObsContext* obs) {
   // Self-profiling (DESIGN.md Sec. 13): stamp wall + rusage now so every
-  // exit path — cached, interrupted, degraded, clean — can account for
-  // itself in the run manifest.
+  // exit path — cached, degraded, clean — can account for itself in the
+  // run manifest.
   const obs::SelfProfiler profiler;
   std::vector<std::pair<std::string, std::uint64_t>> phase_wall;
   auto write_manifest = [&](const SuiteResult& res, bool cache_hit) {
@@ -244,7 +271,6 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
     m.wall_seconds = profiler.wall_seconds();
     m.usage = profiler.snapshot();
     m.degraded = res.degraded();
-    m.interrupted = res.interrupted;
     m.phases = phase_wall;
     if (obs::Tracer* tracer = obs::tracer_at(obs, obs::ObsLevel::kPhases)) {
       m.collapsed_wall = obs::collapsed_stacks(*tracer);
@@ -304,77 +330,25 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
   SuiteResult result;
   result.config = config;
   const int cores = config.machine.num_cores();
-  const int worker_budget =
+  const int workers =
       config.parallel_workers > 0
           ? config.parallel_workers
           : std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  // One persistent pool for the whole suite: both fan-out phases (detect,
-  // evaluate) draw from these same threads instead of spawning fresh ones
-  // per phase.
-  WorkerPool pool(worker_budget);
 
-  // Crash safety and the results cache (DESIGN.md Sec. 12) share one
-  // format. Tasks are the checkpoint granularity: each is independent with
-  // a preassigned seed and result slot, so a resumed suite replays exactly
-  // the missing tasks and lands on a bit-identical SuiteResult, and a cache
-  // entry is simply a checkpoint with every task done. Whenever
-  // checkpointing or caching is on, the in-memory SuiteCheckpoint mirrors
-  // every completed task and is the single source of both files;
-  // `ckpt_mutex` guards it (workers commit concurrently) and saves go
-  // through atomic_write_file, so a file on disk is always a complete,
-  // CRC-sealed snapshot.
+  // The results cache (DESIGN.md Sec. 12) stores a finished suite as a
+  // TLBK snapshot, written once from `result` after a clean run. A hit
+  // loads it whole and replays it read-only through the same three phases:
+  // each task copies its stored slot instead of building a Pipeline, so
+  // there is no second result-assembly path.
   const bool caching = config.use_cache && !cache_disabled();
-  const bool checkpointing = !config.checkpoint_dir.empty();
-  const bool mirroring = caching || checkpointing;
   const std::filesystem::path cache_file =
       cache_dir() / suite_cache_key(config);
-  const std::filesystem::path ckpt_file =
-      std::filesystem::path(config.checkpoint_dir) / "suite.ckpt";
-  const SuiteCheckpoint blank = blank_checkpoint(config);
-  SuiteCheckpoint ckpt = blank;
-  std::mutex ckpt_mutex;
-
-  auto save_ckpt_locked = [&] {  // call with ckpt_mutex held
-    const Expected<void> saved = save_checkpoint(ckpt_file, ckpt);
-    if (!saved) {
-      if (progress != nullptr) {
-        *progress << "[suite] checkpoint write failed: "
-                  << saved.error().to_string() << "\n";
-      }
-      return;
-    }
-    if (obs::MetricsRegistry* metrics =
-            obs::metrics_at(obs, obs::ObsLevel::kPhases)) {
-      metrics->counter("checkpoint.writes").add(1);
-    }
-  };
-  // Copies task `idx` out of `done` into `slot` when the checkpoint already
-  // holds it (resume or cache hit), so the task builds no Pipeline.
-  auto replay = [&](const auto& done, std::size_t idx, auto& slot) {
-    std::lock_guard<std::mutex> lock(ckpt_mutex);
-    const auto it = done.find(idx);
-    if (it == done.end()) return false;
-    slot = it->second;
-    if (obs::MetricsRegistry* metrics =
-            obs::metrics_at(obs, obs::ObsLevel::kPhases)) {
-      metrics->counter("checkpoint.resumed_tasks").add(1);
-    }
-    return true;
-  };
-  // Mirrors one completed task and, when checkpointing, saves at once.
-  auto commit = [&](auto& done, std::size_t idx, const auto& value) {
-    if (!mirroring) return;
-    std::lock_guard<std::mutex> lock(ckpt_mutex);
-    done.emplace(idx, value);
-    if (checkpointing) save_ckpt_locked();
-  };
-
+  SuiteCheckpoint entry = blank_checkpoint(config);
   bool cache_hit = false;
   if (caching && std::filesystem::exists(cache_file)) {
-    Expected<SuiteCheckpoint> cached =
-        load_suite_checkpoint(cache_file, blank, /*require_complete=*/true);
+    Expected<SuiteCheckpoint> cached = load_suite_checkpoint(cache_file, entry);
     if (cached) {
-      ckpt = std::move(*cached);
+      entry = std::move(*cached);
       cache_hit = true;
       if (progress != nullptr) {
         *progress << "[suite] loaded cached results from " << cache_file
@@ -386,44 +360,24 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
                 << "; recomputing\n";
     }
   }
-
-  if (checkpointing) {
-    std::error_code ec;
-    std::filesystem::create_directories(config.checkpoint_dir, ec);
-    if (config.resume && !cache_hit) {
-      if (!std::filesystem::exists(ckpt_file)) {
-        if (progress != nullptr) {
-          *progress << "[suite] no checkpoint at " << ckpt_file
-                    << "; starting fresh\n";
-        }
-      } else if (Expected<SuiteCheckpoint> loaded = load_suite_checkpoint(
-                     ckpt_file, blank, /*require_complete=*/false)) {
-        ckpt = std::move(*loaded);
-        if (progress != nullptr) {
-          *progress << "[suite] resuming from " << ckpt_file << ": "
-                    << ckpt.detect_done.size() << "/" << blank.detect_tasks
-                    << " detect, " << ckpt.eval_done.size() << "/"
-                    << blank.eval_tasks << " eval tasks done\n";
-        }
-      } else {
-        if (progress != nullptr) {
-          *progress << "[suite] checkpoint rejected: "
-                    << loaded.error().to_string() << "; starting fresh\n";
-        }
-        if (obs::MetricsRegistry* metrics =
-                obs::metrics_at(obs, obs::ObsLevel::kPhases)) {
-          metrics->counter("checkpoint.rejected").add(1);
-        }
-      }
+  // Copies task `idx` out of the cache entry into `slot` on a hit, so the
+  // task builds no Pipeline. A loaded entry holds every task.
+  auto replay = [&](const auto& done, std::size_t idx, auto& slot) {
+    if (!cache_hit) return false;
+    slot = done.at(idx);
+    if (obs::MetricsRegistry* metrics =
+            obs::metrics_at(obs, obs::ObsLevel::kPhases)) {
+      metrics->counter("checkpoint.resumed_tasks").add(1);
     }
-  }
+    return true;
+  };
 
   // The suite runs as three global phases — detect, map, evaluate — instead
   // of app-by-app: every simulation run in a phase is independent (its own
-  // Machine, its own preassigned result slot), so one shared worker pool
-  // drains all apps' runs at once and the tail of a short app overlaps the
-  // head of a long one. Task order, seeds and slots are fixed up front, so
-  // results are bit-identical for any worker count.
+  // Machine, its own preassigned result slot), so one fan-out drains all
+  // apps' runs at once and the tail of a short app overlaps the head of a
+  // long one. Task order, seeds and slots are fixed up front, so results
+  // are bit-identical for any worker count.
   //
   // Resilience (DESIGN.md Sec. 11): no exception escapes a worker. Every
   // task is a pure function of the config and its preassigned seed, so a
@@ -436,10 +390,6 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
     auto guarded = [&](std::size_t idx) {
       try {
         body(idx);
-      } catch (const InterruptedError&) {
-        // A shutdown request is not a failure: the task simply did not
-        // run. No kWorkerFailure, no degraded mode — on resume the
-        // checkpoint replays it.
       } catch (const std::exception& e) {
         errors[idx] = e.what();
       } catch (...) {
@@ -454,7 +404,7 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
       task_wall =
           &metrics->wallclock_histogram("suite.task_wall_us", {{"phase", phase}});
     }
-    auto timed = [&](std::size_t idx) {
+    parallel_for(count, workers, [&](std::size_t idx) {
       if (task_wall == nullptr) {
         guarded(idx);
         return;
@@ -465,12 +415,7 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - t0)
               .count()));
-    };
-    // The shared pool claims indices from an atomic cursor (a serial loop
-    // for one worker or one task) and stops claiming new tasks once a
-    // shutdown is pending; tasks already in flight stop themselves at the
-    // Machine's next poll.
-    pool.run(count, timed, [] { return shutdown_requested(); });
+    });
     std::vector<bool> failed(count, false);
     for (std::size_t idx = 0; idx < count; ++idx) {
       if (errors[idx].empty()) continue;
@@ -483,28 +428,6 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
       }
     }
     return failed;
-  };
-
-  // Interrupted epilogue: persist what completed, flag the result, and
-  // leave the checkpoint file in place for --resume. Never caches.
-  auto finalize_interrupted = [&] {
-    result.interrupted = true;
-    if (obs::MetricsRegistry* metrics =
-            obs::metrics_at(obs, obs::ObsLevel::kPhases)) {
-      metrics->counter("suite.interrupted").add(1);
-    }
-    if (checkpointing) {
-      std::lock_guard<std::mutex> lock(ckpt_mutex);
-      save_ckpt_locked();
-      if (progress != nullptr) {
-        *progress << "[suite] interrupted; progress saved to " << ckpt_file
-                  << " (rerun with --resume to continue)\n";
-      }
-    } else if (progress != nullptr) {
-      *progress << "[suite] interrupted; no checkpoint dir configured, "
-                   "partial progress was discarded\n";
-    }
-    write_manifest(result, false);
   };
 
   const std::size_t num_apps = config.apps.size();
@@ -521,9 +444,15 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
     result.apps[i].app = eval_workloads[i]->name();
   }
 
-  // Phase 1: all detection runs (3 mechanisms per app) in one pool. Each
-  // accumulates its own CommMatrix. Task 3i is app i's SM run, 3i + 1 its
-  // HM run and 3i + 2 its oracle run.
+  // Phase 1: all detection runs (3 mechanisms per app) in one fan-out.
+  // Each accumulates its own CommMatrix. Task 3i is app i's SM run, 3i + 1
+  // its HM run and 3i + 2 its oracle run.
+  struct DetectTask {
+    DetectionResult* slot;
+    std::size_t app;
+    Pipeline::Mechanism mechanism;
+  };
+  std::vector<DetectTask> detect_tasks;
   std::vector<bool> detect_failed;
   {
     obs::TraceSpan span(obs::tracer_at(obs, obs::ObsLevel::kPhases),
@@ -531,34 +460,29 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
     if (progress != nullptr) {
       *progress << "[suite] detect: " << num_apps << " apps x 3 mechanisms\n";
     }
-    struct DetectTask {
-      DetectionResult* slot;
-      std::size_t app;
-      Pipeline::Mechanism mechanism;
-    };
-    std::vector<DetectTask> tasks;
-    tasks.reserve(num_apps * 3);
+    detect_tasks.reserve(num_apps * 3);
     for (std::size_t i = 0; i < num_apps; ++i) {
-      tasks.push_back({&result.apps[i].sm_detection, i,
-                       Pipeline::Mechanism::kSoftwareManaged});
-      tasks.push_back({&result.apps[i].hm_detection, i,
-                       Pipeline::Mechanism::kHardwareManaged});
-      tasks.push_back(
+      detect_tasks.push_back({&result.apps[i].sm_detection, i,
+                              Pipeline::Mechanism::kSoftwareManaged});
+      detect_tasks.push_back({&result.apps[i].hm_detection, i,
+                              Pipeline::Mechanism::kHardwareManaged});
+      detect_tasks.push_back(
           {&result.apps[i].oracle_detection, i, Pipeline::Mechanism::kOracle});
     }
-    detect_failed = run_tasks("detect", tasks.size(), [&](std::size_t idx) {
-      const DetectTask& task = tasks[idx];
-      if (replay(ckpt.detect_done, idx, *task.slot)) return;
-      Pipeline detect_pipe(config.machine);
-      detect_pipe.sm_config() = config.sm;
-      detect_pipe.hm_config() = config.hm;
-      detect_pipe.oracle_config() = config.oracle;
-      detect_pipe.set_observability(obs);
-      detect_pipe.set_metrics_interval_events(config.metrics_interval_events);
-      *task.slot = detect_pipe.detect(*detect_workloads[task.app],
-                                      task.mechanism, config.base_seed);
-      commit(ckpt.detect_done, idx, *task.slot);
-    });
+    detect_failed =
+        run_tasks("detect", detect_tasks.size(), [&](std::size_t idx) {
+          const DetectTask& task = detect_tasks[idx];
+          if (replay(entry.detect_done, idx, *task.slot)) return;
+          Pipeline detect_pipe(config.machine);
+          detect_pipe.sm_config() = config.sm;
+          detect_pipe.hm_config() = config.hm;
+          detect_pipe.oracle_config() = config.oracle;
+          detect_pipe.set_observability(obs);
+          detect_pipe.set_metrics_interval_events(
+              config.metrics_interval_events);
+          *task.slot = detect_pipe.detect(*detect_workloads[task.app],
+                                          task.mechanism, config.base_seed);
+        });
     phase_wall.emplace_back("suite.detect", span.elapsed_us());
   }
   std::uint64_t suite_sim_events = 0;
@@ -568,10 +492,6 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
                         app.oracle_detection.stats.accesses;
   }
   sample_suite_phase("suite.detect", suite_sim_events);
-  if (shutdown_requested()) {
-    finalize_interrupted();
-    return result;
-  }
 
   // Phase 2: mapping is a cheap serial step between the two fan-outs. A
   // mapping that cannot be derived (matcher failure on a corrupted matrix)
@@ -603,44 +523,37 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
                                    detection.matrix.size());
       }
     };
-    if (ckpt.map_done) {
-      // Mapping is deterministic given the detections, so replaying it
-      // would land on the same placements; restoring keeps the checkpoint
-      // the single source of truth (and skips any fallback re-reporting).
-      for (std::size_t i = 0; i < num_apps; ++i) {
-        result.apps[i].sm_mapping = ckpt.sm_mappings[i];
-        result.apps[i].hm_mapping = ckpt.hm_mappings[i];
+    for (std::size_t i = 0; i < num_apps; ++i) {
+      AppExperiment& app = result.apps[i];
+      if (cache_hit) {
+        // Mapping is deterministic given the detections, so recomputing
+        // would land on the same placements; restoring keeps the entry the
+        // single source of truth.
+        app.sm_mapping = entry.sm_mappings[i];
+        app.hm_mapping = entry.hm_mappings[i];
+        continue;
       }
-    } else {
-      for (std::size_t i = 0; i < num_apps; ++i) {
-        AppExperiment& app = result.apps[i];
-        if (!detect_failed[3 * i]) {
-          app.sm_mapping = map_or_fallback(app, app.sm_detection);
-        }
-        if (!detect_failed[3 * i + 1]) {
-          app.hm_mapping = map_or_fallback(app, app.hm_detection);
-        }
+      if (!detect_failed[3 * i]) {
+        app.sm_mapping = map_or_fallback(app, app.sm_detection);
       }
-      if (mirroring) {
-        std::lock_guard<std::mutex> lock(ckpt_mutex);
-        ckpt.map_done = true;
-        for (const AppExperiment& app : result.apps) {
-          ckpt.sm_mappings.push_back(app.sm_mapping);
-          ckpt.hm_mappings.push_back(app.hm_mapping);
-        }
-        if (checkpointing) save_ckpt_locked();
+      if (!detect_failed[3 * i + 1]) {
+        app.hm_mapping = map_or_fallback(app, app.hm_detection);
       }
     }
     phase_wall.emplace_back("suite.map", span.elapsed_us());
   }
   sample_suite_phase("suite.map", suite_sim_events);
-  if (shutdown_requested()) {
-    finalize_interrupted();
-    return result;
-  }
 
   // Phase 3: all evaluation runs (3 mappings x repetitions per app) in one
-  // pool.
+  // fan-out. Task (i * reps + rep) * 3 + {0, 1, 2} is app i's repetition
+  // rep under the OS, SM and HM mapping.
+  struct EvalTask {
+    MachineStats* slot;
+    std::size_t app;
+    Mapping mapping;
+    std::uint64_t run_seed;
+  };
+  std::vector<EvalTask> eval_tasks;
   {
     obs::TraceSpan span(obs::tracer_at(obs, obs::ObsLevel::kPhases),
                         "suite.evaluate", "suite");
@@ -649,14 +562,7 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
                 << config.repetitions << " repetitions\n";
     }
     const int reps = config.repetitions;
-    struct EvalTask {
-      MachineStats* slot;
-      std::size_t app;
-      Mapping mapping;
-      std::uint64_t run_seed;
-    };
-    std::vector<EvalTask> tasks;
-    tasks.reserve(num_apps * static_cast<std::size_t>(reps) * 3);
+    eval_tasks.reserve(num_apps * static_cast<std::size_t>(reps) * 3);
     for (std::size_t i = 0; i < num_apps; ++i) {
       AppExperiment& app = result.apps[i];
       app.os_runs.label = "OS";
@@ -673,18 +579,18 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
             eval_workloads[i]->num_threads(), cores,
             config.base_seed * 7919 + i * 131 +
                 static_cast<std::uint64_t>(rep));
-        tasks.push_back({&app.os_runs.runs[static_cast<std::size_t>(rep)], i,
-                         os_mapping, run_seed});
-        tasks.push_back({&app.sm_runs.runs[static_cast<std::size_t>(rep)], i,
-                         app.sm_mapping, run_seed});
-        tasks.push_back({&app.hm_runs.runs[static_cast<std::size_t>(rep)], i,
-                         app.hm_mapping, run_seed});
+        eval_tasks.push_back({&app.os_runs.runs[static_cast<std::size_t>(rep)],
+                              i, os_mapping, run_seed});
+        eval_tasks.push_back({&app.sm_runs.runs[static_cast<std::size_t>(rep)],
+                              i, app.sm_mapping, run_seed});
+        eval_tasks.push_back({&app.hm_runs.runs[static_cast<std::size_t>(rep)],
+                              i, app.hm_mapping, run_seed});
       }
     }
-    run_tasks("evaluate", tasks.size(), [&](std::size_t idx) {
-      const EvalTask& task = tasks[idx];
+    run_tasks("evaluate", eval_tasks.size(), [&](std::size_t idx) {
+      const EvalTask& task = eval_tasks[idx];
       if (task.mapping.empty()) return;  // its detection failed (phase 2)
-      if (replay(ckpt.eval_done, idx, *task.slot)) return;
+      if (replay(entry.eval_done, idx, *task.slot)) return;
       Pipeline worker_pipe(config.machine);
       // The tracer and registry are thread-safe; evaluation spans from
       // parallel workers interleave in the ring like any other events.
@@ -692,7 +598,6 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
       worker_pipe.set_metrics_interval_events(config.metrics_interval_events);
       *task.slot = worker_pipe.evaluate(*eval_workloads[task.app],
                                         task.mapping, task.run_seed);
-      commit(ckpt.eval_done, idx, *task.slot);
     });
     phase_wall.emplace_back("suite.evaluate", span.elapsed_us());
   }
@@ -703,10 +608,6 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
     }
   }
   sample_suite_phase("suite.evaluate", suite_sim_events);
-  if (shutdown_requested()) {
-    finalize_interrupted();
-    return result;
-  }
 
   if (obs::MetricsRegistry* metrics =
           obs::metrics_at(obs, obs::ObsLevel::kPhases)) {
@@ -718,8 +619,6 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
   if (result.degraded()) {
     // Degraded results (zeroed slots, fallback mappings) must never poison
     // the cache: the next run should recompute, not inherit the damage.
-    // The checkpoint stays: it holds only the tasks that *did* complete,
-    // so a --resume rerun replays just the failed ones.
     if (progress != nullptr) {
       *progress << "[suite] " << result.failures.size()
                 << " task(s) failed; result is degraded and will not be"
@@ -728,20 +627,26 @@ SuiteResult run_suite(const SuiteConfig& config, std::ostream* progress,
     write_manifest(result, false);
     return result;
   }
-  // Clean completion: the checkpoint has served its purpose — retire it so
-  // a later run in the same directory starts from scratch.
-  if (checkpointing) {
-    std::error_code ec;
-    std::filesystem::remove(ckpt_file, ec);
-  }
   if (caching && !cache_hit) {
+    // Every task finished: the entry is the result, keyed by the same task
+    // indices the phases used.
+    entry.map_done = true;
+    for (std::size_t idx = 0; idx < detect_tasks.size(); ++idx) {
+      entry.detect_done.emplace(idx, *detect_tasks[idx].slot);
+    }
+    for (const AppExperiment& app : result.apps) {
+      entry.sm_mappings.push_back(app.sm_mapping);
+      entry.hm_mappings.push_back(app.hm_mapping);
+    }
+    for (std::size_t idx = 0; idx < eval_tasks.size(); ++idx) {
+      entry.eval_done.emplace(idx, *eval_tasks[idx].slot);
+    }
     std::error_code ec;
     std::filesystem::create_directories(cache_dir(), ec);
     if (!ec) {
-      // The mirror now holds every task: save it as the cache entry
-      // (atomically, so a crash or a concurrent reader mid-write never
-      // sees a torn entry). A rejected entry is overwritten here.
-      const Expected<void> written = save_checkpoint(cache_file, ckpt);
+      // Saved atomically, so a crash or a concurrent reader mid-write never
+      // sees a torn entry. A rejected entry is overwritten here.
+      const Expected<void> written = save_checkpoint(cache_file, entry);
       if (written) {
         const int evicted = evict_stale_cache_entries(cache_dir());
         if (progress != nullptr) {

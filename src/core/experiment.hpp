@@ -9,12 +9,15 @@
 //
 // Because several bench binaries consume the same suite (Figures 6-9,
 // Tables IV/V), results are cached on disk keyed by a config hash. A cache
-// entry is a completed suite checkpoint (`suite_v<schema>_<hash>.ckpt`, the
-// TLBK format of core/checkpoint.hpp), and a hit replays it through the
-// same detect/map/evaluate phases a resume uses. Each cache write deletes
-// the entries of other schema versions, which no build of this one reads. Set TLBMAP_NO_CACHE=1 (or
-// use_cache=false) to force recomputation, and TLBMAP_CACHE_DIR to relocate
-// the cache (default /tmp/tlbmap_cache).
+// entry is a finished suite snapshot (`suite_v<schema>_<hash>.ckpt`, the
+// TLBK format of core/checkpoint.hpp), written once from the result of a
+// clean run; a hit replays it through the same detect/map/evaluate phases.
+// Each cache write deletes the entries of other schema versions, which no
+// build of this one reads. Set TLBMAP_NO_CACHE=1 (or use_cache=false) to
+// force recomputation, and TLBMAP_CACHE_DIR to relocate the cache (default
+// /tmp/tlbmap_cache). The cache is the suite's only checkpoint: every task
+// is a pure function of the config and its seed, so an interrupted suite is
+// simply rerun.
 #pragma once
 
 #include <cstdint>
@@ -61,24 +64,9 @@ struct SuiteConfig {
   /// regardless of the worker count — each run simulates its own Machine
   /// and writes its own preassigned slot.
   int parallel_workers = 0;
-  /// Crash safety (DESIGN.md Sec. 12). When non-empty, suite progress is
-  /// checkpointed to `<checkpoint_dir>/suite.ckpt` as tasks complete: on
-  /// SIGINT/SIGTERM (with shutdown handlers installed) or a crash, a later
-  /// run with `resume = true` skips every completed task and — because all
-  /// seeds and result slots are preassigned — produces a SuiteResult
-  /// bit-identical to an uninterrupted run. The file is rewritten after
-  /// every completed task and removed once the suite completes. Neither
-  /// this field nor `resume` enters the cache key or the config hash: they
-  /// change durability, not results.
-  std::string checkpoint_dir;
-  /// Load `<checkpoint_dir>/suite.ckpt` and continue from it. A missing,
-  /// corrupt or config-mismatched checkpoint is reported (structured error
-  /// in the progress stream, `checkpoint.rejected` metric) and the suite
-  /// falls back to a fresh run — resume never aborts and never crashes.
-  bool resume = false;
-  /// Observability (DESIGN.md Sec. 13). Like the crash-safety knobs, the
-  /// two fields below never enter the cache key or config hash: they change
-  /// what a run records about itself, not its results.
+  /// Observability (DESIGN.md Sec. 13). The two fields below never enter
+  /// the cache key or config hash: they change what a run records about
+  /// itself, not its results.
   ///
   /// Series sampling interval, forwarded to every worker Pipeline
   /// (Pipeline::set_metrics_interval_events); the suite additionally
@@ -92,7 +80,7 @@ struct SuiteConfig {
   /// When non-empty, the suite writes a run manifest — provenance, wall/CPU
   /// cost, peak RSS, per-phase attribution, collapsed flamegraph stacks
   /// (obs/selfprof.hpp) — to this path via atomic_write_file, on every exit
-  /// path: clean, cached, degraded and interrupted.
+  /// path: clean, cached and degraded.
   std::string manifest_out;
 };
 
@@ -138,14 +126,10 @@ struct AppExperiment {
 struct SuiteResult {
   SuiteConfig config;
   std::vector<AppExperiment> apps;
-  /// Structured failures of suite tasks that exhausted their retries (empty
-  /// on a clean run). Each failed task's result slot holds default values;
-  /// degraded results are never written to the cache.
+  /// Structured failures of suite tasks (empty on a clean run). Each failed
+  /// task's result slot holds default values; degraded results are never
+  /// written to the cache.
   std::vector<Error> failures;
-  /// True when the run stopped early on a shutdown request: incomplete
-  /// result slots hold default values, the checkpoint (if enabled) holds
-  /// every completed task, and nothing was cached.
-  bool interrupted = false;
 
   bool degraded() const { return !failures.empty(); }
 };
@@ -226,9 +210,7 @@ ChurnScenarioResult run_churn_scenario(const ChurnScenarioConfig& config);
 std::string suite_cache_key(const SuiteConfig& config);
 /// Result-affecting fingerprint of a config (the cache key's hash): two
 /// configs share it iff they would produce identical results, so it is what
-/// a checkpoint's envelope carries and validates against on resume and on
-/// a cache hit. The crash-safety knobs (checkpoint_dir / resume) are
-/// deliberately excluded.
+/// a cache entry's envelope carries and validates against on a hit.
 std::uint64_t suite_config_hash(const SuiteConfig& config);
 
 }  // namespace tlbmap

@@ -25,14 +25,6 @@ bool shutdown_requested() {
   return g_shutdown.load(std::memory_order_relaxed);
 }
 
-void request_shutdown() {
-  g_shutdown.store(true, std::memory_order_relaxed);
-}
-
-void reset_shutdown() {
-  g_shutdown.store(false, std::memory_order_relaxed);
-}
-
 void install_shutdown_handlers() {
   std::signal(SIGINT, shutdown_signal_handler);
   std::signal(SIGTERM, shutdown_signal_handler);

@@ -1,8 +1,7 @@
-// Cooperative, signal-safe shutdown for long experiments (DESIGN.md
-// Sec. 12): SIGINT/SIGTERM set a process-wide flag; the Machine event loop
-// and the run_suite worker pool poll it and unwind with a structured
-// kInterrupted instead of dying mid-artifact. The suite then commits a
-// final checkpoint, so `--resume` continues from the last completed task.
+// Cooperative, signal-safe shutdown for the mapping service (DESIGN.md
+// Sec. 12): SIGINT/SIGTERM set a process-wide flag; the serve loop polls it
+// at every tick boundary, seals a checkpoint and exits 130 instead of dying
+// mid-artifact, so `--resume` continues from that tick.
 //
 // The flag is a lock-free atomic written from the handler (the only
 // async-signal-safe operation performed there). A second signal while the
@@ -10,35 +9,15 @@
 // wedged shutdown can still be killed with a second Ctrl-C.
 #pragma once
 
-#include <stdexcept>
-
 namespace tlbmap {
 
-/// True once a shutdown has been requested (by a signal or by
-/// request_shutdown()). Poll sites use relaxed loads — cheap enough for an
-/// event loop.
+/// True once SIGINT or SIGTERM has arrived. A relaxed load, cheap enough
+/// to poll every tick.
 bool shutdown_requested();
 
-/// Sets the flag programmatically — what the signal handlers call, exposed
-/// so tests and embedders can trigger a clean shutdown without a signal.
-void request_shutdown();
-
-/// Clears the flag (tests; or an embedder that handled one interruption and
-/// wants to run again).
-void reset_shutdown();
-
-/// Installs SIGINT and SIGTERM handlers that call request_shutdown().
-/// Idempotent. Only front ends opt in (the library never hijacks signal
-/// dispositions behind an embedder's back).
+/// Installs SIGINT and SIGTERM handlers that set the flag. Idempotent.
+/// Only front ends opt in (the library never hijacks signal dispositions
+/// behind an embedder's back).
 void install_shutdown_handlers();
-
-/// Thrown by the historical throwing API (Machine::run) when a run is
-/// interrupted by the shutdown flag; distinct from std::runtime_error so
-/// the suite worker pool can tell "stop asked" from "task failed" — an
-/// interrupted task is simply incomplete, never degraded.
-class InterruptedError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 }  // namespace tlbmap

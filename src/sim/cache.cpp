@@ -1,6 +1,7 @@
 #include "sim/cache.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace tlbmap {
@@ -24,6 +25,10 @@ MesiState* Cache::peek_mutable(LineAddr addr) {
 
 std::optional<Cache::Eviction> Cache::insert(LineAddr addr, MesiState state,
                                              std::size_t& hint) {
+  if (addr == kInvalidTag) {
+    throw std::invalid_argument(
+        "Cache::insert: line ~0 is the tag of an empty way");
+  }
   if (hint >= tags_.size() || tags_[hint] != addr) {
     const std::size_t base = set_index(addr) * ways_;
     hint = base + pick_way(tags_.data() + base, stamps_.data() + base, ways_,

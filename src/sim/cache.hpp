@@ -71,7 +71,8 @@ class Cache {
   static constexpr std::size_t kNoWay = ~std::size_t{0};
 
   /// Looks a line up and refreshes its LRU stamp. Returns the line's state,
-  /// or nullptr on miss.
+  /// or nullptr on miss. kInvalidTag, the tag of an empty way, always
+  /// misses.
   MesiState* find(LineAddr addr) {
     std::size_t hint = kNoWay;
     return find(addr, hint);
@@ -79,7 +80,7 @@ class Cache {
   /// find() that tries way `hint` first and leaves it at the line's way
   /// (kNoWay on a miss).
   MesiState* find(LineAddr addr, std::size_t& hint) {
-    if (hint >= tags_.size() || tags_[hint] != addr) {
+    if (hint >= tags_.size() || tags_[hint] != addr || addr == kInvalidTag) {
       hint = find_way(set_index(addr) * ways_, addr);
       if (hint == kNoWay) return nullptr;
     }
@@ -96,7 +97,8 @@ class Cache {
 
   /// Inserts a line in the given state, evicting the set's LRU victim when
   /// every way is valid. Inserting an already-present line just updates its
-  /// state and LRU stamp.
+  /// state and LRU stamp. Throws std::invalid_argument for kInvalidTag,
+  /// which would be indistinguishable from an empty way.
   std::optional<Eviction> insert(LineAddr addr, MesiState state) {
     std::size_t hint = kNoWay;
     return insert(addr, state, hint);
@@ -131,7 +133,9 @@ class Cache {
 
  private:
   /// Flat index of `addr`'s way in the set starting at `base`, or kNoWay.
+  /// kInvalidTag never matches: the ways holding it are empty.
   std::size_t find_way(std::size_t base, LineAddr addr) const {
+    if (addr == kInvalidTag) return kNoWay;
     const int w = scan_tags(tags_.data() + base, ways_, addr);
     return w < 0 ? kNoWay : base + static_cast<std::size_t>(w);
   }

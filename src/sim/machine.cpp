@@ -9,8 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/shutdown.hpp"
-
 namespace tlbmap {
 
 Machine::Machine(const MachineConfig& config)
@@ -130,12 +128,6 @@ MachineStats Machine::run(std::vector<std::unique_ptr<ThreadStream>> streams,
     if (err.code == ErrorCode::kInvalidArgument ||
         err.code == ErrorCode::kInvalidMapping) {
       throw std::invalid_argument(err.message);
-    }
-    // Distinct type so suite workers can tell "user asked us to stop" from
-    // a genuine failure: an interrupted task is neither retried nor
-    // recorded as degraded.
-    if (err.code == ErrorCode::kInterrupted) {
-      throw InterruptedError(err.message);
     }
     throw std::runtime_error(err.to_string());
   }
@@ -287,12 +279,6 @@ Expected<MachineStats> Machine::try_run(
   // misbehave; the event budget turns a hang into a structured error.
   const std::uint64_t watchdog_budget = hierarchy_.config().watchdog_max_events;
   std::uint64_t events_issued = 0;
-  // Countdown to the next shutdown poll. Deliberately not derived from
-  // events_issued: a modulo test on the event counter silently skips the
-  // first window whenever a resumed or re-entered loop starts at a
-  // non-aligned count, leaving SIGTERM unseen for up to a full window.
-  // Starting the countdown at 1 makes the very first iteration poll.
-  std::uint32_t shutdown_poll_countdown = 1;
 
   // Interval telemetry (RunConfig::metrics_interval_events): resolve the
   // progress gauges once; only deterministic values feed the series stream.
@@ -321,19 +307,6 @@ Expected<MachineStats> Machine::try_run(
       return Error{ErrorCode::kInvalidArgument,
                    "Machine::run: simulated clock reached 2^48 cycles after " +
                        std::to_string(events_issued) + " events"};
-    }
-    // Cooperative shutdown (DESIGN.md Sec. 12): poll the process-wide flag
-    // every 4096 events — often enough that SIGINT lands within
-    // microseconds of simulated work, cheap enough to vanish from the hot
-    // path. The run stops between events, so the caller's checkpoint sees
-    // only completed work.
-    if (--shutdown_poll_countdown == 0) {
-      shutdown_poll_countdown = 4096;
-      if (shutdown_requested()) {
-        return Error{ErrorCode::kInterrupted,
-                     "Machine::run: stopped by shutdown request after " +
-                         std::to_string(events_issued) + " events"};
-      }
     }
     if (watchdog_budget != 0 && events_issued >= watchdog_budget) {
       std::ostringstream msg;

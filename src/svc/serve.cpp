@@ -179,8 +179,8 @@ ServeOutcome run_serve(const ServeOptions& options, std::ostream* log,
         return outcome;
       }
     } else if (log != nullptr) {
-      // Same discipline as the suite: a bad/missing checkpoint degrades to
-      // a fresh run instead of refusing to serve.
+      // Same discipline as the suite's cache: a bad/missing checkpoint
+      // degrades to a fresh run instead of refusing to serve.
       *log << "[serve] cannot resume (" << extra.error().to_string()
            << "); starting fresh\n";
     }

@@ -2,6 +2,7 @@
 #include <cstdint>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +24,29 @@ TEST(Cache, StartsEmpty) {
   EXPECT_EQ(c.valid_lines(), 0u);
   EXPECT_EQ(c.find(0), nullptr);
   EXPECT_EQ(c.peek(0), nullptr);
+}
+
+TEST(Cache, EmptyWayTagIsNeverALine) {
+  // Empty ways hold kInvalidTag (~0), so a lookup of that line must not
+  // match them, and inserting it would make a line no lookup can tell from
+  // an empty way.
+  Cache c(small_config());
+  EXPECT_EQ(c.peek(kInvalidTag), nullptr);
+  EXPECT_EQ(c.find(kInvalidTag), nullptr);
+  EXPECT_FALSE(c.invalidate(kInvalidTag).has_value());
+  EXPECT_THROW(c.insert(kInvalidTag, MesiState::kShared),
+               std::invalid_argument);
+  EXPECT_EQ(c.valid_lines(), 0u);
+
+  // A way hint left on a way that has since been emptied misses too.
+  std::size_t hint = Cache::kNoWay;
+  c.insert(3, MesiState::kExclusive, hint);
+  ASSERT_TRUE(c.invalidate(3).has_value());
+  EXPECT_EQ(c.find(kInvalidTag, hint), nullptr);
+  EXPECT_EQ(hint, Cache::kNoWay);
+  EXPECT_THROW(c.insert(kInvalidTag, MesiState::kShared, hint),
+               std::invalid_argument);
+  EXPECT_EQ(c.valid_lines(), 0u);
 }
 
 TEST(Cache, GeometryDerived) {

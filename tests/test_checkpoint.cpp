@@ -1,10 +1,7 @@
-// Crash-safety tests (DESIGN.md Sec. 12): the atomic file primitives, the
-// TLBK checkpoint envelope and its corruption taxonomy, in-memory
-// detector/mapper state restores, and — the acceptance bar — resume
-// determinism: a suite interrupted and resumed must produce a SuiteResult
-// bit-identical to an uninterrupted run, and a corrupted checkpoint must be
-// rejected with a structured error and a clean fresh-run fallback, never a
-// crash.
+// Crash-safety tests (DESIGN.md Sec. 12): the atomic file primitives and
+// the TLBK checkpoint envelope with its corruption taxonomy, plus the suite
+// snapshot payload that the results cache stores. The cache's own hit,
+// rejection and rewrite paths are tested in test_experiment.cpp.
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -23,13 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "core/checkpoint.hpp"
-#include "core/experiment.hpp"
 #include "core/io.hpp"
-#include "core/pipeline.hpp"
-#include "core/shutdown.hpp"
-#include "obs/obs.hpp"
-#include "sim/machine.hpp"
-#include "vector_stream.hpp"
 
 namespace tlbmap {
 namespace {
@@ -43,31 +34,6 @@ fs::path scratch_dir(const std::string& name) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
-}
-
-/// The shutdown flag is process-wide; every test that touches it clears it
-/// on both ends so a failing test cannot poison its neighbours.
-struct ShutdownGuard {
-  ShutdownGuard() { reset_shutdown(); }
-  ~ShutdownGuard() { reset_shutdown(); }
-};
-
-/// Canned stream fed from a vector of events (same idiom as test_machine).
-Machine::RunConfig identity_run(int n) {
-  Machine::RunConfig cfg;
-  for (int t = 0; t < n; ++t) cfg.thread_to_core.push_back(t);
-  return cfg;
-}
-
-/// One-app suite small enough for differential runs in a unit test.
-SuiteConfig tiny_suite() {
-  SuiteConfig config;
-  config.apps = {"EP"};
-  config.repetitions = 2;
-  config.use_cache = false;
-  config.workload.iter_scale = 0.2;
-  config.detect_iter_scale = 1.0;
-  return config;
 }
 
 // ---------------------------------------------------------------------------
@@ -357,179 +323,6 @@ TEST(Checkpoint, SaveLoadRoundTripsThroughDisk) {
   const auto missing = load_checkpoint(dir / "absent.ckpt", 0);
   ASSERT_FALSE(missing.has_value());
   EXPECT_EQ(missing.error().code, ErrorCode::kIoError);
-}
-
-// ---------------------------------------------------------------------------
-// Cooperative shutdown: machine-level and suite-level.
-
-TEST(Shutdown, MachineTryRunReturnsInterrupted) {
-  ShutdownGuard guard;
-  Machine machine(MachineConfig::tiny());
-  request_shutdown();
-  const auto result =
-      machine.try_run(streams_of({{}, {}}), identity_run(2));
-  ASSERT_FALSE(result.has_value());
-  EXPECT_EQ(result.error().code, ErrorCode::kInterrupted);
-}
-
-TEST(Shutdown, MachineRunThrowsInterruptedError) {
-  ShutdownGuard guard;
-  Machine machine(MachineConfig::tiny());
-  request_shutdown();
-  EXPECT_THROW(machine.run(streams_of({{}, {}}), identity_run(2)),
-               InterruptedError);
-}
-
-TEST(Shutdown, SuiteInterruptedAtStartSavesEmptyProgress) {
-  ShutdownGuard guard;
-  const fs::path dir = scratch_dir("suite_interrupt");
-  SuiteConfig config = tiny_suite();
-  config.checkpoint_dir = dir.string();
-
-  request_shutdown();
-  const SuiteResult result = run_suite(config);
-  EXPECT_TRUE(result.interrupted);
-  EXPECT_TRUE(fs::exists(dir / "suite.ckpt"));
-
-  const auto ckpt =
-      load_checkpoint(dir / "suite.ckpt", suite_config_hash(config));
-  ASSERT_TRUE(ckpt.has_value());
-  EXPECT_EQ(ckpt->detect_done.size(), 0u);
-  EXPECT_FALSE(ckpt->map_done);
-}
-
-// ---------------------------------------------------------------------------
-// Resume determinism: the acceptance bar of DESIGN.md Sec. 12.
-
-TEST(Resume, PartialCheckpointContinuesBitIdentically) {
-  ShutdownGuard guard;
-  SuiteConfig reference_config = tiny_suite();
-  const SuiteResult reference = run_suite(reference_config);
-  ASSERT_FALSE(reference.degraded());
-  ASSERT_EQ(reference.apps.size(), 1u);
-
-  // Hand-build the checkpoint an interrupted run would have left after the
-  // first two detect tasks (task idx = app*3 + {SM, HM, oracle}) and two
-  // eval tasks, which pin the eval layout: idx = (app*reps + rep)*3 +
-  // {OS, SM, HM}.
-  const fs::path dir = scratch_dir("resume_partial");
-  SuiteCheckpoint ckpt;
-  ckpt.config_hash = suite_config_hash(reference_config);
-  ckpt.detect_tasks = 3;
-  ckpt.eval_tasks = 6;
-  ckpt.detect_done[0] = reference.apps[0].sm_detection;
-  ckpt.detect_done[1] = reference.apps[0].hm_detection;
-  ckpt.eval_done[1] = reference.apps[0].sm_runs.runs[0];  // app 0, rep 0, SM
-  ckpt.eval_done[3] = reference.apps[0].os_runs.runs[1];  // app 0, rep 1, OS
-  ASSERT_TRUE(save_checkpoint(dir / "suite.ckpt", ckpt).has_value());
-
-  SuiteConfig resume_config = reference_config;
-  resume_config.checkpoint_dir = dir.string();
-  resume_config.resume = true;
-  obs::ObsContext ctx;
-  const SuiteResult resumed = run_suite(resume_config, nullptr, &ctx);
-
-  EXPECT_FALSE(resumed.interrupted);
-  EXPECT_TRUE(resumed.apps == reference.apps);
-  EXPECT_EQ(ctx.metrics.counter_value("checkpoint.resumed_tasks"), 4u);
-  EXPECT_EQ(ctx.metrics.counter_value("checkpoint.rejected"), 0u);
-  // A completed suite retires its checkpoint.
-  EXPECT_FALSE(fs::exists(dir / "suite.ckpt"));
-}
-
-TEST(Resume, InterruptThenResumeMatchesUninterruptedRun) {
-  ShutdownGuard guard;
-  SuiteConfig reference_config = tiny_suite();
-  const SuiteResult reference = run_suite(reference_config);
-  ASSERT_FALSE(reference.degraded());
-
-  const fs::path dir = scratch_dir("resume_live");
-  SuiteConfig config = reference_config;
-  config.checkpoint_dir = dir.string();
-
-  // Interrupt the run from a side thread; wherever the shutdown lands, the
-  // resumed result must be bit-identical to the uninterrupted reference.
-  std::thread interrupter([] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    request_shutdown();
-  });
-  const SuiteResult first = run_suite(config);
-  interrupter.join();
-  reset_shutdown();
-
-  SuiteConfig resume_config = config;
-  resume_config.resume = true;
-  const SuiteResult resumed = run_suite(resume_config);
-  EXPECT_FALSE(resumed.interrupted);
-  EXPECT_TRUE(resumed.apps == reference.apps);
-  EXPECT_FALSE(fs::exists(dir / "suite.ckpt"));
-}
-
-TEST(Resume, GarbageCheckpointFallsBackToFreshRun) {
-  ShutdownGuard guard;
-  SuiteConfig reference_config = tiny_suite();
-  const SuiteResult reference = run_suite(reference_config);
-
-  const fs::path dir = scratch_dir("resume_garbage");
-  ASSERT_TRUE(
-      atomic_write_file(dir / "suite.ckpt", "definitely not a checkpoint")
-          .has_value());
-
-  SuiteConfig config = reference_config;
-  config.checkpoint_dir = dir.string();
-  config.resume = true;
-  obs::ObsContext ctx;
-  const SuiteResult result = run_suite(config, nullptr, &ctx);
-
-  EXPECT_FALSE(result.interrupted);
-  EXPECT_FALSE(result.degraded());
-  EXPECT_TRUE(result.apps == reference.apps);
-  EXPECT_EQ(ctx.metrics.counter_value("checkpoint.rejected"), 1u);
-}
-
-TEST(Resume, ForeignConfigCheckpointIsRejectedAndRunIsFresh) {
-  ShutdownGuard guard;
-  SuiteConfig reference_config = tiny_suite();
-  const SuiteResult reference = run_suite(reference_config);
-
-  // A structurally valid checkpoint sealed for a different config hash.
-  const fs::path dir = scratch_dir("resume_foreign");
-  SuiteCheckpoint foreign;
-  foreign.config_hash = suite_config_hash(reference_config) ^ 0x1;
-  foreign.detect_tasks = 3;
-  foreign.eval_tasks = 6;
-  ASSERT_TRUE(save_checkpoint(dir / "suite.ckpt", foreign).has_value());
-
-  SuiteConfig config = reference_config;
-  config.checkpoint_dir = dir.string();
-  config.resume = true;
-  obs::ObsContext ctx;
-  const SuiteResult result = run_suite(config, nullptr, &ctx);
-
-  EXPECT_FALSE(result.interrupted);
-  EXPECT_TRUE(result.apps == reference.apps);
-  EXPECT_EQ(ctx.metrics.counter_value("checkpoint.rejected"), 1u);
-}
-
-TEST(Resume, CheckpointShapeMismatchIsRejected) {
-  // Same config hash but an impossible task shape (e.g. written by a buggy
-  // producer): the second guard behind the hash rejects it cleanly.
-  ShutdownGuard guard;
-  SuiteConfig config = tiny_suite();
-  const fs::path dir = scratch_dir("resume_shape");
-  SuiteCheckpoint bad;
-  bad.config_hash = suite_config_hash(config);
-  bad.detect_tasks = 99;  // config implies 3
-  bad.eval_tasks = 6;
-  ASSERT_TRUE(save_checkpoint(dir / "suite.ckpt", bad).has_value());
-
-  config.checkpoint_dir = dir.string();
-  config.resume = true;
-  obs::ObsContext ctx;
-  const SuiteResult result = run_suite(config, nullptr, &ctx);
-  EXPECT_FALSE(result.interrupted);
-  EXPECT_FALSE(result.degraded());
-  EXPECT_EQ(ctx.metrics.counter_value("checkpoint.rejected"), 1u);
 }
 
 }  // namespace

@@ -227,27 +227,28 @@ TEST(Cli, OnlineMapperFlagsOnlyApplyToDynamic) {
   EXPECT_NE(wrong.error.find("dynamic"), std::string::npos);
 }
 
-TEST(Cli, CheckpointFlagsParsed) {
-  const CliOptions opt =
-      parse({"suite", "--checkpoint-dir", "/tmp/ckpt", "--resume"});
-  ASSERT_TRUE(opt.ok()) << opt.error;
-  EXPECT_EQ(opt.checkpoint_dir, "/tmp/ckpt");
-  EXPECT_TRUE(opt.resume);
+TEST(Cli, CheckpointFlagsAreServeOnly) {
+  // The results cache is the suite's only checkpoint: the checkpoint flags
+  // belong to the serve daemon and are usage errors anywhere else.
+  for (const char* command : {"suite", "detect", "evaluate"}) {
+    const CliOptions dir = parse({command, "--checkpoint-dir", "/tmp/ckpt"});
+    EXPECT_FALSE(dir.ok()) << command;
+    EXPECT_NE(dir.error.find("--checkpoint-dir"), std::string::npos)
+        << dir.error;
+    EXPECT_EQ(run_cli(dir), 2) << command;
+    const CliOptions resume = parse(
+        {command, "--checkpoint-dir", "/tmp/ckpt", "--resume"});
+    EXPECT_FALSE(resume.ok()) << command;
+    EXPECT_EQ(run_cli(resume), 2) << command;
+  }
+  EXPECT_FALSE(parse({"suite", "--resume"}).ok());
 
-  const CliOptions defaults = parse({"suite"});
-  ASSERT_TRUE(defaults.ok());
+  const CliOptions defaults = parse({"serve"});
+  ASSERT_TRUE(defaults.ok()) << defaults.error;
   EXPECT_TRUE(defaults.checkpoint_dir.empty());
   EXPECT_FALSE(defaults.resume);
-}
-
-TEST(Cli, CheckpointFlagsValidated) {
-  // The crash-safety flags only make sense for the suite command...
-  EXPECT_FALSE(parse({"detect", "--checkpoint-dir", "/tmp/ckpt"}).ok());
-  EXPECT_FALSE(parse({"evaluate", "--resume"}).ok());
-  // ...and resume without a checkpoint directory is a usage error.
-  EXPECT_FALSE(parse({"suite", "--resume"}).ok());
-  // The suite checkpoints after every task; there is no write-cadence flag.
-  const CliOptions cadence = parse({"suite", "--checkpoint-dir", "/tmp/ckpt",
+  // There is no write-cadence flag.
+  const CliOptions cadence = parse({"serve", "--checkpoint-dir", "/tmp/ckpt",
                                     "--checkpoint-every-events", "1000"});
   EXPECT_FALSE(cadence.ok());
   EXPECT_NE(cadence.error.find("unknown option"), std::string::npos);
@@ -434,8 +435,7 @@ TEST(CliTable, EveryOptionIsDocumentedAndGatedByItsCommands) {
 }
 
 TEST(Cli, ServeAcceptsCheckpointFlags) {
-  // The crash-safety flags apply to the two long-running commands: the
-  // suite and the serve daemon.
+  // The serve daemon runs for a long time, so it checkpoints and resumes.
   const CliOptions opt =
       parse({"serve", "--checkpoint-dir", "/tmp/svc", "--resume"});
   ASSERT_TRUE(opt.ok()) << opt.error;

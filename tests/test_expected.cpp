@@ -1,8 +1,8 @@
 // Tests for the structured error taxonomy (DESIGN.md Secs. 11-12): every
 // ErrorCode renders to a distinct machine-readable name, Expected<T>
 // carries exactly one of value/error, and each failure path — bad mapping,
-// watchdog, malformed trace, missing file, corrupt checkpoint, interrupted
-// run, failed suite worker — surfaces the code the taxonomy promises.
+// watchdog, malformed trace, missing file, corrupt checkpoint, failed suite
+// worker — surfaces the code the taxonomy promises.
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -14,7 +14,6 @@
 #include "core/checkpoint.hpp"
 #include "core/expected.hpp"
 #include "core/experiment.hpp"
-#include "core/shutdown.hpp"
 #include "sim/machine.hpp"
 #include "sim/trace_file.hpp"
 #include "vector_stream.hpp"
@@ -46,11 +45,10 @@ TEST(ErrorCode, EveryCodeHasADistinctName) {
       ErrorCode::kMalformedTrace,     ErrorCode::kTruncatedTrace,
       ErrorCode::kIoError,            ErrorCode::kWatchdogTimeout,
       ErrorCode::kDegenerateMatrix,   ErrorCode::kMappingFailure,
-      ErrorCode::kWorkerFailure,      ErrorCode::kInterrupted,
-      ErrorCode::kCorruptCheckpoint,  ErrorCode::kCheckpointMismatch,
-      ErrorCode::kCorruptTrace,       ErrorCode::kAdmissionRejected,
-      ErrorCode::kBackpressure,       ErrorCode::kSessionQuarantined,
-      ErrorCode::kSaturatedMatrix,
+      ErrorCode::kWorkerFailure,      ErrorCode::kCorruptCheckpoint,
+      ErrorCode::kCheckpointMismatch, ErrorCode::kCorruptTrace,
+      ErrorCode::kAdmissionRejected,  ErrorCode::kBackpressure,
+      ErrorCode::kSessionQuarantined, ErrorCode::kSaturatedMatrix,
   };
   std::set<std::string> names;
   for (const ErrorCode code : all) {
@@ -60,6 +58,15 @@ TEST(ErrorCode, EveryCodeHasADistinctName) {
     names.insert(name);
   }
   EXPECT_EQ(names.size(), std::size(all)) << "two codes share a name";
+}
+
+TEST(ErrorCode, PersistedNumbersAreStable) {
+  // The service checkpoint stores a quarantine reason's code as a number,
+  // so a code's value never changes; 9 belonged to a retired code.
+  EXPECT_EQ(static_cast<int>(ErrorCode::kWorkerFailure), 8);
+  EXPECT_EQ(static_cast<int>(ErrorCode::kCorruptCheckpoint), 10);
+  EXPECT_EQ(static_cast<int>(ErrorCode::kSessionQuarantined), 15);
+  EXPECT_EQ(static_cast<int>(ErrorCode::kSaturatedMatrix), 16);
 }
 
 TEST(ErrorCode, ErrorToStringCarriesCodeAndMessage) {
@@ -124,22 +131,6 @@ TEST(ExpectedPaths, WatchdogBudgetIsWatchdogTimeout) {
       std::runtime_error);
 }
 
-TEST(ExpectedPaths, ShutdownRequestIsInterrupted) {
-  reset_shutdown();
-  Machine machine(MachineConfig::tiny());
-  request_shutdown();
-  const auto r = machine.try_run(streams_of({accesses(4)}), run_on({0}));
-  ASSERT_FALSE(r.has_value());
-  EXPECT_EQ(r.error().code, ErrorCode::kInterrupted);
-
-  // Machine::run maps kInterrupted to the dedicated exception type, so the
-  // suite pool can tell "stop asked" from "task failed".
-  Machine again(MachineConfig::tiny());
-  EXPECT_THROW(again.run(streams_of({accesses(4)}), run_on({0})),
-               InterruptedError);
-  reset_shutdown();
-}
-
 // ---------------------------------------------------------------------------
 // Reader-side taxonomy: traces, recordings, checkpoints.
 
@@ -173,7 +164,6 @@ TEST(ExpectedPaths, GarbageCheckpointIsCorrupt) {
 // Suite-level degradation.
 
 TEST(ExpectedPaths, SuiteWorkerFailuresAreStructuredAndDegrade) {
-  reset_shutdown();
   SuiteConfig config;
   config.apps = {"EP"};
   config.repetitions = 1;

@@ -172,7 +172,6 @@ TEST(Experiment, CacheHitReplaysFreshResult) {
   obs::ObsContext ctx;
   const SuiteResult cached = run_suite(config, &progress, &ctx);
   EXPECT_TRUE(cached.apps == fresh.apps);
-  EXPECT_FALSE(cached.interrupted);
   EXPECT_NE(progress.str().find("loaded cached results"), std::string::npos);
   EXPECT_NE(slurp(config.manifest_out).find("\"cache_hit\": \"true\""),
             std::string::npos);
@@ -211,7 +210,8 @@ TEST(Experiment, CorruptCacheEntryIsRecomputedAndReplaced) {
 
 TEST(Experiment, UnfinishedCacheEntryIsRecomputed) {
   // A sound envelope for this config that is not a finished suite (say, a
-  // suite.ckpt copied into the cache) is never trusted as a result.
+  // snapshot of a partial run copied into the cache) is never trusted as a
+  // result.
   const CacheDirGuard cache("unfinished");
   const SuiteConfig config = tiny_suite();
   SuiteConfig uncached = config;
@@ -236,6 +236,67 @@ TEST(Experiment, UnfinishedCacheEntryIsRecomputed) {
   const auto left = load_checkpoint(entry, suite_config_hash(config));
   ASSERT_TRUE(left.has_value());
   EXPECT_EQ(left->eval_done.size(), 6u);
+}
+
+TEST(Experiment, MismatchedCacheEntryIsRecomputed) {
+  // Sound envelopes that do not belong to this config: one sealed for
+  // another config hash, and one with this hash but an impossible task
+  // shape (a buggy producer), which the second guard behind the hash
+  // rejects.
+  const CacheDirGuard cache("mismatch");
+  const SuiteConfig config = tiny_suite();
+  SuiteConfig uncached = config;
+  uncached.use_cache = false;
+  const SuiteResult reference = run_suite(uncached);
+
+  SuiteCheckpoint foreign;
+  foreign.config_hash = suite_config_hash(config) ^ 0x1;
+  foreign.detect_tasks = 3;
+  foreign.eval_tasks = 6;
+  SuiteCheckpoint misshapen;
+  misshapen.config_hash = suite_config_hash(config);
+  misshapen.detect_tasks = 99;  // the config implies 3
+  misshapen.eval_tasks = 6;
+  const std::filesystem::path entry = cache.dir() / suite_cache_key(config);
+  std::filesystem::create_directories(cache.dir());
+  for (const SuiteCheckpoint& bad : {foreign, misshapen}) {
+    ASSERT_TRUE(save_checkpoint(entry, bad).has_value());
+    std::ostringstream progress;
+    obs::ObsContext ctx;
+    const SuiteResult result = run_suite(config, &progress, &ctx);
+    EXPECT_NE(progress.str().find(to_string(ErrorCode::kCheckpointMismatch)),
+              std::string::npos)
+        << progress.str();
+    EXPECT_EQ(ctx.metrics.counter_value("checkpoint.resumed_tasks"), 0u);
+    EXPECT_FALSE(result.degraded());
+    EXPECT_TRUE(result.apps == reference.apps);
+    const auto left = load_checkpoint(entry, suite_config_hash(config));
+    ASSERT_TRUE(left.has_value()) << left.error().to_string();
+    EXPECT_EQ(left->detect_tasks, 3u);
+    EXPECT_EQ(left->eval_done.size(), 6u);
+  }
+}
+
+TEST(Experiment, CacheEntryIsIndependentOfWorkerCount) {
+  // Tasks claim indices in any order across workers, but each writes its
+  // own preassigned slot and the entry is built from the finished result,
+  // so a serial suite and a four-worker one write the same bytes.
+  const CacheDirGuard cache("workers");
+  SuiteConfig config = tiny_suite();
+  const std::filesystem::path entry = cache.dir() / suite_cache_key(config);
+  std::vector<std::string> bytes;
+  std::vector<SuiteResult> results;
+  for (const int workers : {1, 4}) {
+    config.parallel_workers = workers;
+    std::filesystem::remove(entry);
+    results.push_back(run_suite(config));
+    ASSERT_FALSE(results.back().degraded());
+    Expected<std::string> written = read_file(entry);
+    ASSERT_TRUE(written.has_value()) << written.error().to_string();
+    bytes.push_back(std::move(*written));
+  }
+  EXPECT_TRUE(results[0].apps == results[1].apps);
+  EXPECT_TRUE(bytes[0] == bytes[1]) << "cache entries differ";
 }
 
 TEST(Experiment, CacheWriteEvictsStaleEntriesOnly) {
